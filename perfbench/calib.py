@@ -3,10 +3,10 @@ does (rational arithmetic, dictionary updates), timed between the jobs of a
 pass.
 
 The machine this benchmark was designed on shares its cores with other
-tenants; the same fixed loop took anywhere from 0.074 s to 0.155 s from one
-second to the next, and whole runs were 30% slower than others.  Times are
+tenants; this unit took anywhere from 4.2 ms to 8.7 ms from one second to
+the next, and whole runs were up to 2x slower than others.  Times are
 therefore reported in calibrated seconds: measured seconds multiplied by
-REFERENCE_S over the mean duration of the units run in the same pass, which
+REFERENCE_S over the median duration of the units run in the same pass, which
 reads as seconds on the design machine in a quiet minute.
 """
 

@@ -11,6 +11,7 @@ Modes that take SPANS install the tracer before the program runs and write
 the spans to SPANS when it ends.
 """
 
+import gc
 import hashlib
 import json
 import sys
@@ -81,7 +82,12 @@ def run_scan(src, out, units, spans=None):
             entry["status"] = rep["status"]
             entry["digest"] = hashlib.sha256(report.to_json(rep).encode()).hexdigest()
         results.append(entry)
+        # the program's live heap must not set the units' speed: with the
+        # collector on, each unit's allocations would trigger collections
+        # whose cost grows with the caches the session has filled
+        gc.disable()
         cal.append([calib.unit() for _ in range(per_call)])
+        gc.enable()
     if tr is not None:
         tr.dump(spans)
     with open(out, "w", encoding="utf-8") as fh:
@@ -97,10 +103,12 @@ def run_probe(src, out):
     nodes, so the difference bounds the quadrature error of the value.  For
     an integral point: the loop-sum-rule residual verify_report reports; a
     call that raises has no residual (beta-scan counts it as a failure).
+    Writes the relative errors and both extension_shift values of each
+    generic point, which run.py compares with reference.json.
     """
     from curvegkz import CurveMatrix, extension_shift, report, roots_and_components, sample_structured_point
 
-    rels = []
+    rels, values = [], []
     for kind, exps, beta in _load_calls(src):
         A = CurveMatrix(list(exps))
         if kind == "integral":
@@ -117,8 +125,9 @@ def run_probe(src, out):
         v1 = extension_shift(A, bc, x, rc.ray_angles[0])
         v2 = extension_shift(A, bc, x, lo + 0.25 * (hi - lo))
         rels.append(abs(v1 - v2) / max(abs(v1), abs(v2), 1e-300))
+        values += [[v.real, v.imag] for v in (v1, v2)]
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(rels, fh)
+        json.dump({"rels": rels, "values": values}, fh)
 
 
 def main(argv):

@@ -84,6 +84,7 @@ INTEGRAL_B1 = (-2, 12)
 PROBE_SEED = 0
 PROBE_GENERIC = 4
 ACCURACY_FLOOR_DIGITS = 6.0
+PROBE_VALUE_REL_TOL = 10.0**-ACCURACY_FLOOR_DIGITS
 
 # what the package raises on purpose (the CLI maps these to exit 2 or 3);
 # any other exception out of verify_report is a crash
@@ -257,8 +258,10 @@ def _new_pass():
 
 def _scaled(p):
     """A pass's latencies in calibrated seconds: scaled by REFERENCE_S over
-    the mean of the calibration units run between the pass's jobs."""
-    factor = calib.REFERENCE_S / statistics.fmean(u for group in p["cal_s"] for u in group)
+    the median of the calibration units run between the pass's jobs.  The
+    median, not the mean: a unit that another tenant of the machine
+    preempts would drag the mean and with it the whole pass."""
+    factor = calib.REFERENCE_S / statistics.median(u for group in p["cal_s"] for u in group)
     return [t * factor for t in p["latencies"]]
 
 
@@ -266,7 +269,8 @@ def cli_pass(runner, jobs, reference, traced=False):
     """One pass over CLI jobs, each in a fresh process.  Outputs and spans
     are checked and analysed after the pass, so that work is not timed.
     The CLI exits 1 when a verify status is not pass, so a zero exit code
-    covers that check."""
+    covers that check.  Every reference job exited 0 when it was recorded,
+    so a non-zero exit is a wrong result, not only a failed job."""
     res = _new_pass()
     outputs = []
     units = max(1, CAL_UNITS_PER_PASS // len(jobs))
@@ -287,7 +291,9 @@ def cli_pass(runner, jobs, reference, traced=False):
         res["attempted"] += 1
         key = " ".join(job)
         ok = code == 0
-        if ok and reference.get(key) != {"sha256": hashlib.sha256(stdout).hexdigest(), "bytes": len(stdout)}:
+        if not ok:
+            res["wrong"].append(f"exit {code} where the reference job exited 0: {key}")
+        elif reference.get(key) != {"sha256": hashlib.sha256(stdout).hexdigest(), "bytes": len(stdout)}:
             ok = False
             res["wrong"].append(f"stdout differs from the reference: {key}")
         if not ok:
@@ -344,7 +350,7 @@ class Workload:
         else:
             self.jobs = list(QUICK_JOBS[name] if quick else CLI_JOBS[name])
             random.Random(seed).shuffle(self.jobs)
-            self.reference = _load_reference()
+            self.reference = _load_reference()["cli_stdout"]
 
     def one_pass(self, traced=False):
         if self.jobs is None:
@@ -383,14 +389,13 @@ def setup_seconds(runner, launches=SETUP_LAUNCHES):
             raise BenchError(f"import curvegkz.cli failed: {stderr.decode(errors='replace')[-500:]}")
         times.append(seconds)
         cal += [calib.unit() for _ in range(CAL_UNITS_PER_PASS // launches)]
-    return statistics.median(times) * calib.REFERENCE_S / statistics.fmean(cal)
+    return statistics.median(times) * calib.REFERENCE_S / statistics.median(cal)
 
 
-def accuracy(runner):
-    """Minimum correct digits over a fixed probe: the first generic points
-    and all integral points of the seed-0 beta-scan list.  The probe is the
-    same on every workload and seed, so the metric moves only when the
-    program's numerics do.  Runs after the timed passes."""
+def run_probe(runner):
+    """The fixed probe: the first generic points and all integral points of
+    the seed-0 beta-scan list.  Returns the relative errors and the
+    extension_shift values (as [re, im] pairs) of child.run_probe."""
     calls = scan_calls(PROBE_SEED)
     probe = [c for c in calls if c[0] == "generic"][:PROBE_GENERIC] + [c for c in calls if c[0] == "integral"]
     path = runner.work / "probe-in.json"
@@ -400,7 +405,24 @@ def accuracy(runner):
     if code != 0:
         raise BenchError(f"accuracy probe failed: {stderr.decode(errors='replace')[-500:]}")
     with open(out, encoding="utf-8") as fh:
-        return min(_digits(r) for r in json.load(fh))
+        return json.load(fh)
+
+
+def accuracy(runner):
+    """Minimum correct digits over the fixed probe, and the probe values
+    that depart from reference.json by more than the accuracy floor.  The
+    probe is the same on every workload and seed, so the metric moves only
+    when the program's numerics do.  Runs after the timed passes."""
+    probe = run_probe(runner)
+    wrong = []
+    recorded = _load_reference()["probe_extension_shift"]
+    if len(recorded) != len(probe["values"]):
+        wrong.append(f"probe gave {len(probe['values'])} extension_shift values, reference.json has {len(recorded)}")
+    for i, (got, want) in enumerate(zip(probe["values"], recorded)):
+        rel = abs(complex(*got) - complex(*want)) / max(abs(complex(*want)), 1e-300)
+        if rel > PROBE_VALUE_REL_TOL:
+            wrong.append(f"probe extension_shift value {i} is {complex(*got)}, reference {complex(*want)} (relative {rel:.2e})")
+    return min(_digits(r) for r in probe["rels"]), wrong
 
 
 def end_to_end(passes, setup_s, digits):
@@ -546,11 +568,14 @@ def measure(name, seed, seconds, trace, runner):
             elapsed = time.perf_counter() - begin
             if len(passes) >= MIN_PASSES and elapsed + (time.perf_counter() - t0) > seconds:
                 break
-        metrics = end_to_end(passes, setup_s, accuracy(runner))
+        digits, probe_wrong = accuracy(runner)
+        metrics = end_to_end(passes, setup_s, digits)
         raw = sum(min(samples) for samples in zip(*(p["latencies"] for p in passes)))
         scales = ", ".join(f"{sum(_scaled(p)) / sum(p['latencies']):.3f}" for p in passes)
         print(f"{len(passes)} passes; measured wall {raw:.3f} s; calibration factor per pass {scales}", file=sys.stderr)
     wrong = [w for p in passes for w in p["wrong"]]
+    if not trace:
+        wrong += probe_wrong
     digests = [p["digests"] for p in passes]
     if any(d != digests[0] for d in digests):
         wrong.append("verify_report output differs between passes over the same calls")
@@ -608,17 +633,20 @@ def quick(runner):
 
 
 def record_reference(runner):
-    reference = {}
+    """Record the stdout digest of every CLI job and the probe's
+    extension_shift values."""
+    stdout_digests = {}
     for jobs in CLI_JOBS.values():
         for job in jobs:
             _, code, _, stdout, stderr = runner.run([sys.executable, "-m", "curvegkz.cli", *job])
             if code != 0:
                 raise BenchError(f"reference job failed: {' '.join(job)}: {stderr.decode(errors='replace')}")
-            reference[" ".join(job)] = {"sha256": hashlib.sha256(stdout).hexdigest(), "bytes": len(stdout)}
+            stdout_digests[" ".join(job)] = {"sha256": hashlib.sha256(stdout).hexdigest(), "bytes": len(stdout)}
+    reference = {"cli_stdout": stdout_digests, "probe_extension_shift": run_probe(runner)["values"]}
     with open(REFERENCE, "w", encoding="utf-8") as fh:
         json.dump(reference, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(reference)} reference digests to {REFERENCE}")
+    print(f"wrote {len(stdout_digests)} stdout digests and {len(reference['probe_extension_shift'])} probe values to {REFERENCE}")
     return 0
 
 
