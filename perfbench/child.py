@@ -2,20 +2,21 @@
 interpreter started by run.py, with PYTHONPATH pointing at the checkout's
 src/ and the BLAS/OpenMP thread count pinned to 1.
 
-    child.py cli JOB SPANS -- ARGV...   traced `curvegkz.cli.main(ARGV)`
-    child.py scan IN OUT UNITS [SPANS]  beta-scan library session
+    child.py cli UNITS [SPANS] -- ARGV   `curvegkz.cli.main(ARGV)`, then calibration units
+    child.py scan IN OUT [SPANS]        beta-scan library session
     child.py probe IN OUT               relative errors for accuracy_digits
     child.py imports                    import times of numpy and curvegkz.cli
 
 Modes that take SPANS install the tracer before the program runs and write
-the spans to SPANS when it ends.
+the spans to SPANS when it ends.  The timed modes run calibration units
+(calib.py) in the same process right after the measured work.
 """
 
-import gc
 import hashlib
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 # must come first: the import-time measurement needs a cold interpreter
@@ -42,27 +43,36 @@ def _load_calls(path):
         ]
 
 
-def run_cli(job, spans, argv):
-    tr = tracer.install(job)
+def run_cli(units_out, spans, argv):
+    """The CLI job as `python -m curvegkz.cli ARGV` runs it, then the
+    calibration units whose durations go to UNITS_OUT; run.py takes their
+    time off the job's measured wall time."""
+    tr = tracer.install(" ".join(argv)) if spans else None
     from curvegkz import cli
 
     try:
-        return cli.main(argv)
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception:  # exits 1 with the traceback, as the interpreter would
+        traceback.print_exc()
+        code = 1
     finally:
         sys.stdout.flush()
-        tr.dump(spans)
+        if tr is not None:
+            tr.dump(spans)
+    calib.write_units("tuple", units_out)
+    return code
 
 
-def run_scan(src, out, units, spans=None):
+def run_scan(src, out, spans=None):
     """One library session: verify_report on every call, one after another.
-    A raised exception is that call's failure; the session goes on.  About
-    UNITS calibration units in all run between the calls, outside their
-    latencies."""
+    A raised exception is that call's failure; the session goes on.  The
+    calibration units run after each call, outside its latency."""
     tr = tracer.install("beta-scan") if spans else None
     from curvegkz import CurveMatrix, report
 
     calls = _load_calls(src)
-    per_call = max(1, int(units) // len(calls))
     results = []
     cal = []
     for kind, exps, beta in calls:
@@ -82,12 +92,7 @@ def run_scan(src, out, units, spans=None):
             entry["status"] = rep["status"]
             entry["digest"] = hashlib.sha256(report.to_json(rep).encode()).hexdigest()
         results.append(entry)
-        # the program's live heap must not set the units' speed: with the
-        # collector on, each unit's allocations would trigger collections
-        # whose cost grows with the caches the session has filled
-        gc.disable()
-        cal.append([calib.unit() for _ in range(per_call)])
-        gc.enable()
+        cal.append(calib.units("fraction"))
     if tr is not None:
         tr.dump(spans)
     with open(out, "w", encoding="utf-8") as fh:
@@ -133,10 +138,11 @@ def run_probe(src, out):
 def main(argv):
     mode, rest = argv[0], argv[1:]
     if mode == "cli":
-        job, spans, sep, *cli_argv = rest
-        if sep != "--":
-            raise SystemExit("usage: child.py cli JOB SPANS -- ARGV...")
-        return run_cli(job, spans, cli_argv)
+        sep = rest.index("--") if "--" in rest else -1
+        if sep not in (1, 2):
+            raise SystemExit("usage: child.py cli UNITS [SPANS] -- ARGV...")
+        units_out, spans = rest[0], rest[1] if sep == 2 else None
+        return run_cli(units_out, spans, rest[sep + 1 :])
     if mode == "scan":
         run_scan(*rest)
         return 0

@@ -20,9 +20,9 @@ Every workload is a closed loop with one client: jobs run one after another
 and at most one child process runs at a time.  Each child has its
 BLAS/OpenMP thread count pinned to 1 (THREAD_PIN).
 
-With ``--trace 0`` a run makes at least two whole passes over the workload
-and stops when the next would end after ``--seconds``, and prints the
-end-to-end metrics; times are each job's best over the passes, in
+With ``--trace 0`` a run makes whole passes over the workload until the
+next would end after ``--seconds``, and prints the
+end-to-end metrics; times are each job's median over the passes, in
 calibrated seconds (calib.py).
 With ``--trace 1`` it makes one untraced and one traced pass and prints the
 per-layer metrics.  The last stdout line is the JSON result.
@@ -56,8 +56,6 @@ REFERENCE = HERE / "reference.json"
 THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 RUN_BUDGET_S = 170.0  # the whole run, measured passes included, must end within 180 s
 SETUP_LAUNCHES = 7
-MIN_PASSES = 2
-CAL_UNITS_PER_PASS = 48  # calibration units spread over each pass, about 0.25 s
 
 LADDER = ("0,1,3,4", "0,1,4,5", "0,2,5,7")
 EXACT_LADDER = [(cmd, "-A", m) for m in LADDER for cmd in ("analyze", "cohomology", "figure")]
@@ -76,8 +74,9 @@ WORKLOADS = ("exact-ladder", "solve-wide", "beta-scan")
 SUBCOMMANDS = ("analyze", "cohomology", "figure", "solve", "verify")
 
 SCAN_MATRICES = ((0, 2, 3), (0, 1, 3, 4), (0, 2, 5, 7))
-SCAN_CALLS = {"generic": 22, "polar": 9, "integral": 5}
+SCAN_CALLS = {"generic": 36, "polar": 15, "integral": 9}
 GENERIC_B1 = (-2, 40)
+DENOMINATORS = (3, 5, 7, 11, 13)  # of the generic points, taken round-robin
 POLAR_LEVEL_MAX = 30
 POLAR_B1_MAX = 12
 INTEGRAL_B1 = (-2, 12)
@@ -122,9 +121,10 @@ def scan_calls(seed, counts=SCAN_CALLS):
 
     Each kind is a Latin hypercube: call j of m takes its first coordinate
     from the j-th of m equal slices of the kind's range and its second from
-    a seeded permutation of the slices, and the matrices are taken
-    round-robin.  So every seed covers the same ranges evenly and the work
-    and failures per pass vary little between seeds.
+    slice pi(j) of a fixed permutation pi, and the matrices (and the
+    denominators of generic points) are taken round-robin.  The seed places
+    each call inside its cell and sets the call order, so every seed covers
+    the same cells and the latency quantiles vary little between seeds.
     * generic: non-integral b1 in [-2, 40], b2 between -2 and k*b1 + 2, both
       pairings non-integral, so the value needs shift continuation;
     * polar: on exactly one polar line, b2 = N in the facet semigroup with
@@ -136,14 +136,14 @@ def scan_calls(seed, counts=SCAN_CALLS):
     calls = []
     for kind, m in counts.items():
         slices = list(range(m))
-        rng.shuffle(slices)
+        random.Random(f"{kind}:{m}").shuffle(slices)
         for j in range(m):
             exps = SCAN_MATRICES[j % len(SCAN_MATRICES)]
             k = exps[-1]
             u = (j + rng.random()) / m
             v = (slices[j] + rng.random()) / m
             if kind == "generic":
-                q = rng.choice((3, 5, 7, 11, 13))
+                q = DENOMINATORS[j % len(DENOMINATORS)]
                 lo, hi = GENERIC_B1
                 b1 = Fraction(math.floor(q * (lo + (hi - lo) * u)), q)
                 if b1.denominator == 1:
@@ -244,51 +244,53 @@ class Runner:
 
 def _new_pass():
     return {
-        "latencies": [],
+        "latencies": [],  # calibrated seconds, one per job or call
+        "measured": [],  # the same latencies in measured seconds
         "subcommand_s": dict.fromkeys(SUBCOMMANDS, 0.0),
-        "attempted": 0,
-        "failed": 0,
+        "fails": [],  # one flag per job or call, in pass order
         "wrong": [],
         "rss_mb": 0.0,
         "digests": [],
         "layers": [],
-        "cal_s": [],
     }
 
 
-def _scaled(p):
-    """A pass's latencies in calibrated seconds: scaled by REFERENCE_S over
-    the median of the calibration units run between the pass's jobs.  The
-    median, not the mean: a unit that another tenant of the machine
-    preempts would drag the mean and with it the whole pass."""
-    factor = calib.REFERENCE_S / statistics.median(u for group in p["cal_s"] for u in group)
-    return [t * factor for t in p["latencies"]]
+def _add(res, subcommand, measured, kind, units):
+    """Record one latency, calibrated by the units its own process ran right
+    after it (calib.py)."""
+    seconds = calib.calibrated(measured, kind, units)
+    res["latencies"].append(seconds)
+    res["measured"].append(measured)
+    res["subcommand_s"][subcommand] += seconds
 
 
 def cli_pass(runner, jobs, reference, traced=False):
-    """One pass over CLI jobs, each in a fresh process.  Outputs and spans
-    are checked and analysed after the pass, so that work is not timed.
+    """One pass over CLI jobs, each in a fresh process that runs
+    `curvegkz.cli.main(job)` and then its calibration units; the units'
+    time is taken off the measured wall time.  Outputs and spans are
+    checked and analysed after the pass, so that work is not timed.
     The CLI exits 1 when a verify status is not pass, so a zero exit code
     covers that check.  Every reference job exited 0 when it was recorded,
     so a non-zero exit is a wrong result, not only a failed job."""
     res = _new_pass()
     outputs = []
-    units = max(1, CAL_UNITS_PER_PASS // len(jobs))
-    start = time.perf_counter()
+    units_path = runner.work / "units.json"
     for i, job in enumerate(jobs):
         spans = runner.work / f"spans{i}.bin"
+        argv = [sys.executable, str(HERE / "child.py"), "cli", str(units_path)]
         if traced:
-            argv = [sys.executable, str(HERE / "child.py"), "cli", " ".join(job), str(spans), "--", *job]
-        else:
-            argv = [sys.executable, "-m", "curvegkz.cli", *job]
-        seconds, code, rss, stdout, stderr = runner.run(argv)
+            argv.append(str(spans))
+        seconds, code, rss, stdout, stderr = runner.run([*argv, "--", *job])
+        try:
+            with open(units_path, encoding="utf-8") as fh:
+                units = json.load(fh)
+            units_path.unlink()
+        except OSError:
+            raise BenchError(f"CLI child wrote no calibration units (exit {code}): {' '.join(job)}: {stderr.decode(errors='replace')[-500:]}")
         outputs.append((job, code, stdout, stderr, spans))
-        res["latencies"].append(seconds)
-        res["subcommand_s"][job[0]] += seconds
+        _add(res, job[0], seconds - sum(units), "tuple", units)
         res["rss_mb"] = max(res["rss_mb"], rss)
-        res["cal_s"].append([calib.unit() for _ in range(units)])
     for job, code, stdout, stderr, spans in outputs:
-        res["attempted"] += 1
         key = " ".join(job)
         ok = code == 0
         if not ok:
@@ -296,8 +298,8 @@ def cli_pass(runner, jobs, reference, traced=False):
         elif reference.get(key) != {"sha256": hashlib.sha256(stdout).hexdigest(), "bytes": len(stdout)}:
             ok = False
             res["wrong"].append(f"stdout differs from the reference: {key}")
+        res["fails"].append(not ok)
         if not ok:
-            res["failed"] += 1
             print(f"job failed (exit {code}): {key}: {stderr.decode(errors='replace')[-300:]}", file=sys.stderr)
         if traced:
             res["layers"].append(tracer.analyse(spans))
@@ -309,7 +311,7 @@ def scan_pass(runner, calls_path, traced=False):
     """One beta-scan session in a fresh process."""
     res = _new_pass()
     out = runner.work / "scan.json"
-    args = [HERE / "child.py", "scan", calls_path, out, CAL_UNITS_PER_PASS]
+    args = [HERE / "child.py", "scan", calls_path, out]
     if traced:
         spans = runner.work / "scan-spans.bin"
         args.append(spans)
@@ -319,19 +321,13 @@ def scan_pass(runner, calls_path, traced=False):
     with open(out, encoding="utf-8") as fh:
         session = json.load(fh)
     out.unlink()
-    res["cal_s"] = session["cal_s"]
     res["rss_mb"] = rss
-    for call in session["calls"]:
-        res["attempted"] += 1
-        res["latencies"].append(call["latency_s"])
-        res["subcommand_s"]["verify"] += call["latency_s"]
+    for call, units in zip(session["calls"], session["cal_s"]):
+        _add(res, "verify", call["latency_s"], "fraction", units)
         res["digests"].append(call.get("digest"))
-        if call["error"] is not None:
-            res["failed"] += 1
-            if call["error"].split(":")[0] not in DOCUMENTED_ERRORS:
-                res["wrong"].append(f"verify_report crashed: {call['error']}")
-        elif call["status"] != "pass":
-            res["failed"] += 1
+        res["fails"].append(call["error"] is not None or call["status"] != "pass")
+        if call["error"] is not None and call["error"].split(":")[0] not in DOCUMENTED_ERRORS:
+            res["wrong"].append(f"verify_report crashed: {call['error']}")
     if traced:
         res["layers"].append(tracer.analyse(spans))
         spans.unlink()
@@ -368,7 +364,7 @@ def _load_reference():
 
 def _quantile(values, p, half):
     """Mean of the sorted values between quantiles p - half and p + half.
-    With 36 samples or fewer a single order statistic jumps across the gaps
+    With 60 samples or fewer a single order statistic jumps across the gaps
     between the cheap and the costly calls from one seed to the next; the
     window average moves far less."""
     s = sorted(values)
@@ -381,15 +377,25 @@ def _digits(rel):
 
 
 def setup_seconds(runner, launches=SETUP_LAUNCHES):
-    """Median cold start over several launches, in calibrated seconds."""
-    times, cal = [], []
+    """Median cold start over several launches, in calibrated seconds: a
+    fresh interpreter runs `import curvegkz.cli`, then its calibration
+    units, whose time is taken off the measured wall time."""
+    units_path = runner.work / "units.json"
+    code = (
+        "import curvegkz.cli\n"
+        f"import sys; sys.path.insert(0, {str(HERE)!r})\n"
+        f"import calib; calib.write_units('tuple', {str(units_path)!r})\n"
+    )
+    times = []
     for _ in range(launches):
-        seconds, code, _, _, stderr = runner.python("-c", "import curvegkz.cli")
-        if code != 0:
+        seconds, exit_code, _, _, stderr = runner.python("-c", code)
+        if exit_code != 0:
             raise BenchError(f"import curvegkz.cli failed: {stderr.decode(errors='replace')[-500:]}")
-        times.append(seconds)
-        cal += [calib.unit() for _ in range(CAL_UNITS_PER_PASS // launches)]
-    return statistics.median(times) * calib.REFERENCE_S / statistics.median(cal)
+        with open(units_path, encoding="utf-8") as fh:
+            units = json.load(fh)
+        units_path.unlink()
+        times.append(calib.calibrated(seconds - sum(units), "tuple", units))
+    return statistics.median(times)
 
 
 def run_probe(runner):
@@ -425,19 +431,25 @@ def accuracy(runner):
     return min(_digits(r) for r in probe["rels"]), wrong
 
 
+def counts(passes):
+    """(attempted, failed) over the workload's distinct jobs or calls: every
+    pass repeats the same ones, so counting each once keeps both numbers a
+    function of the seed alone, not of how many passes fit in the run.  An
+    operation counts as failed when it failed in any pass."""
+    flags = list(zip(*(p["fails"] for p in passes)))
+    return len(flags), sum(any(f) for f in flags)
+
+
 def end_to_end(passes, setup_s, digits):
-    """Timings use each job's (or call's) best latency over the run's
-    passes: interference from other tenants of the machine only ever adds
-    time, and on the 2-vCPU machine this was designed on the same fixed
-    loop varied by 2x from one second to the next."""
-    best = [min(samples) for samples in zip(*map(_scaled, passes))]
-    attempted = sum(p["attempted"] for p in passes)
-    failed = sum(p["failed"] for p in passes)
+    """Timings use each job's (or call's) median calibrated latency over the
+    run's passes."""
+    typical = [statistics.median(samples) for samples in zip(*(p["latencies"] for p in passes))]
+    attempted, failed = counts(passes)
     return {
         "setup_s": setup_s,
-        "wall_s": sum(best),
-        "call_p50_s": _quantile(best, 0.5, 0.25),
-        "call_p90_s": _quantile(best, 0.9, 0.05),
+        "wall_s": sum(typical),
+        "call_p50_s": _quantile(typical, 0.5, 0.25),
+        "call_p90_s": _quantile(typical, 0.9, 0.05),
         "peak_rss_mb": max(p["rss_mb"] for p in passes),
         "success_frac": 1.0 - failed / attempted,
         "accuracy_digits": digits,
@@ -511,10 +523,10 @@ def per_layer(plain, traced, imports):
     m["analytic.quadrature_errors"] = counters["analytic.quadrature_errors"]
     for sub in SUBCOMMANDS:
         m[f"cli.{sub}_s"] = plain["subcommand_s"][sub]
-    m["failed_frac"] = plain["failed"] / plain["attempted"]
+    m["failed_frac"] = sum(plain["fails"]) / len(plain["fails"])
     m["setup.import_numpy_s"] = imports["numpy"]
     m["setup.import_curvegkz_s"] = imports["curvegkz"]
-    m["trace.overhead_frac"] = sum(_scaled(traced)) / sum(_scaled(plain)) - 1.0
+    m["trace.overhead_frac"] = sum(traced["latencies"]) / sum(plain["latencies"]) - 1.0
     return m, calls
 
 
@@ -566,13 +578,12 @@ def measure(name, seed, seconds, trace, runner):
             t0 = time.perf_counter()
             passes.append(workload.one_pass())
             elapsed = time.perf_counter() - begin
-            if len(passes) >= MIN_PASSES and elapsed + (time.perf_counter() - t0) > seconds:
+            if elapsed + (time.perf_counter() - t0) > seconds:
                 break
         digits, probe_wrong = accuracy(runner)
         metrics = end_to_end(passes, setup_s, digits)
-        raw = sum(min(samples) for samples in zip(*(p["latencies"] for p in passes)))
-        scales = ", ".join(f"{sum(_scaled(p)) / sum(p['latencies']):.3f}" for p in passes)
-        print(f"{len(passes)} passes; measured wall {raw:.3f} s; calibration factor per pass {scales}", file=sys.stderr)
+        scales = ", ".join(f"{sum(p['measured']):.3f} s x {sum(p['latencies']) / sum(p['measured']):.3f}" for p in passes)
+        print(f"{len(passes)} passes; measured wall x calibration factor per pass: {scales}", file=sys.stderr)
     wrong = [w for p in passes for w in p["wrong"]]
     if not trace:
         wrong += probe_wrong
@@ -583,12 +594,7 @@ def measure(name, seed, seconds, trace, runner):
         wrong.append(f"accuracy {metrics['accuracy_digits']:.2f} digits is below {ACCURACY_FLOOR_DIGITS}")
     for w in wrong:
         print(f"incorrect: {w}", file=sys.stderr)
-    return _result(
-        metrics,
-        sum(p["attempted"] for p in passes),
-        sum(p["failed"] for p in passes),
-        not wrong,
-    )
+    return _result(metrics, *counts(passes), not wrong)
 
 
 def _required_layers(workload):
