@@ -29,6 +29,9 @@ from .report import (
 )
 from .toric import ORDER_NAMES
 
+# largest --window accepted; the analyze and figure work grows with it
+WINDOW_MAX = 10000
+
 
 def _parse_matrix(text):
     try:
@@ -100,6 +103,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         A = _parse_matrix(args.matrix)
+        if args.command in ("analyze", "figure"):
+            # the figure divides by the window, so it needs at least 1
+            lowest = 0 if args.command == "analyze" else 1
+            if not lowest <= args.window <= WINDOW_MAX:
+                raise ValueError(f"--window must lie in [{lowest}, {WINDOW_MAX}], got {args.window}")
         if args.command == "analyze":
             payload = to_json(analyze_report(A, window=args.window))
         elif args.command == "solve":

@@ -55,7 +55,8 @@ class CurveMatrix:
 
     def degree(self, v):
         """Column-weighted degree A.v of an exponent vector (both rows)."""
-        assert len(v) == self.n
+        if len(v) != self.n:
+            raise ValueError(f"exponent vector has length {len(v)}, expected {self.n}")
         d1 = sum(v)
         d2 = sum(e * c for e, c in zip(self.exponents, v))
         return (d1, d2)
@@ -84,27 +85,27 @@ class NumericalSemigroup:
 
     def __init__(self, gens):
         gens = tuple(sorted(set(int(g) for g in gens)))
-        assert gens and gens[0] > 0, "generators must be positive"
-        assert gcd(*gens) == 1, "generators must be coprime overall"
+        if not gens or gens[0] <= 0:
+            raise ValueError(f"generators must be positive: {gens}")
+        if gcd(*gens) != 1:
+            raise ValueError(f"generators must be coprime overall: {gens}")
         self.gens = gens
-        self._member = [True]  # table[m] says whether m is in the semigroup
-        self._complete_upto = 0
+        # least-parts table: _parts[m] is the least number of generators
+        # summing to m, None on gaps; extended on demand
+        self._parts = [0]
 
-    def _extend(self, upto):
-        if upto <= self._complete_upto:
-            return
-        table = self._member
-        old = len(table)
-        table.extend([False] * (upto + 1 - old))
-        for m in range(old, upto + 1):
-            table[m] = any(m >= g and table[m - g] for g in self.gens)
-        self._complete_upto = upto
+    def min_parts(self, m):
+        """Least number of generators summing to ``m`` (None for non-members)."""
+        if m < 0:
+            return None
+        table = self._parts
+        for t in range(len(table), m + 1):
+            prev = [table[t - g] for g in self.gens if g <= t and table[t - g] is not None]
+            table.append(min(prev) + 1 if prev else None)
+        return table[m]
 
     def __contains__(self, m):
-        if m < 0:
-            return False
-        self._extend(m)
-        return self._member[m]
+        return self.min_parts(m) is not None
 
     @property
     def frobenius(self):
@@ -113,20 +114,22 @@ class NumericalSemigroup:
         m0 = self.gens[0]
         run_end = 0
         bound = m0 * max(self.gens) + m0 + 1
-        self._extend(bound)
+        self.min_parts(bound)
+        table = self._parts
         run = 0
         for m in range(bound + 1):
-            if self._member[m]:
+            if table[m] is not None:
                 run += 1
                 if run == m0:
                     run_end = m
                     break
             else:
                 run = 0
-        assert run == m0, "no full run found below the Schur-type bound"
+        if run != m0:
+            raise AssertionError(f"no full run of {m0} members below {bound} in {self!r}")
         last_gap = -1
         for m in range(run_end):
-            if not self._member[m]:
+            if table[m] is None:
                 last_gap = m
         return last_gap
 
@@ -134,20 +137,6 @@ class NumericalSemigroup:
     def gaps(self):
         f = self.frobenius
         return tuple(m for m in range(f + 1) if m not in self)
-
-    def min_parts(self, m):
-        """Least number of generators summing to ``m`` (None for non-members)."""
-        if m < 0 or m not in self:
-            return None
-        best = {0: 0}
-        frontier = {0}
-        count = 0
-        while m not in best:
-            count += 1
-            frontier = {s + g for s in frontier for g in self.gens if s + g <= m} - set(best)
-            for s in frontier:
-                best[s] = count
-        return best[m]
 
     def __repr__(self):
         return f"NumericalSemigroup{self.gens}"
@@ -172,27 +161,12 @@ def _is_integral(beta):
     return all(isinstance(b, int) or (isinstance(b, Fraction) and b.denominator == 1) for b in beta)
 
 
-@lru_cache(maxsize=None)
-def _in_NA_int(A, b1, b2):
-    if b1 < 0 or b2 < 0:
-        return False
-    if b2 == 0:
-        return True
-    # b2 must be a sum of at most b1 nonzero exponents
-    reachable = {0}
-    parts = A.exponents[1:]
-    for _ in range(b1):
-        new = {s + p for s in reachable for p in parts if s + p <= b2} - reachable
-        if b2 in new:
-            return True
-        if not new:
-            return False
-        reachable |= new
-    return False
-
-
 def in_NA(A, beta):
     """Membership of a parameter in the semigroup generated by the columns.
+
+    An integral (b1, b2) is a sum of b1 columns exactly when b2 is a sum of
+    at most b1 nonzero exponents, that is when the least number of parts of
+    b2 in the facet-k semigroup is at most b1.
 
     >>> A = CurveMatrix([0, 1, 3, 4])
     >>> in_NA(A, (1, 2))
@@ -202,7 +176,12 @@ def in_NA(A, beta):
     """
     if not _is_integral(beta):
         return False
-    return _in_NA_int(A, int(beta[0]), int(beta[1]))
+    b1, b2 = int(beta[0]), int(beta[1])
+    # each column adds at most k to b2, which also bounds the table lookup
+    if not 0 <= b2 <= A.k * b1:
+        return False
+    parts = facet_semigroup(A, FACET_K).min_parts(b2)
+    return parts is not None and parts <= b1
 
 
 def is_rank_jumping(A, beta):
@@ -215,7 +194,7 @@ def is_rank_jumping(A, beta):
         return False
     if A.k * b1 - b2 not in facet_semigroup(A, FACET_0):
         return False
-    return not _in_NA_int(A, b1, b2)
+    return not in_NA(A, (b1, b2))
 
 
 def _default_jump_box(A):
@@ -254,6 +233,12 @@ def rank(A, beta):
     return A.k + (1 if is_rank_jumping(A, beta) else 0)
 
 
+def _facet_levels(A, beta):
+    # level of beta in each facet's line family: b2 and k*b1 - b2
+    b1, b2 = Fraction(beta[0]), Fraction(beta[1])
+    return ((FACET_0, b2), (FACET_K, A.k * b1 - b2))
+
+
 def is_resonant(A, beta):
     """Facets whose level function is integral at ``beta``.
 
@@ -263,14 +248,7 @@ def is_resonant(A, beta):
     >>> is_resonant(A, (Fraction(1, 3), Fraction(0)))
     ('facet-0', 'facet-k')
     """
-    b1 = Fraction(beta[0])
-    b2 = Fraction(beta[1])
-    out = []
-    if b2.denominator == 1:
-        out.append(FACET_0)
-    if (A.k * b1 - b2).denominator == 1:
-        out.append(FACET_K)
-    return tuple(out)
+    return tuple(facet for facet, level in _facet_levels(A, beta) if level.denominator == 1)
 
 
 class ResonantLine:
@@ -339,6 +317,19 @@ def polar_lines(A, facet, window):
     return [L for L in resonant_lines(A, facet, window) if L.polar]
 
 
+def polar_lines_through(A, beta):
+    """The (facet, level) pairs of the polar lines through a parameter.
+
+    >>> polar_lines_through(CurveMatrix([0, 2, 3]), (Fraction(2, 3), 1))
+    [('facet-k', 1)]
+    """
+    return [
+        (facet, int(level))
+        for facet, level in _facet_levels(A, beta)
+        if level.denominator == 1 and int(level) in _polar_level_semigroup(A, facet)
+    ]
+
+
 def delta_conditions(A, beta):
     """The two step-two membership conditions on a parameter.
 
@@ -372,7 +363,8 @@ def delta_conditions(A, beta):
         G0 = facet_semigroup(A, FACET_0)
         cond1 = any(reach[g1][y] and (g2 - y) in Gk for y in range(g2 + 1))
         cond2 = any(reach[x][g2] and (g1 - x) in G0 for x in range(g1 + 1))
-    assert (cond1 and cond2) == in_NA(A, beta)
+    if (cond1 and cond2) != in_NA(A, beta):
+        raise AssertionError(f"delta conditions {(cond1, cond2)} disagree with in_NA at {beta}")
     return (cond1, cond2)
 
 

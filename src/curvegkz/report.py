@@ -11,9 +11,8 @@ from .curve import (
     FACET_0,
     FACET_K,
     facet_semigroup,
-    in_NA,
     is_rank_jumping,
-    rank,
+    polar_lines_through,
     rank_jumping_parameters,
     resonant_lines,
     _default_jump_box,
@@ -116,16 +115,6 @@ def solve_report(A, beta, order="d1-first", bound=None):
     }
 
 
-def _on_polar_line(A, beta):
-    b1, b2 = Fraction(beta[0]), Fraction(beta[1])
-    if b2.denominator == 1 and int(b2) >= 0 and int(b2) in facet_semigroup(A, FACET_K):
-        return True
-    pk = A.k * b1 - b2
-    if pk.denominator == 1 and int(pk) >= 0 and int(pk) in facet_semigroup(A, FACET_0):
-        return True
-    return False
-
-
 def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
     from .analytic import (
         extension_shift,
@@ -168,12 +157,7 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
         checked += rep.checked
     record("series-annihilation", "pass" if ok else "fail", residuals_checked=checked)
 
-    line_levels = []
-    if b2.denominator == 1 and int(b2) in facet_semigroup(A, FACET_K):
-        line_levels.append((FACET_0, int(b2)))
-    pk = A.k * b1 - b2
-    if pk.denominator == 1 and int(pk) in facet_semigroup(A, FACET_0):
-        line_levels.append((FACET_K, int(pk)))
+    line_levels = polar_lines_through(A, (b1, b2))
     if line_levels:
         ok = True
         for facet, N in line_levels:
@@ -206,7 +190,7 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
     # numeric checks at a sampled coefficient point
     x = sample_structured_point(A, seed)
     rc = roots_and_components(A, x)
-    if _on_polar_line(A, (b1, b2)):
+    if line_levels:
         record("shift-order-independence", "skipped", reason="beta lies on a polar line")
     else:
         bc = (complex(float(b1)), complex(float(b2)))

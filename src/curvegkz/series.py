@@ -6,16 +6,40 @@ parameter lam; point solutions carry plain rational coefficients indexed by
 kernel lattice steps from a starting exponent.
 """
 
+import cmath
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from .curve import FACET_0, FACET_K, facet_semigroup, is_rank_jumping, rank
+from .curve import FACET_0, FACET_K, is_rank_jumping, polar_lines_through, rank
 from .errors import LogObstructionError, SeriesDenominatorError
 from .qexact import PolyQ, fraction_matrix_rank
-from .toric import fake_exponents, kernel_lattice_basis, term_order, toric_ideal_groebner
+from .toric import fake_exponents, toric_ideal_groebner
 
 _ONE = PolyQ([1])
+
+
+def _normalized(monomials):
+    """(coefficient, exponent) pairs sorted by exponent and divided by the
+    leading coefficient, so proportional solutions compare equal."""
+    mono = sorted(monomials, key=lambda ce: ce[1])
+    if not mono:
+        return []
+    lead = mono[0][0]
+    return [(c / lead, e) for c, e in mono]
+
+
+def _evaluate(monomials, x):
+    """Complex value of exact (coefficient, exponent) pairs at a point x,
+    with principal-branch powers."""
+    total = 0j
+    for c, e in monomials:
+        term = complex(float(c))
+        for xi, ei in zip(x, e):
+            if ei != 0:
+                term *= cmath.exp(complex(float(ei)) * cmath.log(xi))
+        total += term
+    return total
 
 
 def b_matrix(A):
@@ -126,16 +150,9 @@ class FiniteSeries:
         return out
 
     def normalized_monomials(self, lam):
-        mono = self.monomials(lam)
-        if not mono:
-            return []
-        mono.sort(key=lambda ce: ce[1])
-        lead = mono[0][0]
-        return [(c / lead, e) for c, e in mono]
+        return _normalized(self.monomials(lam))
 
     def evaluate(self, lam, x):
-        import cmath
-
         total = 0j
         lam = complex(lam)
         for o, c in self.terms.items():
@@ -221,11 +238,7 @@ class TruncatedSeries:
         return out
 
     def normalized_monomials(self):
-        mono = sorted(self.monomials(), key=lambda ce: ce[1])
-        if not mono:
-            return []
-        lead = mono[0][0]
-        return [(c / lead, e) for c, e in mono]
+        return _normalized(self.monomials())
 
     def support(self):
         return {e for _, e in self.monomials()}
@@ -234,17 +247,7 @@ class TruncatedSeries:
         return len(self.terms) == 1
 
     def evaluate(self, x):
-        import cmath
-
-        total = 0j
-        for u, c in self.terms.items():
-            term = complex(float(c))
-            for i, ui in enumerate(u):
-                e = self.v[i] + ui
-                if e != 0:
-                    term *= cmath.exp(complex(float(e)) * cmath.log(x[i]))
-            total += term
-        return total
+        return _evaluate(self.monomials(), x)
 
     def __repr__(self):
         return f"TruncatedSeries(v={self.v}, {len(self.terms)} terms, bound={self.bound})"
@@ -483,13 +486,10 @@ def coincidence_at_intersection(A, beta):
     coefficient vectors.
     """
     b1, b2 = Fraction(beta[0]), Fraction(beta[1])
-    assert b2.denominator == 1, "crossing requires an integral facet-0 level"
-    N0 = int(b2)
-    Nk_f = A.k * b1 - b2
-    assert Nk_f.denominator == 1, "crossing requires an integral facet-k level"
-    Nk = int(Nk_f)
-    assert N0 in facet_semigroup(A, FACET_K), f"level {N0} is not polar"
-    assert Nk in facet_semigroup(A, FACET_0), f"level {Nk} is not polar"
+    levels = dict(polar_lines_through(A, (b1, b2)))
+    if len(levels) != 2:
+        raise AssertionError(f"{(b1, b2)} is not a crossing of polar lines: {levels}")
+    N0, Nk = levels[FACET_0], levels[FACET_K]
     s0, _ = polar_line_solution(A, FACET_0, N0).stripped()
     sk, _ = polar_line_solution(A, FACET_K, Nk).stripped()
     m0 = s0.monomials(b1)
@@ -531,26 +531,13 @@ class BasisElement:
         return list(self._monomials)
 
     def normalized_monomials(self):
-        mono = sorted(self._monomials, key=lambda ce: ce[1])
-        if not mono:
-            return []
-        lead = mono[0][0]
-        return [(c / lead, e) for c, e in mono]
+        return _normalized(self._monomials)
 
     def support(self):
         return {e for _, e in self._monomials}
 
     def evaluate(self, x):
-        import cmath
-
-        total = 0j
-        for c, e in self._monomials:
-            term = complex(float(c))
-            for xi, ei in zip(x, e):
-                if ei != 0:
-                    term *= cmath.exp(complex(float(ei)) * cmath.log(xi))
-            total += term
-        return total
+        return _evaluate(self._monomials, x)
 
     def __repr__(self):
         return f"BasisElement({self.kind}, tags={self.tags}, {len(self._monomials)} monomials)"
@@ -595,15 +582,9 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
             discarded.append((fe, err))
             continue
         entries.append(BasisElement("series", ts.monomials(), [f"top {fe.pair.r}"], ts))
-    finite = []
-    if b2.denominator == 1 and int(b2) in facet_semigroup(A, FACET_K):
-        fs, _ = polar_line_solution(A, FACET_0, int(b2)).stripped()
-        finite.append((fs, f"{FACET_0} line level {int(b2)}"))
-    Nk = A.k * b1 - b2
-    if Nk.denominator == 1 and int(Nk) in facet_semigroup(A, FACET_0):
-        fs, _ = polar_line_solution(A, FACET_K, int(Nk)).stripped()
-        finite.append((fs, f"{FACET_K} line level {int(Nk)}"))
-    for fs, tag in finite:
+    for facet, N in polar_lines_through(A, (b1, b2)):
+        fs, _ = polar_line_solution(A, facet, N).stripped()
+        tag = f"{facet} line level {N}"
         mono = fs.monomials(b1)
         assert mono, "stripped finite solution evaluated to zero"
         element = BasisElement("finite", mono, [tag], fs)

@@ -449,7 +449,7 @@ def special_lines(A, orders):
     and the union of the two winning line sets is returned together with all
     pairwise intersection points across facets.
     """
-    from .curve import ResonantLine, facet_semigroup
+    from .curve import ResonantLine, _polar_level_semigroup
 
     per_facet = {FACET_0: [], FACET_K: []}
     for order in orders:
@@ -483,7 +483,7 @@ def special_lines(A, orders):
             continue
         best = min(candidates, key=lambda c: len(c[1]))
         chosen[facet] = best[0].name
-        polar_levels = facet_semigroup(A, FACET_K if facet == FACET_0 else FACET_0)
+        polar_levels = _polar_level_semigroup(A, facet)
         for N in best[1]:
             lines.append(ResonantLine(facet, N, N in polar_levels, A.k))
     meets = []

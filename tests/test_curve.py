@@ -1,15 +1,21 @@
 """Combinatorics of the exponent matrix: semigroups, membership, the
 exceptional parameter set, and the line arrangements.
 
-Frozen sets below were produced by the brute-force oracles in this file
-before being inlined, so each value is covered by two independent routes.
+Frozen sets below were produced by the brute-force oracles (in this file
+and in ``oracles.py``) before being inlined, so each value is covered by
+two independent routes.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from oracles import in_NA_brute
 
+import curvegkz
 from curvegkz.curve import (
     FACET_0,
     FACET_K,
@@ -88,6 +94,28 @@ def test_numerical_semigroup_membership_brute():
         assert (m in S) == brute, m
 
 
+def test_checks_survive_optimized_mode():
+    # python -O strips assert statements; input checks must still raise
+    code = (
+        "from curvegkz.curve import CurveMatrix, NumericalSemigroup\n"
+        "print(__debug__)\n"
+        "for check in (lambda: NumericalSemigroup((2, 4)),\n"
+        "              lambda: NumericalSemigroup((0, 1)),\n"
+        "              lambda: CurveMatrix([0, 1, 3, 4]).degree((1, 2))):\n"
+        "    try:\n"
+        "        check()\n"
+        "        print('accepted')\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "ValueError", "ValueError", "ValueError"]
+
+
 def test_facet_semigroups():
     assert facet_semigroup(A0134, FACET_0).gens == (1, 3, 4)
     assert facet_semigroup(A0134, FACET_K).gens == (1, 3, 4)
@@ -96,22 +124,11 @@ def test_facet_semigroups():
     assert facet_semigroup(A023, FACET_K).gaps == (1,)
 
 
-def _in_NA_brute(A, b1, b2):
-    if b1 < 0 or b1 != int(b1):
-        return False
-    b1 = int(b1)
-    # b1 columns must be chosen, so enumerate weak compositions of b1
-    for cs in itertools.product(range(b1 + 1), repeat=A.n):
-        if sum(cs) == b1 and sum(c * e for c, e in zip(cs, A.exponents)) == b2:
-            return True
-    return False
-
-
 @pytest.mark.parametrize("A", [A0134, A023])
 def test_in_NA_matches_brute(A):
     for b1 in range(-1, 5):
         for b2 in range(-2, 4 * b1 + 3 if b1 >= 0 else 3):
-            assert in_NA(A, (b1, b2)) == _in_NA_brute(A, b1, b2), (b1, b2)
+            assert in_NA(A, (b1, b2)) == in_NA_brute(A, b1, b2), (b1, b2)
     assert not in_NA(A, (Fraction(1, 2), Fraction(1)))
 
 

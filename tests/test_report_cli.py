@@ -157,6 +157,18 @@ def test_cli_invalid_beta_is_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command,window",
+    [("analyze", -1), ("analyze", 10001), ("analyze", 100000000),
+     ("figure", 0), ("figure", -3), ("figure", 10001)],
+)
+def test_cli_window_out_of_range_is_exit_2(command, window, capsys):
+    assert cli.main([command, "-A", "0,1,3,4", f"--window={window}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--window" in captured.err
+
+
 def test_cli_numeric_failure_is_exit_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise QuadratureError("synthetic quadrature failure")
