@@ -8,7 +8,7 @@ lies in Q + Z a_1 exactly when its second coordinate lies in S_k, and in
 Q + Z a_n exactly when its facet-k pairing lies in S_0.
 """
 
-from .curve import FACET_0, FACET_K, facet_semigroup, in_NA, _default_jump_box
+from .curve import FACET_0, FACET_K, facet_semigroup, in_NA, _jump_candidates
 from .toric import toric_ideal_groebner
 
 
@@ -51,16 +51,12 @@ def graded_dims(A, alpha):
 
 def h1_support(A, box=None):
     """All degrees with nonzero first local cohomology inside the box
-    (default: the proven search box for rank jumps)."""
-    if box is None:
-        box = _default_jump_box(A)
-    b1min, b1max, b2min, b2max = box
-    out = []
-    for a1 in range(b1min, b1max + 1):
-        for a2 in range(b2min, b2max + 1):
-            if graded_dims(A, (a1, a2))[1] == 1:
-                out.append((a1, a2))
-    return sorted(out)
+    (default: the proven search box for rank jumps), sorted.
+
+    A degree outside the candidates of the rank-jump search lies outside a
+    ray module or inside NA, so only the candidates are tested.
+    """
+    return sorted(alpha for alpha in _jump_candidates(A, box) if graded_dims(A, alpha)[1] == 1)
 
 
 def _max_parts_decomposition(N, gens):

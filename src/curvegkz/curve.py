@@ -8,7 +8,7 @@ has poles.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import MatrixValidationError
@@ -105,9 +105,10 @@ class NumericalSemigroup:
         return table[m]
 
     def __contains__(self, m):
-        return self.min_parts(m) is not None
+        # every integer above the Frobenius number is a member
+        return m > self.frobenius or self.min_parts(m) is not None
 
-    @property
+    @cached_property
     def frobenius(self):
         """Largest gap, or -1 when there are no gaps."""
         # once min(gens) consecutive members appear, everything larger is a member
@@ -211,20 +212,32 @@ def _default_jump_box(A):
     return (0, A.k * C, 0, A.k * A.k * C)
 
 
-def rank_jumping_parameters(A, box=None):
-    """All exceptional parameters in ``box`` (b1min, b1max, b2min, b2max).
-
-    With no box given, a provably complete default box is swept.
-    """
+def _jump_candidates(A, box=None):
+    """The points of ``box`` (b1min, b1max, b2min, b2max; default: the
+    provably complete box) that can be rank jumps: b2 in the facet-k
+    semigroup and ceil(b2/k) <= b1 < min_parts(b2).  Every other point of
+    the box has b2 outside the facet-k semigroup, k*b1 - b2 < 0, or lies in
+    NA."""
     if box is None:
         box = _default_jump_box(A)
     b1min, b1max, b2min, b2max = box
-    found = []
-    for b2 in range(b2min, b2max + 1):
-        for b1 in range(b1min, b1max + 1):
-            if is_rank_jumping(A, (b1, b2)):
-                found.append((b1, b2))
-    return sorted(found)
+    Gk = facet_semigroup(A, FACET_K)
+    for b2 in range(max(b2min, 0), b2max + 1):
+        parts = Gk.min_parts(b2)
+        if parts is None:
+            continue
+        for b1 in range(max(b1min, -(-b2 // A.k)), min(b1max, parts - 1) + 1):
+            yield (b1, b2)
+
+
+def rank_jumping_parameters(A, box=None):
+    """All exceptional parameters in ``box`` (b1min, b1max, b2min, b2max),
+    sorted.
+
+    With no box given, a provably complete default box is searched.  Only
+    the candidates of ``_jump_candidates`` are tested.
+    """
+    return sorted(beta for beta in _jump_candidates(A, box) if is_rank_jumping(A, beta))
 
 
 def rank(A, beta):

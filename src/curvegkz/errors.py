@@ -26,6 +26,19 @@ class SeriesDenominatorError(ArithmeticError):
         self.coordinate = coordinate
 
 
+class BasisCountError(ArithmeticError):
+    """The solutions assembled at a parameter point do not form a basis:
+    their number differs from the rank there, or two of them coincide.
+
+    Carries ``basis``, the SolutionBasis as assembled, so a caller can still
+    check the solutions it holds.
+    """
+
+    def __init__(self, message, basis):
+        super().__init__(message)
+        self.basis = basis
+
+
 class PolarLineError(ArithmeticError):
     """A shift recursion hit a parameter on a polar line (zero denominator)."""
 

@@ -117,7 +117,7 @@ def build_svg(A, window=5):
         )
 
     # exceptional parameters
-    for b1, b2 in sorted(rank_jumping_parameters(A)):
+    for b1, b2 in rank_jumping_parameters(A):
         if abs(b1) > W or abs(b2) > W:
             continue
         cx, cy = to_px(b1, b2)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .curve import FACET_0, FACET_K, is_rank_jumping, polar_lines_through, rank
-from .errors import LogObstructionError, SeriesDenominatorError
+from .errors import BasisCountError, LogObstructionError, SeriesDenominatorError
 from .qexact import PolyQ, fraction_matrix_rank
 from .toric import fake_exponents, toric_ideal_groebner
 
@@ -58,9 +58,10 @@ def b_matrix(A):
         ki = A.exponents[i]
         g = gcd(ki, A.k)
         triple = ((A.k - ki) // g, A.k // g, ki // g)
-        assert triple[0] + triple[2] == triple[1]
-        assert ki * triple[1] == A.k * triple[2]
-        assert gcd(gcd(triple[0], triple[1]), triple[2]) == 1
+        if triple[0] + triple[2] != triple[1] or ki * triple[1] != A.k * triple[2]:
+            raise AssertionError(f"column {i}: {triple} is not a relation")
+        if gcd(*triple) != 1:
+            raise AssertionError(f"column {i}: relation {triple} is not primitive")
         out[i] = triple
     return out
 
@@ -320,7 +321,8 @@ def series_for_exponent(A, fe, bound=None):
         c = _phi_coefficient(v, u)
         if c != 0:
             terms[u] = c
-    assert terms.get((0,) * n) == 1
+    if terms.get((0,) * n) != 1:
+        raise AssertionError(f"series at {v} does not start with coefficient 1")
     return TruncatedSeries(A, v, fe.pair, bound, terms)
 
 
@@ -381,7 +383,8 @@ def annihilation_check(A, series, order="d1-first"):
     if isinstance(series, TruncatedSeries):
         v = series.v
         for u in series.terms:
-            assert A.degree(u) == (0, 0)
+            if A.degree(u) != (0, 0):
+                raise AssertionError(f"step {u} is not in the kernel lattice")
         checked = 0
         skipped = 0
         failures = []
@@ -415,9 +418,9 @@ def annihilation_check(A, series, order="d1-first"):
         failures = []
         for o in series.terms:
             # scale rows: both homogeneity degrees must sit on the line
-            assert sum(o) == 0
             weighted = sum(A.exponents[i] * o[i] for i in range(n))
-            assert weighted == (series.level if base == 0 else -series.level)
+            if sum(o) != 0 or weighted != (series.level if base == 0 else -series.level):
+                raise AssertionError(f"offset {o} leaves the level-{series.level} line")
         for (a, b) in gb.generators:
             residual = {}
             for o, c in series.terms.items():
@@ -445,7 +448,8 @@ def parametric_derivative(series, lam0, q):
     exponent vector) pairs; the list is empty when everything vanishes to
     higher order.
     """
-    assert isinstance(series, FiniteSeries)
+    if not isinstance(series, FiniteSeries):
+        raise TypeError(f"cannot differentiate {type(series).__name__}")
     lam0 = Fraction(lam0)
     out = []
     for o, c in sorted(series.terms.items()):
@@ -494,7 +498,8 @@ def coincidence_at_intersection(A, beta):
     sk, _ = polar_line_solution(A, FACET_K, Nk).stripped()
     m0 = s0.monomials(b1)
     mk = sk.monomials(b1)
-    assert m0 and mk, "stripped finite solutions cannot vanish at the crossing"
+    if not (m0 and mk):
+        raise AssertionError("stripped finite solutions cannot vanish at the crossing")
     monomials = sorted({e for _, e in m0} | {e for _, e in mk})
     index = {e: i for i, e in enumerate(monomials)}
     rows = [[Fraction(0)] * len(monomials) for _ in range(2)]
@@ -544,12 +549,23 @@ class BasisElement:
 
 
 class SolutionBasis:
-    def __init__(self, A, beta, entries, discarded, expected_rank):
+    """The solutions assembled at one parameter point.
+
+    ``entries`` are the BasisElements; ``discarded`` pairs each top starting
+    exponent whose series hit a vanishing denominator with that error; and
+    ``lines`` holds one (facet, level, stripped FiniteSeries) per polar line
+    through the point, also for a line whose element was merged into another
+    entry.  Checks on the point reuse these solutions instead of building
+    them again.
+    """
+
+    def __init__(self, A, beta, entries, discarded, expected_rank, lines):
         self.A = A
         self.beta = beta
         self.entries = list(entries)
         self.discarded = list(discarded)
         self.expected_rank = expected_rank
+        self.lines = list(lines)
 
     def __len__(self):
         return len(self.entries)
@@ -567,12 +583,16 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
     Top starting exponents contribute truncated series; exponents whose
     series hit a vanishing denominator are discarded.  Each polar line
     through the point contributes its stripped finite solution evaluated
-    there.  Elements with identical normalized monomials are merged, and the
-    final count must equal the rank at the point.
+    there.  Elements with identical normalized monomials are merged.  Each
+    series and each line solution is built once, here.
+
+    Raises BasisCountError, carrying the basis as assembled, when the final
+    count differs from the rank at the point or two elements coincide.
     """
     b1, b2 = Fraction(beta[0]), Fraction(beta[1])
     entries = []
     discarded = []
+    lines = []
     for fe in fake_exponents(A, (b1, b2), order):
         if not fe.is_top:
             continue
@@ -584,9 +604,11 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
         entries.append(BasisElement("series", ts.monomials(), [f"top {fe.pair.r}"], ts))
     for facet, N in polar_lines_through(A, (b1, b2)):
         fs, _ = polar_line_solution(A, facet, N).stripped()
+        lines.append((facet, N, fs))
         tag = f"{facet} line level {N}"
         mono = fs.monomials(b1)
-        assert mono, "stripped finite solution evaluated to zero"
+        if not mono:
+            raise AssertionError("stripped finite solution evaluated to zero")
         element = BasisElement("finite", mono, [tag], fs)
         merged = False
         for existing in entries:
@@ -599,10 +621,12 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
         if not merged:
             entries.append(element)
     expected = rank(A, (b1, b2))
-    assert len(entries) == expected, (
-        f"assembled {len(entries)} solutions but the rank at {(b1, b2)} is {expected}"
-    )
-    for i in range(len(entries)):
-        for j in range(i):
-            assert entries[i].normalized_monomials() != entries[j].normalized_monomials()
-    return SolutionBasis(A, (b1, b2), entries, discarded, expected)
+    basis = SolutionBasis(A, (b1, b2), entries, discarded, expected, lines)
+    if len(entries) != expected:
+        raise BasisCountError(
+            f"assembled {len(entries)} solutions but the rank at {(b1, b2)} is {expected}", basis
+        )
+    for i, j in itertools.combinations(range(len(entries)), 2):
+        if entries[i].normalized_monomials() == entries[j].normalized_monomials():
+            raise BasisCountError(f"solutions {i} and {j} at {(b1, b2)} coincide", basis)
+    return basis

@@ -83,6 +83,17 @@ def test_numerical_semigroup_known_values():
     assert full.frobenius == -1 and full.gaps == ()
 
 
+def test_membership_above_frobenius_needs_no_table():
+    S = NumericalSemigroup((3, 5))
+    assert 10**7 in S
+    assert S.gaps == (1, 2, 4, 7)
+    assert len(S._parts) < 100
+    # b2 lies above the facet-k Frobenius number and k*b1 - b2 < 0, so the
+    # answer needs no least-parts table up to b2
+    assert not is_rank_jumping(A0134, (1, 2 * 10**6))
+    assert len(facet_semigroup(A0134, FACET_K)._parts) < 10**4
+
+
 def test_numerical_semigroup_membership_brute():
     gens = (4, 7, 9)
     S = NumericalSemigroup(gens)

@@ -5,6 +5,7 @@ surface with its exit-code contract:
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from curvegkz import cli
+import curvegkz
+from curvegkz import cli, report, series
 from curvegkz.curve import CurveMatrix
 from curvegkz.errors import LogObstructionError, QuadratureError
 from curvegkz.figure import build_svg
@@ -176,6 +178,64 @@ def test_cli_numeric_failure_is_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_report", boom)
     assert cli.main(["verify", "-A", "0,1,3,4", "-b", "1,2"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_verify_builds_each_solution_once(monkeypatch):
+    # off the crossings verify checks the series and the line solution that
+    # the basis assembly built; it builds none of its own
+    built = {"series_for_exponent": [], "polar_line_solution": []}
+
+    def counting(name):
+        original = getattr(series, name)
+
+        def wrapper(*args, **kwargs):
+            built[name].append(args)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    # a module that imported a builder by name would bypass a patch of series alone
+    for name in built:
+        wrapper = counting(name)
+        for module in (series, report):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    rep = verify_report(A0134, (Fraction(1, 2), Fraction(3)))
+    by_name = {c["name"]: c for c in rep["checks"]}
+    assert (by_name["basis-count"]["count"], by_name["basis-count"]["rank"]) == (4, 4)
+    assert by_name["finite-line-annihilation"]["lines"] == [["facet-0", 3]]
+    tops = [args[1].pair.r for args in built["series_for_exponent"]]
+    assert len(tops) == 4 and len(set(tops)) == 4
+    assert built["polar_line_solution"] == [(A0134, "facet-0", 3)]
+
+
+def _run_cli(argv, optimize):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)))
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "curvegkz.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_basis_count_check_survives_optimized_mode():
+    # on 0,2,3 the point (4, -2) gets one solution more than its rank;
+    # python -O strips asserts, so the count check must not be one
+    argv = ["-A", "0,2,3", "--beta=4,-2"]
+    verify = [_run_cli(["verify", *argv], optimize) for optimize in (False, True)]
+    for proc in verify:
+        assert proc.returncode == 1, proc.stderr
+        checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+        assert checks["basis-count"]["status"] == "fail"
+        assert checks["basis-count"]["reason"].startswith("assembled 4 solutions")
+    assert verify[0].stdout == verify[1].stdout
+    for optimize in (False, True):
+        proc = _run_cli(["solve", *argv], optimize)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure: assembled 4 solutions")
 
 
 def test_cli_log_obstruction_is_exit_3(monkeypatch, capsys):

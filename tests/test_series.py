@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from curvegkz.curve import FACET_0, FACET_K, CurveMatrix
-from curvegkz.errors import LogObstructionError, SeriesDenominatorError
+from curvegkz.errors import BasisCountError, LogObstructionError, SeriesDenominatorError
 from curvegkz.qexact import PolyQ
 from curvegkz.series import (
     annihilation_check,
@@ -266,6 +266,27 @@ def test_solution_basis_merges_coincident_lines():
     assert len(merged) == 1
     tags = " ".join(merged[0].tags)
     assert "facet-0 line level 2" in tags and "facet-k line level 6" in tags
+    # the merged line keeps its solution in ``lines``
+    assert [(facet, N) for facet, N, _ in basis.lines] == [(FACET_0, 2), (FACET_K, 6)]
+    for facet, N, fs in basis.lines:
+        assert fs.terms == polar_line_solution(A0134, facet, N).stripped()[0].terms
+
+
+def test_basis_count_error_carries_the_assembled_basis():
+    # on the facet-k line of level 14 the line solution joins the three top
+    # series although the point is not a rank jump
+    with pytest.raises(BasisCountError) as info:
+        solution_basis_at_point(A023, (Fraction(4), Fraction(-2)))
+    err = info.value
+    assert isinstance(err, ArithmeticError)
+    assert str(err) == (
+        "assembled 4 solutions but the rank at (Fraction(4, 1), Fraction(-2, 1)) is 3"
+    )
+    basis = err.basis
+    assert (len(basis), basis.expected_rank, basis.discarded) == (4, 3, [])
+    assert [e.kind for e in basis] == ["series", "series", "series", "finite"]
+    assert [(facet, N) for facet, N, _ in basis.lines] == [(FACET_K, 14)]
+    assert basis.entries[-1].source is basis.lines[0][2]
 
 
 def test_solution_basis_023():
