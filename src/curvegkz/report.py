@@ -21,7 +21,7 @@ from .errors import BasisCountError
 from .series import (
     annihilation_check,
     b_matrix,
-    coincidence_at_intersection,
+    coincidence_of_line_solutions,
     solution_basis_at_point,
 )
 
@@ -164,7 +164,8 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
         record("finite-line-annihilation", "skipped", reason="no polar line through beta")
 
     if len(basis.lines) == 2:
-        res = coincidence_at_intersection(A, (b1, b2))
+        line = {facet: fs for facet, _, fs in basis.lines}
+        res = coincidence_of_line_solutions((b1, b2), line[FACET_0], line[FACET_K])
         if res.point_type == "non-integral" or is_rank_jumping(A, (b1, b2)):
             expected = "independent"
         else:

@@ -9,7 +9,7 @@ kernel lattice steps from a starting exponent.
 import cmath
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .curve import FACET_0, FACET_K, is_rank_jumping, polar_lines_through, rank
 from .errors import BasisCountError, LogObstructionError, SeriesDenominatorError
@@ -256,23 +256,46 @@ class TruncatedSeries:
 
 def _kernel_steps(A, bound, mid_lower):
     """Kernel lattice vectors with |u|_1 <= bound and middle coordinates
-    bounded below by ``mid_lower`` (coordinate-indexed dict)."""
+    bounded below by ``mid_lower`` (coordinate-indexed dict).
+
+    The middle coordinates are chosen one at a time, in lexicographic order,
+    each within what is left of the l1 budget.  The last one runs only over
+    the residue class that makes the weighted sum divisible by k, and the
+    end coordinates then follow from the two degree equations.
+    """
     n, k = A.n, A.k
-    mids = range(1, n - 1)
-    ranges = []
-    for i in mids:
-        lo = max(mid_lower.get(i, -bound), -bound)
-        ranges.append(range(lo, bound + 1))
+    lows = [mid_lower.get(i, -bound) for i in range(1, n - 1)]
+    weights = A.exponents[1 : n - 1]
     out = []
-    for combo in itertools.product(*ranges):
-        wsum = sum(A.exponents[i] * c for i, c in zip(mids, combo))
-        if wsum % k:
-            continue
+
+    def keep(prefix, norm, wsum, total):
         u_last = -wsum // k
-        u_first = -sum(combo) - u_last
-        u = (u_first,) + tuple(combo) + (u_last,)
-        if sum(abs(c) for c in u) <= bound:
-            out.append(u)
+        u_first = -total - u_last
+        if norm + abs(u_first) + abs(u_last) <= bound:
+            out.append((u_first,) + prefix + (u_last,))
+
+    def walk(i, prefix, norm, wsum, total):
+        left = bound - norm
+        lo = max(lows[i], -left)
+        weight = weights[i]
+        if i + 1 < len(lows):
+            for c in range(lo, left + 1):
+                walk(i + 1, prefix + (c,), norm + abs(c), wsum + weight * c, total + c)
+            return
+        # weight * c = -wsum (mod k) has solutions iff g divides wsum; they
+        # form one class modulo k / g
+        g = gcd(weight, k)
+        if wsum % g:
+            return
+        step = k // g
+        first = -(wsum // g) * pow(weight // g, -1, step) % step
+        for c in range(lo + (first - lo) % step, left + 1, step):
+            keep(prefix + (c,), norm + abs(c), wsum + weight * c, total + c)
+
+    if lows:
+        walk(0, (), 0, 0, 0)
+    else:
+        keep((), 0, 0, 0)
     return out
 
 
@@ -280,22 +303,25 @@ def _phi_coefficient(v, u):
     """Coefficient of the step u in the canonical series at v.
 
     Raises SeriesDenominatorError when a rising factor vanishes; returns 0
-    when a falling factor vanishes.
+    when a falling factor vanishes.  The factors are taken over one common
+    denominator D of v, so all products are of integers.  Each factor
+    carries one D, on top for u_i < 0 and below for u_i > 0; a kernel step
+    has as many of either, since its entries sum to zero, so the D's cancel.
     """
-    num = Fraction(1)
-    den = Fraction(1)
+    D = lcm(*(vi.denominator for vi in v))
+    num = den = 1
     for i, ui in enumerate(u):
-        vi = v[i]
+        Ni = v[i].numerator * (D // v[i].denominator)
         if ui < 0:
-            for j in range(1, -ui + 1):
-                num *= vi - j + 1
+            for j in range(-ui):
+                num *= Ni - j * D
         elif ui > 0:
             for j in range(1, ui + 1):
-                f = vi + j
+                f = Ni + j * D
                 if f == 0:
                     raise SeriesDenominatorError(u, i)
                 den *= f
-    return num / den
+    return Fraction(num, den)
 
 
 def default_step_bound(A):
@@ -335,11 +361,13 @@ def canonical_series(A, beta, order="d1-first", bound=None):
     return [series_for_exponent(A, fe, bound) for fe in fake_exponents(A, beta, order)]
 
 
-def _falling_factorial_exact(w, a):
-    out = Fraction(1)
+def _falling_factorial_scaled(w, a, D):
+    """Falling factorial of the exponent vector w / D, times D^|a|, for an
+    integer vector w."""
+    out = 1
     for wi, ai in zip(w, a):
         for j in range(ai):
-            out *= wi - j
+            out *= wi - j * D
     return out
 
 
@@ -385,28 +413,32 @@ def annihilation_check(A, series, order="d1-first"):
         for u in series.terms:
             if A.degree(u) != (0, 0):
                 raise AssertionError(f"step {u} is not in the kernel lattice")
+        # over a common denominator D of v the exponent v + u has the
+        # integer numerator N + u D, and an output monomial x^(v + u - mono)
+        # is keyed by its integer step u - mono
+        D = lcm(*(vi.denominator for vi in v))
+        N = [vi.numerator * (D // vi.denominator) for vi in v]
         checked = 0
         skipped = 0
         failures = []
         for (a, b) in gb.generators:
             residual = {}
             for u, c in series.terms.items():
-                w = tuple(vi + ui for vi, ui in zip(v, u))
+                w = [Ni + ui * D for Ni, ui in zip(N, u)]
                 for mono, sign in ((a, 1), (b, -1)):
-                    ff = _falling_factorial_exact(w, mono)
+                    ff = _falling_factorial_scaled(w, mono, D)
                     if ff == 0:
                         continue
-                    key = tuple(wi - mi for wi, mi in zip(w, mono))
-                    residual[key] = residual.get(key, Fraction(0)) + sign * c * ff
-            for key, val in residual.items():
-                # recover the source steps; both must be inside the bound
-                src_a = tuple(Fraction(key[i]) + a[i] - v[i] for i in range(n))
-                src_b = tuple(Fraction(key[i]) + b[i] - v[i] for i in range(n))
-                size_a = sum(abs(s) for s in src_a)
-                size_b = sum(abs(s) for s in src_b)
+                    step = tuple(ui - mi for ui, mi in zip(u, mono))
+                    residual[step] = residual.get(step, 0) + sign * c * Fraction(ff, D ** sum(mono))
+            for step, val in residual.items():
+                # the source steps step + a and step + b must be inside the bound
+                size_a = sum(abs(s + ai) for s, ai in zip(step, a))
+                size_b = sum(abs(s + bi) for s, bi in zip(step, b))
                 if size_a <= series.bound and size_b <= series.bound:
                     checked += 1
                     if val != 0:
+                        key = tuple(vi + s for vi, s in zip(v, step))
                         failures.append(((a, b), key, val))
                 else:
                     skipped += 1
@@ -493,9 +525,17 @@ def coincidence_at_intersection(A, beta):
     levels = dict(polar_lines_through(A, (b1, b2)))
     if len(levels) != 2:
         raise AssertionError(f"{(b1, b2)} is not a crossing of polar lines: {levels}")
-    N0, Nk = levels[FACET_0], levels[FACET_K]
-    s0, _ = polar_line_solution(A, FACET_0, N0).stripped()
-    sk, _ = polar_line_solution(A, FACET_K, Nk).stripped()
+    s0, _ = polar_line_solution(A, FACET_0, levels[FACET_0]).stripped()
+    sk, _ = polar_line_solution(A, FACET_K, levels[FACET_K]).stripped()
+    return coincidence_of_line_solutions((b1, b2), s0, sk)
+
+
+def coincidence_of_line_solutions(beta, s0, sk):
+    """coincidence_at_intersection for line solutions already built: s0 and
+    sk are the stripped finite solutions of the facet-0 and the facet-k
+    polar line through the crossing ``beta``."""
+    A = s0.A
+    b1, b2 = Fraction(beta[0]), Fraction(beta[1])
     m0 = s0.monomials(b1)
     mk = sk.monomials(b1)
     if not (m0 and mk):
@@ -515,7 +555,7 @@ def coincidence_at_intersection(A, beta):
         point_type = "rank-jumping"
     else:
         point_type = "interior"
-    return CoincidenceResult((b1, b2), verdict, point_type, N0, Nk, m0, mk)
+    return CoincidenceResult((b1, b2), verdict, point_type, s0.level, sk.level, m0, mk)
 
 
 class BasisElement:
@@ -529,6 +569,7 @@ class BasisElement:
     def __init__(self, kind, monomials, tags, source):
         self.kind = kind
         self._monomials = list(monomials)
+        self._normalized = _normalized(self._monomials)
         self.tags = list(tags)
         self.source = source
 
@@ -536,7 +577,7 @@ class BasisElement:
         return list(self._monomials)
 
     def normalized_monomials(self):
-        return _normalized(self._monomials)
+        return list(self._normalized)
 
     def support(self):
         return {e for _, e in self._monomials}
@@ -612,7 +653,7 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
         element = BasisElement("finite", mono, [tag], fs)
         merged = False
         for existing in entries:
-            if existing.normalized_monomials() == element.normalized_monomials():
+            if existing._normalized == element._normalized:
                 existing.tags.append(tag)
                 if existing.kind == "finite":
                     existing.tags.append("coincident")
@@ -627,6 +668,6 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
             f"assembled {len(entries)} solutions but the rank at {(b1, b2)} is {expected}", basis
         )
     for i, j in itertools.combinations(range(len(entries)), 2):
-        if entries[i].normalized_monomials() == entries[j].normalized_monomials():
+        if entries[i]._normalized == entries[j]._normalized:
             raise BasisCountError(f"solutions {i} and {j} at {(b1, b2)} coincide", basis)
     return basis

@@ -8,6 +8,7 @@ in the Buchberger loop stays of this shape, so no general polynomial
 arithmetic is needed.
 """
 
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -29,7 +30,8 @@ class TermOrder:
     __slots__ = ("n", "cheap", "name")
 
     def __init__(self, n, cheap, name=None):
-        assert sorted(cheap) == list(range(n))
+        if sorted(cheap) != list(range(n)):
+            raise AssertionError(f"{cheap} is not a permutation of the {n} variables")
         self.n = n
         self.cheap = tuple(cheap)
         self.name = name or f"grevlex{self.cheap}"
@@ -107,7 +109,8 @@ def kernel_lattice_basis(A):
             c = U[i][j]
             u[i] += c
             u[n - 1] -= c
-        assert A.degree(u) == (0, 0)
+        if A.degree(u) != (0, 0):
+            raise AssertionError(f"{u} is not in the kernel lattice")
         basis.append(tuple(u))
     return basis
 
@@ -149,7 +152,8 @@ def _reduce_binomial(binom, gens, order):
                     return None
                 changed = True
                 break
-    assert order.greater(lead, trail)
+    if not order.greater(lead, trail):
+        raise AssertionError(f"reduced binomial {lead} - {trail} is not oriented")
     return (lead, trail)
 
 
@@ -166,10 +170,20 @@ def _buchberger(gens, order, degree_bound):
         ori = _binomial(g[0], g[1], order) if g else None
         if ori:
             G.append(ori)
-    pairs = [(i, j) for i in range(len(G)) for j in range(i)]
+    # normal selection strategy: the pair of least lcm degree goes first, the
+    # latest added among equal degrees
+    pairs = []
+    added = itertools.count()
+
+    def push(i, j):
+        degree = sum(max(a, b) for a, b in zip(G[i][0], G[j][0]))
+        heapq.heappush(pairs, (degree, -next(added), i, j))
+
+    for i in range(len(G)):
+        for j in range(i):
+            push(i, j)
     while pairs:
-        pairs.sort(key=lambda ij: sum(max(a, b) for a, b in zip(G[ij[0]][0], G[ij[1]][0])), reverse=True)
-        i, j = pairs.pop()
+        _, _, i, j = heapq.heappop(pairs)
         f, g = G[i], G[j]
         if all(min(a, b) == 0 for a, b in zip(f[0], g[0])):
             continue  # coprime leads reduce to zero
@@ -179,11 +193,11 @@ def _buchberger(gens, order, degree_bound):
         h = _reduce_binomial(s, G, order)
         if h is None:
             continue
-        assert sum(h[0]) <= degree_bound, (
-            f"Groebner degree {sum(h[0])} exceeded the bound {degree_bound}"
-        )
+        if sum(h[0]) > degree_bound:
+            raise AssertionError(f"Groebner degree {sum(h[0])} exceeded the bound {degree_bound}")
         G.append(h)
-        pairs.extend((len(G) - 1, t) for t in range(len(G) - 1))
+        for t in range(len(G) - 1):
+            push(len(G) - 1, t)
     return _interreduce(G, order)
 
 
@@ -361,9 +375,11 @@ def standard_pairs(A, order):
     gb = toric_ideal_groebner(A, order)
     pairs = standard_pairs_of_monomial_ideal(gb.lead_monomials, A.n)
     kinds = {p.kind(A.n) for p in pairs}
-    assert "other" not in kinds, f"unexpected pair shape: {pairs}"
+    if "other" in kinds:
+        raise AssertionError(f"unexpected pair shape: {pairs}")
     tops = [p for p in pairs if p.is_top]
-    assert len(tops) == A.k, f"expected {A.k} top pairs, found {len(tops)}"
+    if len(tops) != A.k:
+        raise AssertionError(f"expected {A.k} top pairs, found {len(tops)}")
     return sorted(pairs, key=lambda p: (-len(p.sigma), p.r))
 
 
@@ -422,7 +438,8 @@ def fake_exponents(A, beta, order):
             v = tuple(Fraction(c) for c in r[:-1]) + (b1 - d1,)
         deg1 = sum(v[1:], start=v[0])
         deg2 = sum((A.exponents[i] * v[i] for i in range(1, n)), start=0 * v[0])
-        assert deg1 == b1 and deg2 == b2
+        if not (deg1 == b1 and deg2 == b2):
+            raise AssertionError(f"starting exponent {v} has degree {(deg1, deg2)}, not {(b1, b2)}")
         out.append(FakeExponent(v, pair))
     return out
 
@@ -469,10 +486,12 @@ def special_lines(A, orders):
                 continue
             d1, d2 = A.degree(pair.r)
             if facet == FACET_0:
-                assert kind == "first-end", f"wrong end pair {pair} for {order.name}"
+                if kind != "first-end":
+                    raise AssertionError(f"wrong end pair {pair} for {order.name}")
                 levels.add(d2)
             else:
-                assert kind == "last-end", f"wrong end pair {pair} for {order.name}"
+                if kind != "last-end":
+                    raise AssertionError(f"wrong end pair {pair} for {order.name}")
                 levels.add(A.k * d1 - d2)
         per_facet[facet].append((order, sorted(levels)))
     lines = []

@@ -1,15 +1,23 @@
-"""Slow, independent routes to the membership questions of curvegkz.curve.
+"""Slow, independent routes to what the fast paths of curvegkz compute.
 
 The library decides "(b1, b2) in NA", "alpha in Q + Z a_ray" and the rank
 jumps from one least-parts table per facet semigroup.  The searches below
 answer the same questions without that table, so the tests can compare
 two routes instead of one formula with itself.
+
+The exact series path has its plain versions here as well: the kernel
+steps by a search of the whole box, the series coefficients and the
+operator residuals by one Fraction per factor, and the Groebner basis with
+an S-pair list sorted again before every pop.
 """
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
+from curvegkz import toric
 from curvegkz.curve import FACET_0, FACET_K
+from curvegkz.errors import SeriesDenominatorError
 
 
 def in_NA_brute(A, b1, b2):
@@ -75,4 +83,122 @@ def h1_support_by_search(A, box):
         if in_ray_module_by_shift(A, (a1, a2), FACET_0)
         and in_ray_module_by_shift(A, (a1, a2), FACET_K)
         and not in_NA_bfs(A, a1, a2)
+    ]
+
+
+def kernel_steps_brute(A, bound, mid_lower):
+    """Kernel lattice vectors with |u|_1 <= bound and middle coordinates
+    bounded below by ``mid_lower``, by testing every point of the box
+    [-bound, bound] of the middle coordinates in lexicographic order."""
+    n, k = A.n, A.k
+    mids = range(1, n - 1)
+    ranges = [range(max(mid_lower.get(i, -bound), -bound), bound + 1) for i in mids]
+    out = []
+    for combo in itertools.product(*ranges):
+        wsum = sum(A.exponents[i] * c for i, c in zip(mids, combo))
+        if wsum % k:
+            continue
+        u_last = -wsum // k
+        u_first = -sum(combo) - u_last
+        u = (u_first,) + tuple(combo) + (u_last,)
+        if sum(abs(c) for c in u) <= bound:
+            out.append(u)
+    return out
+
+
+def phi_coefficient_fractions(v, u):
+    """Coefficient of the step u in the canonical series at v, one Fraction
+    per falling and rising factor."""
+    num = Fraction(1)
+    den = Fraction(1)
+    for i, ui in enumerate(u):
+        vi = v[i]
+        if ui < 0:
+            for j in range(1, -ui + 1):
+                num *= vi - j + 1
+        elif ui > 0:
+            for j in range(1, ui + 1):
+                f = vi + j
+                if f == 0:
+                    raise SeriesDenominatorError(u, i)
+                den *= f
+    return num / den
+
+
+def truncated_annihilation_fractions(series, generators):
+    """(checked, skipped, failures) of the binomial operators on a truncated
+    series, with every exponent and residual key a Fraction."""
+    v = series.v
+    n = len(v)
+    checked = skipped = 0
+    failures = []
+    for a, b in generators:
+        residual = {}
+        for u, c in series.terms.items():
+            w = tuple(vi + ui for vi, ui in zip(v, u))
+            for mono, sign in ((a, 1), (b, -1)):
+                ff = Fraction(1)
+                for wi, mi in zip(w, mono):
+                    for j in range(mi):
+                        ff *= wi - j
+                if ff == 0:
+                    continue
+                key = tuple(wi - mi for wi, mi in zip(w, mono))
+                residual[key] = residual.get(key, Fraction(0)) + sign * c * ff
+        for key, val in residual.items():
+            size_a = sum(abs(Fraction(key[i]) + a[i] - v[i]) for i in range(n))
+            size_b = sum(abs(Fraction(key[i]) + b[i] - v[i]) for i in range(n))
+            if size_a <= series.bound and size_b <= series.bound:
+                checked += 1
+                if val != 0:
+                    failures.append(((a, b), key, val))
+            else:
+                skipped += 1
+    return checked, skipped, failures
+
+
+def buchberger_sorted(gens, order, degree_bound):
+    """toric._buchberger with the S-pair list sorted by lcm degree, largest
+    first, before every pop; the stable sort leaves the latest pair last
+    among equal degrees.  The helpers are looked up in toric at call time,
+    so a test can record the S-pairs of both queues."""
+    G = [ori for ori in (toric._binomial(a, b, order) for a, b in gens) if ori]
+    pairs = [(i, j) for i in range(len(G)) for j in range(i)]
+    while pairs:
+        pairs.sort(key=lambda ij: sum(max(a, b) for a, b in zip(G[ij[0]][0], G[ij[1]][0])), reverse=True)
+        i, j = pairs.pop()
+        f, g = G[i], G[j]
+        if all(min(a, b) == 0 for a, b in zip(f[0], g[0])):
+            continue
+        s = toric._spair(f, g, order)
+        h = None if s is None else toric._reduce_binomial(s, G, order)
+        if h is None:
+            continue
+        if sum(h[0]) > degree_bound:
+            raise AssertionError(f"Groebner degree {sum(h[0])} exceeded the bound {degree_bound}")
+        G.append(h)
+        pairs.extend((len(G) - 1, t) for t in range(len(G) - 1))
+    return toric._interreduce(G, order)
+
+
+def toric_ideal_groebner_sorted(A, order_name):
+    """Generators of the reduced Groebner basis of the toric ideal: the
+    saturation route of the library, run with the sorted S-pair list."""
+    n = A.n
+    degree_bound = max(2 * A.k * A.k, 8)
+    gens = lattice_binomials(A)
+    for var in range(n):
+        cheap = (var,) + tuple(i for i in range(n) if i != var)
+        gens = [
+            tuple(m[:var] + (m[var] - min(a[var], b[var]),) + m[var + 1 :] for m in (a, b))
+            for a, b in buchberger_sorted(gens, toric.TermOrder(n, cheap), degree_bound)
+        ]
+    return tuple(buchberger_sorted(gens, toric.term_order(order_name, n), degree_bound))
+
+
+def lattice_binomials(A):
+    """The binomials x^u+ - x^u- of a kernel lattice basis."""
+    return [
+        (tuple(max(c, 0) for c in u), tuple(max(-c, 0) for c in u))
+        for u in toric.kernel_lattice_basis(A)
     ]

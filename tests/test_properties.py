@@ -1,15 +1,30 @@
 """Property tests: on random admissible matrices (n <= 5, k <= 7) the
 semigroup-table answers of the library agree with the search oracles of
-``oracles.py``.  Examples are derandomized so every run checks the same
+``oracles.py``, and the fast exact series path agrees with its plain
+versions there.  Examples are derandomized so every run checks the same
 matrices.
 """
 
+from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import h1_support_by_search, in_NA_bfs, in_NA_brute, in_ray_module_by_shift
+from oracles import (
+    buchberger_sorted,
+    h1_support_by_search,
+    in_NA_bfs,
+    in_NA_brute,
+    in_ray_module_by_shift,
+    kernel_steps_brute,
+    lattice_binomials,
+    phi_coefficient_fractions,
+    toric_ideal_groebner_sorted,
+    truncated_annihilation_fractions,
+)
 
+from curvegkz import toric
 from curvegkz.cohomology import h1_support, in_ray_module
 from curvegkz.curve import (
     FACET_0,
@@ -19,8 +34,27 @@ from curvegkz.curve import (
     rank_jumping_parameters,
     _default_jump_box,
 )
+from curvegkz.errors import SeriesDenominatorError
+from curvegkz.series import (
+    TruncatedSeries,
+    _kernel_steps,
+    _phi_coefficient,
+    annihilation_check,
+    default_step_bound,
+    series_for_exponent,
+)
+from curvegkz.toric import (
+    ORDER_NAMES,
+    fake_exponents,
+    standard_pairs,
+    term_order,
+    toric_ideal_groebner,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=20)
+# the exact series path needs more matrices before four and five columns
+# are well represented
+SERIES_PROPERTY = settings(PROPERTY, max_examples=50)
 
 
 @st.composite
@@ -80,3 +114,90 @@ def test_rank_jumps_and_h1_support_match_search_on_random_boxes(A, data):
     expected = h1_support_by_search(A, box)
     assert rank_jumping_parameters(A, box) == expected
     assert h1_support(A, box) == expected
+
+
+@SERIES_PROPERTY
+@given(matrices, st.data())
+def test_kernel_steps_match_box_search(A, data):
+    # the lower bounds are those of a series at a standard pair; the list
+    # must agree in order too, since the series keep their terms in it
+    pair = data.draw(st.sampled_from(standard_pairs(A, data.draw(st.sampled_from(ORDER_NAMES)))))
+    bound = data.draw(st.integers(0, default_step_bound(A)))
+    mid_lower = {i: -pair.r[i] for i in range(1, A.n - 1)}
+    assert _kernel_steps(A, bound, mid_lower) == kernel_steps_brute(A, bound, mid_lower)
+
+
+# entries of v: integers often, so that rising factors vanish, and fractions
+exponent_entries = st.one_of(
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+
+
+@SERIES_PROPERTY
+@given(matrices, st.data())
+def test_phi_coefficient_matches_fractions(A, data):
+    v = tuple(data.draw(st.lists(exponent_entries, min_size=A.n, max_size=A.n)))
+    for u in _kernel_steps(A, 2 * A.k, {}):
+        try:
+            expected = phi_coefficient_fractions(v, u)
+        except SeriesDenominatorError as err:
+            with pytest.raises(SeriesDenominatorError) as got:
+                _phi_coefficient(v, u)
+            assert got.value.args == err.args
+        else:
+            assert _phi_coefficient(v, u) == expected, (v, u)
+
+
+@SERIES_PROPERTY
+@given(matrices, st.data())
+def test_annihilation_check_matches_fractions(A, data):
+    # a series at a random rational parameter, as built or with one
+    # coefficient changed so that residuals fail
+    name = data.draw(st.sampled_from(ORDER_NAMES))
+    beta = (data.draw(exponent_entries), data.draw(exponent_entries))
+    fe = data.draw(st.sampled_from([fe for fe in fake_exponents(A, beta, name) if fe.is_top]))
+    try:
+        ts = series_for_exponent(A, fe, bound=2 * A.k)
+    except SeriesDenominatorError:
+        return
+    terms = dict(ts.terms)
+    if data.draw(st.booleans()):
+        u = data.draw(st.sampled_from(sorted(terms)))
+        terms[u] += data.draw(st.sampled_from([1, Fraction(-1, 3)]))
+    ts = TruncatedSeries(A, ts.v, ts.pair, ts.bound, terms)
+    rep = annihilation_check(A, ts, name)
+    expected = truncated_annihilation_fractions(ts, toric_ideal_groebner(A, name).generators)
+    assert (rep.checked, rep.skipped, rep.failures) == expected
+    assert rep.ok == (not expected[2])
+
+
+def _spair_calls(buchberger, gens, order, degree_bound):
+    # the S-pairs in the order the queue hands them to toric._spair
+    calls = []
+    original = toric._spair
+
+    def recording(f, g, order):
+        calls.append((f, g))
+        return original(f, g, order)
+
+    toric._spair = recording
+    try:
+        return buchberger(gens, order, degree_bound), calls
+    finally:
+        toric._spair = original
+
+
+@PROPERTY
+@given(matrices)
+def test_groebner_matches_sorted_pair_list(A):
+    # the reduced basis does not depend on the order of the S-pairs, so the
+    # heap must also pop them in the same order, ties included, for the
+    # degree bound to trip on the same inputs
+    for name in ORDER_NAMES:
+        assert toric_ideal_groebner(A, name).generators == toric_ideal_groebner_sorted(A, name)
+        order = term_order(name, A.n)
+        gens = lattice_binomials(A)
+        bound = max(2 * A.k * A.k, 8)
+        heap = _spair_calls(toric._buchberger, gens, order, bound)
+        assert heap == _spair_calls(buchberger_sorted, gens, order, bound)

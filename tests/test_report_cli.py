@@ -181,8 +181,9 @@ def test_cli_numeric_failure_is_exit_3(monkeypatch, capsys):
 
 
 def test_verify_builds_each_solution_once(monkeypatch):
-    # off the crossings verify checks the series and the line solution that
-    # the basis assembly built; it builds none of its own
+    # verify checks the series and the line solutions that the basis
+    # assembly built, the coincidence check at a crossing included; it
+    # builds none of its own
     built = {"series_for_exponent": [], "polar_line_solution": []}
 
     def counting(name):
@@ -207,6 +208,14 @@ def test_verify_builds_each_solution_once(monkeypatch):
     tops = [args[1].pair.r for args in built["series_for_exponent"]]
     assert len(tops) == 4 and len(set(tops)) == 4
     assert built["polar_line_solution"] == [(A0134, "facet-0", 3)]
+
+    # (1, 2) is the crossing of the facet-0 line of level 2 and the facet-k
+    # line of level 2
+    built["polar_line_solution"].clear()
+    rep = verify_report(A0134, (Fraction(1), Fraction(2)))
+    by_name = {c["name"]: c for c in rep["checks"]}
+    assert by_name["coincidence-structure"]["status"] == "pass"
+    assert sorted(built["polar_line_solution"]) == [(A0134, "facet-0", 2), (A0134, "facet-k", 2)]
 
 
 def _run_cli(argv, optimize):

@@ -7,13 +7,17 @@ the Buchberger implementation under test.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 from sympy.polys.orderings import grevlex
 
+import curvegkz
 from curvegkz.curve import FACET_0, FACET_K, CurveMatrix
 from curvegkz.qexact import Aff2
 from curvegkz.toric import (
@@ -150,6 +154,27 @@ def test_groebner_frozen_leads():
         (0, 3, 0, 0),
     ]
     assert sorted(toric_ideal_groebner(A023, "d1-first").lead_monomials) == [(0, 3, 0)]
+
+
+def test_groebner_degree_bound_survives_optimized_mode():
+    # python -O strips assert statements; the degree bound inside the
+    # Buchberger loop must still stop a run that needs larger degrees
+    code = (
+        "from curvegkz.curve import CurveMatrix\n"
+        "from curvegkz.toric import toric_ideal_groebner\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    toric_ideal_groebner(CurveMatrix([0, 1, 3, 4]), 'd1-first', degree_bound=3)\n"
+        "    print('accepted')\n"
+        "except AssertionError as err:\n"
+        "    print(err)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "Groebner degree 4 exceeded the bound 3"]
 
 
 def test_groebner_normal_form_properties():
