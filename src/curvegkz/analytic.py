@@ -205,47 +205,56 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", margin=0.25, tol=1
     b1 = complex(beta[0])
     b2 = complex(beta[1])
     k = A.k
-    memo = {}
-
-    def get(m, w):
-        key = (m, w)
-        if key in memo:
-            return memo[key]
+    # a step of either facet goes from (m, w) to (m + 1, w + k_i), with the
+    # weight k_i x_i or (k - k_i) x_i
+    steps = {
+        FACET_0: [(A.exponents[i], A.exponents[i] * complex(x[i])) for i in range(1, A.n)],
+        FACET_K: [(A.exponents[i], (k - A.exponents[i]) * complex(x[i])) for i in range(A.n - 1)],
+    }
+    # plan: levels[m] maps w to None inside the wedge, else to the facet and
+    # prefactor of the shift (m, w).  The shifts are visited depth first, in
+    # the order of the columns, so the first vanishing denominator found is
+    # the first one the recursive definition would reach.
+    levels = []
+    stack = [(0, 0)]
+    while stack:
+        m, w = stack.pop()
+        if m == len(levels):
+            levels.append({})
+        if w in levels[m]:
+            continue
         p1 = b1 - m
         p2 = b2 - w
         if p2.real <= -margin and (k * p1 - p2).real <= -margin:
-            val = euler_mellin(A, (p1, p2), x, theta, tol)
-            if stats is not None:
-                stats["quadratures"] = stats.get("quadratures", 0) + 1
-            memo[key] = val
-            return val
-        need0 = p2.real > -margin
+            levels[m][w] = None
+            continue
         if order == "facet-0-first":
-            facet = FACET_0 if need0 else FACET_K
+            facet = FACET_0 if p2.real > -margin else FACET_K
         else:
             facet = FACET_K if (k * p1 - p2).real > -margin else FACET_0
-        guard = 1e-12 * (1.0 + abs(p1) * k + abs(p2))
-        if facet == FACET_0:
-            den = p2
-            if abs(den) < guard:
-                raise PolarLineError(f"facet-0 denominator vanishes at shift {key}")
+        den = p2 if facet == FACET_0 else k * p1 - p2
+        if abs(den) < 1e-12 * (1.0 + abs(p1) * k + abs(p2)):
+            raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
+        levels[m][w] = (facet, p1 / den)
+        stack.extend((m + 1, w + ki) for ki, _ in reversed(steps[facet]))
+    # evaluate from the deepest level up: one quadrature per wedge shift,
+    # and every other shift from the level below it
+    below = {}
+    for m in range(len(levels) - 1, -1, -1):
+        values = {}
+        for w, plan in levels[m].items():
+            if plan is None:
+                values[w] = euler_mellin(A, (b1 - m, b2 - w), x, theta, tol)
+                if stats is not None:
+                    stats["quadratures"] = stats.get("quadratures", 0) + 1
+                continue
+            facet, prefactor = plan
             total = 0.0 + 0.0j
-            for i in range(1, A.n):
-                ki = A.exponents[i]
-                total += ki * complex(x[i]) * get(m + 1, w + ki)
-        else:
-            den = k * p1 - p2
-            if abs(den) < guard:
-                raise PolarLineError(f"facet-k denominator vanishes at shift {key}")
-            total = 0.0 + 0.0j
-            for i in range(A.n - 1):
-                ki = A.exponents[i]
-                total += (k - ki) * complex(x[i]) * get(m + 1, w + ki)
-        val = (p1 / den) * total
-        memo[key] = val
-        return val
-
-    return get(0, 0)
+            for ki, weight in steps[facet]:
+                total += weight * below[w + ki]
+            values[w] = prefactor * total
+        below = values
+    return below[0]
 
 
 def _loop_integral(A, beta, x, center, radius, orientation=1, tol=1e-10):

@@ -11,13 +11,7 @@ import sys
 from fractions import Fraction
 
 from .curve import CurveMatrix
-from .errors import (
-    LogObstructionError,
-    MatrixValidationError,
-    PolarLineError,
-    QuadratureError,
-    SeriesDenominatorError,
-)
+from .errors import LogObstructionError, MatrixValidationError, QuadratureError
 from .figure import build_svg
 from .report import (
     SCHEMA,
@@ -133,15 +127,15 @@ def main(argv=None):
         return 2
     except (
         QuadratureError,
-        PolarLineError,
-        SeriesDenominatorError,
         LogObstructionError,
         ArithmeticError,
         AssertionError,
+        RecursionError,
+        MemoryError,
     ) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

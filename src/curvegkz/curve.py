@@ -15,7 +15,6 @@ from .errors import MatrixValidationError
 
 FACET_0 = "facet-0"
 FACET_K = "facet-k"
-FACETS = (FACET_0, FACET_K)
 
 
 class CurveMatrix:
@@ -359,23 +358,19 @@ def delta_conditions(A, beta):
     g2 = b2
     cond1 = cond2 = False
     if g1 >= 0 and g2 >= 0:
-        cols = [(A.k - e, e) for e in A.exponents]
-        reach = [[False] * (g2 + 1) for _ in range(g1 + 1)]
-        reach[0][0] = True
-        for x in range(g1 + 1):
-            for y in range(g2 + 1):
-                if not reach[x][y]:
-                    continue
-                for (dx, dy) in cols:
-                    if x + dx <= g1 and y + dy <= g2:
-                        reach[x + dx][y + dy] = True
+
+        def in_delta(x, y):
+            # each column (k - k_i, k_i) adds k to x + y, so (x, y) is a sum
+            # of (x + y)/k columns with second coordinates summing to y
+            return (x + y) % A.k == 0 and in_NA(A, ((x + y) // A.k, y))
+
         # the nonzero second witness costs nothing in the first coordinate
         # because (k, 0) is itself a column of Delta, so only the remainder
         # semigroup membership is left to check (and symmetrically)
         Gk = facet_semigroup(A, FACET_K)
         G0 = facet_semigroup(A, FACET_0)
-        cond1 = any(reach[g1][y] and (g2 - y) in Gk for y in range(g2 + 1))
-        cond2 = any(reach[x][g2] and (g1 - x) in G0 for x in range(g1 + 1))
+        cond1 = any(in_delta(g1, y) and (g2 - y) in Gk for y in range(g2 + 1))
+        cond2 = any(in_delta(x, g2) and (g1 - x) in G0 for x in range(g1 + 1))
     if (cond1 and cond2) != in_NA(A, beta):
         raise AssertionError(f"delta conditions {(cond1, cond2)} disagree with in_NA at {beta}")
     return (cond1, cond2)

@@ -56,7 +56,8 @@ class PolyQ:
         return len(self.coeffs) <= 1
 
     def leading(self):
-        assert self.coeffs, "zero polynomial has no leading coefficient"
+        if not self.coeffs:
+            raise AssertionError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __eq__(self, other):
@@ -110,7 +111,8 @@ class PolyQ:
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        assert isinstance(other, PolyQ) and not other.is_zero()
+        if not isinstance(other, PolyQ) or other.is_zero():
+            raise AssertionError(f"cannot divide by {other!r}")
         rem = list(self.coeffs)
         den = other.coeffs
         if len(rem) < len(den):
@@ -126,7 +128,8 @@ class PolyQ:
 
     def divexact(self, other):
         q, r = divmod(self, other)
-        assert r.is_zero(), "division was not exact"
+        if not r.is_zero():
+            raise AssertionError("division was not exact")
         return q
 
     def monic(self):
@@ -299,7 +302,8 @@ class Aff2:
 def exact_value(x, b1=None, b2=None):
     """Evaluate ``x`` if it is symbolic, pass it through otherwise."""
     if isinstance(x, Aff2):
-        assert b1 is not None and b2 is not None
+        if b1 is None or b2 is None:
+            raise AssertionError("a symbolic value needs both b1 and b2")
         return x.evaluate(b1, b2)
     return x
 

@@ -44,10 +44,6 @@ def to_json(report):
     return json.dumps(_encode(report), sort_keys=True, indent=2) + "\n"
 
 
-def _monomial_list(monomials):
-    return [[c, [e for e in exps]] for c, exps in monomials]
-
-
 def analyze_report(A, window=8):
     facets = {}
     for facet in (FACET_0, FACET_K):
@@ -88,7 +84,7 @@ def solve_report(A, beta, order="d1-first", bound=None):
             {
                 "kind": e.kind,
                 "tags": list(e.tags),
-                "monomials": _monomial_list(e.monomials()),
+                "monomials": e.monomials(),
             }
         )
     discarded = []

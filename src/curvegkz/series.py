@@ -9,7 +9,7 @@ kernel lattice steps from a starting exponent.
 import cmath
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .curve import FACET_0, FACET_K, is_rank_jumping, polar_lines_through, rank
 from .errors import BasisCountError, LogObstructionError, SeriesDenominatorError
@@ -67,39 +67,12 @@ def b_matrix(A):
 
 
 def _facet_parts(A, facet):
-    """(coordinate, value, weight) for the parts available on one facet."""
+    """(coordinate, value) for the parts available on one facet."""
     if facet == FACET_0:
-        return [(i, A.exponents[i], A.exponents[i]) for i in range(1, A.n)]
+        return [(i, A.exponents[i]) for i in range(1, A.n)]
     if facet == FACET_K:
-        return [(i, A.k - A.exponents[i], A.k - A.exponents[i]) for i in range(A.n - 1)]
+        return [(i, A.k - A.exponents[i]) for i in range(A.n - 1)]
     raise ValueError(f"unknown facet {facet!r}")
-
-
-def ordered_partitions(A, facet, N):
-    """All ordered sequences of facet parts summing to N.
-
-    Parts for facet-0 are the nonzero exponents; for facet-k their
-    complements.  Groups of reorderings enter the finite solutions with
-    different denominators, so the order of parts matters.
-
-    >>> from .curve import CurveMatrix
-    >>> ordered_partitions(CurveMatrix([0, 1, 3, 4]), "facet-0", 4)
-    [(1, 1, 1, 1), (1, 3), (3, 1), (4,)]
-    """
-    values = sorted(v for (_, v, _) in _facet_parts(A, facet))
-    out = []
-
-    def rec(remaining, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for v in values:
-            if v <= remaining:
-                rec(remaining - v, prefix + [v])
-
-    if N >= 0:
-        rec(int(N), [])
-    return sorted(out)
 
 
 class FiniteSeries:
@@ -172,46 +145,63 @@ class FiniteSeries:
         )
 
 
-def polar_line_solution(A, facet, N):
-    """The finite solution on the level-N line of a facet, built by dynamic
-    programming over part multisets (the per-ordering denominators are summed
-    path by path).
+def _part_multisets(parts, N):
+    """Multiplicity tuples m, one entry per part, with sum m_p v_p = N.  The
+    recursion runs over the parts, so its depth is their number."""
+    out = []
 
-    Non-polar integer levels have no parts decomposition and give the zero
-    series.
+    def rec(p, remaining, prefix):
+        if p == len(parts):
+            if remaining == 0:
+                out.append(prefix)
+            return
+        v = parts[p][1]
+        for mp in range(remaining // v + 1):
+            rec(p + 1, remaining - mp * v, prefix + (mp,))
+
+    rec(0, N, ())
+    return out
+
+
+def polar_line_solution(A, facet, N):
+    """The finite solution on the level-N line of a facet, in closed form.
+
+    A multiset of facet parts summing to N > 0, with m_i parts at
+    coordinate i and c parts in all, gives the term with offset o_i = m_i,
+    o_base = -c and coefficient N (lam-1)(lam-2)...(lam-c+1) / prod m_i!.
+    Summed over the orderings of the multiset, the per-prefix denominators
+    1/(N - s) give N / prod(v_i^m_i m_i!) (the classical identity
+    sum_sigma prod_j 1/(a_sigma(1) + ... + a_sigma(j)) = 1/prod a_i), and the
+    part values v_i cancel against the weights v_i^m_i.  Level 0 is the
+    constant solution; a negative level, or one with no multiset, gives the
+    zero series.
+
+    >>> from .curve import CurveMatrix
+    >>> sol = polar_line_solution(CurveMatrix([0, 1, 3, 4]), "facet-k", 3)
+    >>> for o, c in sorted(sol.terms.items()):
+    ...     print(o, c.text("lam"))
+    (0, 0, 3, -3) 1/2*lam^2 - 3/2*lam + 1
+    (0, 1, 0, -1) 3
     """
     N = int(N)
     parts = _facet_parts(A, facet)
-    lam = PolyQ.variable()
+    base = 0 if facet == FACET_0 else A.n - 1
+    if N <= 0:
+        return FiniteSeries(A, facet, N, {(0,) * A.n: _ONE} if N == 0 else {})
     terms = {}
-    if N >= 0:
-        frontier = {tuple([0] * len(parts)): _ONE}
-        count = 0
-        while frontier:
-            new = {}
-            for m, w in frontier.items():
-                s = sum(mi * parts[p][1] for p, mi in enumerate(m))
-                if s == N:
-                    o = [0] * A.n
-                    base = 0 if facet == FACET_0 else A.n - 1
-                    o[base] = -count
-                    factor = 1
-                    for p, mi in enumerate(m):
-                        idx, _, weight = parts[p]
-                        o[idx] += mi
-                        factor *= weight**mi
-                    coeff = w * factor
-                    key = tuple(o)
-                    terms[key] = terms.get(key, PolyQ()) + coeff
-                    continue
-                for p, (idx, val, _) in enumerate(parts):
-                    if s + val <= N:
-                        mult = w if count == 0 else w * (lam - count) * Fraction(1, N - s)
-                        m2 = m[:p] + (m[p] + 1,) + m[p + 1 :]
-                        new[m2] = new.get(m2, PolyQ()) + mult
-            frontier = new
-            count += 1
-    terms = {o: c for o, c in terms.items() if not c.is_zero()}
+    # falling[c] = N (lam-1)(lam-2)...(lam-c+1), grown as needed
+    falling = [None, PolyQ([N])]
+    for m in _part_multisets(parts, N):
+        c = sum(m)
+        while len(falling) <= c:
+            falling.append(falling[-1] * PolyQ([1 - len(falling), 1]))
+        o = [0] * A.n
+        o[base] = -c
+        den = 1
+        for (idx, _), mi in zip(parts, m):
+            o[idx] += mi
+            den *= factorial(mi)
+        terms[tuple(o)] = falling[c] * Fraction(1, den)
     return FiniteSeries(A, facet, N, terms)
 
 
@@ -243,9 +233,6 @@ class TruncatedSeries:
 
     def support(self):
         return {e for _, e in self.monomials()}
-
-    def is_monomial(self):
-        return len(self.terms) == 1
 
     def evaluate(self, x):
         return _evaluate(self.monomials(), x)

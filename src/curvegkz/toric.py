@@ -298,9 +298,6 @@ def toric_ideal_groebner(A, order, degree_bound=None):
     return gb
 
 
-TOP_SIGMA_KINDS = ("top", "first-end", "last-end")
-
-
 class StandardPair:
     """A pair (r, sigma): the cosets r + N^sigma not meeting the initial ideal,
     maximally so."""

@@ -9,6 +9,11 @@ The exact series path has its plain versions here as well: the kernel
 steps by a search of the whole box, the series coefficients and the
 operator residuals by one Fraction per factor, and the Groebner basis with
 an S-pair list sorted again before every pop.
+
+The closed forms of the library have their searches here too: the finite
+polar-line solutions by a path sum over ordered part sequences, the two
+Delta conditions by a reach table over sums of Delta columns, and the
+shift continuation by its recursive memoised definition.
 """
 
 import itertools
@@ -16,8 +21,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from curvegkz import toric
-from curvegkz.curve import FACET_0, FACET_K
-from curvegkz.errors import SeriesDenominatorError
+from curvegkz.analytic import euler_mellin
+from curvegkz.curve import FACET_0, FACET_K, facet_semigroup
+from curvegkz.errors import PolarLineError, SeriesDenominatorError
+from curvegkz.qexact import PolyQ
+from curvegkz.series import FiniteSeries, _facet_parts
 
 
 def in_NA_brute(A, b1, b2):
@@ -202,3 +210,135 @@ def lattice_binomials(A):
         (tuple(max(c, 0) for c in u), tuple(max(-c, 0) for c in u))
         for u in toric.kernel_lattice_basis(A)
     ]
+
+
+def ordered_partitions(A, facet, N):
+    """All ordered sequences of facet parts summing to N, sorted.  Groups of
+    reorderings enter the finite solutions with different denominators, so
+    the order of the parts matters to the path sum."""
+    values = sorted(v for _, v in _facet_parts(A, facet))
+    out = []
+
+    def rec(remaining, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for v in values:
+            if v <= remaining:
+                rec(remaining - v, prefix + [v])
+
+    if N >= 0:
+        rec(int(N), [])
+    return sorted(out)
+
+
+def polar_line_solution_by_paths(A, facet, N):
+    """The finite solution on the level-N line of a facet, by dynamic
+    programming over part multisets: one PolyQ per partial multiset, summing
+    the per-prefix factors (lam - j)/(N - s) path by path."""
+    N = int(N)
+    parts = _facet_parts(A, facet)
+    lam = PolyQ.variable()
+    one = PolyQ([1])
+    base = 0 if facet == FACET_0 else A.n - 1
+    terms = {}
+    if N >= 0:
+        frontier = {(0,) * len(parts): one}
+        count = 0
+        while frontier:
+            new = {}
+            for m, w in frontier.items():
+                s = sum(mi * parts[p][1] for p, mi in enumerate(m))
+                if s == N:
+                    o = [0] * A.n
+                    o[base] = -count
+                    factor = 1
+                    for p, mi in enumerate(m):
+                        idx, value = parts[p]
+                        o[idx] += mi
+                        factor *= value**mi
+                    key = tuple(o)
+                    terms[key] = terms.get(key, PolyQ()) + w * factor
+                    continue
+                for p, (_, val) in enumerate(parts):
+                    if s + val <= N:
+                        mult = w if count == 0 else w * (lam - count) * Fraction(1, N - s)
+                        m2 = m[:p] + (m[p] + 1,) + m[p + 1 :]
+                        new[m2] = new.get(m2, PolyQ()) + mult
+            frontier = new
+            count += 1
+    terms = {o: c for o, c in terms.items() if not c.is_zero()}
+    return FiniteSeries(A, facet, N, terms)
+
+
+def delta_conditions_by_reach(A, beta):
+    """The two Delta conditions of curve.delta_conditions, from a table of
+    the points (x, y) <= (k b1 - b2, b2) reachable by sums of the columns
+    (k - k_i, k_i)."""
+    b1, b2 = beta
+    if Fraction(b1).denominator != 1 or Fraction(b2).denominator != 1:
+        return (False, False)
+    b1, b2 = int(b1), int(b2)
+    g1 = A.k * b1 - b2
+    g2 = b2
+    if g1 < 0 or g2 < 0:
+        return (False, False)
+    cols = [(A.k - e, e) for e in A.exponents]
+    reach = [[False] * (g2 + 1) for _ in range(g1 + 1)]
+    reach[0][0] = True
+    for x in range(g1 + 1):
+        for y in range(g2 + 1):
+            if not reach[x][y]:
+                continue
+            for dx, dy in cols:
+                if x + dx <= g1 and y + dy <= g2:
+                    reach[x + dx][y + dy] = True
+    Gk = facet_semigroup(A, FACET_K)
+    G0 = facet_semigroup(A, FACET_0)
+    cond1 = any(reach[g1][y] and (g2 - y) in Gk for y in range(g2 + 1))
+    cond2 = any(reach[x][g2] and (g1 - x) in G0 for x in range(g1 + 1))
+    return (cond1, cond2)
+
+
+def extension_shift_recursive(A, beta, x, theta, order="facet-0-first", margin=0.25, tol=1e-10):
+    """analytic.extension_shift as a recursive memoised get(m, w): each node
+    evaluates its children depth first, in the order of the columns."""
+    b1 = complex(beta[0])
+    b2 = complex(beta[1])
+    k = A.k
+    memo = {}
+
+    def get(m, w):
+        key = (m, w)
+        if key in memo:
+            return memo[key]
+        p1 = b1 - m
+        p2 = b2 - w
+        if p2.real <= -margin and (k * p1 - p2).real <= -margin:
+            memo[key] = euler_mellin(A, (p1, p2), x, theta, tol)
+            return memo[key]
+        if order == "facet-0-first":
+            facet = FACET_0 if p2.real > -margin else FACET_K
+        else:
+            facet = FACET_K if (k * p1 - p2).real > -margin else FACET_0
+        guard = 1e-12 * (1.0 + abs(p1) * k + abs(p2))
+        if facet == FACET_0:
+            den = p2
+            if abs(den) < guard:
+                raise PolarLineError(f"facet-0 denominator vanishes at shift {key}")
+            total = 0.0 + 0.0j
+            for i in range(1, A.n):
+                ki = A.exponents[i]
+                total += ki * complex(x[i]) * get(m + 1, w + ki)
+        else:
+            den = k * p1 - p2
+            if abs(den) < guard:
+                raise PolarLineError(f"facet-k denominator vanishes at shift {key}")
+            total = 0.0 + 0.0j
+            for i in range(A.n - 1):
+                ki = A.exponents[i]
+                total += (k - ki) * complex(x[i]) * get(m + 1, w + ki)
+        memo[key] = (p1 / den) * total
+        return memo[key]
+
+    return get(0, 0)

@@ -132,6 +132,18 @@ def test_extension_shift_passthrough_in_wedge():
     assert stats["quadratures"] == 1
 
 
+def test_extension_shift_far_from_the_wedge():
+    # b1 = 1500.5 needs a chain of 1500 shifts; a recursive evaluation runs
+    # out of stack long before that.  The two-column value has a closed form.
+    x = (1.1, 0.9)
+    beta = (1500.5, 0.3)
+    stats = {}
+    got = extension_shift(A01, beta, x, 0.0, stats=stats)
+    want = _beta_closed_form(*beta, *x)
+    assert abs(got - want) <= 1e-9 * abs(want)
+    assert stats["quadratures"] == 1
+
+
 def test_extension_shift_polar_failure_is_honest():
     # beta2 a nonnegative integer sits on a facet-0 polar line; the shift
     # recursion must hit the vanishing denominator and say so

@@ -9,7 +9,7 @@ import pytest
 
 import curvegkz
 
-CHECKED = ["curve.py", "cohomology.py", "series.py", "report.py", "cli.py", "toric.py"]
+CHECKED = ["curve.py", "cohomology.py", "series.py", "report.py", "cli.py", "toric.py", "qexact.py"]
 
 
 @pytest.mark.parametrize("name", CHECKED)

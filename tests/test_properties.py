@@ -1,8 +1,10 @@
 """Property tests: on random admissible matrices (n <= 5, k <= 7) the
 semigroup-table answers of the library agree with the search oracles of
 ``oracles.py``, and the fast exact series path agrees with its plain
-versions there.  Examples are derandomized so every run checks the same
-matrices.
+versions there.  The closed forms of the finite polar-line solutions and
+of the Delta conditions agree with their path sum and reach table, and
+the planned shift continuation with its recursive definition.  Examples
+are derandomized so every run checks the same matrices.
 """
 
 from fractions import Fraction
@@ -13,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     buchberger_sorted,
+    delta_conditions_by_reach,
+    extension_shift_recursive,
     h1_support_by_search,
     in_NA_bfs,
     in_NA_brute,
@@ -20,27 +24,31 @@ from oracles import (
     kernel_steps_brute,
     lattice_binomials,
     phi_coefficient_fractions,
+    polar_line_solution_by_paths,
     toric_ideal_groebner_sorted,
     truncated_annihilation_fractions,
 )
 
 from curvegkz import toric
+from curvegkz.analytic import extension_shift, roots_and_components, sample_structured_point
 from curvegkz.cohomology import h1_support, in_ray_module
 from curvegkz.curve import (
     FACET_0,
     FACET_K,
     CurveMatrix,
+    delta_conditions,
     in_NA,
     rank_jumping_parameters,
     _default_jump_box,
 )
-from curvegkz.errors import SeriesDenominatorError
+from curvegkz.errors import PolarLineError, SeriesDenominatorError
 from curvegkz.series import (
     TruncatedSeries,
     _kernel_steps,
     _phi_coefficient,
     annihilation_check,
     default_step_bound,
+    polar_line_solution,
     series_for_exponent,
 )
 from curvegkz.toric import (
@@ -201,3 +209,50 @@ def test_groebner_matches_sorted_pair_list(A):
         bound = max(2 * A.k * A.k, 8)
         heap = _spair_calls(toric._buchberger, gens, order, bound)
         assert heap == _spair_calls(buchberger_sorted, gens, order, bound)
+
+
+@PROPERTY
+@given(matrices)
+def test_polar_line_solution_matches_path_sum(A):
+    for facet in (FACET_0, FACET_K):
+        for N in range(-2, 3 * A.k + 1):
+            sol = polar_line_solution(A, facet, N)
+            assert sol.terms == polar_line_solution_by_paths(A, facet, N).terms, (A, facet, N)
+            if not sol.is_zero():
+                assert annihilation_check(A, sol).ok, (A, facet, N)
+
+
+@PROPERTY
+@given(matrices)
+def test_delta_conditions_match_reach_table(A):
+    for b1 in range(-1, 5):
+        for b2 in range(-2, A.k * b1 + 3 if b1 >= 0 else 3):
+            assert delta_conditions(A, (b1, b2)) == delta_conditions_by_reach(A, (b1, b2)), (A, b1, b2)
+    assert delta_conditions(A, (Fraction(3, 2), 1)) == delta_conditions_by_reach(A, (Fraction(3, 2), 1))
+
+
+def _outcome(shift, *args, **kwargs):
+    try:
+        return shift(*args, **kwargs)
+    except PolarLineError as err:
+        return str(err)
+
+
+@settings(PROPERTY, max_examples=10)
+@given(matrices, st.data())
+def test_extension_shift_matches_recursion(A, data):
+    # the values must agree exactly, not to a tolerance: each shift keeps the
+    # formula and summation order of the recursive definition.  An integral
+    # b2 or k b1 - b2 puts the point on a polar line, where both must name
+    # the same shift.
+    x = sample_structured_point(A, data.draw(st.integers(0, 99), label="seed"))
+    theta = roots_and_components(A, x).ray_angles[0]
+    for _ in range(3):
+        b1 = data.draw(st.integers(-2, 9), label="b1") + data.draw(st.sampled_from([0.25, 0.5, 0.8]))
+        b2 = data.draw(st.integers(-2, max(int(A.k * b1), 0) + 2), label="b2") + data.draw(
+            st.sampled_from([0.0, 0.3, 0.55])
+        )
+        for order in ("facet-0-first", "facet-k-first"):
+            got = _outcome(extension_shift, A, (b1, b2), x, theta, order=order)
+            want = _outcome(extension_shift_recursive, A, (b1, b2), x, theta, order=order)
+            assert got == want, (A, b1, b2, order)

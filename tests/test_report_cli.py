@@ -247,6 +247,18 @@ def test_basis_count_check_survives_optimized_mode():
         assert proc.stderr.startswith("numerical failure: assembled 4 solutions")
 
 
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_cli_resource_failure_is_exit_3(error, monkeypatch, capsys):
+    # running out of stack or memory is an internal failure, not a failed
+    # check (exit 1)
+    def boom(*args, **kwargs):
+        raise error("synthetic resource failure")
+
+    monkeypatch.setattr(cli, "verify_report", boom)
+    assert cli.main(["verify", "-A", "0,1,3,4", "-b", "1,2"]) == 3
+    assert "numerical failure: synthetic resource failure" in capsys.readouterr().err
+
+
 def test_cli_log_obstruction_is_exit_3(monkeypatch, capsys):
     # LogObstructionError subclasses ValueError; it must still map to the
     # numerical-failure code, not invalid input

@@ -1,15 +1,19 @@
 """Series solutions: finite polar-line solutions, canonical series at
 starting exponents, annihilation identities, and basis assembly.
 
-The dynamic-programming construction of the finite solutions is checked
-against direct enumeration of ordered part sequences, which is the defining
-formula written out without any sharing.
+The closed form of the finite solutions is checked against direct
+enumeration of ordered part sequences, which is the defining path sum
+written out without any sharing; ``oracles.ordered_partitions`` is itself
+checked against a product search.  The property tests compare the closed
+form with the path dynamic programming of ``oracles.py`` on random
+matrices.
 """
 
 import itertools
 from fractions import Fraction
 
 import pytest
+from oracles import ordered_partitions
 
 from curvegkz.curve import FACET_0, FACET_K, CurveMatrix
 from curvegkz.errors import BasisCountError, LogObstructionError, SeriesDenominatorError
@@ -20,7 +24,6 @@ from curvegkz.series import (
     canonical_series,
     coincidence_at_intersection,
     default_step_bound,
-    ordered_partitions,
     parametric_derivative,
     polar_line_solution,
     series_for_exponent,
