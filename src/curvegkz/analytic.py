@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .curve import FACET_0, FACET_K, in_convergence_domain
+from .curve import FACET_0, FACET_K, FACETS, facet_level, facet_parts, in_convergence_domain
 from .errors import PolarLineError, QuadratureError
 from .series import polar_line_solution
 
@@ -198,18 +198,19 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", margin=0.25, tol=1
     ``order`` parameter chooses which pairing is repaired first; both give
     the same value, which makes for a useful consistency check.
 
-    Raises PolarLineError when a needed denominator sits on a polar line.
+    Raises PolarLineError when a needed denominator sits on a polar line,
+    and QuadratureError when the continued value overflows.
     """
     if order not in ("facet-0-first", "facet-k-first"):
         raise ValueError(f"unknown order {order!r}")
     b1 = complex(beta[0])
     b2 = complex(beta[1])
     k = A.k
-    # a step of either facet goes from (m, w) to (m + 1, w + k_i), with the
-    # weight k_i x_i or (k - k_i) x_i
+    # a step of either facet goes from (m, w) to (m + 1, w + k_i) over a
+    # column i off the facet, with the weight (facet level of a_i) * x_i
     steps = {
-        FACET_0: [(A.exponents[i], A.exponents[i] * complex(x[i])) for i in range(1, A.n)],
-        FACET_K: [(A.exponents[i], (k - A.exponents[i]) * complex(x[i])) for i in range(A.n - 1)],
+        facet: [(A.exponents[i], level * complex(x[i])) for i, level in facet_parts(A, facet)]
+        for facet in FACETS
     }
     # plan: levels[m] maps w to None inside the wedge, else to the facet and
     # prefactor of the shift (m, w).  The shifts are visited depth first, in
@@ -225,6 +226,8 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", margin=0.25, tol=1
             continue
         p1 = b1 - m
         p2 = b2 - w
+        # the facet levels p2 and k*p1 - p2 of facet_level, inline on this
+        # hot path: the plan can hold hundreds of thousands of shifts
         if p2.real <= -margin and (k * p1 - p2).real <= -margin:
             levels[m][w] = None
             continue
@@ -254,6 +257,8 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", margin=0.25, tol=1
                 total += weight * below[w + ki]
             values[w] = prefactor * total
         below = values
+    if not cmath.isfinite(below[0]):
+        raise QuadratureError(f"shift continuation over {len(levels)} levels overflowed at {beta}")
     return below[0]
 
 
@@ -306,11 +311,15 @@ def residue_integral(A, beta, x, root_index, tol=1e-10):
     return _loop_integral(A, beta, x, rho, 0.4 * dist, orientation=1, tol=tol)
 
 
+def _integral_level(A, facet, beta):
+    level = facet_level(A.k, facet, (complex(beta[0]), complex(beta[1])))
+    return abs(level.imag) <= 1e-9 and abs(level.real - round(level.real)) <= 1e-9
+
+
 def residue_at_zero(A, beta, x, tol=1e-10):
     """Counterclockwise loop around the origin inside all roots.  Requires
     integral b2 so that z^(-b2) closes up around the origin."""
-    b2 = complex(beta[1])
-    if abs(b2.imag) > 1e-9 or abs(b2.real - round(b2.real)) > 1e-9:
+    if not _integral_level(A, FACET_0, beta):
         raise QuadratureError("origin loop needs an integral second parameter")
     rc = roots_and_components(A, x)
     radius = 0.5 * min(abs(r) for r in rc.roots)
@@ -321,10 +330,7 @@ def residue_at_infinity(A, beta, x, tol=1e-10):
     """Clockwise loop outside all roots.  Requires integral k b1 - b2 for
     single-valuedness; together with the other loops it satisfies the sum
     rule  origin + all roots + infinity = 0."""
-    b1 = complex(beta[0])
-    b2 = complex(beta[1])
-    pairing = A.k * b1 - b2
-    if abs(pairing.imag) > 1e-9 or abs(pairing.real - round(pairing.real)) > 1e-9:
+    if not _integral_level(A, FACET_K, beta):
         raise QuadratureError("infinity loop needs an integral facet-k pairing")
     rc = roots_and_components(A, x)
     radius = 2.0 * max(abs(r) for r in rc.roots)
@@ -397,17 +403,12 @@ def polar_line_match_check(
     if theta is None:
         theta = roots_and_components(A, x).ray_angles[0]
     lam_c = complex(lam)
-    k = A.k
     acc = 0.0 + 0.0j
     for j in range(nodes):
         phi = _TWO_PI * j / nodes
         eps = radius * cmath.exp(1j * phi)
-        if facet == FACET_0:
-            beta_j = (lam_c, level + eps)
-        elif facet == FACET_K:
-            beta_j = (lam_c, k * lam_c - level - eps)
-        else:
-            raise ValueError(f"unknown facet {facet!r}")
+        # the point over lam_c of the facet line at level N + eps
+        beta_j = (lam_c, facet_level(A.k, facet, (lam_c, level + eps)))
         val = extension_shift(A, beta_j, x, theta, order=order, tol=tol)
         acc += val * cmath.exp(1j * phi)
     contour = radius / nodes * acc

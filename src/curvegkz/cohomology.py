@@ -3,31 +3,29 @@ computed degree by degree from the two-face complex
 
     0 -> C[Q] -> C[Q + Z a_1] (+) C[Q + Z a_n] -> C[Z^2] -> 0
 
-whose middle memberships are read off the two facet semigroups: a degree
-lies in Q + Z a_1 exactly when its second coordinate lies in S_k, and in
-Q + Z a_n exactly when its facet-k pairing lies in S_0.
+whose middle memberships are read off the facet levels: a degree lies in
+Q + Z a_1 (ray 0, the facet-0 column) exactly when its facet-0 level b2 is
+a sum of facet-0 parts, and in Q + Z a_n (ray k) exactly when its facet-k
+level k*b1 - b2 is a sum of facet-k parts.
 """
 
-from .curve import FACET_0, FACET_K, facet_semigroup, in_NA, _jump_candidates
+from .curve import FACET_0, FACET_K, FACETS, facet_base, facet_level, facet_parts, in_NA
+from .curve import _jump_candidates, _polar_level_semigroup
 from .toric import toric_ideal_groebner
 
 
 def in_ray_module(A, alpha, ray):
     """Membership of a degree in the semigroup module localized along one
-    boundary ray: Q + Z a_1 (ray 0) or Q + Z a_n (ray k).
+    boundary ray: Q + Z a_1 (ray 0, given as FACET_0) or Q + Z a_n (ray k,
+    given as FACET_K).
 
-    Shifting by a_1 = (1, 0) keeps a2 and can raise the first coordinate
-    past any least number of parts, so alpha lies in Q + Z a_1 exactly when
-    a2 lies in the facet-k semigroup.  Shifting by a_n = (1, k) keeps the
-    pairing k*a1 - a2 in the same way, so alpha lies in Q + Z a_n exactly
-    when that pairing lies in the facet-0 semigroup.
+    Shifting by the facet's own column keeps the facet level of alpha
+    (a2 for a_1 = (1, 0), k*a1 - a2 for a_n = (1, k)) and can raise the
+    first coordinate past any number of parts.  So alpha lies in the ray
+    module exactly when its facet level is a sum of the facet's parts, the
+    polar-level semigroup of that facet.
     """
-    a1, a2 = int(alpha[0]), int(alpha[1])
-    if ray == FACET_0:
-        return a2 in facet_semigroup(A, FACET_K)
-    if ray == FACET_K:
-        return A.k * a1 - a2 in facet_semigroup(A, FACET_0)
-    raise ValueError(f"unknown ray {ray!r}")
+    return facet_level(A.k, ray, (int(alpha[0]), int(alpha[1]))) in _polar_level_semigroup(A, ray)
 
 
 def graded_dims(A, alpha):
@@ -124,29 +122,22 @@ def cocycle_generator(A, alpha, order="d1-first"):
     if graded_dims(A, alpha)[1] != 1:
         raise ValueError(f"no first cohomology class in degree {alpha}")
     a1, a2 = int(alpha[0]), int(alpha[1])
-    n, k = A.n, A.k
+    n = A.n
 
-    counts0 = _max_parts_decomposition(a2, [A.exponents[i] for i in range(1, n)])
-    v = [0] * n
-    total = 0
-    for i in range(1, n):
-        c = counts0.get(A.exponents[i], 0)
-        v[i] = c
-        total += c
-    v[0] = a1 - total
-    if A.degree(v) != (a1, a2):
-        raise AssertionError(f"ray representative {v} does not have degree {(a1, a2)}")
-
-    countsk = _max_parts_decomposition(k * a1 - a2, [k - A.exponents[i] for i in range(n - 1)])
-    vp = [0] * n
-    total = 0
-    for i in range(n - 1):
-        c = countsk.get(k - A.exponents[i], 0)
-        vp[i] = c
-        total += c
-    vp[n - 1] = a1 - total
-    if A.degree(vp) != (a1, a2):
-        raise AssertionError(f"ray representative {vp} does not have degree {(a1, a2)}")
+    reps = []
+    for facet in FACETS:
+        # as many facet parts as possible sum to the facet level of alpha;
+        # the facet's own column takes the rest of the first coordinate
+        parts = facet_parts(A, facet)
+        counts = _max_parts_decomposition(facet_level(A.k, facet, (a1, a2)), [p for _, p in parts])
+        rep = [0] * n
+        for i, p in parts:
+            rep[i] = counts.get(p, 0)
+        rep[facet_base(A, facet)] = a1 - sum(rep)
+        if A.degree(rep) != (a1, a2):
+            raise AssertionError(f"ray representative {rep} does not have degree {(a1, a2)}")
+        reps.append(rep)
+    v, vp = reps
 
     m = max(0, -v[0], -vp[n - 1])
     clear = [0] * n

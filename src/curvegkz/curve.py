@@ -15,6 +15,45 @@ from .errors import MatrixValidationError
 
 FACET_0 = "facet-0"
 FACET_K = "facet-k"
+FACETS = (FACET_0, FACET_K)
+
+
+def facet_level(k, facet, beta):
+    """Level of a parameter in the line family of a facet: b2 on facet-0 and
+    k*b1 - b2 on facet-k, in the number type of ``beta``.
+
+    At fixed b1 the map is an involution in b2, so (lam, facet_level(k,
+    facet, (lam, N))) is the point over lam of the level-N line.
+
+    >>> facet_level(4, FACET_K, (1, 3))
+    1
+    """
+    if facet == FACET_0:
+        return beta[1]
+    if facet == FACET_K:
+        return k * beta[0] - beta[1]
+    raise ValueError(f"unknown facet {facet!r}")
+
+
+def facet_base(A, facet):
+    """The column spanning a facet: 0 for facet-0 and n-1 for facet-k."""
+    if facet == FACET_0:
+        return 0
+    if facet == FACET_K:
+        return A.n - 1
+    raise ValueError(f"unknown facet {facet!r}")
+
+
+def facet_parts(A, facet):
+    """(column, level) for each column off a facet: k_i on facet-0 and
+    k - k_i on facet-k.  Their sums are the polar levels of the facet's
+    lines.
+
+    >>> facet_parts(CurveMatrix([0, 1, 3, 4]), FACET_K)
+    [(0, 4), (1, 3), (2, 1)]
+    """
+    base = facet_base(A, facet)
+    return [(i, facet_level(A.k, facet, a)) for i, a in enumerate(A.columns) if i != base]
 
 
 class CurveMatrix:
@@ -89,8 +128,15 @@ class NumericalSemigroup:
         if gcd(*gens) != 1:
             raise ValueError(f"generators must be coprime overall: {gens}")
         self.gens = gens
+        # A least factorization has at most g - 1 parts other than the
+        # largest generator g: among g such parts some sub-sum is a multiple
+        # of g, and fewer copies of g replace it.  So above (g - 1) * g', with
+        # g' the second largest generator, every least factorization holds a
+        # g, and min_parts(m) = min_parts(m - g) + 1 there, gaps included.
+        g = gens[-1]
+        self._period_start = (g - 1) * (gens[-2] if len(gens) > 1 else 0)
         # least-parts table: _parts[m] is the least number of generators
-        # summing to m, None on gaps; extended on demand
+        # summing to m, None on gaps; extended on demand up to _period_start
         self._parts = [0]
 
     def min_parts(self, m):
@@ -98,10 +144,15 @@ class NumericalSemigroup:
         if m < 0:
             return None
         table = self._parts
+        if m < len(table):
+            return table[m]
+        largest = self.gens[-1]
+        shifts = max(0, -((self._period_start - m) // largest))
+        m -= shifts * largest
         for t in range(len(table), m + 1):
             prev = [table[t - g] for g in self.gens if g <= t and table[t - g] is not None]
             table.append(min(prev) + 1 if prev else None)
-        return table[m]
+        return None if table[m] is None else table[m] + shifts
 
     def __contains__(self, m):
         # every integer above the Frobenius number is a member
@@ -109,29 +160,10 @@ class NumericalSemigroup:
 
     @cached_property
     def frobenius(self):
-        """Largest gap, or -1 when there are no gaps."""
-        # once min(gens) consecutive members appear, everything larger is a member
-        m0 = self.gens[0]
-        run_end = 0
-        bound = m0 * max(self.gens) + m0 + 1
-        self.min_parts(bound)
-        table = self._parts
-        run = 0
-        for m in range(bound + 1):
-            if table[m] is not None:
-                run += 1
-                if run == m0:
-                    run_end = m
-                    break
-            else:
-                run = 0
-        if run != m0:
-            raise AssertionError(f"no full run of {m0} members below {bound} in {self!r}")
-        last_gap = -1
-        for m in range(run_end):
-            if table[m] is None:
-                last_gap = m
-        return last_gap
+        """Largest gap, or -1 when there are no gaps.  It lies below Schur's
+        bound (g_min - 1)(g_max - 1) (Brauer 1942)."""
+        bound = (self.gens[0] - 1) * (self.gens[-1] - 1)
+        return next((m for m in range(bound - 1, -1, -1) if self.min_parts(m) is None), -1)
 
     @property
     def gaps(self):
@@ -144,17 +176,14 @@ class NumericalSemigroup:
 
 @lru_cache(maxsize=None)
 def facet_semigroup(A, facet):
-    """Semigroup of polar levels attached to a facet.
-
-    The facet through the last column carries the semigroup generated by the
-    nonzero exponents; the facet through the first column carries the one
-    generated by their complements k - k_i (together with k itself).
+    """Semigroup attached to a facet, generated by the parts of the other
+    facet: the nonzero exponents for facet-k, and their complements k - k_i
+    (together with k itself) for facet-0.
     """
-    if facet == FACET_K:
-        return NumericalSemigroup(A.exponents[1:])
-    if facet == FACET_0:
-        return NumericalSemigroup(tuple(A.k - e for e in A.exponents[:-1]))
-    raise ValueError(f"unknown facet {facet!r}")
+    if facet not in FACETS:
+        raise ValueError(f"unknown facet {facet!r}")
+    other = FACET_K if facet == FACET_0 else FACET_0
+    return NumericalSemigroup(level for _, level in facet_parts(A, other))
 
 
 def _is_integral(beta):
@@ -190,6 +219,7 @@ def is_rank_jumping(A, beta):
     if not _is_integral(beta):
         return False
     b1, b2 = int(beta[0]), int(beta[1])
+    # the two facet levels of facet_level, inline on this hot path
     if b2 not in facet_semigroup(A, FACET_K):
         return False
     if A.k * b1 - b2 not in facet_semigroup(A, FACET_0):
@@ -245,12 +275,6 @@ def rank(A, beta):
     return A.k + (1 if is_rank_jumping(A, beta) else 0)
 
 
-def _facet_levels(A, beta):
-    # level of beta in each facet's line family: b2 and k*b1 - b2
-    b1, b2 = Fraction(beta[0]), Fraction(beta[1])
-    return ((FACET_0, b2), (FACET_K, A.k * b1 - b2))
-
-
 def is_resonant(A, beta):
     """Facets whose level function is integral at ``beta``.
 
@@ -260,7 +284,8 @@ def is_resonant(A, beta):
     >>> is_resonant(A, (Fraction(1, 3), Fraction(0)))
     ('facet-0', 'facet-k')
     """
-    return tuple(facet for facet, level in _facet_levels(A, beta) if level.denominator == 1)
+    beta = (Fraction(beta[0]), Fraction(beta[1]))
+    return tuple(facet for facet in FACETS if facet_level(A.k, facet, beta).denominator == 1)
 
 
 class ResonantLine:
@@ -280,13 +305,10 @@ class ResonantLine:
         self.k = k
 
     def point(self, lam):
-        if self.facet == FACET_0:
-            return (lam, Fraction(self.level))
-        return (lam, self.k * lam - self.level)
+        return (lam, facet_level(self.k, self.facet, (lam, Fraction(self.level))))
 
     def level_of(self, beta):
-        b1, b2 = Fraction(beta[0]), Fraction(beta[1])
-        return b2 if self.facet == FACET_0 else self.k * b1 - b2
+        return facet_level(self.k, self.facet, (Fraction(beta[0]), Fraction(beta[1])))
 
     def contains(self, beta):
         return self.level_of(beta) == self.level
@@ -335,11 +357,13 @@ def polar_lines_through(A, beta):
     >>> polar_lines_through(CurveMatrix([0, 2, 3]), (Fraction(2, 3), 1))
     [('facet-k', 1)]
     """
-    return [
-        (facet, int(level))
-        for facet, level in _facet_levels(A, beta)
-        if level.denominator == 1 and int(level) in _polar_level_semigroup(A, facet)
-    ]
+    beta = (Fraction(beta[0]), Fraction(beta[1]))
+    out = []
+    for facet in FACETS:
+        level = facet_level(A.k, facet, beta)
+        if level.denominator == 1 and int(level) in _polar_level_semigroup(A, facet):
+            out.append((facet, int(level)))
+    return out
 
 
 def delta_conditions(A, beta):
@@ -353,9 +377,9 @@ def delta_conditions(A, beta):
     """
     if not _is_integral(beta):
         return (False, False)
-    b1, b2 = int(beta[0]), int(beta[1])
-    g1 = A.k * b1 - b2
-    g2 = b2
+    b = (int(beta[0]), int(beta[1]))
+    g1 = facet_level(A.k, FACET_K, b)
+    g2 = facet_level(A.k, FACET_0, b)
     cond1 = cond2 = False
     if g1 >= 0 and g2 >= 0:
 
@@ -379,6 +403,5 @@ def delta_conditions(A, beta):
 def in_convergence_domain(A, beta, margin=0.0):
     """True when both facet pairings are negative enough for the defining
     integral to converge on every ray component."""
-    b1 = complex(beta[0])
-    b2 = complex(beta[1])
-    return b2.real < -margin and (A.k * b1 - b2).real < -margin
+    beta = (complex(beta[0]), complex(beta[1]))
+    return all(facet_level(A.k, facet, beta).real < -margin for facet in FACETS)

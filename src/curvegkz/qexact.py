@@ -34,16 +34,8 @@ class PolyQ:
         self.coeffs = tuple(cs)
 
     @staticmethod
-    def constant(c):
-        return PolyQ([c])
-
-    @staticmethod
     def variable():
         return PolyQ([0, 1])
-
-    @staticmethod
-    def linear(c0, c1):
-        return PolyQ([c0, c1])
 
     @property
     def degree(self):

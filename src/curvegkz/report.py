@@ -10,6 +10,7 @@ from fractions import Fraction
 from .curve import (
     FACET_0,
     FACET_K,
+    FACETS,
     facet_semigroup,
     is_rank_jumping,
     rank_jumping_parameters,
@@ -46,7 +47,7 @@ def to_json(report):
 
 def analyze_report(A, window=8):
     facets = {}
-    for facet in (FACET_0, FACET_K):
+    for facet in FACETS:
         S = facet_semigroup(A, facet)
         facets[facet] = {
             "generators": list(S.gens),
@@ -55,7 +56,7 @@ def analyze_report(A, window=8):
         }
     exceptional = rank_jumping_parameters(A)
     lines = {}
-    for facet in (FACET_0, FACET_K):
+    for facet in FACETS:
         lines[facet] = {
             "polar": [L.level for L in resonant_lines(A, facet, (-window, window)) if L.polar],
             "resonant_only": [

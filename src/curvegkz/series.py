@@ -11,7 +11,8 @@ import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .curve import FACET_0, FACET_K, is_rank_jumping, polar_lines_through, rank
+from .curve import FACETS, facet_base, facet_level, facet_parts, is_rank_jumping
+from .curve import polar_lines_through, rank
 from .errors import BasisCountError, LogObstructionError, SeriesDenominatorError
 from .qexact import PolyQ, fraction_matrix_rank
 from .toric import fake_exponents, toric_ideal_groebner
@@ -66,15 +67,6 @@ def b_matrix(A):
     return out
 
 
-def _facet_parts(A, facet):
-    """(coordinate, value) for the parts available on one facet."""
-    if facet == FACET_0:
-        return [(i, A.exponents[i]) for i in range(1, A.n)]
-    if facet == FACET_K:
-        return [(i, A.k - A.exponents[i]) for i in range(A.n - 1)]
-    raise ValueError(f"unknown facet {facet!r}")
-
-
 class FiniteSeries:
     """Finite solution attached to a polar line of one facet.
 
@@ -90,12 +82,16 @@ class FiniteSeries:
         self.A = A
         self.facet = facet
         self.level = int(level)
-        self.base = 0 if facet == FACET_0 else A.n - 1
+        self.base = facet_base(A, facet)
         self.terms = dict(terms)
         self.removed = removed
 
     def is_zero(self):
         return not self.terms
+
+    def _exponents(self, o, lam):
+        """Exact exponent vector of the term at offset o, at the line point lam."""
+        return tuple(oi + lam if i == self.base else Fraction(oi) for i, oi in enumerate(o))
 
     def stripped(self):
         """Divide out the monic gcd of all coefficients."""
@@ -115,12 +111,8 @@ class FiniteSeries:
         out = []
         for o, c in sorted(self.terms.items()):
             val = c(lam)
-            if val == 0:
-                continue
-            exps = tuple(
-                Fraction(oi) + (lam if i == self.base else 0) for i, oi in enumerate(o)
-            )
-            out.append((val, exps))
+            if val != 0:
+                out.append((val, self._exponents(o, lam)))
         return out
 
     def normalized_monomials(self, lam):
@@ -184,8 +176,8 @@ def polar_line_solution(A, facet, N):
     (0, 1, 0, -1) 3
     """
     N = int(N)
-    parts = _facet_parts(A, facet)
-    base = 0 if facet == FACET_0 else A.n - 1
+    parts = facet_parts(A, facet)
+    base = facet_base(A, facet)
     if N <= 0:
         return FiniteSeries(A, facet, N, {(0,) * A.n: _ONE} if N == 0 else {})
     terms = {}
@@ -227,12 +219,6 @@ class TruncatedSeries:
         for u, c in sorted(self.terms.items()):
             out.append((c, tuple(vi + ui for vi, ui in zip(self.v, u))))
         return out
-
-    def normalized_monomials(self):
-        return _normalized(self.monomials())
-
-    def support(self):
-        return {e for _, e in self.monomials()}
 
     def evaluate(self, x):
         return _evaluate(self.monomials(), x)
@@ -432,13 +418,11 @@ def annihilation_check(A, series, order="d1-first"):
         return AnnihilationReport(not failures, checked, skipped, failures)
     if isinstance(series, FiniteSeries):
         base = series.base
-        k = A.k
         checked = 0
         failures = []
         for o in series.terms:
             # scale rows: both homogeneity degrees must sit on the line
-            weighted = sum(A.exponents[i] * o[i] for i in range(n))
-            if sum(o) != 0 or weighted != (series.level if base == 0 else -series.level):
+            if sum(o) != 0 or facet_level(A.k, series.facet, A.degree(o)) != series.level:
                 raise AssertionError(f"offset {o} leaves the level-{series.level} line")
         for (a, b) in gb.generators:
             residual = {}
@@ -476,12 +460,8 @@ def parametric_derivative(series, lam0, q):
         if mult < q:
             raise LogObstructionError(o, mult, q)
         val = c.derivative(q)(lam0)
-        if val == 0:
-            continue
-        exps = tuple(
-            Fraction(oi) + (lam0 if i == series.base else 0) for i, oi in enumerate(o)
-        )
-        out.append((val, exps))
+        if val != 0:
+            out.append((val, series._exponents(o, lam0)))
     return out
 
 
@@ -512,8 +492,7 @@ def coincidence_at_intersection(A, beta):
     levels = dict(polar_lines_through(A, (b1, b2)))
     if len(levels) != 2:
         raise AssertionError(f"{(b1, b2)} is not a crossing of polar lines: {levels}")
-    s0, _ = polar_line_solution(A, FACET_0, levels[FACET_0]).stripped()
-    sk, _ = polar_line_solution(A, FACET_K, levels[FACET_K]).stripped()
+    s0, sk = (polar_line_solution(A, facet, levels[facet]).stripped()[0] for facet in FACETS)
     return coincidence_of_line_solutions((b1, b2), s0, sk)
 
 
@@ -565,9 +544,6 @@ class BasisElement:
 
     def normalized_monomials(self):
         return list(self._normalized)
-
-    def support(self):
-        return {e for _, e in self._monomials}
 
     def evaluate(self, x):
         return _evaluate(self._monomials, x)

@@ -12,7 +12,7 @@ import heapq
 import itertools
 from fractions import Fraction
 
-from .curve import FACET_0, FACET_K
+from .curve import FACET_0, FACET_K, FACETS, facet_base, facet_level
 from .qexact import Aff2
 
 ORDER_NAMES = ("d1-first", "dn-first", "d1-mirror")
@@ -410,9 +410,9 @@ def _coerce_param(b):
 def fake_exponents(A, beta, order):
     """All starting exponents at ``beta`` for the given order.
 
-    Top pairs always contribute; end pairs contribute only when the matching
-    level equation holds at ``beta``.  Every returned exponent v satisfies
-    A.v = beta exactly.
+    Top pairs always contribute; an end pair, free on the column of one
+    facet, contributes only when ``beta`` has the pair's level on that
+    facet.  Every returned exponent v satisfies A.v = beta exactly.
     """
     b1 = _coerce_param(beta[0])
     b2 = _coerce_param(beta[1])
@@ -425,14 +425,12 @@ def fake_exponents(A, beta, order):
             zeta = (b2 - d2) / k
             xi = b1 - d1 - zeta
             v = (xi,) + tuple(Fraction(c) for c in r[1:-1]) + (zeta,)
-        elif pair.kind(n) == "first-end":
-            if not (b2 == d2):
-                continue
-            v = (b1 - d1,) + tuple(Fraction(c) for c in r[1:])
         else:
-            if not (k * b1 - b2 == k * d1 - d2):
+            facet = FACET_0 if pair.kind(n) == "first-end" else FACET_K
+            if not (facet_level(k, facet, (b1, b2)) == facet_level(k, facet, (d1, d2))):
                 continue
-            v = tuple(Fraction(c) for c in r[:-1]) + (b1 - d1,)
+            base = facet_base(A, facet)
+            v = tuple(b1 - d1 if i == base else Fraction(c) for i, c in enumerate(r))
         deg1 = sum(v[1:], start=v[0])
         deg2 = sum((A.exponents[i] * v[i] for i in range(1, n)), start=0 * v[0])
         if not (deg1 == b1 and deg2 == b2):
@@ -465,51 +463,37 @@ def special_lines(A, orders):
     """
     from .curve import ResonantLine, _polar_level_semigroup
 
-    per_facet = {FACET_0: [], FACET_K: []}
+    per_facet = {facet: [] for facet in FACETS}
+    facet_of_base = {facet_base(A, facet): facet for facet in FACETS}
     for order in orders:
         if isinstance(order, str):
             order = term_order(order, A.n)
-        cheapest = order.cheap[0]
-        if cheapest == 0:
-            facet = FACET_0
-        elif cheapest == A.n - 1:
-            facet = FACET_K
-        else:
+        facet = facet_of_base.get(order.cheap[0])
+        if facet is None:
             raise ValueError(f"order {order.name} is adapted to neither end variable")
         levels = set()
         for pair in standard_pairs(A, order):
-            kind = pair.kind(A.n)
-            if kind == "top":
+            if pair.is_top:
                 continue
-            d1, d2 = A.degree(pair.r)
-            if facet == FACET_0:
-                if kind != "first-end":
-                    raise AssertionError(f"wrong end pair {pair} for {order.name}")
-                levels.add(d2)
-            else:
-                if kind != "last-end":
-                    raise AssertionError(f"wrong end pair {pair} for {order.name}")
-                levels.add(A.k * d1 - d2)
+            # the end pairs must be free exactly on the facet's own column
+            if pair.sigma != {facet_base(A, facet)}:
+                raise AssertionError(f"wrong end pair {pair} for {order.name}")
+            levels.add(facet_level(A.k, facet, A.degree(pair.r)))
         per_facet[facet].append((order, sorted(levels)))
-    lines = []
+    lines = {facet: [] for facet in FACETS}
     chosen = {}
-    for facet in (FACET_0, FACET_K):
+    for facet in FACETS:
         candidates = per_facet[facet]
         if not candidates:
             continue
         best = min(candidates, key=lambda c: len(c[1]))
         chosen[facet] = best[0].name
         polar_levels = _polar_level_semigroup(A, facet)
-        for N in best[1]:
-            lines.append(ResonantLine(facet, N, N in polar_levels, A.k))
-    meets = []
-    for L0 in lines:
-        if L0.facet != FACET_0:
-            continue
-        for Lk in lines:
-            if Lk.facet != FACET_K:
-                continue
-            b2 = Fraction(L0.level)
-            b1 = Fraction(Lk.level + L0.level, A.k)
-            meets.append((b1, b2))
-    return SpecialLines(lines, chosen, sorted(set(meets)))
+        lines[facet] = [ResonantLine(facet, N, N in polar_levels, A.k) for N in best[1]]
+    # b2 = N0 and k*b1 - b2 = Nk cross at b1 = (N0 + Nk)/k
+    meets = {
+        (Fraction(L0.level + Lk.level, A.k), Fraction(L0.level))
+        for L0 in lines[FACET_0]
+        for Lk in lines[FACET_K]
+    }
+    return SpecialLines(lines[FACET_0] + lines[FACET_K], chosen, sorted(meets))

@@ -3,7 +3,9 @@
 The library decides "(b1, b2) in NA", "alpha in Q + Z a_ray" and the rank
 jumps from one least-parts table per facet semigroup.  The searches below
 answer the same questions without that table, so the tests can compare
-two routes instead of one formula with itself.
+two routes instead of one formula with itself.  The table itself stops at
+the start of its period in the library; here it grows to any m, and the
+Frobenius number comes from a search for a run of members.
 
 The exact series path has its plain versions here as well: the kernel
 steps by a search of the whole box, the series coefficients and the
@@ -22,10 +24,33 @@ from functools import lru_cache
 
 from curvegkz import toric
 from curvegkz.analytic import euler_mellin
-from curvegkz.curve import FACET_0, FACET_K, facet_semigroup
+from curvegkz.curve import FACET_0, FACET_K, facet_parts, facet_semigroup
 from curvegkz.errors import PolarLineError, SeriesDenominatorError
 from curvegkz.qexact import PolyQ
-from curvegkz.series import FiniteSeries, _facet_parts
+from curvegkz.series import FiniteSeries
+
+
+def min_parts_table(gens, upto):
+    """Least number of generators summing to each m <= upto (None on gaps),
+    by a table over every m."""
+    table = [0]
+    for t in range(1, upto + 1):
+        prev = [table[t - g] for g in gens if g <= t and table[t - g] is not None]
+        table.append(min(prev) + 1 if prev else None)
+    return table
+
+
+def frobenius_by_run(gens):
+    """Largest gap of the semigroup (-1 without gaps): once min(gens)
+    consecutive members appear, everything larger is a member."""
+    m0 = min(gens)
+    table = min_parts_table(gens, m0 * max(gens) + m0 + 1)
+    run = 0
+    for m, parts in enumerate(table):
+        run = run + 1 if parts is not None else 0
+        if run == m0:
+            return max((t for t in range(m) if table[t] is None), default=-1)
+    raise AssertionError(f"no full run of {m0} members in {gens}")
 
 
 def in_NA_brute(A, b1, b2):
@@ -216,7 +241,7 @@ def ordered_partitions(A, facet, N):
     """All ordered sequences of facet parts summing to N, sorted.  Groups of
     reorderings enter the finite solutions with different denominators, so
     the order of the parts matters to the path sum."""
-    values = sorted(v for _, v in _facet_parts(A, facet))
+    values = sorted(v for _, v in facet_parts(A, facet))
     out = []
 
     def rec(remaining, prefix):
@@ -237,7 +262,7 @@ def polar_line_solution_by_paths(A, facet, N):
     programming over part multisets: one PolyQ per partial multiset, summing
     the per-prefix factors (lam - j)/(N - s) path by path."""
     N = int(N)
-    parts = _facet_parts(A, facet)
+    parts = facet_parts(A, facet)
     lam = PolyQ.variable()
     one = PolyQ([1])
     base = 0 if facet == FACET_0 else A.n - 1

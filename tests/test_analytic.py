@@ -144,6 +144,13 @@ def test_extension_shift_far_from_the_wedge():
     assert stats["quadratures"] == 1
 
 
+def test_extension_shift_overflow_is_a_quadrature_error():
+    # farther out the prefactor products leave the float range; the value
+    # must not come back as nan
+    with pytest.raises(QuadratureError, match="over 3003 levels overflowed"):
+        extension_shift(A01, (3000.5, 0.3), (1.5, 0.9), 0.0)
+
+
 def test_extension_shift_polar_failure_is_honest():
     # beta2 a nonnegative integer sits on a facet-0 polar line; the shift
     # recursion must hit the vanishing denominator and say so

@@ -94,6 +94,18 @@ def test_membership_above_frobenius_needs_no_table():
     assert len(facet_semigroup(A0134, FACET_K)._parts) < 10**4
 
 
+def test_least_parts_table_stops_at_its_period():
+    # above (g - 1) * g' the least number of parts grows by one per largest
+    # generator g, so no table reaches b2 = 2 * 10**6
+    beta = (10**6, 2 * 10**6)
+    assert in_NA(A0134, beta)
+    assert not is_rank_jumping(A0134, beta)
+    assert facet_semigroup(A0134, FACET_K).min_parts(2 * 10**6) == 5 * 10**5
+    for facet in (FACET_0, FACET_K):
+        S = facet_semigroup(A0134, facet)
+        assert len(S._parts) <= (S.gens[-1] - 1) * S.gens[-2] + 1, facet
+
+
 def test_numerical_semigroup_membership_brute():
     gens = (4, 7, 9)
     S = NumericalSemigroup(gens)

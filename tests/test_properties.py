@@ -17,12 +17,14 @@ from oracles import (
     buchberger_sorted,
     delta_conditions_by_reach,
     extension_shift_recursive,
+    frobenius_by_run,
     h1_support_by_search,
     in_NA_bfs,
     in_NA_brute,
     in_ray_module_by_shift,
     kernel_steps_brute,
     lattice_binomials,
+    min_parts_table,
     phi_coefficient_fractions,
     polar_line_solution_by_paths,
     toric_ideal_groebner_sorted,
@@ -36,6 +38,7 @@ from curvegkz.curve import (
     FACET_0,
     FACET_K,
     CurveMatrix,
+    NumericalSemigroup,
     delta_conditions,
     in_NA,
     rank_jumping_parameters,
@@ -73,6 +76,27 @@ def exponent_lists(draw):
 
 
 matrices = exponent_lists().filter(lambda exps: gcd(*exps[1:]) == 1).map(CurveMatrix)
+
+
+generator_sets = st.sets(st.integers(1, 15), min_size=1, max_size=4).filter(lambda s: gcd(*s) == 1)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(generator_sets, st.booleans())
+def test_min_parts_matches_the_unbounded_table(gens, descending):
+    # four periods past the threshold (g - 1) * g' and two more generators;
+    # asked from the top down, the first answer comes from a reduced m
+    g = max(gens)
+    g2 = sorted(gens)[-2] if len(gens) > 1 else 0
+    upto = 4 * (g - 1) * g2 + 2 * g
+    table = min_parts_table(sorted(gens), upto)
+    S = NumericalSemigroup(gens)
+    order = range(upto, -1, -1) if descending else range(upto + 1)
+    assert {m: S.min_parts(m) for m in order} == dict(enumerate(table))
+    assert len(S._parts) <= (g - 1) * g2 + 1
+    fresh = NumericalSemigroup(gens)
+    assert fresh.frobenius == frobenius_by_run(gens)
+    assert fresh.gaps == tuple(m for m in range(fresh.frobenius + 1) if table[m] is None)
 
 
 @PROPERTY

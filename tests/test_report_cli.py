@@ -259,6 +259,15 @@ def test_cli_resource_failure_is_exit_3(error, monkeypatch, capsys):
     assert "numerical failure: synthetic resource failure" in capsys.readouterr().err
 
 
+def test_cli_overflow_is_exit_3(capsys):
+    # an overflowing shift continuation is a numerical failure: no NaN in
+    # stdout, which would not be valid JSON, and no failed check
+    assert cli.main(["verify", "-A", "0,1", "-b", "20000.5,0.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: shift continuation over 20003 levels" in captured.err
+
+
 def test_cli_log_obstruction_is_exit_3(monkeypatch, capsys):
     # LogObstructionError subclasses ValueError; it must still map to the
     # numerical-failure code, not invalid input

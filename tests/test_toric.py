@@ -282,6 +282,12 @@ def test_fake_exponents_end_pair_gating():
     assert len(fes) == 4 and all(fe.is_top for fe in fes)
     fes = fake_exponents(A0134, (Fraction(3, 4), Fraction(2)), "d1-first")
     assert sum(1 for fe in fes if not fe.is_top) == 1
+    # the last-end pair (0, 0, 2, 0) of d1-mirror sits at level k*b1 - b2 = 2,
+    # and its free exponent b1 - 2 goes on the last column
+    fes = fake_exponents(A0134, (Fraction(3, 4), Fraction(1)), "d1-mirror")
+    assert [fe.v for fe in fes if not fe.is_top] == [(0, 0, 2, Fraction(-5, 4))]
+    fes = fake_exponents(A0134, (Fraction(3, 4), Fraction(2)), "d1-mirror")
+    assert all(fe.is_top for fe in fes)
 
 
 def test_fake_exponents_symbolic():
