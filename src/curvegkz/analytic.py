@@ -137,25 +137,62 @@ def _tracked_log_f(A, x, logz):
     return shift * logz.real + np.log(mag) + 1j * phase, None
 
 
-def euler_mellin(A, beta, x, theta, tol=1e-10):
+class _RayNodes:
+    """Double-exponential nodes of one ray arg z = theta, level by level.
+
+    Nothing here depends on the parameters, so every quadrature of one
+    shift continuation reads the same table.  ``level(S, h)`` computes the
+    nodes s = -S, -S + h, ..., S once, on the first request, and returns
+    (logz, logf, why, cosh s) with logz = sinh s + i theta and the tracked
+    log f; logf is None, and why says "zero" or "phase", when tracking
+    failed at that level.
+    """
+
+    __slots__ = ("A", "x", "theta", "levels")
+
+    def __init__(self, A, x, theta):
+        self.A = A
+        self.x = x
+        self.theta = theta
+        self.levels = {}
+
+    def level(self, S, h):
+        hit = self.levels.get((S, h))
+        if hit is None:
+            s = np.arange(-S, S + 0.5 * h, h)
+            logz = np.sinh(s) + 1j * self.theta
+            logf, why = _tracked_log_f(self.A, self.x, logz)
+            if logf is None:
+                hit = (None, None, why, None)
+            else:
+                hit = (logz, logf, None, np.cosh(s))
+            self.levels[(S, h)] = hit
+        return hit
+
+
+def euler_mellin(A, beta, x, theta, tol=1e-10, nodes=None):
     """Ray integral of f^(b1) z^(-b2) dz/z along arg z = theta, by
     double-exponential substitution t = exp(sinh s).
 
     Requires the convergence wedge (negative real pairings on both facets);
     outside it use extension_shift.  The branch of f^(b1) is fixed by the
-    principal logarithm of x_1 at the small end of the ray.
+    principal logarithm of x_1 at the small end of the ray.  ``nodes`` is a
+    _RayNodes table of the same ray, shared between quadratures; without
+    one a fresh table is used.
     """
     if not in_convergence_domain(A, beta, margin=0.0):
         raise QuadratureError(f"parameters {beta} outside the convergence wedge")
+    if nodes is None:
+        nodes = _RayNodes(A, x, theta)
+    elif (nodes.A, nodes.x, nodes.theta) != (A, x, theta):
+        raise ValueError("the node table belongs to another ray")
     b1 = complex(beta[0])
     b2 = complex(beta[1])
     S = 4.0
     h = 0.2
     prev = None
     while True:
-        s = np.arange(-S, S + 0.5 * h, h)
-        logz = np.sinh(s) + 1j * theta
-        logf, why = _tracked_log_f(A, x, logz)
+        logz, logf, why, cosh_s = nodes.level(S, h)
         if logf is None:
             if why == "zero":
                 raise QuadratureError("curve root on or near the integration ray")
@@ -166,7 +203,7 @@ def euler_mellin(A, beta, x, theta, tol=1e-10):
             continue
         expo = b1 * logf - b2 * logz
         expo_re = np.clip(expo.real, -700.0, 700.0)
-        g = np.exp(expo_re + 1j * expo.imag) * np.cosh(s)
+        g = np.exp(expo_re + 1j * expo.imag) * cosh_s
         if np.any(expo.real > 690.0):
             raise QuadratureError("integrand overflow: parameters too deep outside the wedge")
         gmax = float(np.max(np.abs(g)))
@@ -199,7 +236,9 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", margin=0.25, tol=1
     the same value, which makes for a useful consistency check.
 
     Raises PolarLineError when a needed denominator sits on a polar line,
-    and QuadratureError when the continued value overflows.
+    and QuadratureError when the continued value overflows.  An opt-in
+    ``stats`` dict counts the "quadratures" and the "node_levels", the
+    refinement levels of the ray's node table that were computed.
     """
     if order not in ("facet-0-first", "facet-k-first"):
         raise ValueError(f"unknown order {order!r}")
@@ -241,22 +280,28 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", margin=0.25, tol=1
         levels[m][w] = (facet, p1 / den)
         stack.extend((m + 1, w + ki) for ki, _ in reversed(steps[facet]))
     # evaluate from the deepest level up: one quadrature per wedge shift,
-    # and every other shift from the level below it
+    # all on one node table of the ray, and every other shift from the
+    # level below it
+    nodes = _RayNodes(A, x, theta)
     below = {}
-    for m in range(len(levels) - 1, -1, -1):
-        values = {}
-        for w, plan in levels[m].items():
-            if plan is None:
-                values[w] = euler_mellin(A, (b1 - m, b2 - w), x, theta, tol)
-                if stats is not None:
-                    stats["quadratures"] = stats.get("quadratures", 0) + 1
-                continue
-            facet, prefactor = plan
-            total = 0.0 + 0.0j
-            for ki, weight in steps[facet]:
-                total += weight * below[w + ki]
-            values[w] = prefactor * total
-        below = values
+    try:
+        for m in range(len(levels) - 1, -1, -1):
+            values = {}
+            for w, plan in levels[m].items():
+                if plan is None:
+                    values[w] = euler_mellin(A, (b1 - m, b2 - w), x, theta, tol, nodes=nodes)
+                    if stats is not None:
+                        stats["quadratures"] = stats.get("quadratures", 0) + 1
+                    continue
+                facet, prefactor = plan
+                total = 0.0 + 0.0j
+                for ki, weight in steps[facet]:
+                    total += weight * below[w + ki]
+                values[w] = prefactor * total
+            below = values
+    finally:
+        if stats is not None:
+            stats["node_levels"] = stats.get("node_levels", 0) + len(nodes.levels)
     if not cmath.isfinite(below[0]):
         raise QuadratureError(f"shift continuation over {len(levels)} levels overflowed at {beta}")
     return below[0]

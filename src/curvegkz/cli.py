@@ -105,6 +105,8 @@ def main(argv=None):
         if args.command == "analyze":
             payload = to_json(analyze_report(A, window=args.window))
         elif args.command == "solve":
+            if args.bound is not None and args.bound < 0:
+                raise ValueError(f"--bound must be at least 0, got {args.bound}")
             beta = _parse_beta(args.beta)
             payload = to_json(solve_report(A, beta, order=args.order, bound=args.bound))
         elif args.command == "verify":

@@ -174,7 +174,11 @@ class NumericalSemigroup:
         return f"NumericalSemigroup{self.gens}"
 
 
-@lru_cache(maxsize=None)
+# at most this many semigroups are kept; the least recently used goes first
+SEMIGROUP_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=SEMIGROUP_CACHE_SIZE)
 def facet_semigroup(A, facet):
     """Semigroup attached to a facet, generated by the parts of the other
     facet: the nonzero exponents for facet-k, and their complements k - k_i

@@ -270,6 +270,9 @@ class GroebnerBasis:
         return f"GroebnerBasis({self.A!r}, {self.order.name}, {len(self.generators)} gens)"
 
 
+# at most GB_CACHE_SIZE bases, in order of last use: a new basis beyond
+# that drops the least recently used one
+GB_CACHE_SIZE = 64
 _GB_CACHE = {}
 
 
@@ -286,14 +289,17 @@ def toric_ideal_groebner(A, order, degree_bound=None):
     if degree_bound is None:
         degree_bound = max(2 * A.k * A.k, 8)
     key = (A.exponents, order.cheap, degree_bound)
-    hit = _GB_CACHE.get(key)
+    hit = _GB_CACHE.pop(key, None)
     if hit is not None:
+        _GB_CACHE[key] = hit
         return hit
     gens = [(tuple(max(c, 0) for c in u), tuple(max(-c, 0) for c in u)) for u in kernel_lattice_basis(A)]
     for var in range(A.n):
         gens = _saturate_variable(gens, var, A.n, degree_bound)
     basis = _buchberger(gens, order, degree_bound)
     gb = GroebnerBasis(A, order, basis)
+    if len(_GB_CACHE) >= GB_CACHE_SIZE:
+        del _GB_CACHE[next(iter(_GB_CACHE))]
     _GB_CACHE[key] = gb
     return gb
 

@@ -15,17 +15,21 @@ an S-pair list sorted again before every pop.
 The closed forms of the library have their searches here too: the finite
 polar-line solutions by a path sum over ordered part sequences, the two
 Delta conditions by a reach table over sums of Delta columns, and the
-shift continuation by its recursive memoised definition.
+shift continuation by its recursive memoised definition.  The ray
+quadrature is here as it was before the node table: nodes and log f
+recomputed at every refinement level of every call.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from curvegkz import toric
-from curvegkz.analytic import euler_mellin
-from curvegkz.curve import FACET_0, FACET_K, facet_parts, facet_semigroup
-from curvegkz.errors import PolarLineError, SeriesDenominatorError
+from curvegkz.analytic import _tracked_log_f, euler_mellin
+from curvegkz.curve import FACET_0, FACET_K, facet_parts, facet_semigroup, in_convergence_domain
+from curvegkz.errors import PolarLineError, QuadratureError, SeriesDenominatorError
 from curvegkz.qexact import PolyQ
 from curvegkz.series import FiniteSeries
 
@@ -323,6 +327,52 @@ def delta_conditions_by_reach(A, beta):
     cond1 = any(reach[g1][y] and (g2 - y) in Gk for y in range(g2 + 1))
     cond2 = any(reach[x][g2] and (g1 - x) in G0 for x in range(g1 + 1))
     return (cond1, cond2)
+
+
+def euler_mellin_untabled(A, beta, x, theta, tol=1e-10):
+    """analytic.euler_mellin with the nodes, log z, the tracked log f and
+    cosh s built afresh at each (S, h) level instead of read from a table."""
+    if not in_convergence_domain(A, beta, margin=0.0):
+        raise QuadratureError(f"parameters {beta} outside the convergence wedge")
+    b1 = complex(beta[0])
+    b2 = complex(beta[1])
+    S = 4.0
+    h = 0.2
+    prev = None
+    while True:
+        s = np.arange(-S, S + 0.5 * h, h)
+        logz = np.sinh(s) + 1j * theta
+        logf, why = _tracked_log_f(A, x, logz)
+        if logf is None:
+            if why == "zero":
+                raise QuadratureError("curve root on or near the integration ray")
+            h *= 0.5
+            prev = None
+            if h < 1e-4:
+                raise QuadratureError("phase tracking failed to stabilize")
+            continue
+        expo = b1 * logf - b2 * logz
+        expo_re = np.clip(expo.real, -700.0, 700.0)
+        g = np.exp(expo_re + 1j * expo.imag) * np.cosh(s)
+        if np.any(expo.real > 690.0):
+            raise QuadratureError("integrand overflow: parameters too deep outside the wedge")
+        gmax = float(np.max(np.abs(g)))
+        if gmax == 0.0:
+            return 0.0 + 0.0j
+        tail = max(abs(g[0]), abs(g[-1]))
+        if tail > 1e-16 * gmax:
+            if S >= 7.0:
+                raise QuadratureError("integrand tail does not decay")
+            S += 1.5
+            prev = None
+            continue
+        val = complex(h * np.sum(g))
+        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+            return val
+        prev = val
+        h *= 0.5
+        if h < 1e-4:
+            raise QuadratureError("ray quadrature failed to converge")
 
 
 def extension_shift_recursive(A, beta, x, theta, order="facet-0-first", margin=0.25, tol=1e-10):

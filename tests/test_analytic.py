@@ -7,15 +7,15 @@ reduces to a Beta-type quotient of Gamma factors, and Taylor coefficients
 of fractional powers are computable independently).
 """
 
-import cmath
 import math
-from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
+from oracles import euler_mellin_untabled
 
+from curvegkz import analytic
 from curvegkz.analytic import (
+    _RayNodes,
     em_independence_probe,
     euler_mellin,
     extension_shift,
@@ -158,6 +158,69 @@ def test_extension_shift_polar_failure_is_honest():
     theta = roots_and_components(A0134, x).ray_angles[0]
     with pytest.raises(PolarLineError):
         extension_shift(A0134, (0.3, 2.0), x, theta)
+
+
+def test_shared_node_table_is_bit_identical():
+    # the first parameter is done at S = 4, the second needs S = 5.5 and
+    # the third S = 7 on the same table; each value must equal the one a
+    # fresh table and the untabled loop give, bit for bit
+    x = sample_structured_point(A0134, 5)
+    theta = roots_and_components(A0134, x).ray_angles[0]
+    nodes = _RayNodes(A0134, x, theta)
+    betas = [(-3.0, -6.0), (-1.1, -0.6), (-0.3, -0.26), (-8.0, -16.0), (-1.2 + 0.3j, -0.9 - 0.2j)]
+    for i, beta in enumerate(betas):
+        shared = euler_mellin(A0134, beta, x, theta, nodes=nodes)
+        assert shared == euler_mellin(A0134, beta, x, theta), beta
+        assert shared == euler_mellin_untabled(A0134, beta, x, theta), beta
+        if i == 0:
+            assert {S for S, _ in nodes.levels} == {4.0}
+        if i == 1:
+            assert 5.5 in {S for S, _ in nodes.levels}
+    with pytest.raises(ValueError, match="another ray"):
+        euler_mellin(A0134, betas[0], x, theta + 0.1, nodes=nodes)
+
+
+def test_shared_node_table_replays_phase_halvings():
+    # a ray close to a root: at h = 0.2 and 0.1 the tracked phase jumps, and
+    # every quadrature on the table must halve h past those levels again
+    x = sample_structured_point(A0134, 5)
+    theta = roots_and_components(A0134, x).angles[0] - 0.03
+    nodes = _RayNodes(A0134, x, theta)
+    for beta in [(-1.1, -0.6), (-3.0, -6.0), (-0.3, -0.26)]:
+        shared = euler_mellin(A0134, beta, x, theta, nodes=nodes)
+        assert shared == euler_mellin(A0134, beta, x, theta) == euler_mellin_untabled(A0134, beta, x, theta)
+    failed = {key: why for key, (_, logf, why, _) in nodes.levels.items() if logf is None}
+    assert failed == {(4.0, 0.2): "phase", (4.0, 0.1): "phase"}
+
+
+def test_shared_node_table_root_on_the_ray(monkeypatch):
+    # f = c (1 - z) has its root z = 1 on the ray arg z = 0, within 1e-14 of
+    # the node s = 0; the tiny c puts |f| there below the zero floor.  Every
+    # quadrature sharing the table must raise, not only the first
+    calls = []
+    tracked = analytic._tracked_log_f
+    monkeypatch.setattr(analytic, "_tracked_log_f", lambda *a: calls.append(1) or tracked(*a))
+    x = (1e-280, -1e-280)
+    nodes = _RayNodes(A01, x, 0.0)
+    for beta in [(-1.3, -0.7), (-2.6, -0.35), (-1.2 + 0.3j, -0.5 - 0.2j)]:
+        with pytest.raises(QuadratureError, match="curve root on or near the integration ray"):
+            euler_mellin(A01, beta, x, 0.0, nodes=nodes)
+    assert len(calls) == 1
+    with pytest.raises(QuadratureError, match="curve root on or near the integration ray"):
+        extension_shift(A01, (2.5, 0.3), x, 0.0)
+
+
+def test_extension_shift_tracks_each_level_once(monkeypatch):
+    # b1 = 30.3 takes well over a hundred wedge quadratures, all on one ray
+    calls = []
+    tracked = analytic._tracked_log_f
+    monkeypatch.setattr(analytic, "_tracked_log_f", lambda *a: calls.append(1) or tracked(*a))
+    x = sample_structured_point(A023, 3)
+    theta = roots_and_components(A023, x).ray_angles[0]
+    stats = {}
+    extension_shift(A023, (30.3, 7.7), x, theta, stats=stats)
+    assert stats["node_levels"] == len(calls)
+    assert 10 * stats["node_levels"] < stats["quadratures"]
 
 
 def test_loop_calculus_sum_rule():

@@ -18,6 +18,7 @@ from oracles import in_NA_brute
 import curvegkz
 from curvegkz.curve import (
     FACET_0,
+    SEMIGROUP_CACHE_SIZE,
     FACET_K,
     CurveMatrix,
     NumericalSemigroup,
@@ -145,6 +146,18 @@ def test_facet_semigroups():
     assert facet_semigroup(A023, FACET_0).gens == (1, 3)
     assert facet_semigroup(A023, FACET_K).gens == (2, 3)
     assert facet_semigroup(A023, FACET_K).gaps == (1,)
+
+
+def test_facet_semigroup_cache_is_bounded():
+    # one semigroup per matrix 0,2,m (m odd), past the cache size; the
+    # semigroup <2, m> has Frobenius number m - 2
+    for m in range(3, 3 + 2 * (SEMIGROUP_CACHE_SIZE + 8), 2):
+        S = facet_semigroup(CurveMatrix([0, 2, m]), FACET_K)
+        assert (S.gens, S.frobenius) == ((2, m), m - 2)
+        assert facet_semigroup.cache_info().currsize <= SEMIGROUP_CACHE_SIZE
+    assert facet_semigroup.cache_info().currsize == SEMIGROUP_CACHE_SIZE
+    # an evicted semigroup is rebuilt with the same answer
+    assert facet_semigroup(CurveMatrix([0, 2, 3]), FACET_K).frobenius == 1
 
 
 @pytest.mark.parametrize("A", [A0134, A023])

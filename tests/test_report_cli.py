@@ -171,6 +171,17 @@ def test_cli_window_out_of_range_is_exit_2(command, window, capsys):
     assert "--window" in captured.err
 
 
+def test_cli_negative_bound_is_exit_2(capsys):
+    assert cli.main(["solve", "-A", "0,1,3,4", "-b", "1/2,1/3", "--bound", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--bound" in captured.err
+    # bound 0 keeps the leading monomial of each series
+    assert cli.main(["solve", "-A", "0,1,3,4", "-b", "1/2,1/3", "--bound", "0"]) == 0
+    basis = json.loads(capsys.readouterr().out)["basis"]
+    assert [len(element["monomials"]) for element in basis] == [1, 1, 1, 1]
+
+
 def test_cli_numeric_failure_is_exit_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise QuadratureError("synthetic quadrature failure")

@@ -18,9 +18,11 @@ import sympy
 from sympy.polys.orderings import grevlex
 
 import curvegkz
+from curvegkz import toric
 from curvegkz.curve import FACET_0, FACET_K, CurveMatrix
 from curvegkz.qexact import Aff2
 from curvegkz.toric import (
+    GB_CACHE_SIZE,
     ORDER_NAMES,
     StandardPair,
     fake_exponents,
@@ -154,6 +156,25 @@ def test_groebner_frozen_leads():
         (0, 3, 0, 0),
     ]
     assert sorted(toric_ideal_groebner(A023, "d1-first").lead_monomials) == [(0, 3, 0)]
+
+
+def test_groebner_cache_is_bounded(monkeypatch):
+    # every degree bound above 3 gives the same basis of 0,2,3 under its own
+    # cache key; past the cache size the least recently used key goes first
+    monkeypatch.setattr(toric, "_GB_CACHE", {})
+    want = _sympy_toric_generators((0, 2, 3), "d1-first")
+    first = toric_ideal_groebner(A023, "d1-first", degree_bound=8)
+    bounds = range(9, 9 + GB_CACHE_SIZE + 8)
+    for bound in bounds:
+        assert set(toric_ideal_groebner(A023, "d1-first", degree_bound=bound).generators) == want
+        # a hit on bound 8 makes it the most recently used key again
+        assert toric_ideal_groebner(A023, "d1-first", degree_bound=8) is first
+        assert len(toric._GB_CACHE) <= GB_CACHE_SIZE
+    # bound 8 and the last GB_CACHE_SIZE - 1 bounds are kept
+    kept = sorted(key[2] for key in toric._GB_CACHE)
+    assert kept == [8] + list(bounds[-(GB_CACHE_SIZE - 1):])
+    assert set(toric_ideal_groebner(A023, "d1-first", degree_bound=9).generators) == want
+    assert 9 in {key[2] for key in toric._GB_CACHE}
 
 
 def test_groebner_degree_bound_survives_optimized_mode():
