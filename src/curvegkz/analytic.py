@@ -18,6 +18,9 @@ from .errors import PolarLineError, QuadratureError
 from .series import polar_line_solution
 
 _TWO_PI = 2.0 * math.pi
+# a shift continuation lowers the parameters until both facet levels lie
+# this far inside the convergence wedge
+_SHIFT_MARGIN = 0.25
 
 
 def _coeff_array(A, x):
@@ -225,7 +228,7 @@ def euler_mellin(A, beta, x, theta, tol=1e-10, nodes=None):
             raise QuadratureError("ray quadrature failed to converge")
 
 
-def extension_shift(A, beta, x, theta, order="facet-0-first", margin=0.25, tol=1e-10, stats=None):
+def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10, stats=None):
     """Value of the ray integral at arbitrary parameters, by contiguity
     relations that lower the parameters into the convergence wedge.
 
@@ -267,13 +270,13 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", margin=0.25, tol=1
         p2 = b2 - w
         # the facet levels p2 and k*p1 - p2 of facet_level, inline on this
         # hot path: the plan can hold hundreds of thousands of shifts
-        if p2.real <= -margin and (k * p1 - p2).real <= -margin:
+        if p2.real <= -_SHIFT_MARGIN and (k * p1 - p2).real <= -_SHIFT_MARGIN:
             levels[m][w] = None
             continue
         if order == "facet-0-first":
-            facet = FACET_0 if p2.real > -margin else FACET_K
+            facet = FACET_0 if p2.real > -_SHIFT_MARGIN else FACET_K
         else:
-            facet = FACET_K if (k * p1 - p2).real > -margin else FACET_0
+            facet = FACET_K if (k * p1 - p2).real > -_SHIFT_MARGIN else FACET_0
         den = p2 if facet == FACET_0 else k * p1 - p2
         if abs(den) < 1e-12 * (1.0 + abs(p1) * k + abs(p2)):
             raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
@@ -442,7 +445,9 @@ def polar_line_match_check(
     at level 0).
 
     The residue does not depend on which angular component the ray sits in,
-    so any theta gives the same value.
+    so any theta gives the same value.  The line point lam is real (a
+    rational, or a float taken exactly), so the finite solution's exact
+    monomials are evaluated there.
     """
     level = int(level)
     if theta is None:
@@ -458,7 +463,7 @@ def polar_line_match_check(
         acc += val * cmath.exp(1j * phi)
     contour = radius / nodes * acc
     finite = polar_line_solution(A, facet, level)
-    series_val = finite.evaluate(lam_c, x)
+    series_val = finite.evaluate(lam, x)
     if level == 0:
         expected = -series_val
     else:

@@ -63,14 +63,12 @@ def _build_parser():
     sp = sub.add_parser("analyze", help="curve invariants, lines, exceptional parameters")
     common(sp)
     sp.add_argument("--window", type=int, default=8)
-    sp.add_argument("--format", choices=["json"], default="json")
 
     sp = sub.add_parser("solve", help="solution basis at a parameter point")
     common(sp)
     sp.add_argument("-b", "--beta", required=True, help="comma separated rationals, e.g. 1/2,1")
     sp.add_argument("--order", choices=list(ORDER_NAMES), default="d1-first")
     sp.add_argument("--bound", type=int, default=None, help="series truncation bound")
-    sp.add_argument("--format", choices=["json"], default="json")
 
     sp = sub.add_parser("verify", help="run exact and numerical checks at a parameter point")
     common(sp)
@@ -78,11 +76,9 @@ def _build_parser():
     sp.add_argument("--order", choices=list(ORDER_NAMES), default="d1-first")
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=["json"], default="json")
 
     sp = sub.add_parser("cohomology", help="graded local cohomology support and generators")
     common(sp)
-    sp.add_argument("--format", choices=["json"], default="json")
 
     sp = sub.add_parser("figure", help="parameter plane portrait")
     common(sp)

@@ -12,7 +12,6 @@ from .curve import (
     FACET_K,
     FACETS,
     facet_semigroup,
-    is_rank_jumping,
     rank_jumping_parameters,
     resonant_lines,
     _default_jump_box,
@@ -163,10 +162,9 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
     if len(basis.lines) == 2:
         line = {facet: fs for facet, _, fs in basis.lines}
         res = coincidence_of_line_solutions((b1, b2), line[FACET_0], line[FACET_K])
-        if res.point_type == "non-integral" or is_rank_jumping(A, (b1, b2)):
-            expected = "independent"
-        else:
-            expected = "proportional"
+        # the two line solutions are proportional only at an integral
+        # crossing that is not a rank jump
+        expected = "proportional" if res.point_type == "interior" else "independent"
         record(
             "coincidence-structure",
             "pass" if res.verdict == expected else "fail",

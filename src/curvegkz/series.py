@@ -14,20 +14,24 @@ from math import factorial, gcd, lcm
 from .curve import FACETS, facet_base, facet_level, facet_parts, is_rank_jumping
 from .curve import polar_lines_through, rank
 from .errors import BasisCountError, LogObstructionError, SeriesDenominatorError
-from .qexact import PolyQ, fraction_matrix_rank
+from .qexact import PolyQ
 from .toric import fake_exponents, toric_ideal_groebner
 
 _ONE = PolyQ([1])
 
 
-def _normalized(monomials):
-    """(coefficient, exponent) pairs sorted by exponent and divided by the
-    leading coefficient, so proportional solutions compare equal."""
-    mono = sorted(monomials, key=lambda ce: ce[1])
-    if not mono:
-        return []
-    lead = mono[0][0]
-    return [(c / lead, e) for c, e in mono]
+def _proportional(m1, m2):
+    """Whether two exact solutions are multiples of one another.
+
+    Both are nonempty (coefficient, exponent) lists with nonzero
+    coefficients, sorted by exponent, as every ``monomials()`` gives them.
+    They are proportional exactly when the exponents match and every cross
+    product c1 * lead2 equals c2 * lead1.
+    """
+    if len(m1) != len(m2):
+        return False
+    lead1, lead2 = m1[0][0], m2[0][0]
+    return all(e1 == e2 and c1 * lead2 == c2 * lead1 for (c1, e1), (c2, e2) in zip(m1, m2))
 
 
 def _evaluate(monomials, x):
@@ -94,12 +98,15 @@ class FiniteSeries:
         return tuple(oi + lam if i == self.base else Fraction(oi) for i, oi in enumerate(o))
 
     def stripped(self):
-        """Divide out the monic gcd of all coefficients."""
+        """Divide out the monic gcd of all coefficients.
+
+        Each coefficient of a line solution is N (lam-1)...(lam-c+1) / prod m_i!
+        for c parts, so the one of least degree divides all the others and,
+        made monic, is the gcd.
+        """
         if not self.terms:
             return self, _ONE
-        g = PolyQ()
-        for c in self.terms.values():
-            g = g.gcd(c)
+        g = min(self.terms.values(), key=lambda c: c.degree).monic()
         if g.is_constant():
             return self, _ONE
         new = {o: c.divexact(g) for o, c in self.terms.items()}
@@ -115,20 +122,9 @@ class FiniteSeries:
                 out.append((val, self._exponents(o, lam)))
         return out
 
-    def normalized_monomials(self, lam):
-        return _normalized(self.monomials(lam))
-
     def evaluate(self, lam, x):
-        total = 0j
-        lam = complex(lam)
-        for o, c in self.terms.items():
-            term = complex(c(lam))
-            for i, oi in enumerate(o):
-                e = lam + oi if i == self.base else complex(oi)
-                if e != 0:
-                    term *= cmath.exp(e * cmath.log(x[i]))
-            total += term
-        return total
+        """Complex value at the exact line point lam and the point x."""
+        return _evaluate(self.monomials(lam), x)
 
     def __repr__(self):
         return (
@@ -303,9 +299,12 @@ def default_step_bound(A):
 
 def series_for_exponent(A, fe, bound=None):
     """Canonical series for one starting exponent; raises on vanishing
-    denominators (the discard criterion for basis assembly)."""
+    denominators (the discard criterion for basis assembly).  A negative
+    bound is invalid input and raises ValueError."""
     if bound is None:
         bound = default_step_bound(A)
+    elif bound < 0:
+        raise ValueError(f"series bound must be at least 0, got {bound}")
     n = A.n
     v = tuple(Fraction(c) for c in fe.v)
     sigma = fe.pair.sigma
@@ -484,9 +483,6 @@ class CoincidenceResult:
 def coincidence_at_intersection(A, beta):
     """Evaluate both finite solutions at a crossing of two polar lines and
     decide whether they are proportional or independent.
-
-    The verdict is decided by an exact rank computation on the stacked
-    coefficient vectors.
     """
     b1, b2 = Fraction(beta[0]), Fraction(beta[1])
     levels = dict(polar_lines_through(A, (b1, b2)))
@@ -506,15 +502,7 @@ def coincidence_of_line_solutions(beta, s0, sk):
     mk = sk.monomials(b1)
     if not (m0 and mk):
         raise AssertionError("stripped finite solutions cannot vanish at the crossing")
-    monomials = sorted({e for _, e in m0} | {e for _, e in mk})
-    index = {e: i for i, e in enumerate(monomials)}
-    rows = [[Fraction(0)] * len(monomials) for _ in range(2)]
-    for c, e in m0:
-        rows[0][index[e]] = c
-    for c, e in mk:
-        rows[1][index[e]] = c
-    r = fraction_matrix_rank(rows)
-    verdict = "proportional" if r == 1 else "independent"
+    verdict = "proportional" if _proportional(m0, mk) else "independent"
     if b1.denominator != 1:
         point_type = "non-integral"
     elif is_rank_jumping(A, (b1, b2)):
@@ -535,15 +523,11 @@ class BasisElement:
     def __init__(self, kind, monomials, tags, source):
         self.kind = kind
         self._monomials = list(monomials)
-        self._normalized = _normalized(self._monomials)
         self.tags = list(tags)
         self.source = source
 
     def monomials(self):
         return list(self._monomials)
-
-    def normalized_monomials(self):
-        return list(self._normalized)
 
     def evaluate(self, x):
         return _evaluate(self._monomials, x)
@@ -587,11 +571,12 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
     Top starting exponents contribute truncated series; exponents whose
     series hit a vanishing denominator are discarded.  Each polar line
     through the point contributes its stripped finite solution evaluated
-    there.  Elements with identical normalized monomials are merged.  Each
-    series and each line solution is built once, here.
+    there.  Proportional elements are merged.  Each series and each line
+    solution is built once, here.
 
     Raises BasisCountError, carrying the basis as assembled, when the final
-    count differs from the rank at the point or two elements coincide.
+    count differs from the rank at the point or two elements are
+    proportional.
     """
     b1, b2 = Fraction(beta[0]), Fraction(beta[1])
     entries = []
@@ -616,7 +601,7 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
         element = BasisElement("finite", mono, [tag], fs)
         merged = False
         for existing in entries:
-            if existing._normalized == element._normalized:
+            if _proportional(existing._monomials, mono):
                 existing.tags.append(tag)
                 if existing.kind == "finite":
                     existing.tags.append("coincident")
@@ -631,6 +616,6 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
             f"assembled {len(entries)} solutions but the rank at {(b1, b2)} is {expected}", basis
         )
     for i, j in itertools.combinations(range(len(entries)), 2):
-        if entries[i]._normalized == entries[j]._normalized:
+        if _proportional(entries[i]._monomials, entries[j]._monomials):
             raise BasisCountError(f"solutions {i} and {j} at {(b1, b2)} coincide", basis)
     return basis

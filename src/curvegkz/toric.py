@@ -12,7 +12,8 @@ import heapq
 import itertools
 from fractions import Fraction
 
-from .curve import FACET_0, FACET_K, FACETS, facet_base, facet_level
+from .curve import FACET_0, FACET_K, FACETS, ResonantLine, facet_base, facet_level
+from .curve import _polar_level_semigroup
 from .qexact import Aff2
 
 ORDER_NAMES = ("d1-first", "dn-first", "d1-mirror")
@@ -467,8 +468,6 @@ def special_lines(A, orders):
     and the union of the two winning line sets is returned together with all
     pairwise intersection points across facets.
     """
-    from .curve import ResonantLine, _polar_level_semigroup
-
     per_facet = {facet: [] for facet in FACETS}
     facet_of_base = {facet_base(A, facet): facet for facet in FACETS}
     for order in orders:

@@ -13,9 +13,12 @@ operator residuals by one Fraction per factor, and the Groebner basis with
 an S-pair list sorted again before every pop.
 
 The closed forms of the library have their searches here too: the finite
-polar-line solutions by a path sum over ordered part sequences, the two
-Delta conditions by a reach table over sums of Delta columns, and the
-shift continuation by its recursive memoised definition.  The ray
+polar-line solutions by a path sum over ordered part sequences, their
+stripped factor by a Euclidean gcd of all coefficients, the two Delta
+conditions by a reach table over sums of Delta columns, and the shift
+continuation by its recursive memoised definition.  Whether two exact
+solutions are proportional is decided by the rank of their zero-filled
+coefficient rows.  The ray
 quadrature is here as it was before the node table: nodes and log f
 recomputed at every refinement level of every call.
 """
@@ -30,7 +33,7 @@ from curvegkz import toric
 from curvegkz.analytic import _tracked_log_f, euler_mellin
 from curvegkz.curve import FACET_0, FACET_K, facet_parts, facet_semigroup, in_convergence_domain
 from curvegkz.errors import PolarLineError, QuadratureError, SeriesDenominatorError
-from curvegkz.qexact import PolyQ
+from curvegkz.qexact import PolyQ, fraction_matrix_rank
 from curvegkz.series import FiniteSeries
 
 
@@ -298,6 +301,31 @@ def polar_line_solution_by_paths(A, facet, N):
             count += 1
     terms = {o: c for o, c in terms.items() if not c.is_zero()}
     return FiniteSeries(A, facet, N, terms)
+
+
+def stripped_by_gcd(series):
+    """FiniteSeries.stripped by the Euclidean gcd of all coefficients."""
+    if not series.terms:
+        return series, PolyQ([1])
+    g = PolyQ()
+    for c in series.terms.values():
+        g = g.gcd(c)
+    if g.is_constant():
+        return series, PolyQ([1])
+    new = {o: c.divexact(g) for o, c in series.terms.items()}
+    return FiniteSeries(series.A, series.facet, series.level, new, series.removed * g), g
+
+
+def proportional_by_rank(m1, m2):
+    """Whether two (coefficient, exponent) lists are proportional, by the
+    exact rank of their coefficient rows over the union of the exponents."""
+    exponents = sorted({e for _, e in m1} | {e for _, e in m2})
+    index = {e: i for i, e in enumerate(exponents)}
+    rows = [[Fraction(0)] * len(exponents) for _ in range(2)]
+    for row, mono in zip(rows, (m1, m2)):
+        for c, e in mono:
+            row[index[e]] = c
+    return fraction_matrix_rank(rows) == 1
 
 
 def delta_conditions_by_reach(A, beta):

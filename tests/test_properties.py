@@ -1,9 +1,11 @@
 """Property tests: on random admissible matrices (n <= 5, k <= 7) the
 semigroup-table answers of the library agree with the search oracles of
 ``oracles.py``, and the fast exact series path agrees with its plain
-versions there.  The closed forms of the finite polar-line solutions and
-of the Delta conditions agree with their path sum and reach table, and
-the planned shift continuation with its recursive definition.  Examples
+versions there.  The closed forms of the finite polar-line solutions, of
+their stripped factor and of the Delta conditions agree with their path
+sum, Euclidean gcd and reach table, the proportionality test with an
+exact rank, and the planned shift continuation with its recursive
+definition.  Examples
 are derandomized so every run checks the same matrices.
 """
 
@@ -27,6 +29,8 @@ from oracles import (
     min_parts_table,
     phi_coefficient_fractions,
     polar_line_solution_by_paths,
+    proportional_by_rank,
+    stripped_by_gcd,
     toric_ideal_groebner_sorted,
     truncated_annihilation_fractions,
 )
@@ -49,6 +53,7 @@ from curvegkz.series import (
     TruncatedSeries,
     _kernel_steps,
     _phi_coefficient,
+    _proportional,
     annihilation_check,
     default_step_bound,
     polar_line_solution,
@@ -244,6 +249,55 @@ def test_polar_line_solution_matches_path_sum(A):
             assert sol.terms == polar_line_solution_by_paths(A, facet, N).terms, (A, facet, N)
             if not sol.is_zero():
                 assert annihilation_check(A, sol).ok, (A, facet, N)
+
+
+@PROPERTY
+@given(matrices, st.data())
+def test_stripped_matches_euclidean_gcd(A, data):
+    for facet in (FACET_0, FACET_K):
+        N = data.draw(st.integers(-1, 3 * A.k), label=facet)
+        sol = polar_line_solution(A, facet, N)
+        got, got_g = sol.stripped()
+        want, want_g = stripped_by_gcd(sol)
+        assert (got.terms, got.removed, got_g) == (want.terms, want.removed, want_g), (A, facet, N)
+
+
+exact_coefficients = st.fractions(-20, 20, max_denominator=12).filter(bool)
+exact_exponents = st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * 3)
+
+
+@st.composite
+def monomial_lists(draw):
+    """Exact (coefficient, exponent) lists as ``monomials()`` gives them:
+    nonempty, nonzero coefficients, sorted by distinct exponents."""
+    exps = draw(st.lists(exact_exponents, min_size=1, max_size=6, unique=True))
+    return [(draw(exact_coefficients), e) for e in sorted(exps)]
+
+
+def _resorted(mono):
+    return sorted(mono, key=lambda ce: ce[1])
+
+
+@settings(PROPERTY, max_examples=100)
+@given(monomial_lists(), exact_coefficients, st.data())
+def test_proportional_matches_rank(m1, scale, data):
+    exps = {e for _, e in m1}
+    i = data.draw(st.integers(0, len(m1) - 1), label="i")
+    scaled = [(scale * c, e) for c, e in m1]
+    c_i, e_i = scaled[i]
+    other_c = data.draw(exact_coefficients.filter(lambda c: c != c_i), label="other_c")
+    other_e = data.draw(exact_exponents.filter(lambda e: e not in exps), label="other_e")
+    changed = scaled[:i] + [(other_c, e_i)] + scaled[i + 1 :]
+    added = _resorted(scaled + [(other_c, other_e)])
+    moved = _resorted(scaled[:i] + [(c_i, other_e)] + scaled[i + 1 :])
+    variants = [scaled, changed, added, moved, data.draw(monomial_lists(), label="m2")]
+    if len(scaled) > 1:
+        variants.append(scaled[:i] + scaled[i + 1 :])
+    for m2 in variants:
+        assert _proportional(m1, m2) == proportional_by_rank(m1, m2), (m1, m2)
+        assert _proportional(m2, m1) == proportional_by_rank(m2, m1), (m1, m2)
+    assert _proportional(m1, scaled)
+    assert not _proportional(m1, added) and not _proportional(m1, moved)
 
 
 @PROPERTY

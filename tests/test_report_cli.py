@@ -182,6 +182,19 @@ def test_cli_negative_bound_is_exit_2(capsys):
     assert [len(element["monomials"]) for element in basis] == [1, 1, 1, 1]
 
 
+def test_solve_report_rejects_negative_bound():
+    # a library call gets the invalid-input error the CLI maps to exit 2
+    with pytest.raises(ValueError, match="bound must be at least 0, got -5"):
+        solve_report(A0134, (Fraction(1, 2), Fraction(1, 3)), bound=-5)
+
+
+def test_format_is_a_figure_option_only(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["analyze", "-A", "0,1,3,4", "--format", "json"])
+    assert info.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_cli_numeric_failure_is_exit_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise QuadratureError("synthetic quadrature failure")
