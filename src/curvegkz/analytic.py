@@ -6,12 +6,14 @@ All quadratures work on the dehomogenized curve polynomial
 f(z) = sum_i x_i z^(k_i) and evaluate powers through a continuously tracked
 logarithm, so non-integral parameters are supported wherever the contour
 allows a consistent branch.
+
+numpy is imported inside the functions that use it, not by the module:
+the exact commands of the CLI import this module through the package but
+never call it, and a cold process should not pay for numpy.
 """
 
 import cmath
 import math
-
-import numpy as np
 
 from .curve import FACET_0, FACET_K, FACETS, facet_level, facet_parts, in_convergence_domain
 from .errors import PolarLineError, QuadratureError
@@ -25,6 +27,7 @@ _SHIFT_MARGIN = 0.25
 
 def _coeff_array(A, x):
     """Coefficients of f in descending powers, ready for numpy.roots."""
+    import numpy as np
     c = np.zeros(A.k + 1, dtype=complex)
     for i, ki in enumerate(A.exponents):
         c[A.k - ki] += complex(x[i])
@@ -53,6 +56,7 @@ class RootData:
 
 
 def roots_and_components(A, x):
+    import numpy as np
     if x[0] == 0 or x[-1] == 0:
         raise QuadratureError("boundary coefficients x_1, x_n must not vanish")
     c = _coeff_array(A, x)
@@ -95,6 +99,7 @@ def sample_structured_point(A, seed):
     """Random coefficient point with dominant boundary coordinates and small
     middle coordinates, rejecting near-discriminant draws.  Points of this
     shape keep the k roots in distinct angular components."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     for _ in range(64):
         x = []
@@ -123,6 +128,7 @@ def _tracked_log_f(A, x, logz):
     along the path; returns None when adjacent nodes jump too much in phase
     for the tracking to be trusted.
     """
+    import numpy as np
     logz = np.asarray(logz)
     big = logz.real > 0.0
     shift = np.where(big, A.k, 0)
@@ -162,6 +168,7 @@ class _RayNodes:
     def level(self, S, h):
         hit = self.levels.get((S, h))
         if hit is None:
+            import numpy as np
             s = np.arange(-S, S + 0.5 * h, h)
             logz = np.sinh(s) + 1j * self.theta
             logf, why = _tracked_log_f(self.A, self.x, logz)
@@ -183,6 +190,7 @@ def euler_mellin(A, beta, x, theta, tol=1e-10, nodes=None):
     _RayNodes table of the same ray, shared between quadratures; without
     one a fresh table is used.
     """
+    import numpy as np
     if not in_convergence_domain(A, beta, margin=0.0):
         raise QuadratureError(f"parameters {beta} outside the convergence wedge")
     if nodes is None:
@@ -318,6 +326,7 @@ def _loop_integral(A, beta, x, center, radius, orientation=1, tol=1e-10):
     that convention; callers needing single-valuedness restrict the
     parameters accordingly.
     """
+    import numpy as np
     b1 = complex(beta[0])
     b2 = complex(beta[1])
     m = 64
@@ -495,6 +504,7 @@ def em_independence_probe(A, beta, x, order="facet-0-first", tol=1e-9):
     value) signals a relation, which is exactly what happens on polar
     lines.  This is a report, not a certificate.
     """
+    import numpy as np
     k = A.k
     cols = []
     for j in range(k):

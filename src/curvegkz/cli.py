@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
 3 numerical or internal failure.  The default tolerance for numerical
-checks can be set through the CURVEGKZ_TOL environment variable.
+checks can be set through the CURVEGKZ_TOL environment variable; it and
+--tol must be finite and at least 0.
 """
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -38,15 +40,32 @@ def _parse_matrix(text):
 def _parse_beta(text):
     parts = [t for t in text.replace(" ", "").split(",") if t != ""]
     if len(parts) != 2:
-        raise ValueError(f"beta must have two components, got {text!r}")
-    return (Fraction(parts[0]), Fraction(parts[1]))
+        raise ValueError(f"-b/--beta must have two components, got {text!r}")
+    try:
+        return (Fraction(parts[0]), Fraction(parts[1]))
+    except (ValueError, ZeroDivisionError):
+        # a zero denominator is bad input, not an arithmetic failure
+        raise ValueError(
+            f"-b/--beta must be two rationals with nonzero denominators, got {text!r}"
+        ) from None
 
 
-def _default_tol():
-    raw = os.environ.get("CURVEGKZ_TOL")
-    if raw is None:
-        return 1e-8
-    return float(raw)
+def _tolerance(tol):
+    """The --tol value, else CURVEGKZ_TOL, else 1e-8; it must be a finite
+    number >= 0, where 0 demands exact agreement of the numerical values."""
+    source = "--tol"
+    if tol is None:
+        raw = os.environ.get("CURVEGKZ_TOL")
+        if raw is None:
+            return 1e-8
+        source = "CURVEGKZ_TOL"
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise ValueError(f"CURVEGKZ_TOL must be a number, got {raw!r}") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{source} must be finite and at least 0, got {tol}")
+    return tol
 
 
 def _build_parser():
@@ -107,7 +126,7 @@ def main(argv=None):
             payload = to_json(solve_report(A, beta, order=args.order, bound=args.bound))
         elif args.command == "verify":
             beta = _parse_beta(args.beta)
-            tol = args.tol if args.tol is not None else _default_tol()
+            tol = _tolerance(args.tol)
             report = verify_report(A, beta, tol=tol, seed=args.seed, order=args.order)
             payload = to_json(report)
         elif args.command == "cohomology":

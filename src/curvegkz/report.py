@@ -7,6 +7,14 @@ All numbers are encoded reproducibly: exact rationals as strings like
 import json
 from fractions import Fraction
 
+from .analytic import (
+    extension_shift,
+    residue_at_infinity,
+    residue_at_zero,
+    residue_integral,
+    roots_and_components,
+    sample_structured_point,
+)
 from .curve import (
     FACET_0,
     FACET_K,
@@ -117,15 +125,6 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
     failed basis-count check, and the other checks run on the basis it
     carries.
     """
-    from .analytic import (
-        extension_shift,
-        residue_at_infinity,
-        residue_at_zero,
-        residue_integral,
-        roots_and_components,
-        sample_structured_point,
-    )
-
     b1, b2 = Fraction(beta[0]), Fraction(beta[1])
     checks = []
 

@@ -159,6 +159,33 @@ def test_cli_invalid_beta_is_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_cli_zero_denominator_beta_is_exit_2(command, capsys):
+    # a zero denominator is bad input, not a numerical failure (exit 3)
+    assert cli.main([command, "-A", "0,1,3,4", "-b", "1/2,1/0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "-b/--beta" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_cli_bad_tol_is_exit_2(tol, capsys):
+    # a tolerance no check can be held to is bad input, not a failed check
+    assert cli.main(["verify", "-A", "0,1,3,4", "-b", "1/2,1/3", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must be finite and at least 0" in captured.err
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "nan"])
+def test_cli_bad_env_tolerance_is_exit_2(raw, monkeypatch, capsys):
+    monkeypatch.setenv("CURVEGKZ_TOL", raw)
+    assert cli.main(["verify", "-A", "0,1,3,4", "-b", "1/2,1/3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CURVEGKZ_TOL must be" in captured.err
+
+
 @pytest.mark.parametrize(
     "command,window",
     [("analyze", -1), ("analyze", 10001), ("analyze", 100000000),
