@@ -16,6 +16,7 @@ import cmath
 import math
 
 from .curve import FACET_0, FACET_K, FACETS, facet_level, facet_parts, in_convergence_domain
+from .curve import _polar_level_semigroup
 from .errors import PolarLineError, QuadratureError
 from .series import polar_line_solution
 
@@ -443,8 +444,6 @@ def polar_line_match_check(
     lam,
     x,
     theta=None,
-    radius=0.25,
-    nodes=16,
     order="facet-0-first",
     tol=1e-10,
 ):
@@ -457,10 +456,22 @@ def polar_line_match_check(
     so any theta gives the same value.  The line point lam is real (a
     rational, or a float taken exactly), so the finite solution's exact
     monomials are evaluated there.
+
+    The contour is a circle of 24 nodes around the level.  Its radius is a
+    quarter of min(1, d), where d is the distance from the other facet's
+    level at the point to that facet's nearest polar level: the trapezoid
+    error falls like (radius / d)^24.  On a crossing with a polar line of
+    the other facet d is 0, the pole is not simple and the check fails.
     """
     level = int(level)
     if theta is None:
         theta = roots_and_components(A, x).ray_angles[0]
+    other = FACET_K if facet == FACET_0 else FACET_0
+    t = facet_level(A.k, other, (lam, facet_level(A.k, facet, (lam, level))))
+    polar = _polar_level_semigroup(A, other)
+    d = min((abs(t - m) for m in (math.floor(t), math.ceil(t)) if m in polar), default=1)
+    radius = float(min(1, d)) / 4
+    nodes = 24
     lam_c = complex(lam)
     acc = 0.0 + 0.0j
     for j in range(nodes):

@@ -125,6 +125,8 @@ def main(argv=None):
             beta = _parse_beta(args.beta)
             payload = to_json(solve_report(A, beta, order=args.order, bound=args.bound))
         elif args.command == "verify":
+            if args.seed < 0:
+                raise ValueError(f"--seed must be at least 0, got {args.seed}")
             beta = _parse_beta(args.beta)
             tol = _tolerance(args.tol)
             report = verify_report(A, beta, tol=tol, seed=args.seed, order=args.order)

@@ -3,12 +3,12 @@ starting exponents, and the special lines cut out by the lower-dimensional
 pairs.
 
 Monomials are exponent tuples.  A binomial is an ordered pair (lead, trail)
-of distinct monomials, understood as lead - trail; every intermediate object
-in the Buchberger loop stays of this shape, so no general polynomial
-arithmetic is needed.
+of distinct monomials, understood as lead - trail.  The reduced Groebner
+basis is read off the fibers of the grading, degree by degree, and an
+S-pair test on binomials tells when it is complete, so no general
+polynomial arithmetic is needed.
 """
 
-import heapq
 import itertools
 from fractions import Fraction
 
@@ -71,51 +71,6 @@ def term_order(name, n):
     return TermOrder(n, cheap, name)
 
 
-def kernel_lattice_basis(A):
-    """A lattice basis of the integer kernel of the matrix.
-
-    Built from the obvious basis e_i - e_n of the kernel of the top row by a
-    unimodular column reduction of the remaining weight row, so the result
-    generates the full kernel lattice, not just a finite-index sublattice.
-    """
-    n = A.n
-    if n == 2:
-        return []
-    weights = [A.exponents[i] - A.k for i in range(n - 1)]  # second row on e_i - e_n
-    m = n - 1
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]  # columns track ops
-    row = list(weights)
-
-    def col_op(dst, src, q):
-        # column dst -= q * column src
-        row[dst] -= q * row[src]
-        for r in range(m):
-            U[r][dst] -= q * U[r][src]
-
-    pivot = 0
-    while True:
-        nz = [j for j in range(m) if row[j] != 0]
-        if len(nz) <= 1:
-            pivot = nz[0] if nz else 0
-            break
-        nz.sort(key=lambda j: abs(row[j]))
-        a, b = nz[0], nz[1]
-        col_op(b, a, row[b] // row[a])
-    basis = []
-    for j in range(m):
-        if j == pivot and row[pivot] != 0:
-            continue
-        u = [0] * n
-        for i in range(m):
-            c = U[i][j]
-            u[i] += c
-            u[n - 1] -= c
-        if A.degree(u) != (0, 0):
-            raise AssertionError(f"{u} is not in the kernel lattice")
-        basis.append(tuple(u))
-    return basis
-
-
 def _binomial(a, b, order):
     """Orient a monomial difference; None when it cancels."""
     if a == b:
@@ -127,112 +82,11 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _reduce_binomial(binom, gens, order):
-    """Total reduction of a binomial by a list of binomials."""
-    lead, trail = binom
-    changed = True
-    while changed:
-        changed = False
-        for (gl, gt) in gens:
-            if _divides(gl, lead):
-                lead = tuple(l - a + b for l, a, b in zip(lead, gl, gt))
-                ori = _binomial(lead, trail, order)
-                if ori is None:
-                    return None
-                lead, trail = ori
-                changed = True
-                break
-    # the lead is now in normal form; push the trail down as well
-    changed = True
-    while changed:
-        changed = False
-        for (gl, gt) in gens:
-            if _divides(gl, trail):
-                trail = tuple(t - a + b for t, a, b in zip(trail, gl, gt))
-                if trail == lead:
-                    return None
-                changed = True
-                break
-    if not order.greater(lead, trail):
-        raise AssertionError(f"reduced binomial {lead} - {trail} is not oriented")
-    return (lead, trail)
-
-
 def _spair(f, g, order):
     L = tuple(max(a, b) for a, b in zip(f[0], g[0]))
     a = tuple(l - x + y for l, x, y in zip(L, f[0], f[1]))
     b = tuple(l - x + y for l, x, y in zip(L, g[0], g[1]))
     return _binomial(a, b, order)
-
-
-def _buchberger(gens, order, degree_bound):
-    G = []
-    for g in gens:
-        ori = _binomial(g[0], g[1], order) if g else None
-        if ori:
-            G.append(ori)
-    # normal selection strategy: the pair of least lcm degree goes first, the
-    # latest added among equal degrees
-    pairs = []
-    added = itertools.count()
-
-    def push(i, j):
-        degree = sum(max(a, b) for a, b in zip(G[i][0], G[j][0]))
-        heapq.heappush(pairs, (degree, -next(added), i, j))
-
-    for i in range(len(G)):
-        for j in range(i):
-            push(i, j)
-    while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        f, g = G[i], G[j]
-        if all(min(a, b) == 0 for a, b in zip(f[0], g[0])):
-            continue  # coprime leads reduce to zero
-        s = _spair(f, g, order)
-        if s is None:
-            continue
-        h = _reduce_binomial(s, G, order)
-        if h is None:
-            continue
-        if sum(h[0]) > degree_bound:
-            raise AssertionError(f"Groebner degree {sum(h[0])} exceeded the bound {degree_bound}")
-        G.append(h)
-        for t in range(len(G) - 1):
-            push(len(G) - 1, t)
-    return _interreduce(G, order)
-
-
-def _interreduce(G, order):
-    # keep one generator per minimal lead, then tail-reduce against the rest
-    uniq = sorted(set(G), key=lambda b: order.key(b[0]))
-    minimal = []
-    for i, g in enumerate(uniq):
-        dominated = any(
-            j != i and _divides(h[0], g[0]) and (h[0] != g[0] or j < i)
-            for j, h in enumerate(uniq)
-        )
-        if not dominated:
-            minimal.append(g)
-    out = []
-    for g in minimal:
-        others = [h for h in minimal if h is not g]
-        red = _reduce_binomial(g, others, order) if others else g
-        if red is not None:
-            out.append(red)
-    return sorted(set(out), key=lambda b: order.key(b[0]))
-
-
-def _saturate_variable(gens, var, n, degree_bound):
-    order = TermOrder(n, (var,) + tuple(i for i in range(n) if i != var))
-    G = _buchberger(gens, order, degree_bound)
-    out = []
-    for (a, b) in G:
-        m = min(a[var], b[var])
-        if m:
-            a = a[:var] + (a[var] - m,) + a[var + 1 :]
-            b = b[:var] + (b[var] - m,) + b[var + 1 :]
-        out.append((a, b))
-    return out
 
 
 class GroebnerBasis:
@@ -277,28 +131,82 @@ GB_CACHE_SIZE = 64
 _GB_CACHE = {}
 
 
-def toric_ideal_groebner(A, order, degree_bound=None):
-    """Reduced Groebner basis of the toric ideal of the curve.
+def _degree_cap(A):
+    """No lead of the reduced basis has a larger degree; see
+    toric_ideal_groebner for the proof."""
+    return max(A.k - A.n + 3, (A.n - 2) * A.k)
 
-    Starts from a kernel lattice basis and saturates one variable at a time
-    (each time with that variable cheapest, then dividing it out), which for
-    lattice ideals yields the full saturation; a final run under the target
-    order gives the reduced basis.
+
+def toric_ideal_groebner(A, order):
+    """Reduced Groebner basis of the toric ideal of the curve, read off the
+    fibers of the grading one degree at a time.
+
+    The first row of A is all ones and every term order here is graded, so
+    the monomials of degree d split into fibers by their weight
+    sum(k_i u_i), and I_A is spanned in degree d by the differences inside
+    each fiber.  The least monomial of a fiber is standard, and every other
+    member lies in the initial ideal (Sturmfels, Groebner Bases and Convex
+    Polytopes, 1996, ch. 4-5).  Standard monomials form an order ideal, so
+    the candidates of degree d are x_i times the standard monomials of
+    degree d - 1, minus those that a lead found so far divides.  In each
+    fiber the least candidate is the new standard monomial, and every other
+    one is a minimal generator x^u of the initial ideal, whose basis element
+    is x^u minus that least monomial.  The basis comes out reduced.
+
+    Stop: the curve is nondegenerate of degree k in P^(n-1), so I_A is
+    generated in degrees up to reg(I_A) <= k - n + 3 (Gruson, Lazarsfeld
+    and Peskine, Invent. Math. 72, 1983).  The elements found span I_A in
+    every degree seen, so from that degree on they generate I_A.  They are
+    a Groebner basis as soon as the S-pair of every two of them with
+    non-coprime leads has the same normal form on both sides (Buchberger's
+    criterion).
+
+    Cap: every element of the reduced basis lies in the Graver basis, and
+    every Graver element is a conformal combination of at most n - 2
+    circuits with coefficients in [0, 1] (Sturmfels 1996, ch. 4).  A
+    circuit of A lives on three columns i < j < l, where it is
+    (k_l - k_j, k_i - k_l, k_j - k_i) / g with g the gcd of its entries;
+    its positive part has degree (k_l - k_i) / g <= k.  So no lead has
+    degree above (n - 2) k, and passing _degree_cap raises, also under
+    python -O.
+
+    >>> from curvegkz.curve import CurveMatrix
+    >>> toric_ideal_groebner(CurveMatrix([0, 2, 3]), "d1-first").generators
+    (((0, 3, 0), (1, 0, 2)),)
     """
     if isinstance(order, str):
         order = term_order(order, A.n)
-    if degree_bound is None:
-        degree_bound = max(2 * A.k * A.k, 8)
-    key = (A.exponents, order.cheap, degree_bound)
+    key = (A.exponents, order.cheap)
     hit = _GB_CACHE.pop(key, None)
     if hit is not None:
         _GB_CACHE[key] = hit
         return hit
-    gens = [(tuple(max(c, 0) for c in u), tuple(max(-c, 0) for c in u)) for u in kernel_lattice_basis(A)]
-    for var in range(A.n):
-        gens = _saturate_variable(gens, var, A.n, degree_bound)
-    basis = _buchberger(gens, order, degree_bound)
-    gb = GroebnerBasis(A, order, basis)
+    n, cap = A.n, _degree_cap(A)
+    standard = {0: (0,) * n}  # weight -> the standard monomial of that fiber
+    gens = []
+    for d in itertools.count(1):
+        if d > cap:
+            raise AssertionError(f"Groebner degree {d} exceeded the bound {cap}")
+        fibers = {}
+        for w, base in standard.items():
+            for i, ki in enumerate(A.exponents):
+                m = base[:i] + (base[i] + 1,) + base[i + 1 :]
+                if not any(_divides(lead, m) for lead, _ in gens):
+                    fibers.setdefault(w + ki, set()).add(m)
+        standard = {}
+        for w, members in fibers.items():
+            least = standard[w] = min(members, key=order.key)
+            gens.extend((m, least) for m in members - {least})
+        if d < A.k - n + 3:
+            continue
+        gb = GroebnerBasis(A, order, sorted(gens, key=lambda g: order.key(g[0])))
+        spairs = (
+            _spair(f, g, order)
+            for f, g in itertools.combinations(gb.generators, 2)
+            if any(min(a, b) for a, b in zip(f[0], g[0]))
+        )
+        if all(s is None or gb.reduces_to_zero(*s) for s in spairs):
+            break
     if len(_GB_CACHE) >= GB_CACHE_SIZE:
         del _GB_CACHE[next(iter(_GB_CACHE))]
     _GB_CACHE[key] = gb

@@ -9,8 +9,10 @@ Frobenius number comes from a search for a run of members.
 
 The exact series path has its plain versions here as well: the kernel
 steps by a search of the whole box, the series coefficients and the
-operator residuals by one Fraction per factor, and the Groebner basis with
-an S-pair list sorted again before every pop.
+operator residuals by one Fraction per factor.  The Groebner basis, which
+the library reads off the fibers of the grading, is computed here by
+Buchberger's algorithm from a kernel lattice basis, saturating one
+variable at a time, with an S-pair list sorted again before every pop.
 
 The closed forms of the library have their searches here too: the finite
 polar-line solutions by a path sum over ordered part sequences, their
@@ -197,11 +199,113 @@ def truncated_annihilation_fractions(series, generators):
     return checked, skipped, failures
 
 
+def kernel_lattice_basis(A):
+    """A lattice basis of the integer kernel of the matrix.
+
+    Built from the obvious basis e_i - e_n of the kernel of the top row by a
+    unimodular column reduction of the remaining weight row, so the result
+    generates the full kernel lattice, not just a finite-index sublattice.
+    """
+    n = A.n
+    if n == 2:
+        return []
+    weights = [A.exponents[i] - A.k for i in range(n - 1)]  # second row on e_i - e_n
+    m = n - 1
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]  # columns track ops
+    row = list(weights)
+
+    def col_op(dst, src, q):
+        # column dst -= q * column src
+        row[dst] -= q * row[src]
+        for r in range(m):
+            U[r][dst] -= q * U[r][src]
+
+    pivot = 0
+    while True:
+        nz = [j for j in range(m) if row[j] != 0]
+        if len(nz) <= 1:
+            pivot = nz[0] if nz else 0
+            break
+        nz.sort(key=lambda j: abs(row[j]))
+        a, b = nz[0], nz[1]
+        col_op(b, a, row[b] // row[a])
+    basis = []
+    for j in range(m):
+        if j == pivot and row[pivot] != 0:
+            continue
+        u = [0] * n
+        for i in range(m):
+            c = U[i][j]
+            u[i] += c
+            u[n - 1] -= c
+        if A.degree(u) != (0, 0):
+            raise AssertionError(f"{u} is not in the kernel lattice")
+        basis.append(tuple(u))
+    return basis
+
+
+def lattice_binomials(A):
+    """The binomials x^u+ - x^u- of a kernel lattice basis."""
+    return [
+        (tuple(max(c, 0) for c in u), tuple(max(-c, 0) for c in u))
+        for u in kernel_lattice_basis(A)
+    ]
+
+
+def _reduce_binomial(binom, gens, order):
+    """Total reduction of a binomial by a list of binomials."""
+    lead, trail = binom
+    changed = True
+    while changed:
+        changed = False
+        for (gl, gt) in gens:
+            if toric._divides(gl, lead):
+                lead = tuple(l - a + b for l, a, b in zip(lead, gl, gt))
+                ori = toric._binomial(lead, trail, order)
+                if ori is None:
+                    return None
+                lead, trail = ori
+                changed = True
+                break
+    # the lead is now in normal form; push the trail down as well
+    changed = True
+    while changed:
+        changed = False
+        for (gl, gt) in gens:
+            if toric._divides(gl, trail):
+                trail = tuple(t - a + b for t, a, b in zip(trail, gl, gt))
+                if trail == lead:
+                    return None
+                changed = True
+                break
+    if not order.greater(lead, trail):
+        raise AssertionError(f"reduced binomial {lead} - {trail} is not oriented")
+    return (lead, trail)
+
+
+def _interreduce(G, order):
+    # keep one generator per minimal lead, then tail-reduce against the rest
+    uniq = sorted(set(G), key=lambda b: order.key(b[0]))
+    minimal = []
+    for i, g in enumerate(uniq):
+        dominated = any(
+            j != i and toric._divides(h[0], g[0]) and (h[0] != g[0] or j < i)
+            for j, h in enumerate(uniq)
+        )
+        if not dominated:
+            minimal.append(g)
+    out = []
+    for g in minimal:
+        others = [h for h in minimal if h is not g]
+        red = _reduce_binomial(g, others, order) if others else g
+        if red is not None:
+            out.append(red)
+    return sorted(set(out), key=lambda b: order.key(b[0]))
+
+
 def buchberger_sorted(gens, order, degree_bound):
-    """toric._buchberger with the S-pair list sorted by lcm degree, largest
-    first, before every pop; the stable sort leaves the latest pair last
-    among equal degrees.  The helpers are looked up in toric at call time,
-    so a test can record the S-pairs of both queues."""
+    """Buchberger's algorithm on binomials, the S-pair list sorted by lcm
+    degree, largest first, before every pop, and the result interreduced."""
     G = [ori for ori in (toric._binomial(a, b, order) for a, b in gens) if ori]
     pairs = [(i, j) for i in range(len(G)) for j in range(i)]
     while pairs:
@@ -211,19 +315,22 @@ def buchberger_sorted(gens, order, degree_bound):
         if all(min(a, b) == 0 for a, b in zip(f[0], g[0])):
             continue
         s = toric._spair(f, g, order)
-        h = None if s is None else toric._reduce_binomial(s, G, order)
+        h = None if s is None else _reduce_binomial(s, G, order)
         if h is None:
             continue
         if sum(h[0]) > degree_bound:
             raise AssertionError(f"Groebner degree {sum(h[0])} exceeded the bound {degree_bound}")
         G.append(h)
         pairs.extend((len(G) - 1, t) for t in range(len(G) - 1))
-    return toric._interreduce(G, order)
+    return _interreduce(G, order)
 
 
 def toric_ideal_groebner_sorted(A, order_name):
-    """Generators of the reduced Groebner basis of the toric ideal: the
-    saturation route of the library, run with the sorted S-pair list."""
+    """Generators of the reduced Groebner basis of the toric ideal by
+    saturation: from a kernel lattice basis, one Buchberger run per
+    variable with that variable cheapest, dividing it out after each run,
+    then a last run under the target order.  For a lattice ideal this
+    yields the full saturation."""
     n = A.n
     degree_bound = max(2 * A.k * A.k, 8)
     gens = lattice_binomials(A)
@@ -234,14 +341,6 @@ def toric_ideal_groebner_sorted(A, order_name):
             for a, b in buchberger_sorted(gens, toric.TermOrder(n, cheap), degree_bound)
         ]
     return tuple(buchberger_sorted(gens, toric.term_order(order_name, n), degree_bound))
-
-
-def lattice_binomials(A):
-    """The binomials x^u+ - x^u- of a kernel lattice basis."""
-    return [
-        (tuple(max(c, 0) for c in u), tuple(max(-c, 0) for c in u))
-        for u in toric.kernel_lattice_basis(A)
-    ]
 
 
 def ordered_partitions(A, facet, N):

@@ -8,6 +8,7 @@ of fractional powers are computable independently).
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -288,6 +289,18 @@ def test_polar_residue_match_facet_k():
     x = sample_structured_point(A0134, 3)
     res = polar_line_match_check(A0134, FACET_K, 3, -1.0, x)
     assert res.rel_error <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "exps, level, lam",
+    [((0, 2, 3), 8, Fraction(7, 2)), ((0, 2, 5, 7), 30, Fraction(17, 2))],
+)
+def test_polar_residue_near_a_pole_of_the_other_facet(exps, level, lam):
+    # the other facet's level is half-integral here, half a unit from one of
+    # its polar levels, so the contour must shrink to keep clear of that pole
+    A = CurveMatrix(list(exps))
+    res = polar_line_match_check(A, FACET_0, level, lam, sample_structured_point(A, 0))
+    assert res.rel_error <= 1e-9, res
 
 
 def test_em_independence_probe_flags_polar_lines():

@@ -1,12 +1,13 @@
 """Property tests: on random admissible matrices (n <= 5, k <= 7) the
 semigroup-table answers of the library agree with the search oracles of
 ``oracles.py``, and the fast exact series path agrees with its plain
-versions there.  The closed forms of the finite polar-line solutions, of
-their stripped factor and of the Delta conditions agree with their path
-sum, Euclidean gcd and reach table, the proportionality test with an
-exact rank, and the planned shift continuation with its recursive
-definition.  Examples
-are derandomized so every run checks the same matrices.
+versions there.  The Groebner bases read off the fibers of the grading
+agree with Buchberger's algorithm with saturation.  The closed forms of
+the finite polar-line solutions, of their stripped factor and of the
+Delta conditions agree with their path sum, Euclidean gcd and reach
+table, the proportionality test with an exact rank, and the planned shift
+continuation with its recursive definition.  Examples are derandomized
+so every run checks the same matrices.
 """
 
 from fractions import Fraction
@@ -16,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    buchberger_sorted,
     delta_conditions_by_reach,
     extension_shift_recursive,
     frobenius_by_run,
@@ -25,7 +25,6 @@ from oracles import (
     in_NA_brute,
     in_ray_module_by_shift,
     kernel_steps_brute,
-    lattice_binomials,
     min_parts_table,
     phi_coefficient_fractions,
     polar_line_solution_by_paths,
@@ -63,7 +62,6 @@ from curvegkz.toric import (
     ORDER_NAMES,
     fake_exponents,
     standard_pairs,
-    term_order,
     toric_ideal_groebner,
 )
 
@@ -209,35 +207,15 @@ def test_annihilation_check_matches_fractions(A, data):
     assert rep.ok == (not expected[2])
 
 
-def _spair_calls(buchberger, gens, order, degree_bound):
-    # the S-pairs in the order the queue hands them to toric._spair
-    calls = []
-    original = toric._spair
-
-    def recording(f, g, order):
-        calls.append((f, g))
-        return original(f, g, order)
-
-    toric._spair = recording
-    try:
-        return buchberger(gens, order, degree_bound), calls
-    finally:
-        toric._spair = original
-
-
 @PROPERTY
 @given(matrices)
 def test_groebner_matches_sorted_pair_list(A):
-    # the reduced basis does not depend on the order of the S-pairs, so the
-    # heap must also pop them in the same order, ties included, for the
-    # degree bound to trip on the same inputs
+    # the bases read off the fibers equal Buchberger with saturation, in the
+    # same order, and no lead passes the proven degree cap
     for name in ORDER_NAMES:
-        assert toric_ideal_groebner(A, name).generators == toric_ideal_groebner_sorted(A, name)
-        order = term_order(name, A.n)
-        gens = lattice_binomials(A)
-        bound = max(2 * A.k * A.k, 8)
-        heap = _spair_calls(toric._buchberger, gens, order, bound)
-        assert heap == _spair_calls(buchberger_sorted, gens, order, bound)
+        gb = toric_ideal_groebner(A, name)
+        assert gb.generators == toric_ideal_groebner_sorted(A, name), (A, name)
+        assert all(sum(lead) <= toric._degree_cap(A) for lead in gb.lead_monomials), (A, name)
 
 
 @PROPERTY

@@ -209,6 +209,18 @@ def test_cli_negative_bound_is_exit_2(capsys):
     assert [len(element["monomials"]) for element in basis] == [1, 1, 1, 1]
 
 
+def test_cli_negative_seed_is_exit_2(monkeypatch, capsys):
+    # rejected before any check runs, with a message naming the option
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify_report ran with a negative seed")
+
+    monkeypatch.setattr(cli, "verify_report", unreachable)
+    assert cli.main(["verify", "-A", "0,1,3,4", "-b", "1/2,1/3", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be at least 0, got -1" in captured.err
+
+
 def test_solve_report_rejects_negative_bound():
     # a library call gets the invalid-input error the CLI maps to exit 2
     with pytest.raises(ValueError, match="bound must be at least 0, got -5"):

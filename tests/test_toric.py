@@ -1,12 +1,14 @@
 """Toric ideal machinery: term orders, Groebner bases, standard pairs,
 starting exponents, and the special line arrangements.
 
-The Groebner route is cross-checked against sympy via variable elimination
-(saturating with an auxiliary inverse variable), which shares no code with
-the Buchberger implementation under test.
+The Groebner bases, which the library reads off the fibers of the grading,
+are cross-checked against sympy via variable elimination (saturating with an
+auxiliary inverse variable), started from the kernel lattice basis of
+``oracles.py``; neither shares code with the construction under test.
 """
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from oracles import kernel_lattice_basis
 from sympy.polys.orderings import grevlex
 
 import curvegkz
@@ -26,7 +29,6 @@ from curvegkz.toric import (
     ORDER_NAMES,
     StandardPair,
     fake_exponents,
-    kernel_lattice_basis,
     special_lines,
     standard_pairs,
     standard_pairs_of_monomial_ideal,
@@ -158,34 +160,52 @@ def test_groebner_frozen_leads():
     assert sorted(toric_ideal_groebner(A023, "d1-first").lead_monomials) == [(0, 3, 0)]
 
 
+def _admissible_matrices(kmax):
+    # every admissible matrix with 3 <= k <= kmax, by k, then by exponents
+    for k in range(3, kmax + 1):
+        for size in range(1, k):
+            for mid in itertools.combinations(range(1, k), size):
+                if math.gcd(*mid, k) == 1:
+                    yield CurveMatrix([0, *mid, k])
+
+
 def test_groebner_cache_is_bounded(monkeypatch):
-    # every degree bound above 3 gives the same basis of 0,2,3 under its own
-    # cache key; past the cache size the least recently used key goes first
+    # more distinct (matrix, order) keys than the cache holds; past the
+    # cache size the least recently used key goes first
     monkeypatch.setattr(toric, "_GB_CACHE", {})
-    want = _sympy_toric_generators((0, 2, 3), "d1-first")
-    first = toric_ideal_groebner(A023, "d1-first", degree_bound=8)
-    bounds = range(9, 9 + GB_CACHE_SIZE + 8)
-    for bound in bounds:
-        assert set(toric_ideal_groebner(A023, "d1-first", degree_bound=bound).generators) == want
-        # a hit on bound 8 makes it the most recently used key again
-        assert toric_ideal_groebner(A023, "d1-first", degree_bound=8) is first
+    keys = [(A, name) for A in _admissible_matrices(7) for name in ORDER_NAMES]
+    keys = [key for key in keys if key != (A023, "d1-first")][: GB_CACHE_SIZE + 8]
+    assert len(keys) == GB_CACHE_SIZE + 8
+    first = toric_ideal_groebner(A023, "d1-first")
+    built = {}
+    for A, name in keys:
+        built[A, name] = toric_ideal_groebner(A, name).generators
+        # a hit on 0,2,3 makes it the most recently used key again
+        assert toric_ideal_groebner(A023, "d1-first") is first
         assert len(toric._GB_CACHE) <= GB_CACHE_SIZE
-    # bound 8 and the last GB_CACHE_SIZE - 1 bounds are kept
-    kept = sorted(key[2] for key in toric._GB_CACHE)
-    assert kept == [8] + list(bounds[-(GB_CACHE_SIZE - 1):])
-    assert set(toric_ideal_groebner(A023, "d1-first", degree_bound=9).generators) == want
-    assert 9 in {key[2] for key in toric._GB_CACHE}
+    # the last GB_CACHE_SIZE - 1 keys and 0,2,3 are kept, least recent first
+    def cache_key(A, name):
+        return (A.exponents, term_order(name, A.n).cheap)
+
+    kept = [cache_key(A, name) for A, name in keys[-(GB_CACHE_SIZE - 1):]]
+    assert list(toric._GB_CACHE) == kept + [cache_key(A023, "d1-first")]
+    # the evicted first key is built again, identically
+    A, name = keys[0]
+    assert toric_ideal_groebner(A, name).generators == built[A, name]
+    assert set(built[A, name]) == _sympy_toric_generators(A.exponents, name)
+    assert cache_key(A, name) in toric._GB_CACHE
 
 
 def test_groebner_degree_bound_survives_optimized_mode():
-    # python -O strips assert statements; the degree bound inside the
-    # Buchberger loop must still stop a run that needs larger degrees
+    # python -O strips assert statements; the degree cap of the fiber
+    # construction must still stop a run that needs larger degrees
     code = (
+        "from curvegkz import toric\n"
         "from curvegkz.curve import CurveMatrix\n"
-        "from curvegkz.toric import toric_ideal_groebner\n"
         "print(__debug__)\n"
+        "toric._degree_cap = lambda A: 2\n"
         "try:\n"
-        "    toric_ideal_groebner(CurveMatrix([0, 1, 3, 4]), 'd1-first', degree_bound=3)\n"
+        "    toric.toric_ideal_groebner(CurveMatrix([0, 1, 3, 4]), 'd1-first')\n"
         "    print('accepted')\n"
         "except AssertionError as err:\n"
         "    print(err)\n"
@@ -195,7 +215,7 @@ def test_groebner_degree_bound_survives_optimized_mode():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False", "Groebner degree 4 exceeded the bound 3"]
+    assert proc.stdout.splitlines() == ["False", "Groebner degree 3 exceeded the bound 2"]
 
 
 def test_groebner_normal_form_properties():
