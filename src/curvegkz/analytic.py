@@ -24,6 +24,9 @@ _TWO_PI = 2.0 * math.pi
 # a shift continuation lowers the parameters until both facet levels lie
 # this far inside the convergence wedge
 _SHIFT_MARGIN = 0.25
+# a batched ray quadrature integrates at most this many integrand values in
+# one block of rows, so a fine level of many parameters stays small in memory
+_BLOCK_VALUES = 1 << 16
 
 
 def _coeff_array(A, x):
@@ -181,6 +184,10 @@ class _RayNodes:
         return hit
 
 
+def _state(pair, S, h):
+    return f": beta = {pair}, S = {S}, h = {h:.3g}"
+
+
 def euler_mellin(A, beta, x, theta, tol=1e-10, nodes=None):
     """Ray integral of f^(b1) z^(-b2) dz/z along arg z = theta, by
     double-exponential substitution t = exp(sinh s).
@@ -190,51 +197,104 @@ def euler_mellin(A, beta, x, theta, tol=1e-10, nodes=None):
     principal logarithm of x_1 at the small end of the ray.  ``nodes`` is a
     _RayNodes table of the same ray, shared between quadratures; without
     one a fresh table is used.
+
+    ``beta`` is one pair, or a list of pairs that gives the list of their
+    values in one batched pass.  Each pair keeps its own schedule: the
+    half-width S of the node range grows while the integrand's tail has not
+    decayed, and the step h halves where the phase tracking fails and until
+    two successive values agree.  At each round the pairs that sit at the
+    same (S, h) are integrated together as the rows of one array, at most
+    _BLOCK_VALUES integrand values a block.  A row goes through exactly the
+    steps of a lone pair, and numpy sums it along its contiguous nodes as it
+    sums a lone pair's array, so every value equals, bit for bit, the value
+    its pair gives alone.  When pairs fail, the error of the first failing
+    pair in the list is raised, after every pair before it has finished.
     """
     import numpy as np
-    if not in_convergence_domain(A, beta, margin=0.0):
-        raise QuadratureError(f"parameters {beta} outside the convergence wedge")
+    pairs = beta if isinstance(beta, list) else [beta]
+    # first is the index of the first failing pair so far and error its
+    # error; todo maps each pair still running to its (S, h, value at the
+    # last h), and no pair at or after first runs any more
+    first, error = len(pairs), None
+    params = []
+    for i, pair in enumerate(pairs):
+        if not in_convergence_domain(A, pair, margin=0.0):
+            first, error = i, QuadratureError(f"parameters {pair} outside the convergence wedge")
+            break
+        params.append((complex(pair[0]), complex(pair[1])))
     if nodes is None:
         nodes = _RayNodes(A, x, theta)
     elif (nodes.A, nodes.x, nodes.theta) != (A, x, theta):
         raise ValueError("the node table belongs to another ray")
-    b1 = complex(beta[0])
-    b2 = complex(beta[1])
-    S = 4.0
-    h = 0.2
-    prev = None
-    while True:
-        logz, logf, why, cosh_s = nodes.level(S, h)
-        if logf is None:
-            if why == "zero":
-                raise QuadratureError("curve root on or near the integration ray")
-            h *= 0.5
-            prev = None
-            if h < 1e-4:
-                raise QuadratureError("phase tracking failed to stabilize")
-            continue
-        expo = b1 * logf - b2 * logz
-        expo_re = np.clip(expo.real, -700.0, 700.0)
-        g = np.exp(expo_re + 1j * expo.imag) * cosh_s
-        if np.any(expo.real > 690.0):
-            raise QuadratureError("integrand overflow: parameters too deep outside the wedge")
-        gmax = float(np.max(np.abs(g)))
-        if gmax == 0.0:
-            return 0.0 + 0.0j
-        tail = max(abs(g[0]), abs(g[-1]))
-        if tail > 1e-16 * gmax:
-            if S >= 7.0:
-                raise QuadratureError("integrand tail does not decay")
-            S += 1.5
-            prev = None
-            continue
-        val = complex(h * np.sum(g))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        prev = val
-        h *= 0.5
-        if h < 1e-4:
-            raise QuadratureError("ray quadrature failed to converge")
+    todo = dict.fromkeys(range(len(params)), (4.0, 0.2, None))
+    values = [None] * len(pairs)
+
+    def fail(i, message):
+        nonlocal first, error
+        first, error = i, QuadratureError(message)
+        for j in [j for j in todo if j >= i]:
+            del todo[j]
+
+    while todo:
+        rounds = {}
+        for i, (S, h, _) in todo.items():
+            rounds.setdefault((S, h), []).append(i)
+        for (S, h), rows in rounds.items():
+            rows = [i for i in rows if i < first]
+            if not rows:
+                continue
+            logz, logf, why, cosh_s = nodes.level(S, h)
+            if logf is None:
+                if why == "zero":
+                    fail(rows[0], "curve root on or near the integration ray")
+                elif 0.5 * h < 1e-4:
+                    fail(rows[0], "phase tracking failed to stabilize" + _state(pairs[rows[0]], S, h))
+                else:
+                    todo.update(dict.fromkeys(rows, (S, 0.5 * h, None)))
+                continue
+            per_block = max(1, _BLOCK_VALUES // logz.size)
+            for lo in range(0, len(rows), per_block):
+                block = rows[lo:lo + per_block]
+                if block[0] >= first:
+                    break
+                b1 = np.array([params[i][0] for i in block])[:, None]
+                b2 = np.array([params[i][1] for i in block])[:, None]
+                expo = b1 * logf - b2 * logz
+                expo_re = np.clip(expo.real, -700.0, 700.0)
+                g = np.exp(expo_re + 1j * expo.imag) * cosh_s
+                overflow = np.any(expo.real > 690.0, axis=1)
+                gmax = np.max(np.abs(g), axis=1)
+                sums = np.sum(g, axis=1)
+                for r, i in enumerate(block):
+                    if overflow[r]:
+                        fail(i, "integrand overflow: parameters too deep outside the wedge")
+                        break
+                    if gmax[r] == 0.0:
+                        values[i] = 0.0 + 0.0j
+                        del todo[i]
+                        continue
+                    tail = max(abs(g[r, 0]), abs(g[r, -1]))
+                    if tail > 1e-16 * gmax[r]:
+                        if S >= 7.0:
+                            fail(i, "integrand tail does not decay" + _state(pairs[i], S, h))
+                            break
+                        todo[i] = (S + 1.5, h, None)
+                        continue
+                    val = complex(h * sums[r])
+                    prev = todo[i][2]
+                    if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+                        values[i] = val
+                        del todo[i]
+                        continue
+                    if 0.5 * h < 1e-4:
+                        last = f"value {val:.6g}" if prev is None else f"values {prev:.6g} and {val:.6g}"
+                        state = _state(pairs[i], S, h)
+                        fail(i, f"ray quadrature failed to converge{state}, last {last}")
+                        break
+                    todo[i] = (S, 0.5 * h, val)
+    if error is not None:
+        raise error
+    return values if isinstance(beta, list) else values[0]
 
 
 def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10, stats=None):
@@ -247,10 +307,17 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10, stats=N
     ``order`` parameter chooses which pairing is repaired first; both give
     the same value, which makes for a useful consistency check.
 
+    The shifts are planned level by level; the ones inside the wedge are
+    integrated in one batched euler_mellin pass on one node table of the
+    ray, with the values separate euler_mellin calls give, bit for bit, and
+    every other shift is combined from the level below it.
+
     Raises PolarLineError when a needed denominator sits on a polar line,
-    and QuadratureError when the continued value overflows.  An opt-in
-    ``stats`` dict counts the "quadratures" and the "node_levels", the
-    refinement levels of the ray's node table that were computed.
+    and QuadratureError when a wedge quadrature fails (the first failing
+    shift of the deepest level first) or at the first level whose values
+    are not finite.  An opt-in ``stats`` dict counts the "quadratures", one
+    per wedge shift, and the "node_levels", the refinement levels of the
+    ray's node table that were computed.
     """
     if order not in ("facet-0-first", "facet-k-first"):
         raise ValueError(f"unknown order {order!r}")
@@ -291,31 +358,43 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10, stats=N
             raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
         levels[m][w] = (facet, p1 / den)
         stack.extend((m + 1, w + ki) for ki, _ in reversed(steps[facet]))
-    # evaluate from the deepest level up: one quadrature per wedge shift,
-    # all on one node table of the ray, and every other shift from the
-    # level below it
+    # evaluate from the deepest level up: every wedge shift in one batched
+    # quadrature on the ray's node table, taken deepest level first and in
+    # plan order within a level, and every other shift from the level below
+    wedge = [
+        (b1 - m, b2 - w)
+        for m in range(len(levels) - 1, -1, -1)
+        for w, plan in levels[m].items()
+        if plan is None
+    ]
     nodes = _RayNodes(A, x, theta)
-    below = {}
     try:
-        for m in range(len(levels) - 1, -1, -1):
-            values = {}
-            for w, plan in levels[m].items():
-                if plan is None:
-                    values[w] = euler_mellin(A, (b1 - m, b2 - w), x, theta, tol, nodes=nodes)
-                    if stats is not None:
-                        stats["quadratures"] = stats.get("quadratures", 0) + 1
-                    continue
-                facet, prefactor = plan
-                total = 0.0 + 0.0j
-                for ki, weight in steps[facet]:
-                    total += weight * below[w + ki]
-                values[w] = prefactor * total
-            below = values
+        wedge_values = iter(euler_mellin(A, wedge, x, theta, tol, nodes=nodes))
     finally:
         if stats is not None:
             stats["node_levels"] = stats.get("node_levels", 0) + len(nodes.levels)
-    if not cmath.isfinite(below[0]):
-        raise QuadratureError(f"shift continuation over {len(levels)} levels overflowed at {beta}")
+    if stats is not None:
+        stats["quadratures"] = stats.get("quadratures", 0) + len(wedge)
+    below = {}
+    for m in range(len(levels) - 1, -1, -1):
+        values = {}
+        for w, plan in levels[m].items():
+            if plan is None:
+                values[w] = next(wedge_values)
+                continue
+            facet, prefactor = plan
+            total = 0.0 + 0.0j
+            for ki, weight in steps[facet]:
+                total += weight * below[w + ki]
+            values[w] = prefactor * total
+        # every shift of the plan feeds (0, 0), and a value that is not
+        # finite stays so through the weighted sums above it
+        if not all(map(cmath.isfinite, values.values())):
+            raise QuadratureError(
+                f"shift continuation over {len(levels)} levels overflowed at {beta}: "
+                f"the values of level {m} are not finite"
+            )
+        below = values
     return below[0]
 
 

@@ -21,8 +21,9 @@ conditions by a reach table over sums of Delta columns, and the shift
 continuation by its recursive memoised definition.  Whether two exact
 solutions are proportional is decided by the rank of their zero-filled
 coefficient rows.  The ray
-quadrature is here as it was before the node table: nodes and log f
-recomputed at every refinement level of every call.
+quadrature is here as one loop per parameter pair, as it was before the
+node table and the batched pass: nodes and log f recomputed at every
+refinement level of every call, and one 1-D array per level.
 """
 
 import itertools
@@ -32,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from curvegkz import toric
-from curvegkz.analytic import _tracked_log_f, euler_mellin
+from curvegkz.analytic import _tracked_log_f
 from curvegkz.curve import FACET_0, FACET_K, facet_parts, facet_semigroup, in_convergence_domain
 from curvegkz.errors import PolarLineError, QuadratureError, SeriesDenominatorError
 from curvegkz.qexact import PolyQ, fraction_matrix_rank
@@ -457,8 +458,10 @@ def delta_conditions_by_reach(A, beta):
 
 
 def euler_mellin_untabled(A, beta, x, theta, tol=1e-10):
-    """analytic.euler_mellin with the nodes, log z, the tracked log f and
-    cosh s built afresh at each (S, h) level instead of read from a table."""
+    """analytic.euler_mellin for one pair in a loop of its own: the nodes,
+    log z, the tracked log f and cosh s built afresh at each (S, h) level
+    instead of read from a table, and one 1-D array a level instead of a
+    row of a batch."""
     if not in_convergence_domain(A, beta, margin=0.0):
         raise QuadratureError(f"parameters {beta} outside the convergence wedge")
     b1 = complex(beta[0])
@@ -504,7 +507,9 @@ def euler_mellin_untabled(A, beta, x, theta, tol=1e-10):
 
 def extension_shift_recursive(A, beta, x, theta, order="facet-0-first", margin=0.25, tol=1e-10):
     """analytic.extension_shift as a recursive memoised get(m, w): each node
-    evaluates its children depth first, in the order of the columns."""
+    evaluates its children depth first, in the order of the columns, and
+    each wedge shift is its own euler_mellin_untabled quadrature, so no
+    quadrature code is shared with the batched pass of the library."""
     b1 = complex(beta[0])
     b2 = complex(beta[1])
     k = A.k
@@ -517,7 +522,7 @@ def extension_shift_recursive(A, beta, x, theta, order="facet-0-first", margin=0
         p1 = b1 - m
         p2 = b2 - w
         if p2.real <= -margin and (k * p1 - p2).real <= -margin:
-            memo[key] = euler_mellin(A, (p1, p2), x, theta, tol)
+            memo[key] = euler_mellin_untabled(A, (p1, p2), x, theta, tol)
             return memo[key]
         if order == "facet-0-first":
             facet = FACET_0 if p2.real > -margin else FACET_K

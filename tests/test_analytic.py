@@ -7,7 +7,9 @@ reduces to a Beta-type quotient of Gamma factors, and Taylor coefficients
 of fractional powers are computable independently).
 """
 
+import cmath
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -95,6 +97,48 @@ def test_two_column_ray_integral_matches_gamma_quotient():
 def test_ray_integral_rejects_outside_wedge():
     with pytest.raises(QuadratureError):
         euler_mellin(A01, (1.0, 1.0), (1.0, 1.0), 0.0)
+    # in a list too, wherever the pair sits, unless a pair before it fails
+    inside = (-1.3, -0.7)
+    for pairs in ([(1.0, 1.0), inside], [inside, (-0.5, 0.2)], [inside, (-0.5, -0.7)]):
+        with pytest.raises(QuadratureError, match="outside the convergence wedge"):
+            euler_mellin(A01, pairs, (1.0, 1.0), 0.0)
+    with pytest.raises(QuadratureError, match="integrand overflow"):
+        euler_mellin(A01, [(-150.0, -75.0), (1.0, 1.0)], (1e-3, 1e-3), 0.0)
+
+
+def test_ray_quadrature_errors_carry_the_state(monkeypatch):
+    # a negative tolerance never accepts a value: the error names the pair,
+    # the last level tried and the values of its last two levels
+    beta = (-1.3, -0.7)
+    with pytest.raises(QuadratureError) as err:
+        euler_mellin(A01, beta, (1.7, 0.9), 0.0, tol=-1.0)
+    message = str(err.value)
+    assert message.startswith("ray quadrature failed to converge: beta = (-1.3, -0.7), S = 5.5, h = 0.000195")
+    last = [complex(v) for v in re.fullmatch(r".*, last values (\S+) and (\S+)", message).groups()]
+    want = _beta_closed_form(*beta, 1.7, 0.9)
+    assert all(abs(v - want) <= 1e-5 * abs(want) for v in last)
+    monkeypatch.setattr(analytic, "_tracked_log_f", lambda *a: (None, "phase"))
+    stabilize = "phase tracking failed to stabilize: beta = (-1.3, -0.7), S = 4.0, h = 0.000195"
+    with pytest.raises(QuadratureError, match=re.escape(stabilize)):
+        euler_mellin(A01, [beta, (-2.6, -0.35)], (1.7, 0.9), 0.0)
+
+
+def test_batched_ray_quadrature_raises_the_first_failure():
+    # f = 1e-3 (1 + z): at (-150, -75) the integrand overflows on the first
+    # level, while the tail at (-0.5, -1e-3) decays too slowly on every node
+    # range and fails only on the third.  Either way round, the error is the
+    # one of the pair that comes first, as it is for one pair at a time
+    x = (1e-3, 1e-3)
+    overflow, tail = (-150.0, -75.0), (-0.5, -1e-3)
+    for pairs, message in [
+        ([overflow, tail], "integrand overflow: parameters too deep outside the wedge"),
+        ([tail, overflow], "integrand tail does not decay: beta = (-0.5, -0.001), S = 7.0, h = 0.2"),
+    ]:
+        for pair in pairs:
+            with pytest.raises(QuadratureError):
+                euler_mellin_untabled(A01, pair, x, 0.0)
+        with pytest.raises(QuadratureError, match=re.escape(message)):
+            euler_mellin(A01, pairs + [(-1.3, -0.7)], x, 0.0)
 
 
 def test_ray_integral_homogeneity():
@@ -152,6 +196,19 @@ def test_extension_shift_overflow_is_a_quadrature_error():
         extension_shift(A01, (3000.5, 0.3), (1.5, 0.9), 0.0)
 
 
+def test_extension_shift_overflow_stops_at_the_first_infinite_level():
+    # below level 0 the plan of (3000.5, 0.3) is one chain of shifts (m, 1),
+    # and level m holds the continuation at (3000.5 - m, -0.7), computed as
+    # it is on its own.  That value first leaves the float range at m = 1239,
+    # so the continuation stops there, 1239 levels short of the top
+    x = (1.5, 0.9)
+    with pytest.raises(QuadratureError, match="the values of level 1239 are not finite"):
+        extension_shift(A01, (3000.5, 0.3), x, 0.0)
+    assert cmath.isfinite(extension_shift(A01, (3000.5 - 1240, -0.7), x, 0.0))
+    with pytest.raises(QuadratureError, match="over 1764 levels overflowed .* level 0 are not finite"):
+        extension_shift(A01, (3000.5 - 1239, -0.7), x, 0.0)
+
+
 def test_extension_shift_polar_failure_is_honest():
     # beta2 a nonnegative integer sits on a facet-0 polar line; the shift
     # recursion must hit the vanishing denominator and say so
@@ -187,11 +244,17 @@ def test_shared_node_table_replays_phase_halvings():
     x = sample_structured_point(A0134, 5)
     theta = roots_and_components(A0134, x).angles[0] - 0.03
     nodes = _RayNodes(A0134, x, theta)
-    for beta in [(-1.1, -0.6), (-3.0, -6.0), (-0.3, -0.26)]:
+    betas = [(-1.1, -0.6), (-3.0, -6.0), (-0.3, -0.26)]
+    for beta in betas:
         shared = euler_mellin(A0134, beta, x, theta, nodes=nodes)
         assert shared == euler_mellin(A0134, beta, x, theta) == euler_mellin_untabled(A0134, beta, x, theta)
     failed = {key: why for key, (_, logf, why, _) in nodes.levels.items() if logf is None}
     assert failed == {(4.0, 0.2): "phase", (4.0, 0.1): "phase"}
+    # the batch halves past them once for all pairs, with the same values
+    batch = _RayNodes(A0134, x, theta)
+    lone = [euler_mellin_untabled(A0134, beta, x, theta) for beta in betas]
+    assert euler_mellin(A0134, betas, x, theta, nodes=batch) == lone
+    assert batch.levels.keys() == nodes.levels.keys()
 
 
 def test_shared_node_table_root_on_the_ray(monkeypatch):

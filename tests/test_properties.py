@@ -5,19 +5,22 @@ versions there.  The Groebner bases read off the fibers of the grading
 agree with Buchberger's algorithm with saturation.  The closed forms of
 the finite polar-line solutions, of their stripped factor and of the
 Delta conditions agree with their path sum, Euclidean gcd and reach
-table, the proportionality test with an exact rank, and the planned shift
-continuation with its recursive definition.  Examples are derandomized
+table, the proportionality test with an exact rank, the planned shift
+continuation with its recursive definition, and the batched ray
+quadrature with one loop per parameter pair.  Examples are derandomized
 so every run checks the same matrices.
 """
 
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     delta_conditions_by_reach,
+    euler_mellin_untabled,
     extension_shift_recursive,
     frobenius_by_run,
     h1_support_by_search,
@@ -34,8 +37,8 @@ from oracles import (
     truncated_annihilation_fractions,
 )
 
-from curvegkz import toric
-from curvegkz.analytic import extension_shift, roots_and_components, sample_structured_point
+from curvegkz import analytic, toric
+from curvegkz.analytic import euler_mellin, extension_shift, roots_and_components, sample_structured_point
 from curvegkz.cohomology import h1_support, in_ray_module
 from curvegkz.curve import (
     FACET_0,
@@ -47,7 +50,7 @@ from curvegkz.curve import (
     rank_jumping_parameters,
     _default_jump_box,
 )
-from curvegkz.errors import PolarLineError, SeriesDenominatorError
+from curvegkz.errors import PolarLineError, QuadratureError, SeriesDenominatorError
 from curvegkz.series import (
     TruncatedSeries,
     _kernel_steps,
@@ -312,3 +315,39 @@ def test_extension_shift_matches_recursion(A, data):
             got = _outcome(extension_shift, A, (b1, b2), x, theta, order=order)
             want = _outcome(extension_shift_recursive, A, (b1, b2), x, theta, order=order)
             assert got == want, (A, b1, b2, order)
+
+
+# facet levels of wedge parameters; the ones near 0 decay slowly at an end
+# of the ray and need the wider node ranges S = 5.5 and 7
+wedge_levels = st.sampled_from([-0.12, -0.26, -0.6, -1.3, -3.1, -7.0])
+level_imag = st.sampled_from([0.0, 0.0, 0.2, -0.35])
+
+
+def _quadratures(quadrature, *args):
+    try:
+        return quadrature(*args)
+    except QuadratureError as err:
+        return str(err).split(":")[0]
+
+
+@settings(PROPERTY, max_examples=15)
+@given(matrices, st.data())
+def test_batched_ray_quadrature_matches_lone_pairs(A, data):
+    # a list of pairs gives each pair's lone value bit for bit, or the error
+    # of the first failing pair.  On the ray 0.03 short of a root the phase
+    # tracking fails at coarse levels, and every pair must replay those
+    # halvings; a block of 100 values splits each level into rows of one or
+    # two pairs
+    x = sample_structured_point(A, data.draw(st.integers(0, 99), label="seed"))
+    rc = roots_and_components(A, x)
+    theta = data.draw(st.sampled_from([rc.ray_angles[0], rc.angles[0] - 0.03]), label="theta")
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 10), label="pairs")):
+        level_0 = data.draw(wedge_levels) + 1j * data.draw(level_imag)
+        level_k = data.draw(wedge_levels) + 1j * data.draw(level_imag)
+        pairs.append(((level_0 + level_k) / A.k, level_0))
+    block = data.draw(st.sampled_from([analytic._BLOCK_VALUES, 100]), label="block")
+    with mock.patch.object(analytic, "_BLOCK_VALUES", block):
+        got = _quadratures(euler_mellin, A, pairs, x, theta)
+    want = _quadratures(lambda: [euler_mellin_untabled(A, pair, x, theta) for pair in pairs])
+    assert got == want, (A, pairs, theta)
