@@ -150,53 +150,17 @@ def _tracked_log_f(A, x, logz):
     return shift * logz.real + np.log(mag) + 1j * phase, None
 
 
-class _RayNodes:
-    """Double-exponential nodes of one ray arg z = theta, level by level.
-
-    Nothing here depends on the parameters, so every quadrature of one
-    shift continuation reads the same table.  ``level(S, h)`` computes the
-    nodes s = -S, -S + h, ..., S once, on the first request, and returns
-    (logz, logf, why, cosh s) with logz = sinh s + i theta and the tracked
-    log f; logf is None, and why says "zero" or "phase", when tracking
-    failed at that level.
-    """
-
-    __slots__ = ("A", "x", "theta", "levels")
-
-    def __init__(self, A, x, theta):
-        self.A = A
-        self.x = x
-        self.theta = theta
-        self.levels = {}
-
-    def level(self, S, h):
-        hit = self.levels.get((S, h))
-        if hit is None:
-            import numpy as np
-            s = np.arange(-S, S + 0.5 * h, h)
-            logz = np.sinh(s) + 1j * self.theta
-            logf, why = _tracked_log_f(self.A, self.x, logz)
-            if logf is None:
-                hit = (None, None, why, None)
-            else:
-                hit = (logz, logf, None, np.cosh(s))
-            self.levels[(S, h)] = hit
-        return hit
-
-
 def _state(pair, S, h):
     return f": beta = {pair}, S = {S}, h = {h:.3g}"
 
 
-def euler_mellin(A, beta, x, theta, tol=1e-10, nodes=None):
+def euler_mellin(A, beta, x, theta, tol=1e-10):
     """Ray integral of f^(b1) z^(-b2) dz/z along arg z = theta, by
     double-exponential substitution t = exp(sinh s).
 
     Requires the convergence wedge (negative real pairings on both facets);
     outside it use extension_shift.  The branch of f^(b1) is fixed by the
-    principal logarithm of x_1 at the small end of the ray.  ``nodes`` is a
-    _RayNodes table of the same ray, shared between quadratures; without
-    one a fresh table is used.
+    principal logarithm of x_1 at the small end of the ray.
 
     ``beta`` is one pair, or a list of pairs that gives the list of their
     values in one batched pass.  Each pair keeps its own schedule: the
@@ -204,59 +168,54 @@ def euler_mellin(A, beta, x, theta, tol=1e-10, nodes=None):
     decayed, and the step h halves where the phase tracking fails and until
     two successive values agree.  At each round the pairs that sit at the
     same (S, h) are integrated together as the rows of one array, at most
-    _BLOCK_VALUES integrand values a block.  A row goes through exactly the
-    steps of a lone pair, and numpy sums it along its contiguous nodes as it
-    sums a lone pair's array, so every value equals, bit for bit, the value
-    its pair gives alone.  When pairs fail, the error of the first failing
-    pair in the list is raised, after every pair before it has finished.
+    _BLOCK_VALUES integrand values a block.  The nodes s = -S, -S + h, ...,
+    S of a level, log z = sinh s + i theta and the tracked log f do not
+    depend on the parameters, and a round moves every pair one step, S up
+    or h down, so a level comes up in one round only and is built once per
+    call.  A row goes through exactly the steps of a lone pair, and numpy
+    sums it along its contiguous nodes as it sums a lone pair's array, so
+    every value equals, bit for bit, the value its pair gives alone.  Every
+    pair runs to its own end; when pairs fail, the error of the first
+    failing pair in the list is raised.
     """
     import numpy as np
     pairs = beta if isinstance(beta, list) else [beta]
-    # first is the index of the first failing pair so far and error its
-    # error; todo maps each pair still running to its (S, h, value at the
-    # last h), and no pair at or after first runs any more
-    first, error = len(pairs), None
-    params = []
+    # errors maps each failed pair to its error, and todo each pair still
+    # running to its (S, h, value at the last h)
+    params, errors = {}, {}
     for i, pair in enumerate(pairs):
-        if not in_convergence_domain(A, pair, margin=0.0):
-            first, error = i, QuadratureError(f"parameters {pair} outside the convergence wedge")
-            break
-        params.append((complex(pair[0]), complex(pair[1])))
-    if nodes is None:
-        nodes = _RayNodes(A, x, theta)
-    elif (nodes.A, nodes.x, nodes.theta) != (A, x, theta):
-        raise ValueError("the node table belongs to another ray")
-    todo = dict.fromkeys(range(len(params)), (4.0, 0.2, None))
+        if in_convergence_domain(A, pair):
+            params[i] = (complex(pair[0]), complex(pair[1]))
+        else:
+            errors[i] = QuadratureError(f"parameters {pair} outside the convergence wedge")
+    todo = dict.fromkeys(params, (4.0, 0.2, None))
     values = [None] * len(pairs)
 
     def fail(i, message):
-        nonlocal first, error
-        first, error = i, QuadratureError(message)
-        for j in [j for j in todo if j >= i]:
-            del todo[j]
+        errors[i] = QuadratureError(message)
+        del todo[i]
 
     while todo:
         rounds = {}
         for i, (S, h, _) in todo.items():
             rounds.setdefault((S, h), []).append(i)
         for (S, h), rows in rounds.items():
-            rows = [i for i in rows if i < first]
-            if not rows:
-                continue
-            logz, logf, why, cosh_s = nodes.level(S, h)
+            s = np.arange(-S, S + 0.5 * h, h)
+            logz = np.sinh(s) + 1j * theta
+            logf, why = _tracked_log_f(A, x, logz)
             if logf is None:
-                if why == "zero":
-                    fail(rows[0], "curve root on or near the integration ray")
-                elif 0.5 * h < 1e-4:
-                    fail(rows[0], "phase tracking failed to stabilize" + _state(pairs[rows[0]], S, h))
-                else:
-                    todo.update(dict.fromkeys(rows, (S, 0.5 * h, None)))
+                for i in rows:
+                    if why == "zero":
+                        fail(i, "curve root on or near the integration ray")
+                    elif 0.5 * h < 1e-4:
+                        fail(i, "phase tracking failed to stabilize" + _state(pairs[i], S, h))
+                    else:
+                        todo[i] = (S, 0.5 * h, None)
                 continue
+            cosh_s = np.cosh(s)
             per_block = max(1, _BLOCK_VALUES // logz.size)
             for lo in range(0, len(rows), per_block):
                 block = rows[lo:lo + per_block]
-                if block[0] >= first:
-                    break
                 b1 = np.array([params[i][0] for i in block])[:, None]
                 b2 = np.array([params[i][1] for i in block])[:, None]
                 expo = b1 * logf - b2 * logz
@@ -268,7 +227,7 @@ def euler_mellin(A, beta, x, theta, tol=1e-10, nodes=None):
                 for r, i in enumerate(block):
                     if overflow[r]:
                         fail(i, "integrand overflow: parameters too deep outside the wedge")
-                        break
+                        continue
                     if gmax[r] == 0.0:
                         values[i] = 0.0 + 0.0j
                         del todo[i]
@@ -277,27 +236,25 @@ def euler_mellin(A, beta, x, theta, tol=1e-10, nodes=None):
                     if tail > 1e-16 * gmax[r]:
                         if S >= 7.0:
                             fail(i, "integrand tail does not decay" + _state(pairs[i], S, h))
-                            break
-                        todo[i] = (S + 1.5, h, None)
+                        else:
+                            todo[i] = (S + 1.5, h, None)
                         continue
                     val = complex(h * sums[r])
                     prev = todo[i][2]
                     if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
                         values[i] = val
                         del todo[i]
-                        continue
-                    if 0.5 * h < 1e-4:
+                    elif 0.5 * h < 1e-4:
                         last = f"value {val:.6g}" if prev is None else f"values {prev:.6g} and {val:.6g}"
-                        state = _state(pairs[i], S, h)
-                        fail(i, f"ray quadrature failed to converge{state}, last {last}")
-                        break
-                    todo[i] = (S, 0.5 * h, val)
-    if error is not None:
-        raise error
+                        fail(i, f"ray quadrature failed to converge{_state(pairs[i], S, h)}, last {last}")
+                    else:
+                        todo[i] = (S, 0.5 * h, val)
+    if errors:
+        raise errors[min(errors)]
     return values if isinstance(beta, list) else values[0]
 
 
-def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10, stats=None):
+def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10):
     """Value of the ray integral at arbitrary parameters, by contiguity
     relations that lower the parameters into the convergence wedge.
 
@@ -308,16 +265,14 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10, stats=N
     the same value, which makes for a useful consistency check.
 
     The shifts are planned level by level; the ones inside the wedge are
-    integrated in one batched euler_mellin pass on one node table of the
-    ray, with the values separate euler_mellin calls give, bit for bit, and
-    every other shift is combined from the level below it.
+    integrated in one batched euler_mellin call, with the values separate
+    euler_mellin calls give, bit for bit, and every other shift is combined
+    from the level below it.
 
     Raises PolarLineError when a needed denominator sits on a polar line,
     and QuadratureError when a wedge quadrature fails (the first failing
     shift of the deepest level first) or at the first level whose values
-    are not finite.  An opt-in ``stats`` dict counts the "quadratures", one
-    per wedge shift, and the "node_levels", the refinement levels of the
-    ray's node table that were computed.
+    are not finite.
     """
     if order not in ("facet-0-first", "facet-k-first"):
         raise ValueError(f"unknown order {order!r}")
@@ -359,22 +314,15 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10, stats=N
         levels[m][w] = (facet, p1 / den)
         stack.extend((m + 1, w + ki) for ki, _ in reversed(steps[facet]))
     # evaluate from the deepest level up: every wedge shift in one batched
-    # quadrature on the ray's node table, taken deepest level first and in
-    # plan order within a level, and every other shift from the level below
+    # quadrature, taken deepest level first and in plan order within a
+    # level, and every other shift from the level below
     wedge = [
         (b1 - m, b2 - w)
         for m in range(len(levels) - 1, -1, -1)
         for w, plan in levels[m].items()
         if plan is None
     ]
-    nodes = _RayNodes(A, x, theta)
-    try:
-        wedge_values = iter(euler_mellin(A, wedge, x, theta, tol, nodes=nodes))
-    finally:
-        if stats is not None:
-            stats["node_levels"] = stats.get("node_levels", 0) + len(nodes.levels)
-    if stats is not None:
-        stats["quadratures"] = stats.get("quadratures", 0) + len(wedge)
+    wedge_values = iter(euler_mellin(A, wedge, x, theta, tol))
     below = {}
     for m in range(len(levels) - 1, -1, -1):
         values = {}

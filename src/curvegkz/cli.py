@@ -23,10 +23,14 @@ from .report import (
     to_json,
     verify_report,
 )
+from .series import default_step_bound
 from .toric import ORDER_NAMES
 
 # largest --window accepted; the analyze and figure work grows with it
 WINDOW_MAX = 10000
+# largest step ball of an explicit --bound above the default; the default
+# bound is accepted whatever its ball
+STEP_BALL_MAX = 10**6
 
 
 def _parse_matrix(text):
@@ -48,6 +52,13 @@ def _parse_beta(text):
         raise ValueError(
             f"-b/--beta must be two rationals with nonzero denominators, got {text!r}"
         ) from None
+
+
+def _step_ball(A, bound):
+    """Number of points u of Z^(n-2) with |u|_1 <= bound, the middle
+    coordinates of the kernel steps the series walks at this bound."""
+    d = A.n - 2
+    return sum(2**i * math.comb(d, i) * math.comb(bound, i) for i in range(d + 1))
 
 
 def _tolerance(tol):
@@ -120,10 +131,13 @@ def main(argv=None):
         if args.command == "analyze":
             payload = to_json(analyze_report(A, window=args.window))
         elif args.command == "solve":
-            if args.bound is not None and args.bound < 0:
-                raise ValueError(f"--bound must be at least 0, got {args.bound}")
+            bound = args.bound
+            if bound is not None and bound < 0:
+                raise ValueError(f"--bound must be at least 0, got {bound}")
+            if bound is not None and bound > default_step_bound(A) and _step_ball(A, bound) > STEP_BALL_MAX:
+                raise ValueError(f"--bound {bound}: its step ball exceeds the limit of {STEP_BALL_MAX} points")
             beta = _parse_beta(args.beta)
-            payload = to_json(solve_report(A, beta, order=args.order, bound=args.bound))
+            payload = to_json(solve_report(A, beta, order=args.order, bound=bound))
         elif args.command == "verify":
             if args.seed < 0:
                 raise ValueError(f"--seed must be at least 0, got {args.seed}")

@@ -404,8 +404,8 @@ def delta_conditions(A, beta):
     return (cond1, cond2)
 
 
-def in_convergence_domain(A, beta, margin=0.0):
-    """True when both facet pairings are negative enough for the defining
-    integral to converge on every ray component."""
+def in_convergence_domain(A, beta):
+    """True when both facet pairings have negative real part, so that the
+    defining integral converges on every ray component."""
     beta = (complex(beta[0]), complex(beta[1]))
-    return all(facet_level(A.k, facet, beta).real < -margin for facet in FACETS)
+    return all(facet_level(A.k, facet, beta).real < 0 for facet in FACETS)

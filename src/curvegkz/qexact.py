@@ -291,15 +291,6 @@ class Aff2:
         return f"Aff2({self.text()})"
 
 
-def exact_value(x, b1=None, b2=None):
-    """Evaluate ``x`` if it is symbolic, pass it through otherwise."""
-    if isinstance(x, Aff2):
-        if b1 is None or b2 is None:
-            raise AssertionError("a symbolic value needs both b1 and b2")
-        return x.evaluate(b1, b2)
-    return x
-
-
 def fraction_matrix_rank(rows):
     """Rank of a small matrix with Fraction entries, by Gaussian elimination."""
     mat = [[_as_fraction(x) for x in row] for row in rows]

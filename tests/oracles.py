@@ -458,11 +458,10 @@ def delta_conditions_by_reach(A, beta):
 
 
 def euler_mellin_untabled(A, beta, x, theta, tol=1e-10):
-    """analytic.euler_mellin for one pair in a loop of its own: the nodes,
-    log z, the tracked log f and cosh s built afresh at each (S, h) level
-    instead of read from a table, and one 1-D array a level instead of a
-    row of a batch."""
-    if not in_convergence_domain(A, beta, margin=0.0):
+    """analytic.euler_mellin for one pair in a loop of its own: one 1-D
+    array a level instead of a row of a batch, no rounds that group pairs
+    by level, and each error raised at once instead of collected."""
+    if not in_convergence_domain(A, beta):
         raise QuadratureError(f"parameters {beta} outside the convergence wedge")
     b1 = complex(beta[0])
     b2 = complex(beta[1])

@@ -18,7 +18,6 @@ from oracles import euler_mellin_untabled
 
 from curvegkz import analytic
 from curvegkz.analytic import (
-    _RayNodes,
     em_independence_probe,
     euler_mellin,
     extension_shift,
@@ -166,27 +165,27 @@ def test_extension_shift_orders_agree():
         extension_shift(A0134, beta, x, theta, order="sideways")
 
 
-def test_extension_shift_passthrough_in_wedge():
+def test_extension_shift_passthrough_in_wedge(monkeypatch):
     x = sample_structured_point(A0134, 5)
     theta = roots_and_components(A0134, x).ray_angles[0]
     beta = (-1.1, -0.6)
     direct = euler_mellin(A0134, beta, x, theta)
-    stats = {}
-    via = extension_shift(A0134, beta, x, theta, stats=stats)
+    batches = _record_batches(monkeypatch)
+    via = extension_shift(A0134, beta, x, theta)
     assert via == direct
-    assert stats["quadratures"] == 1
+    assert batches == [[beta]]
 
 
-def test_extension_shift_far_from_the_wedge():
+def test_extension_shift_far_from_the_wedge(monkeypatch):
     # b1 = 1500.5 needs a chain of 1500 shifts; a recursive evaluation runs
     # out of stack long before that.  The two-column value has a closed form.
     x = (1.1, 0.9)
     beta = (1500.5, 0.3)
-    stats = {}
-    got = extension_shift(A01, beta, x, 0.0, stats=stats)
+    batches = _record_batches(monkeypatch)
+    got = extension_shift(A01, beta, x, 0.0)
     want = _beta_closed_form(*beta, *x)
     assert abs(got - want) <= 1e-9 * abs(want)
-    assert stats["quadratures"] == 1
+    assert [len(pairs) for pairs in batches] == [1]
 
 
 def test_extension_shift_overflow_is_a_quadrature_error():
@@ -218,73 +217,107 @@ def test_extension_shift_polar_failure_is_honest():
         extension_shift(A0134, (0.3, 2.0), x, theta)
 
 
-def test_shared_node_table_is_bit_identical():
-    # the first parameter is done at S = 4, the second needs S = 5.5 and
-    # the third S = 7 on the same table; each value must equal the one a
-    # fresh table and the untabled loop give, bit for bit
+def _record_levels(monkeypatch):
+    """Record each call of analytic._tracked_log_f as ((S, h), why) for its
+    nodes s = -S, -S + h, ..., S; why is None where the tracking held."""
+    calls = []
+    tracked = analytic._tracked_log_f
+
+    def recording(A, x, logz):
+        logf, why = tracked(A, x, logz)
+        S = -math.asinh(logz[0].real)
+        calls.append(((round(S, 9), round(2 * S / (len(logz) - 1), 9)), why))
+        return logf, why
+
+    monkeypatch.setattr(analytic, "_tracked_log_f", recording)
+    return calls
+
+
+def _record_batches(monkeypatch):
+    """Record the pair list of each euler_mellin call made through analytic."""
+    batches = []
+    quadrature = analytic.euler_mellin
+    monkeypatch.setattr(analytic, "euler_mellin", lambda A, beta, *a: batches.append(beta) or quadrature(A, beta, *a))
+    return batches
+
+
+def test_shared_node_table_is_bit_identical(monkeypatch):
+    # the first pair is done at S = 4, the second needs S = 5.5 and the
+    # third S = 7; in one call they read the same levels, each tracked once,
+    # and each value must equal the one the pair gives alone and the
+    # untabled loop gives, bit for bit
     x = sample_structured_point(A0134, 5)
     theta = roots_and_components(A0134, x).ray_angles[0]
-    nodes = _RayNodes(A0134, x, theta)
     betas = [(-3.0, -6.0), (-1.1, -0.6), (-0.3, -0.26), (-8.0, -16.0), (-1.2 + 0.3j, -0.9 - 0.2j)]
-    for i, beta in enumerate(betas):
-        shared = euler_mellin(A0134, beta, x, theta, nodes=nodes)
-        assert shared == euler_mellin(A0134, beta, x, theta), beta
-        assert shared == euler_mellin_untabled(A0134, beta, x, theta), beta
-        if i == 0:
-            assert {S for S, _ in nodes.levels} == {4.0}
-        if i == 1:
-            assert 5.5 in {S for S, _ in nodes.levels}
-    with pytest.raises(ValueError, match="another ray"):
-        euler_mellin(A0134, betas[0], x, theta + 0.1, nodes=nodes)
+    lone = [euler_mellin_untabled(A0134, beta, x, theta) for beta in betas]
+    calls = _record_levels(monkeypatch)
+    levels = []
+    for beta, want in zip(betas, lone):
+        calls.clear()
+        assert euler_mellin(A0134, beta, x, theta) == want, beta
+        levels.append({level for level, _ in calls})
+    assert {S for S, _ in levels[0]} == {4.0}
+    assert 5.5 in {S for S, _ in levels[1]}
+    assert 7.0 in {S for S, _ in levels[2]}
+    calls.clear()
+    assert euler_mellin(A0134, betas, x, theta) == lone
+    batch = [level for level, _ in calls]
+    assert len(batch) == len(set(batch))
+    assert set(batch) == set().union(*levels)
 
 
-def test_shared_node_table_replays_phase_halvings():
+def test_shared_node_table_replays_phase_halvings(monkeypatch):
     # a ray close to a root: at h = 0.2 and 0.1 the tracked phase jumps, and
-    # every quadrature on the table must halve h past those levels again
+    # every pair must halve h past those levels, alone or in one call
     x = sample_structured_point(A0134, 5)
     theta = roots_and_components(A0134, x).angles[0] - 0.03
-    nodes = _RayNodes(A0134, x, theta)
     betas = [(-1.1, -0.6), (-3.0, -6.0), (-0.3, -0.26)]
-    for beta in betas:
-        shared = euler_mellin(A0134, beta, x, theta, nodes=nodes)
-        assert shared == euler_mellin(A0134, beta, x, theta) == euler_mellin_untabled(A0134, beta, x, theta)
-    failed = {key: why for key, (_, logf, why, _) in nodes.levels.items() if logf is None}
-    assert failed == {(4.0, 0.2): "phase", (4.0, 0.1): "phase"}
-    # the batch halves past them once for all pairs, with the same values
-    batch = _RayNodes(A0134, x, theta)
     lone = [euler_mellin_untabled(A0134, beta, x, theta) for beta in betas]
-    assert euler_mellin(A0134, betas, x, theta, nodes=batch) == lone
-    assert batch.levels.keys() == nodes.levels.keys()
+    phase = {(4.0, 0.2): "phase", (4.0, 0.1): "phase"}
+    calls = _record_levels(monkeypatch)
+    levels = []
+    for beta, want in zip(betas, lone):
+        calls.clear()
+        assert euler_mellin(A0134, beta, x, theta) == want, beta
+        assert {level: why for level, why in calls if why is not None} == phase
+        levels.append({level for level, _ in calls})
+    # the batch halves past them once for all pairs, with the same values
+    calls.clear()
+    assert euler_mellin(A0134, betas, x, theta) == lone
+    batch = [level for level, _ in calls]
+    assert len(batch) == len(set(batch))
+    assert set(batch) == set().union(*levels)
+    assert {level: why for level, why in calls if why is not None} == phase
 
 
 def test_shared_node_table_root_on_the_ray(monkeypatch):
     # f = c (1 - z) has its root z = 1 on the ray arg z = 0, within 1e-14 of
     # the node s = 0; the tiny c puts |f| there below the zero floor.  Every
-    # quadrature sharing the table must raise, not only the first
-    calls = []
-    tracked = analytic._tracked_log_f
-    monkeypatch.setattr(analytic, "_tracked_log_f", lambda *a: calls.append(1) or tracked(*a))
+    # pair must raise, alone or in one call that tracks the first level once
     x = (1e-280, -1e-280)
-    nodes = _RayNodes(A01, x, 0.0)
-    for beta in [(-1.3, -0.7), (-2.6, -0.35), (-1.2 + 0.3j, -0.5 - 0.2j)]:
+    betas = [(-1.3, -0.7), (-2.6, -0.35), (-1.2 + 0.3j, -0.5 - 0.2j)]
+    calls = _record_levels(monkeypatch)
+    for pairs in [[beta] for beta in betas] + [betas]:
+        calls.clear()
         with pytest.raises(QuadratureError, match="curve root on or near the integration ray"):
-            euler_mellin(A01, beta, x, 0.0, nodes=nodes)
-    assert len(calls) == 1
+            euler_mellin(A01, pairs, x, 0.0)
+        assert calls == [((4.0, 0.2), "zero")]
     with pytest.raises(QuadratureError, match="curve root on or near the integration ray"):
         extension_shift(A01, (2.5, 0.3), x, 0.0)
 
 
 def test_extension_shift_tracks_each_level_once(monkeypatch):
-    # b1 = 30.3 takes well over a hundred wedge quadratures, all on one ray
-    calls = []
-    tracked = analytic._tracked_log_f
-    monkeypatch.setattr(analytic, "_tracked_log_f", lambda *a: calls.append(1) or tracked(*a))
+    # b1 = 30.3 takes well over a hundred wedge quadratures, all in one call
+    # on one ray, and each level of that call is tracked once
+    batches = _record_batches(monkeypatch)
+    calls = _record_levels(monkeypatch)
     x = sample_structured_point(A023, 3)
     theta = roots_and_components(A023, x).ray_angles[0]
-    stats = {}
-    extension_shift(A023, (30.3, 7.7), x, theta, stats=stats)
-    assert stats["node_levels"] == len(calls)
-    assert 10 * stats["node_levels"] < stats["quadratures"]
+    extension_shift(A023, (30.3, 7.7), x, theta)
+    assert len(batches) == 1
+    levels = [level for level, _ in calls]
+    assert len(levels) == len(set(levels))
+    assert 10 * len(levels) < len(batches[0])
 
 
 def test_loop_calculus_sum_rule():

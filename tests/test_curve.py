@@ -245,4 +245,3 @@ def test_convergence_domain():
     assert not in_convergence_domain(A0134, (-1, 0))  # boundary is excluded
     assert not in_convergence_domain(A0134, (0, -1))
     assert in_convergence_domain(A0134, (-0.5 + 0.3j, -0.2 - 1j))
-    assert not in_convergence_domain(A0134, (-1, -1), margin=5.0)

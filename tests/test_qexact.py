@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from curvegkz.qexact import Aff2, PolyQ, exact_value, fraction_matrix_rank
+from curvegkz.qexact import Aff2, PolyQ, fraction_matrix_rank
 
 T = sympy.Symbol("t")
 
@@ -107,11 +107,6 @@ def test_aff2_algebra_and_substitution():
         assert q(lam) == e.evaluate(lam, 4 * lam - 3)
     with pytest.raises(ValueError):
         e.on_line(4, "side", 0)
-
-
-def test_exact_value_dispatch():
-    assert exact_value(Fraction(3, 2)) == Fraction(3, 2)
-    assert exact_value(Aff2(1, 1, 0), Fraction(2), Fraction(7)) == 3
 
 
 def test_fraction_matrix_rank_matches_sympy():

@@ -209,6 +209,26 @@ def test_cli_negative_bound_is_exit_2(capsys):
     assert [len(element["monomials"]) for element in basis] == [1, 1, 1, 1]
 
 
+def test_cli_huge_bound_is_exit_2(monkeypatch, capsys):
+    # a bound whose step ball holds 2e16 points is rejected before any
+    # series work, with a message naming the limit
+    bounds = []
+    monkeypatch.setattr(cli, "solve_report", lambda A, beta, order, bound: bounds.append(bound) or {})
+    assert cli.main(["solve", "-A", "0,1,3,4", "-b", "1/2,1/3", "--bound", "100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"limit of {cli.STEP_BALL_MAX}" in captured.err
+    assert bounds == []
+    # the default bound is never rejected, though its ball on six columns
+    # holds 2.6e6 points; above the default, a small ball is accepted
+    A = CurveMatrix([0, 2, 3, 5, 8, 11])
+    assert cli._step_ball(A, series.default_step_bound(A)) > cli.STEP_BALL_MAX
+    assert cli.main(["solve", "-A", "0,2,3,5,8,11", "-b", "1/2,1/3", "--bound", "44"]) == 0
+    assert cli._step_ball(A0134, 256) == 131585
+    assert cli.main(["solve", "-A", "0,1,3,4", "-b", "1/2,1/3", "--bound", "256"]) == 0
+    assert bounds == [44, 256]
+
+
 def test_cli_negative_seed_is_exit_2(monkeypatch, capsys):
     # rejected before any check runs, with a message naming the option
     def unreachable(*args, **kwargs):
