@@ -27,6 +27,8 @@ _SHIFT_MARGIN = 0.25
 # a batched ray quadrature integrates at most this many integrand values in
 # one block of rows, so a fine level of many parameters stays small in memory
 _BLOCK_VALUES = 1 << 16
+# a shift plan may hold this many shifts (about 6 b1^2 on 0,1,3,4), seconds of work
+_PLAN_BUDGET = 10**6
 
 
 def _coeff_array(A, x):
@@ -254,26 +256,9 @@ def euler_mellin(A, beta, x, theta, tol=1e-10):
     return values if isinstance(beta, list) else values[0]
 
 
-def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10):
-    """Value of the ray integral at arbitrary parameters, by contiguity
-    relations that lower the parameters into the convergence wedge.
-
-    One facet-0 step rewrites the value through the n-1 shifts beta - a_i
-    with weights k_i x_i and prefactor b1/b2; one facet-k step uses the
-    complementary weights (k - k_i) x_i and prefactor b1/(k b1 - b2).  The
-    ``order`` parameter chooses which pairing is repaired first; both give
-    the same value, which makes for a useful consistency check.
-
-    The shifts are planned level by level; the ones inside the wedge are
-    integrated in one batched euler_mellin call, with the values separate
-    euler_mellin calls give, bit for bit, and every other shift is combined
-    from the level below it.
-
-    Raises PolarLineError when a needed denominator sits on a polar line,
-    and QuadratureError when a wedge quadrature fails (the first failing
-    shift of the deepest level first) or at the first level whose values
-    are not finite.
-    """
+def _shift_plan(A, beta, x, order):
+    """The steps of both facets, and levels[m] mapping w to None when the
+    shift (m, w) lies inside the wedge, else to its facet and prefactor."""
     if order not in ("facet-0-first", "facet-k-first"):
         raise ValueError(f"unknown order {order!r}")
     b1 = complex(beta[0])
@@ -285,65 +270,123 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10):
         facet: [(A.exponents[i], level * complex(x[i])) for i, level in facet_parts(A, facet)]
         for facet in FACETS
     }
-    # plan: levels[m] maps w to None inside the wedge, else to the facet and
-    # prefactor of the shift (m, w).  The shifts are visited depth first, in
-    # the order of the columns, so the first vanishing denominator found is
-    # the first one the recursive definition would reach.
-    levels = []
+    children = {facet: [ki for ki, _ in reversed(steps[facet])] for facet in FACETS}
+    # The shifts are visited depth first, in the order of the columns, so
+    # the first vanishing denominator found is the first one the recursive
+    # definition would reach.  Only children not yet planned are pushed,
+    # and no other parent of a child is expanded before the child is
+    # popped, so every pop plans a new shift.
+    b1_re, b2_re = b1.real, b2.real
+    levels = [{}]
     stack = [(0, 0)]
+    size = 0
     while stack:
         m, w = stack.pop()
-        if m == len(levels):
-            levels.append({})
-        if w in levels[m]:
-            continue
-        p1 = b1 - m
-        p2 = b2 - w
-        # the facet levels p2 and k*p1 - p2 of facet_level, inline on this
-        # hot path: the plan can hold hundreds of thousands of shifts
-        if p2.real <= -_SHIFT_MARGIN and (k * p1 - p2).real <= -_SHIFT_MARGIN:
+        size += 1
+        if size > _PLAN_BUDGET:
+            raise QuadratureError(
+                f"the shift plan at beta = {beta} ({order}) holds more than {_PLAN_BUDGET} shifts"
+            )
+        # the real parts of the facet levels p2 and k*p1 - p2 of facet_level,
+        # inline and in floats on this hot path
+        level_0 = b2_re - w
+        level_k = k * (b1_re - m) - level_0
+        if level_0 <= -_SHIFT_MARGIN and level_k <= -_SHIFT_MARGIN:
             levels[m][w] = None
             continue
         if order == "facet-0-first":
-            facet = FACET_0 if p2.real > -_SHIFT_MARGIN else FACET_K
+            facet = FACET_0 if level_0 > -_SHIFT_MARGIN else FACET_K
         else:
-            facet = FACET_K if (k * p1 - p2).real > -_SHIFT_MARGIN else FACET_0
+            facet = FACET_K if level_k > -_SHIFT_MARGIN else FACET_0
+        p1 = b1 - m
+        p2 = b2 - w
         den = p2 if facet == FACET_0 else k * p1 - p2
         if abs(den) < 1e-12 * (1.0 + abs(p1) * k + abs(p2)):
             raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
         levels[m][w] = (facet, p1 / den)
-        stack.extend((m + 1, w + ki) for ki, _ in reversed(steps[facet]))
-    # evaluate from the deepest level up: every wedge shift in one batched
-    # quadrature, taken deepest level first and in plan order within a
-    # level, and every other shift from the level below
-    wedge = [
-        (b1 - m, b2 - w)
-        for m in range(len(levels) - 1, -1, -1)
-        for w, plan in levels[m].items()
-        if plan is None
-    ]
-    wedge_values = iter(euler_mellin(A, wedge, x, theta, tol))
-    below = {}
-    for m in range(len(levels) - 1, -1, -1):
-        values = {}
-        for w, plan in levels[m].items():
-            if plan is None:
-                values[w] = next(wedge_values)
-                continue
-            facet, prefactor = plan
-            total = 0.0 + 0.0j
-            for ki, weight in steps[facet]:
-                total += weight * below[w + ki]
-            values[w] = prefactor * total
-        # every shift of the plan feeds (0, 0), and a value that is not
-        # finite stays so through the weighted sums above it
-        if not all(map(cmath.isfinite, values.values())):
-            raise QuadratureError(
-                f"shift continuation over {len(levels)} levels overflowed at {beta}: "
-                f"the values of level {m} are not finite"
-            )
-        below = values
-    return below[0]
+        if m + 1 == len(levels):
+            levels.append({})
+        below = levels[m + 1]
+        for ki in children[facet]:
+            if w + ki not in below:
+                stack.append((m + 1, w + ki))
+    return steps, levels
+
+
+def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10):
+    """Value of the ray integral at arbitrary parameters, by contiguity
+    relations that lower the parameters into the convergence wedge.
+
+    One facet-0 step rewrites the value through the n-1 shifts beta - a_i
+    with weights k_i x_i and prefactor b1/b2; one facet-k step uses the
+    complementary weights (k - k_i) x_i and prefactor b1/(k b1 - b2).  The
+    ``order`` parameter chooses which pairing is repaired first; both give
+    the same value, which makes for a useful consistency check.
+
+    ``beta`` is one pair, or a list of pairs with a list ``order`` of the
+    same length, which gives the list of their values.  The shifts of each
+    pair are planned level by level.  The wedge shifts of all pairs, each
+    pair's deepest level first, go once each into one batched euler_mellin
+    call; every other shift is combined from the level below it.  Each
+    value equals, bit for bit, the one its pair gives alone.
+
+    Raises PolarLineError when a needed denominator sits on a polar line,
+    and QuadratureError when a plan holds more than _PLAN_BUDGET shifts,
+    when a wedge quadrature fails (the first failing shift of the deepest
+    level first) or at the first level whose values are not finite.  A list
+    raises what lone calls of its pairs, in order, raise first.
+    """
+    if not isinstance(beta, list):
+        return extension_shift(A, [beta], x, theta, [order], tol)[0]
+    if isinstance(order, str) or len(order) != len(beta):
+        raise ValueError("a list of pairs needs a list of orders of the same length")
+    plans = []
+    wedge = {}
+    for pair, pair_order in zip(beta, order):
+        try:
+            steps, levels = _shift_plan(A, pair, x, pair_order)
+        except (PolarLineError, QuadratureError, ValueError):
+            # a failing pair before this one raises first
+            extension_shift(A, beta[: len(plans)], x, theta, order[: len(plans)], tol)
+            raise
+        plans.append((pair, steps, levels))
+        b1, b2 = complex(pair[0]), complex(pair[1])
+        for m in range(len(levels) - 1, -1, -1):
+            wedge.update(((b1 - m, b2 - w), None) for w, plan in levels[m].items() if plan is None)
+    try:
+        wedge_values = dict(zip(wedge, euler_mellin(A, list(wedge), x, theta, tol)))
+    except QuadratureError:
+        # the first failing pair raises this error alone too, but a pair
+        # before it whose continuation overflows raises first
+        if len(beta) > 1:
+            for pair, pair_order in zip(beta, order):
+                extension_shift(A, pair, x, theta, pair_order, tol)
+        raise
+    results = []
+    for pair, steps, levels in plans:
+        b1, b2 = complex(pair[0]), complex(pair[1])
+        below = {}
+        for m in range(len(levels) - 1, -1, -1):
+            values = {}
+            for w, plan in levels[m].items():
+                if plan is None:
+                    values[w] = wedge_values[(b1 - m, b2 - w)]
+                    continue
+                facet, prefactor = plan
+                total = 0.0 + 0.0j
+                for ki, weight in steps[facet]:
+                    total += weight * below[w + ki]
+                values[w] = prefactor * total
+            # every shift of the plan feeds (0, 0), and a value that is not
+            # finite stays so through the weighted sums above it
+            if not all(map(cmath.isfinite, values.values())):
+                raise QuadratureError(
+                    f"shift continuation over {len(levels)} levels overflowed at {pair}: "
+                    f"the values of level {m} are not finite"
+                )
+            below = values
+        results.append(below[0])
+    return results
 
 
 def _loop_integral(A, beta, x, center, radius, orientation=1, tol=1e-10):
@@ -401,13 +444,28 @@ def _integral_level(A, facet, beta):
     return abs(level.imag) <= 1e-9 and abs(level.real - round(level.real)) <= 1e-9
 
 
+def _quiet_radius(A, beta, x, scale, factors):
+    """The first radius factor * scale around the origin whose circle has
+    the least peak of Re(b1 log f - b2 log z) over 64 nodes.  The trapezoid
+    rule on a circle loses about the digits by which the integrand's peak
+    exceeds the value (Bornemann 2011; Trefethen-Weideman 2014)."""
+    import numpy as np
+    phi = _TWO_PI * np.arange(64) / 64
+    peaks = []
+    for factor in factors:
+        logz = math.log(factor * scale) + 1j * phi
+        logf, _ = _tracked_log_f(A, x, logz)
+        peaks.append(math.inf if logf is None else np.max((complex(beta[0]) * logf - complex(beta[1]) * logz).real))
+    return factors[peaks.index(min(peaks))] * scale
+
+
 def residue_at_zero(A, beta, x, tol=1e-10):
     """Counterclockwise loop around the origin inside all roots.  Requires
     integral b2 so that z^(-b2) closes up around the origin."""
     if not _integral_level(A, FACET_0, beta):
         raise QuadratureError("origin loop needs an integral second parameter")
     rc = roots_and_components(A, x)
-    radius = 0.5 * min(abs(r) for r in rc.roots)
+    radius = _quiet_radius(A, beta, x, min(abs(r) for r in rc.roots), (0.5, 0.6, 0.7, 0.8, 0.9))
     return _loop_integral(A, beta, x, 0.0, radius, orientation=1, tol=tol)
 
 
@@ -418,7 +476,7 @@ def residue_at_infinity(A, beta, x, tol=1e-10):
     if not _integral_level(A, FACET_K, beta):
         raise QuadratureError("infinity loop needs an integral facet-k pairing")
     rc = roots_and_components(A, x)
-    radius = 2.0 * max(abs(r) for r in rc.roots)
+    radius = _quiet_radius(A, beta, x, max(abs(r) for r in rc.roots), (2.0, 1.6, 1.4, 1.2, 1.1))
     return _loop_integral(A, beta, x, 0.0, radius, orientation=-1, tol=tol)
 
 
@@ -500,14 +558,13 @@ def polar_line_match_check(
     radius = float(min(1, d)) / 4
     nodes = 24
     lam_c = complex(lam)
+    turns = [cmath.exp(1j * (_TWO_PI * j / nodes)) for j in range(nodes)]
+    # the points over lam_c of the facet line at the levels N + eps, all
+    # continued in one call
+    betas = [(lam_c, facet_level(A.k, facet, (lam_c, level + radius * turn))) for turn in turns]
     acc = 0.0 + 0.0j
-    for j in range(nodes):
-        phi = _TWO_PI * j / nodes
-        eps = radius * cmath.exp(1j * phi)
-        # the point over lam_c of the facet line at level N + eps
-        beta_j = (lam_c, facet_level(A.k, facet, (lam_c, level + eps)))
-        val = extension_shift(A, beta_j, x, theta, order=order, tol=tol)
-        acc += val * cmath.exp(1j * phi)
+    for val, turn in zip(extension_shift(A, betas, x, theta, [order] * nodes, tol), turns):
+        acc += val * turn
     contour = radius / nodes * acc
     finite = polar_line_solution(A, facet, level)
     series_val = finite.evaluate(lam, x)

@@ -181,8 +181,7 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
         record("shift-order-independence", "skipped", reason="beta lies on a polar line")
     else:
         bc = (complex(float(b1)), complex(float(b2)))
-        v1 = extension_shift(A, bc, x, rc.ray_angles[0], order="facet-0-first")
-        v2 = extension_shift(A, bc, x, rc.ray_angles[0], order="facet-k-first")
+        v1, v2 = extension_shift(A, [bc, bc], x, rc.ray_angles[0], ["facet-0-first", "facet-k-first"])
         rel = abs(v1 - v2) / max(1.0, abs(v1))
         record(
             "shift-order-independence",

@@ -217,6 +217,39 @@ def test_extension_shift_polar_failure_is_honest():
         extension_shift(A0134, (0.3, 2.0), x, theta)
 
 
+def test_extension_shift_list_raises_the_first_lone_error():
+    # a list raises what lone calls in order raise first, also when a later
+    # pair fails while planning, before any quadrature has run
+    polar = (0.3, 2.0)
+    with pytest.raises(QuadratureError, match="phase tracking failed to stabilize"):
+        extension_shift(A01, [(2.5, 0.3), polar], (1.0, 1.0), math.pi, ["facet-0-first"] * 2)
+    with pytest.raises(QuadratureError, match="the values of level 1239 are not finite"):
+        extension_shift(A01, [(3000.5, 0.3), polar], (1.5, 0.9), 0.0, ["facet-0-first", "facet-k-first"])
+    # the second pair's quadrature fails in the shared pass, but the first
+    # pair's continuation overflows, and alone it would raise first
+    with pytest.raises(QuadratureError, match="the values of level 1239 are not finite"):
+        extension_shift(A01, [(3000.5, 0.3), (-0.5, -0.3 + 1000j)], (1.5, 0.9), 0.0, ["facet-0-first"] * 2)
+    with pytest.raises(PolarLineError):
+        extension_shift(A01, [(1.5, 0.3), polar], (1.5, 0.9), 0.0, ["facet-0-first"] * 2)
+    with pytest.raises(ValueError, match="list of orders of the same length"):
+        extension_shift(A01, [(1.5, 0.3)], (1.5, 0.9), 0.0, "facet-0-first")
+
+
+def test_extension_shift_list_shares_the_wedge_shifts(monkeypatch):
+    # the two orders of one point need many of the same wedge shifts; one
+    # quadrature call integrates each of them once
+    x = sample_structured_point(A023, 3)
+    theta = roots_and_components(A023, x).ray_angles[0]
+    beta = (12.3, 7.7)
+    orders = ["facet-0-first", "facet-k-first"]
+    batches = _record_batches(monkeypatch)
+    lone = [extension_shift(A023, beta, x, theta, order=order) for order in orders]
+    assert extension_shift(A023, [beta, beta], x, theta, orders) == lone
+    assert len(batches) == 3
+    assert set(batches[2]) == set(batches[0]) | set(batches[1])
+    assert len(batches[2]) == len(set(batches[2])) < len(batches[0]) + len(batches[1])
+
+
 def _record_levels(monkeypatch):
     """Record each call of analytic._tracked_log_f as ((S, h), why) for its
     nodes s = -S, -S + h, ..., S; why is None where the tracking held."""
@@ -343,6 +376,31 @@ def test_loop_calculus_sum_rule():
         assert abs(diff - loops[i]) <= 1e-8 * scale, i
 
 
+@pytest.mark.parametrize(
+    "exps, beta",
+    [((0, 2, 5, 7), (8, 30)), ((0, 2, 3), (8, 25)), ((0, 1, 3, 4), (0, 21)), ((0, 2, 3), (9, 25))],
+)
+def test_origin_and_infinity_loops_match_the_taylor_coefficient(exps, beta, monkeypatch):
+    # with b1 in Z>=0, f^b1 is a polynomial: the origin loop is 2 pi i times
+    # its z^b2 coefficient, and the clockwise infinity loop minus that.  On
+    # the circles of radius 0.5 min|root| and 2 max|root| the integrand of
+    # these points peaks about 10^7 times above the value, and the loops
+    # doubled to 2^18 nodes and failed to converge or lost digits
+    A = CurveMatrix(list(exps))
+    nodes = []
+    tracked = analytic._tracked_log_f
+    monkeypatch.setattr(analytic, "_tracked_log_f", lambda A, x, logz: nodes.append(len(logz)) or tracked(A, x, logz))
+    for seed in (0, 1):
+        x = sample_structured_point(A, seed)
+        exact = 2j * math.pi * power_series_coefficient(A, beta[0], beta[1], x)
+        for loop, sign in ((residue_at_zero, 1), (residue_at_infinity, -1)):
+            nodes.clear()
+            got = loop(A, beta, x)
+            assert abs(got - sign * exact) <= 1e-10 * max(1.0, abs(exact)), (loop.__name__, seed)
+            # five 64-node candidate circles, then a few doublings
+            assert sum(nodes) <= 1 << 12, (loop.__name__, seed)
+
+
 def test_loop_guards():
     x = sample_structured_point(A0134, 3)
     with pytest.raises(QuadratureError):
@@ -379,6 +437,23 @@ def test_polar_residue_match_and_taylor_route():
     theta1 = roots_and_components(A0134, x).ray_angles[1]
     res_other = polar_line_match_check(A0134, FACET_0, 1, lam, x, theta=theta1)
     assert abs(res_other.contour_value - res.contour_value) <= 1e-6 * abs(res.contour_value)
+
+
+def test_polar_residue_contour_is_one_batch(monkeypatch):
+    # the 24 continuations of the contour share one quadrature call, and the
+    # contour value is the one their lone continuations give, bit for bit.
+    # At lam = -1 the facet-k level -5 is no polar level, so the radius is 1/4
+    x = sample_structured_point(A0134, 3)
+    theta = roots_and_components(A0134, x).ray_angles[0]
+    acc = 0.0 + 0.0j
+    for j in range(24):
+        phi = 2 * math.pi * j / 24
+        beta = (complex(-1.0), 1 + 0.25 * cmath.exp(1j * phi))
+        acc += extension_shift(A0134, beta, x, theta) * cmath.exp(1j * phi)
+    batches = _record_batches(monkeypatch)
+    res = polar_line_match_check(A0134, FACET_0, 1, -1.0, x, theta=theta)
+    assert res.contour_value == 0.25 / 24 * acc
+    assert len(batches) == 1
 
 
 def test_polar_residue_match_facet_k():

@@ -317,6 +317,35 @@ def test_extension_shift_matches_recursion(A, data):
             assert got == want, (A, b1, b2, order)
 
 
+def _continuations(continue_all):
+    try:
+        return continue_all()
+    except (PolarLineError, QuadratureError) as err:
+        return type(err).__name__, str(err)
+
+
+@settings(PROPERTY, max_examples=15)
+@given(matrices, st.data())
+def test_extension_shift_list_matches_lone_calls(A, data):
+    # a list of pairs and orders gives each job's lone value bit for bit, or
+    # the error that lone calls in order raise first.  Points repeat under
+    # both orders, so jobs share wedge shifts; an integral level puts a job
+    # on a polar line, and the ray 0.03 short of a root fails quadratures
+    x = sample_structured_point(A, data.draw(st.integers(0, 99), label="seed"))
+    rc = roots_and_components(A, x)
+    theta = data.draw(st.sampled_from([rc.ray_angles[0], rc.angles[0] - 0.03]), label="theta")
+    jobs = []
+    for _ in range(data.draw(st.integers(1, 3), label="points")):
+        b1 = data.draw(st.integers(-2, 6), label="b1") + data.draw(st.sampled_from([0.25, 0.5, 0.8]))
+        b2 = data.draw(st.integers(-2, int(A.k * b1) + 2), label="b2") + data.draw(st.sampled_from([0.0, 0.3, 0.55]))
+        orders = data.draw(st.lists(st.sampled_from(["facet-0-first", "facet-k-first"]), min_size=1, max_size=2))
+        jobs += [((b1, b2), order) for order in orders]
+    jobs = data.draw(st.permutations(jobs), label="jobs")
+    got = _continuations(lambda: extension_shift(A, [b for b, _ in jobs], x, theta, [o for _, o in jobs]))
+    want = _continuations(lambda: [extension_shift(A, b, x, theta, order=o) for b, o in jobs])
+    assert got == want, (A, jobs, theta)
+
+
 # facet levels of wedge parameters; the ones near 0 decay slowly at an end
 # of the ray and need the wider node ranges S = 5.5 and 7
 wedge_levels = st.sampled_from([-0.12, -0.26, -0.6, -1.3, -3.1, -7.0])

@@ -351,6 +351,19 @@ def test_cli_overflow_is_exit_3(capsys):
     assert "numerical failure: shift continuation over 20003 levels" in captured.err
 
 
+def test_cli_huge_shift_plan_is_exit_3(capsys):
+    # the shift plan of a continuation grows like b1^2; this one would need
+    # billions of shifts, so it stops at the budget with a numerical failure
+    # instead of planning for minutes
+    assert cli.main(["verify", "-A", "0,1,3,4", "-b", "100001/2,1/3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "numerical failure: the shift plan at beta = ((50000.5+0j), (0.3333333333333333+0j)) "
+        "(facet-0-first) holds more than 1000000 shifts"
+    )
+
+
 def test_cli_log_obstruction_is_exit_3(monkeypatch, capsys):
     # LogObstructionError subclasses ValueError; it must still map to the
     # numerical-failure code, not invalid input
