@@ -176,27 +176,21 @@ def euler_mellin(A, beta, x, theta, tol=1e-10):
     or h down, so a level comes up in one round only and is built once per
     call.  A row goes through exactly the steps of a lone pair, and numpy
     sums it along its contiguous nodes as it sums a lone pair's array, so
-    every value equals, bit for bit, the value its pair gives alone.  Every
-    pair runs to its own end; when pairs fail, the error of the first
-    failing pair in the list is raised.
+    every value equals, bit for bit, the value its pair gives alone.
+
+    A failure raises where it is found: first a pair outside the wedge, in
+    list order, then the first failure in round order.  Each error names
+    its level, so it is the error that its pair raises alone.
     """
     import numpy as np
     pairs = beta if isinstance(beta, list) else [beta]
-    # errors maps each failed pair to its error, and todo each pair still
-    # running to its (S, h, value at the last h)
-    params, errors = {}, {}
-    for i, pair in enumerate(pairs):
-        if in_convergence_domain(A, pair):
-            params[i] = (complex(pair[0]), complex(pair[1]))
-        else:
-            errors[i] = QuadratureError(f"parameters {pair} outside the convergence wedge")
-    todo = dict.fromkeys(params, (4.0, 0.2, None))
+    for pair in pairs:
+        if not in_convergence_domain(A, pair):
+            raise QuadratureError(f"parameters {pair} outside the convergence wedge")
+    params = [(complex(b1), complex(b2)) for b1, b2 in pairs]
+    # each pair still running, to its (S, h, value at the last h)
+    todo = dict.fromkeys(range(len(pairs)), (4.0, 0.2, None))
     values = [None] * len(pairs)
-
-    def fail(i, message):
-        errors[i] = QuadratureError(message)
-        del todo[i]
-
     while todo:
         rounds = {}
         for i, (S, h, _) in todo.items():
@@ -206,13 +200,14 @@ def euler_mellin(A, beta, x, theta, tol=1e-10):
             logz = np.sinh(s) + 1j * theta
             logf, why = _tracked_log_f(A, x, logz)
             if logf is None:
+                if why == "zero":
+                    raise QuadratureError(
+                        f"curve root on or near the integration ray: theta = {theta:.6g}, S = {S}, h = {h:.3g}"
+                    )
+                if 0.5 * h < 1e-4:
+                    raise QuadratureError("phase tracking failed to stabilize" + _state(pairs[rows[0]], S, h))
                 for i in rows:
-                    if why == "zero":
-                        fail(i, "curve root on or near the integration ray")
-                    elif 0.5 * h < 1e-4:
-                        fail(i, "phase tracking failed to stabilize" + _state(pairs[i], S, h))
-                    else:
-                        todo[i] = (S, 0.5 * h, None)
+                    todo[i] = (S, 0.5 * h, None)
                 continue
             cosh_s = np.cosh(s)
             per_block = max(1, _BLOCK_VALUES // logz.size)
@@ -228,8 +223,9 @@ def euler_mellin(A, beta, x, theta, tol=1e-10):
                 sums = np.sum(g, axis=1)
                 for r, i in enumerate(block):
                     if overflow[r]:
-                        fail(i, "integrand overflow: parameters too deep outside the wedge")
-                        continue
+                        raise QuadratureError(
+                            "integrand overflow: parameters too deep outside the wedge" + _state(pairs[i], S, h)
+                        )
                     if gmax[r] == 0.0:
                         values[i] = 0.0 + 0.0j
                         del todo[i]
@@ -237,9 +233,8 @@ def euler_mellin(A, beta, x, theta, tol=1e-10):
                     tail = max(abs(g[r, 0]), abs(g[r, -1]))
                     if tail > 1e-16 * gmax[r]:
                         if S >= 7.0:
-                            fail(i, "integrand tail does not decay" + _state(pairs[i], S, h))
-                        else:
-                            todo[i] = (S + 1.5, h, None)
+                            raise QuadratureError("integrand tail does not decay" + _state(pairs[i], S, h))
+                        todo[i] = (S + 1.5, h, None)
                         continue
                     val = complex(h * sums[r])
                     prev = todo[i][2]
@@ -248,17 +243,21 @@ def euler_mellin(A, beta, x, theta, tol=1e-10):
                         del todo[i]
                     elif 0.5 * h < 1e-4:
                         last = f"value {val:.6g}" if prev is None else f"values {prev:.6g} and {val:.6g}"
-                        fail(i, f"ray quadrature failed to converge{_state(pairs[i], S, h)}, last {last}")
+                        raise QuadratureError(f"ray quadrature failed to converge{_state(pairs[i], S, h)}, last {last}")
                     else:
                         todo[i] = (S, 0.5 * h, val)
-    if errors:
-        raise errors[min(errors)]
     return values if isinstance(beta, list) else values[0]
 
 
 def _shift_plan(A, beta, x, order):
     """The steps of both facets, and levels[m] mapping w to None when the
-    shift (m, w) lies inside the wedge, else to its facet and prefactor."""
+    shift (m, w) lies inside the wedge, else to its facet and prefactor.
+
+    The plan goes breadth first: level m + 1 holds the children of the
+    shifts of level m outside the wedge, in the order they are reached.  A
+    vanishing denominator raises at once, so PolarLineError names the first
+    one of the lowest level that has one.
+    """
     if order not in ("facet-0-first", "facet-k-first"):
         raise ValueError(f"unknown order {order!r}")
     b1 = complex(beta[0])
@@ -270,46 +269,40 @@ def _shift_plan(A, beta, x, order):
         facet: [(A.exponents[i], level * complex(x[i])) for i, level in facet_parts(A, facet)]
         for facet in FACETS
     }
-    children = {facet: [ki for ki, _ in reversed(steps[facet])] for facet in FACETS}
-    # The shifts are visited depth first, in the order of the columns, so
-    # the first vanishing denominator found is the first one the recursive
-    # definition would reach.  Only children not yet planned are pushed,
-    # and no other parent of a child is expanded before the child is
-    # popped, so every pop plans a new shift.
+    children = {facet: [ki for ki, _ in steps[facet]] for facet in FACETS}
     b1_re, b2_re = b1.real, b2.real
-    levels = [{}]
-    stack = [(0, 0)]
+    levels = []
+    level = {0: None}
     size = 0
-    while stack:
-        m, w = stack.pop()
-        size += 1
+    while level:
+        size += len(level)
         if size > _PLAN_BUDGET:
             raise QuadratureError(
                 f"the shift plan at beta = {beta} ({order}) holds more than {_PLAN_BUDGET} shifts"
             )
-        # the real parts of the facet levels p2 and k*p1 - p2 of facet_level,
-        # inline and in floats on this hot path
-        level_0 = b2_re - w
-        level_k = k * (b1_re - m) - level_0
-        if level_0 <= -_SHIFT_MARGIN and level_k <= -_SHIFT_MARGIN:
-            levels[m][w] = None
-            continue
-        if order == "facet-0-first":
-            facet = FACET_0 if level_0 > -_SHIFT_MARGIN else FACET_K
-        else:
-            facet = FACET_K if level_k > -_SHIFT_MARGIN else FACET_0
+        m = len(levels)
+        levels.append(level)
         p1 = b1 - m
-        p2 = b2 - w
-        den = p2 if facet == FACET_0 else k * p1 - p2
-        if abs(den) < 1e-12 * (1.0 + abs(p1) * k + abs(p2)):
-            raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
-        levels[m][w] = (facet, p1 / den)
-        if m + 1 == len(levels):
-            levels.append({})
-        below = levels[m + 1]
-        for ki in children[facet]:
-            if w + ki not in below:
-                stack.append((m + 1, w + ki))
+        below = {}
+        for w in level:
+            # the real parts of the facet levels p2 and k*p1 - p2 of
+            # facet_level, inline and in floats on this hot path
+            level_0 = b2_re - w
+            level_k = k * (b1_re - m) - level_0
+            if level_0 <= -_SHIFT_MARGIN and level_k <= -_SHIFT_MARGIN:
+                continue
+            if order == "facet-0-first":
+                facet = FACET_0 if level_0 > -_SHIFT_MARGIN else FACET_K
+            else:
+                facet = FACET_K if level_k > -_SHIFT_MARGIN else FACET_0
+            p2 = b2 - w
+            den = p2 if facet == FACET_0 else k * p1 - p2
+            if abs(den) < 1e-12 * (1.0 + abs(p1) * k + abs(p2)):
+                raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
+            level[w] = (facet, p1 / den)
+            for ki in children[facet]:
+                below[w + ki] = None
+        level = below
     return steps, levels
 
 
@@ -324,46 +317,31 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10):
     the same value, which makes for a useful consistency check.
 
     ``beta`` is one pair, or a list of pairs with a list ``order`` of the
-    same length, which gives the list of their values.  The shifts of each
-    pair are planned level by level.  The wedge shifts of all pairs, each
-    pair's deepest level first, go once each into one batched euler_mellin
-    call; every other shift is combined from the level below it.  Each
-    value equals, bit for bit, the one its pair gives alone.
+    same length, which gives the list of their values.  The work goes in
+    three stages, and each raises its first error: every pair's shifts are
+    planned level by level, in list order; the wedge shifts of all pairs go
+    once each into one batched euler_mellin call; and each pair, in list
+    order, combines every other shift from the level below it.  Each value
+    equals, bit for bit, the one its pair gives alone.
 
     Raises PolarLineError when a needed denominator sits on a polar line,
     and QuadratureError when a plan holds more than _PLAN_BUDGET shifts,
-    when a wedge quadrature fails (the first failing shift of the deepest
-    level first) or at the first level whose values are not finite.  A list
-    raises what lone calls of its pairs, in order, raise first.
+    when a wedge quadrature fails, or at the first level whose values are
+    not finite.
     """
     if not isinstance(beta, list):
         return extension_shift(A, [beta], x, theta, [order], tol)[0]
     if isinstance(order, str) or len(order) != len(beta):
         raise ValueError("a list of pairs needs a list of orders of the same length")
-    plans = []
+    plans = [_shift_plan(A, pair, x, pair_order) for pair, pair_order in zip(beta, order)]
     wedge = {}
-    for pair, pair_order in zip(beta, order):
-        try:
-            steps, levels = _shift_plan(A, pair, x, pair_order)
-        except (PolarLineError, QuadratureError, ValueError):
-            # a failing pair before this one raises first
-            extension_shift(A, beta[: len(plans)], x, theta, order[: len(plans)], tol)
-            raise
-        plans.append((pair, steps, levels))
+    for pair, (_, levels) in zip(beta, plans):
         b1, b2 = complex(pair[0]), complex(pair[1])
-        for m in range(len(levels) - 1, -1, -1):
-            wedge.update(((b1 - m, b2 - w), None) for w, plan in levels[m].items() if plan is None)
-    try:
-        wedge_values = dict(zip(wedge, euler_mellin(A, list(wedge), x, theta, tol)))
-    except QuadratureError:
-        # the first failing pair raises this error alone too, but a pair
-        # before it whose continuation overflows raises first
-        if len(beta) > 1:
-            for pair, pair_order in zip(beta, order):
-                extension_shift(A, pair, x, theta, pair_order, tol)
-        raise
+        for m, level in enumerate(levels):
+            wedge.update(((b1 - m, b2 - w), None) for w, plan in level.items() if plan is None)
+    wedge_values = dict(zip(wedge, euler_mellin(A, list(wedge), x, theta, tol)))
     results = []
-    for pair, steps, levels in plans:
+    for pair, (steps, levels) in zip(beta, plans):
         b1, b2 = complex(pair[0]), complex(pair[1])
         below = {}
         for m in range(len(levels) - 1, -1, -1):
@@ -401,7 +379,8 @@ def _loop_integral(A, beta, x, center, radius, orientation=1, tol=1e-10):
     b1 = complex(beta[0])
     b2 = complex(beta[1])
     m = 64
-    prev = None
+    # the values of the last two node counts since the last phase failure
+    older = prev = None
     while m <= 1 << 18:
         phi = _TWO_PI * np.arange(m) / m
         e = np.exp(1j * orientation * phi)
@@ -413,7 +392,7 @@ def _loop_integral(A, beta, x, center, radius, orientation=1, tol=1e-10):
         if logf is None:
             if why == "zero":
                 raise QuadratureError("curve root on the loop")
-            prev = None
+            older = prev = None
             m *= 2
             continue
         dz_over_z = 1j * orientation * radius * e / z
@@ -421,9 +400,13 @@ def _loop_integral(A, beta, x, center, radius, orientation=1, tol=1e-10):
         val = complex(_TWO_PI / m * np.sum(g))
         if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
             return val
-        prev = val
+        older, prev = prev, val
         m *= 2
-    raise QuadratureError("loop quadrature failed to converge")
+    last = " and ".join(f"{v:.6g}" for v in (older, prev) if v is not None) or "none"
+    raise QuadratureError(
+        f"loop quadrature failed to converge: center = {center:.6g}, radius = {radius:.6g}, "
+        f"nodes = {m // 2}, last values {last}"
+    )
 
 
 def residue_integral(A, beta, x, root_index, tol=1e-10):

@@ -52,6 +52,11 @@ def to_json(report):
     return json.dumps(_encode(report), sort_keys=True, indent=2) + "\n"
 
 
+def _header(command, A):
+    """The schema, command and matrix entries that every report starts with."""
+    return {"schema": SCHEMA, "command": command, "matrix": {"exponents": list(A.exponents), "n": A.n, "k": A.k}}
+
+
 def analyze_report(A, window=8):
     facets = {}
     for facet in FACETS:
@@ -71,9 +76,7 @@ def analyze_report(A, window=8):
             ],
         }
     return {
-        "schema": SCHEMA,
-        "command": "analyze",
-        "matrix": {"exponents": list(A.exponents), "n": A.n, "k": A.k},
+        **_header("analyze", A),
         "facets": facets,
         "primitive_relations": {str(i): list(t) for i, t in b_matrix(A).items()},
         "exceptional_parameters": [list(b) for b in exceptional],
@@ -105,9 +108,7 @@ def solve_report(A, beta, order="d1-first", bound=None):
             }
         )
     return {
-        "schema": SCHEMA,
-        "command": "solve",
-        "matrix": {"exponents": list(A.exponents), "n": A.n, "k": A.k},
+        **_header("solve", A),
         "beta": [Fraction(beta[0]), Fraction(beta[1])],
         "order": order,
         "rank": basis.expected_rank,
@@ -205,9 +206,7 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
 
     status = "fail" if any(c["status"] == "fail" for c in checks) else "pass"
     return {
-        "schema": SCHEMA,
-        "command": "verify",
-        "matrix": {"exponents": list(A.exponents), "n": A.n, "k": A.k},
+        **_header("verify", A),
         "beta": [b1, b2],
         "tol": tol,
         "seed": seed,
@@ -237,9 +236,7 @@ def cohomology_report(A, box=None):
             }
         )
     return {
-        "schema": SCHEMA,
-        "command": "cohomology",
-        "matrix": {"exponents": list(A.exponents), "n": A.n, "k": A.k},
+        **_header("cohomology", A),
         "support": [list(a) for a in support],
         "degrees": degrees,
         "matches_rank_jumps": support == rank_jumping_parameters(A, box),

@@ -93,16 +93,33 @@ def test_two_column_ray_integral_matches_gamma_quotient():
         assert abs(got - want) <= 1e-8 * abs(want), (b1, b2)
 
 
+def _lone_error(call, *args, **kwargs):
+    """The error text a call raises, or None when it returns."""
+    try:
+        call(*args, **kwargs)
+    except (PolarLineError, QuadratureError) as err:
+        return str(err)
+    return None
+
+
 def test_ray_integral_rejects_outside_wedge():
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match=re.escape("parameters (1.0, 1.0) outside the convergence wedge")):
         euler_mellin(A01, (1.0, 1.0), (1.0, 1.0), 0.0)
-    # in a list too, wherever the pair sits, unless a pair before it fails
-    inside = (-1.3, -0.7)
-    for pairs in ([(1.0, 1.0), inside], [inside, (-0.5, 0.2)], [inside, (-0.5, -0.7)]):
-        with pytest.raises(QuadratureError, match="outside the convergence wedge"):
-            euler_mellin(A01, pairs, (1.0, 1.0), 0.0)
-    with pytest.raises(QuadratureError, match="integrand overflow"):
-        euler_mellin(A01, [(-150.0, -75.0), (1.0, 1.0)], (1e-3, 1e-3), 0.0)
+    # in a list the wedge is checked first, in list order, before any
+    # quadrature: the error is the one the first pair outside the wedge
+    # gives alone, also where a pair before it overflows on the first level
+    x = (1e-3, 1e-3)
+    inside, overflow = (-1.3, -0.7), (-150.0, -75.0)
+    for pairs, outside in [
+        ([(1.0, 1.0), inside], (1.0, 1.0)),
+        ([inside, (-0.5, 0.2)], (-0.5, 0.2)),
+        ([inside, (-0.5, -0.7), (1.0, 1.0)], (-0.5, -0.7)),
+        ([overflow, inside, (1.0, 1.0)], (1.0, 1.0)),
+    ]:
+        with pytest.raises(QuadratureError) as err:
+            euler_mellin(A01, pairs, x, 0.0)
+        assert str(err.value) == _lone_error(euler_mellin, A01, outside, x, 0.0)
+        assert str(err.value).endswith("outside the convergence wedge")
 
 
 def test_ray_quadrature_errors_carry_the_state(monkeypatch):
@@ -116,6 +133,23 @@ def test_ray_quadrature_errors_carry_the_state(monkeypatch):
     last = [complex(v) for v in re.fullmatch(r".*, last values (\S+) and (\S+)", message).groups()]
     want = _beta_closed_form(*beta, 1.7, 0.9)
     assert all(abs(v - want) <= 1e-5 * abs(want) for v in last)
+    # an overflow names the pair that overflows, not only the first of the list
+    overflow = "integrand overflow: parameters too deep outside the wedge: beta = (-160.0, -80.0), S = 4.0, h = 0.2"
+    with pytest.raises(QuadratureError, match=re.escape(overflow)):
+        euler_mellin(A01, [(-1.3, -0.7), (-160.0, -80.0)], (1e-3, 1e-3), 0.0)
+    # a root on the ray fails every pair alike, so the error names the ray
+    root = "curve root on or near the integration ray: theta = 0, S = 4.0, h = 0.2"
+    with pytest.raises(QuadratureError, match=re.escape(root)):
+        euler_mellin(A01, [beta, (-2.6, -0.35)], (1e-280, -1e-280), 0.0)
+    # the origin loop of f = 1 + z at (2, 1) is 2 pi i [z^1] f^2 = 4 pi i; a
+    # negative tolerance doubles it to 2^18 nodes, and the error names the
+    # circle, the last node count and its last two values
+    with pytest.raises(QuadratureError) as err:
+        analytic._loop_integral(A01, (2, 1), (1.0, 1.0), 0.0, 0.5, tol=-1.0)
+    message = str(err.value)
+    assert message.startswith("loop quadrature failed to converge: center = 0, radius = 0.5, nodes = 262144, ")
+    last = [complex(v) for v in re.fullmatch(r".*, last values (\S+) and (\S+)", message).groups()]
+    assert all(abs(v - 4j * math.pi) <= 1e-5 * 4 * math.pi for v in last)
     monkeypatch.setattr(analytic, "_tracked_log_f", lambda *a: (None, "phase"))
     stabilize = "phase tracking failed to stabilize: beta = (-1.3, -0.7), S = 4.0, h = 0.000195"
     with pytest.raises(QuadratureError, match=re.escape(stabilize)):
@@ -123,21 +157,27 @@ def test_ray_quadrature_errors_carry_the_state(monkeypatch):
 
 
 def test_batched_ray_quadrature_raises_the_first_failure():
-    # f = 1e-3 (1 + z): at (-150, -75) the integrand overflows on the first
-    # level, while the tail at (-0.5, -1e-3) decays too slowly on every node
-    # range and fails only on the third.  Either way round, the error is the
-    # one of the pair that comes first, as it is for one pair at a time
+    # f = 1e-3 (1 + z): at (-150, -75) and (-160, -80) the integrand
+    # overflows on the first level, while the tail at (-0.5, -1e-3) decays
+    # too slowly on every node range and fails only on the third.  A batch
+    # raises the first failure in round order, the first row of the first
+    # level that fails, and that is the error its pair gives alone
     x = (1e-3, 1e-3)
-    overflow, tail = (-150.0, -75.0), (-0.5, -1e-3)
-    for pairs, message in [
-        ([overflow, tail], "integrand overflow: parameters too deep outside the wedge"),
-        ([tail, overflow], "integrand tail does not decay: beta = (-0.5, -0.001), S = 7.0, h = 0.2"),
+    tail, overflow, deeper = (-0.5, -1e-3), (-150.0, -75.0), (-160.0, -80.0)
+    for pairs, failing in [
+        ([overflow, tail], overflow),
+        ([tail, overflow], overflow),
+        ([tail, deeper, overflow], deeper),
+        ([tail], tail),
     ]:
         for pair in pairs:
             with pytest.raises(QuadratureError):
                 euler_mellin_untabled(A01, pair, x, 0.0)
-        with pytest.raises(QuadratureError, match=re.escape(message)):
+        with pytest.raises(QuadratureError) as err:
             euler_mellin(A01, pairs + [(-1.3, -0.7)], x, 0.0)
+        assert str(err.value) == _lone_error(euler_mellin, A01, failing, x, 0.0)
+    tail_error = "integrand tail does not decay: beta = (-0.5, -0.001), S = 7.0, h = 0.2"
+    assert _lone_error(euler_mellin, A01, tail, x, 0.0) == tail_error
 
 
 def test_ray_integral_homogeneity():
@@ -217,20 +257,31 @@ def test_extension_shift_polar_failure_is_honest():
         extension_shift(A0134, (0.3, 2.0), x, theta)
 
 
-def test_extension_shift_list_raises_the_first_lone_error():
-    # a list raises what lone calls in order raise first, also when a later
-    # pair fails while planning, before any quadrature has run
-    polar = (0.3, 2.0)
-    with pytest.raises(QuadratureError, match="phase tracking failed to stabilize"):
+def test_extension_shift_list_raises_stage_by_stage():
+    # a list plans every job, then integrates the union of their wedge
+    # shifts, then combines the jobs, and each stage raises its first error
+    polar, far = (0.3, 2.0), (3000.5, 0.3)
+    plan_error = _lone_error(extension_shift, A01, polar, (1.5, 0.9), 0.0)
+    assert plan_error == "facet-0 denominator vanishes at shift (2, 2)"
+    # a later job's plan error wins over an earlier job's quadrature failure
+    # (the ray pi runs through the root -1) and over its overflow
+    with pytest.raises(PolarLineError, match=re.escape(_lone_error(extension_shift, A01, polar, (1.0, 1.0), math.pi))):
         extension_shift(A01, [(2.5, 0.3), polar], (1.0, 1.0), math.pi, ["facet-0-first"] * 2)
+    with pytest.raises(PolarLineError, match=re.escape(plan_error)):
+        extension_shift(A01, [far, polar], (1.5, 0.9), 0.0, ["facet-0-first", "facet-k-first"])
+    # among plan errors the first job in the list wins
+    with pytest.raises(PolarLineError, match=re.escape(plan_error)):
+        extension_shift(A01, [(1.5, 0.3), polar, (0.3, 1.0)], (1.5, 0.9), 0.0, ["facet-0-first"] * 3)
+    # a quadrature failure of the second job wins over the overflow of the
+    # first job's combination, which alone it raises
+    converge = _lone_error(extension_shift, A01, (-0.5, -0.3 + 1000j), (1.5, 0.9), 0.0)
+    assert converge.startswith("ray quadrature failed to converge")
+    assert _lone_error(extension_shift, A01, far, (1.5, 0.9), 0.0).endswith("the values of level 1239 are not finite")
+    with pytest.raises(QuadratureError, match=re.escape(converge)):
+        extension_shift(A01, [far, (-0.5, -0.3 + 1000j)], (1.5, 0.9), 0.0, ["facet-0-first"] * 2)
+    # with every quadrature done, the first job whose combination overflows
     with pytest.raises(QuadratureError, match="the values of level 1239 are not finite"):
-        extension_shift(A01, [(3000.5, 0.3), polar], (1.5, 0.9), 0.0, ["facet-0-first", "facet-k-first"])
-    # the second pair's quadrature fails in the shared pass, but the first
-    # pair's continuation overflows, and alone it would raise first
-    with pytest.raises(QuadratureError, match="the values of level 1239 are not finite"):
-        extension_shift(A01, [(3000.5, 0.3), (-0.5, -0.3 + 1000j)], (1.5, 0.9), 0.0, ["facet-0-first"] * 2)
-    with pytest.raises(PolarLineError):
-        extension_shift(A01, [(1.5, 0.3), polar], (1.5, 0.9), 0.0, ["facet-0-first"] * 2)
+        extension_shift(A01, [(1.5, 0.3), far, (2000.5, 0.3)], (1.5, 0.9), 0.0, ["facet-0-first"] * 3)
     with pytest.raises(ValueError, match="list of orders of the same length"):
         extension_shift(A01, [(1.5, 0.3)], (1.5, 0.9), 0.0, "facet-0-first")
 
