@@ -29,6 +29,10 @@ _SHIFT_MARGIN = 0.25
 _BLOCK_VALUES = 1 << 16
 # a shift plan may hold this many shifts (about 6 b1^2 on 0,1,3,4), seconds of work
 _PLAN_BUDGET = 10**6
+# a ray or loop quadrature stops when two successive refinements agree to
+# this, relative to max(1, |value|); a converged integral does not depend
+# on it, so no caller sets another
+_TOL = 1e-10
 
 
 def _coeff_array(A, x):
@@ -156,7 +160,7 @@ def _state(pair, S, h):
     return f": beta = {pair}, S = {S}, h = {h:.3g}"
 
 
-def euler_mellin(A, beta, x, theta, tol=1e-10):
+def euler_mellin(A, beta, x, theta):
     """Ray integral of f^(b1) z^(-b2) dz/z along arg z = theta, by
     double-exponential substitution t = exp(sinh s).
 
@@ -238,7 +242,7 @@ def euler_mellin(A, beta, x, theta, tol=1e-10):
                         continue
                     val = complex(h * sums[r])
                     prev = todo[i][2]
-                    if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+                    if prev is not None and abs(val - prev) <= _TOL * max(1.0, abs(val)):
                         values[i] = val
                         del todo[i]
                     elif 0.5 * h < 1e-4:
@@ -306,7 +310,7 @@ def _shift_plan(A, beta, x, order):
     return steps, levels
 
 
-def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10):
+def extension_shift(A, beta, x, theta, order="facet-0-first"):
     """Value of the ray integral at arbitrary parameters, by contiguity
     relations that lower the parameters into the convergence wedge.
 
@@ -330,7 +334,7 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10):
     not finite.
     """
     if not isinstance(beta, list):
-        return extension_shift(A, [beta], x, theta, [order], tol)[0]
+        return extension_shift(A, [beta], x, theta, [order])[0]
     if isinstance(order, str) or len(order) != len(beta):
         raise ValueError("a list of pairs needs a list of orders of the same length")
     plans = [_shift_plan(A, pair, x, pair_order) for pair, pair_order in zip(beta, order)]
@@ -339,7 +343,7 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10):
         b1, b2 = complex(pair[0]), complex(pair[1])
         for m, level in enumerate(levels):
             wedge.update(((b1 - m, b2 - w), None) for w, plan in level.items() if plan is None)
-    wedge_values = dict(zip(wedge, euler_mellin(A, list(wedge), x, theta, tol)))
+    wedge_values = dict(zip(wedge, euler_mellin(A, list(wedge), x, theta)))
     results = []
     for pair, (steps, levels) in zip(beta, plans):
         b1, b2 = complex(pair[0]), complex(pair[1])
@@ -367,7 +371,7 @@ def extension_shift(A, beta, x, theta, order="facet-0-first", tol=1e-10):
     return results
 
 
-def _loop_integral(A, beta, x, center, radius, orientation=1, tol=1e-10):
+def _loop_integral(A, beta, x, center, radius, orientation=1):
     """Loop integral of f^(b1) z^(-b2) dz/z on a circle, with the branch
     tracked continuously from the starting node (angle 0 on the circle).
 
@@ -398,7 +402,7 @@ def _loop_integral(A, beta, x, center, radius, orientation=1, tol=1e-10):
         dz_over_z = 1j * orientation * radius * e / z
         g = np.exp(b1 * logf - b2 * logz) * dz_over_z
         val = complex(_TWO_PI / m * np.sum(g))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+        if prev is not None and abs(val - prev) <= _TOL * max(1.0, abs(val)):
             return val
         older, prev = prev, val
         m *= 2
@@ -409,7 +413,7 @@ def _loop_integral(A, beta, x, center, radius, orientation=1, tol=1e-10):
     )
 
 
-def residue_integral(A, beta, x, root_index, tol=1e-10):
+def residue_integral(A, beta, x, root_index):
     """Counterclockwise loop integral around one root of f (no 1/(2 pi i)
     normalization).  With integral b1 the branch closes up and the value is
     the honest contour integral; the difference of the two adjacent
@@ -419,7 +423,7 @@ def residue_integral(A, beta, x, root_index, tol=1e-10):
     dist = min(
         [abs(rho)] + [abs(rho - r) for i, r in enumerate(rc.roots) if i != root_index]
     )
-    return _loop_integral(A, beta, x, rho, 0.4 * dist, orientation=1, tol=tol)
+    return _loop_integral(A, beta, x, rho, 0.4 * dist)
 
 
 def _integral_level(A, facet, beta):
@@ -442,17 +446,17 @@ def _quiet_radius(A, beta, x, scale, factors):
     return factors[peaks.index(min(peaks))] * scale
 
 
-def residue_at_zero(A, beta, x, tol=1e-10):
+def residue_at_zero(A, beta, x):
     """Counterclockwise loop around the origin inside all roots.  Requires
     integral b2 so that z^(-b2) closes up around the origin."""
     if not _integral_level(A, FACET_0, beta):
         raise QuadratureError("origin loop needs an integral second parameter")
     rc = roots_and_components(A, x)
     radius = _quiet_radius(A, beta, x, min(abs(r) for r in rc.roots), (0.5, 0.6, 0.7, 0.8, 0.9))
-    return _loop_integral(A, beta, x, 0.0, radius, orientation=1, tol=tol)
+    return _loop_integral(A, beta, x, 0.0, radius)
 
 
-def residue_at_infinity(A, beta, x, tol=1e-10):
+def residue_at_infinity(A, beta, x):
     """Clockwise loop outside all roots.  Requires integral k b1 - b2 for
     single-valuedness; together with the other loops it satisfies the sum
     rule  origin + all roots + infinity = 0."""
@@ -460,7 +464,7 @@ def residue_at_infinity(A, beta, x, tol=1e-10):
         raise QuadratureError("infinity loop needs an integral facet-k pairing")
     rc = roots_and_components(A, x)
     radius = _quiet_radius(A, beta, x, max(abs(r) for r in rc.roots), (2.0, 1.6, 1.4, 1.2, 1.1))
-    return _loop_integral(A, beta, x, 0.0, radius, orientation=-1, tol=tol)
+    return _loop_integral(A, beta, x, 0.0, radius, orientation=-1)
 
 
 def power_series_coefficient(A, b1, N, x):
@@ -505,16 +509,7 @@ class PolarMatchResult:
         )
 
 
-def polar_line_match_check(
-    A,
-    facet,
-    level,
-    lam,
-    x,
-    theta=None,
-    order="facet-0-first",
-    tol=1e-10,
-):
+def polar_line_match_check(A, facet, level, lam, x, theta=None):
     """Residue of the analytically continued ray integral across a polar
     line, computed by a small parameter-plane contour, against its predicted
     value -(lam/N) times the finite solution (minus the bare base monomial
@@ -543,10 +538,10 @@ def polar_line_match_check(
     lam_c = complex(lam)
     turns = [cmath.exp(1j * (_TWO_PI * j / nodes)) for j in range(nodes)]
     # the points over lam_c of the facet line at the levels N + eps, all
-    # continued in one call
+    # continued in one call; the continued value does not depend on the order
     betas = [(lam_c, facet_level(A.k, facet, (lam_c, level + radius * turn))) for turn in turns]
     acc = 0.0 + 0.0j
-    for val, turn in zip(extension_shift(A, betas, x, theta, [order] * nodes, tol), turns):
+    for val, turn in zip(extension_shift(A, betas, x, theta, ["facet-0-first"] * nodes), turns):
         acc += val * turn
     contour = radius / nodes * acc
     finite = polar_line_solution(A, facet, level)
@@ -572,7 +567,7 @@ class ProbeResult:
         return f"ProbeResult(size={len(self.singular_values)}, degeneracy_ratio={self.degeneracy_ratio:.2e})"
 
 
-def em_independence_probe(A, beta, x, order="facet-0-first", tol=1e-9):
+def em_independence_probe(A, beta, x):
     """Numerical independence signal for the k component integrals.
 
     Rows are angular components, columns are phase translates of the
@@ -591,11 +586,7 @@ def em_independence_probe(A, beta, x, order="facet-0-first", tol=1e-9):
             for i in range(A.n)
         )
         rc = roots_and_components(A, xj)
-        col = [
-            extension_shift(A, beta, xj, rc.ray_angles[i], order=order, tol=tol)
-            for i in range(k)
-        ]
-        cols.append(col)
+        cols.append([extension_shift(A, beta, xj, rc.ray_angles[i]) for i in range(k)])
     matrix = np.array(cols, dtype=complex).T
     sv = [float(s) for s in np.linalg.svd(matrix, compute_uv=False)]
     return ProbeResult(matrix, sv)

@@ -47,14 +47,13 @@ def graded_dims(A, alpha):
     return (0, h1, h2)
 
 
-def h1_support(A, box=None):
-    """All degrees with nonzero first local cohomology inside the box
-    (default: the proven search box for rank jumps), sorted.
+def h1_support(A):
+    """All degrees with nonzero first local cohomology, sorted.
 
     A degree outside the candidates of the rank-jump search lies outside a
     ray module or inside NA, so only the candidates are tested.
     """
-    return sorted(alpha for alpha in _jump_candidates(A, box) if graded_dims(A, alpha)[1] == 1)
+    return sorted(alpha for alpha in _jump_candidates(A) if graded_dims(A, alpha)[1] == 1)
 
 
 def _max_parts_decomposition(N, gens):
@@ -109,15 +108,15 @@ class CocycleData:
         )
 
 
-def cocycle_generator(A, alpha, order="d1-first"):
+def cocycle_generator(A, alpha):
     """Generator of the first cohomology class at a jumping degree.
 
     The ray-0 representative uses the maximal number of positive parts for
     the second coordinate, pushing the first coordinate exponent as low as
     it goes; the ray-k representative mirrors this.  Multiplying both by
     (x_1 x_n)^clearing gives two honest monomials of equal degree whose
-    difference reduces to zero in the toric ideal, certifying that the two
-    sections agree away from the rays.
+    difference reduces to zero modulo the d1-first Groebner basis of the
+    toric ideal, certifying that the two sections agree away from the rays.
     """
     if graded_dims(A, alpha)[1] != 1:
         raise ValueError(f"no first cohomology class in degree {alpha}")
@@ -147,6 +146,6 @@ def cocycle_generator(A, alpha, order="d1-first"):
     mono2 = tuple(vp[i] + clear[i] for i in range(n))
     if min(mono1) < 0 or min(mono2) < 0:
         raise AssertionError(f"clearing by {m} leaves a negative exponent in {mono1} or {mono2}")
-    gb = toric_ideal_groebner(A, order)
+    gb = toric_ideal_groebner(A, "d1-first")
     certified = gb.reduces_to_zero(mono1, mono2)
     return CocycleData((a1, a2), tuple(v), tuple(vp), m, (mono1, mono2), certified)

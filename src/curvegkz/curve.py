@@ -232,12 +232,13 @@ def is_rank_jumping(A, beta):
 
 
 def _default_jump_box(A):
-    # Provable sweep bound.  For a member N of the facet-k semigroup with
-    # N >= F+1+k one can split off floor parts of size k down into the window
-    # [F+1, F+k], so min_parts(N) <= N/k + C with C the max of min_parts over
-    # members of [0, F+k+1].  A jumping parameter needs b1 < min_parts(b2) and
-    # k*b1 - b2 >= 1, which forces k*b1 - b2 < k*C, then b1 < k*C and
-    # b2 < k*b1 <= k^2*C by the mirrored argument.
+    # A box (b1min, b1max, b2min, b2max) that holds every rank jump; analyze
+    # prints it as its search box.  For a member N of the facet-k semigroup
+    # with N >= F+1+k one can split off floor parts of size k down into the
+    # window [F+1, F+k], so min_parts(N) <= N/k + C with C the max of
+    # min_parts over members of [0, F+k+1].  A jumping parameter needs
+    # b1 < min_parts(b2) and k*b1 - b2 >= 1, which forces k*b1 - b2 < k*C,
+    # then b1 < k*C and b2 < k*b1 <= k^2*C by the mirrored argument.
     Gk = facet_semigroup(A, FACET_K)
     window = Gk.frobenius + A.k + 1
     C = max(Gk.min_parts(t) for t in range(window + 1) if t in Gk)
@@ -245,32 +246,33 @@ def _default_jump_box(A):
     return (0, A.k * C, 0, A.k * A.k * C)
 
 
-def _jump_candidates(A, box=None):
-    """The points of ``box`` (b1min, b1max, b2min, b2max; default: the
-    provably complete box) that can be rank jumps: b2 in the facet-k
-    semigroup and ceil(b2/k) <= b1 < min_parts(b2).  Every other point of
-    the box has b2 outside the facet-k semigroup, k*b1 - b2 < 0, or lies in
-    NA."""
-    if box is None:
-        box = _default_jump_box(A)
-    b1min, b1max, b2min, b2max = box
+def _jump_candidates(A):
+    """The parameters that can be rank jumps: b2 in the facet-k semigroup
+    and ceil(b2/k) <= b1 < min_parts(b2), for b2 up to T + 2k with T the
+    larger of the facet-k semigroup's period start and Frobenius number.
+    Every other integral point of those rows has b2 outside the facet-k
+    semigroup, k*b1 - b2 < 0, or lies in NA.
+
+    No rank jump lies past row T, and the 2k rows after it are a margin.
+    Past T, min_parts(b2 + k) is min_parts(b2) + 1 and b2 + k is a member
+    exactly when b2 is, so the candidates of row b2 + k are those of row b2
+    moved by (1, k): the facet-k membership, the facet-0 level k*b1 - b2
+    and NA membership all move along.  A jump there would repeat forever,
+    and the exceptional set is finite (Cattani-D'Andrea-Dickenstein 1999).
+    """
     Gk = facet_semigroup(A, FACET_K)
-    for b2 in range(max(b2min, 0), b2max + 1):
+    for b2 in range(max(Gk._period_start, Gk.frobenius) + 2 * A.k + 1):
         parts = Gk.min_parts(b2)
         if parts is None:
             continue
-        for b1 in range(max(b1min, -(-b2 // A.k)), min(b1max, parts - 1) + 1):
+        for b1 in range(-(-b2 // A.k), parts):
             yield (b1, b2)
 
 
-def rank_jumping_parameters(A, box=None):
-    """All exceptional parameters in ``box`` (b1min, b1max, b2min, b2max),
-    sorted.
-
-    With no box given, a provably complete default box is searched.  Only
-    the candidates of ``_jump_candidates`` are tested.
-    """
-    return sorted(beta for beta in _jump_candidates(A, box) if is_rank_jumping(A, beta))
+def rank_jumping_parameters(A):
+    """All exceptional parameters, sorted.  Only the candidates of
+    ``_jump_candidates`` are tested."""
+    return sorted(beta for beta in _jump_candidates(A) if is_rank_jumping(A, beta))
 
 
 def rank(A, beta):

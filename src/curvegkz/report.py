@@ -216,8 +216,8 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
     }
 
 
-def cohomology_report(A, box=None):
-    support = h1_support(A, box)
+def cohomology_report(A):
+    support = h1_support(A)
     degrees = []
     for alpha in support:
         dims = graded_dims(A, alpha)
@@ -239,5 +239,5 @@ def cohomology_report(A, box=None):
         **_header("cohomology", A),
         "support": [list(a) for a in support],
         "degrees": degrees,
-        "matches_rank_jumps": support == rank_jumping_parameters(A, box),
+        "matches_rank_jumps": support == rank_jumping_parameters(A),
     }

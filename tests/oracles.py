@@ -21,9 +21,8 @@ conditions by a reach table over sums of Delta columns, and the shift
 continuation by its recursive memoised definition.  Whether two exact
 solutions are proportional is decided by the rank of their zero-filled
 coefficient rows.  The ray
-quadrature is here as one loop per parameter pair, as it was before the
-node table and the batched pass: nodes and log f recomputed at every
-refinement level of every call, and one 1-D array per level.
+quadrature is here as one loop per parameter pair: nodes and log f built
+at every refinement level of every call, and one 1-D array per level.
 """
 
 import itertools
@@ -458,9 +457,8 @@ def delta_conditions_by_reach(A, beta):
 
 
 def euler_mellin_untabled(A, beta, x, theta, tol=1e-10):
-    """analytic.euler_mellin for one pair in a loop of its own: one 1-D
-    array a level instead of a row of a batch, no rounds that group pairs
-    by level, and each error raised at once instead of collected."""
+    """analytic.euler_mellin for one pair, in a loop of its own: the nodes
+    and log f built at every refinement level, and one 1-D array a level."""
     if not in_convergence_domain(A, beta):
         raise QuadratureError(f"parameters {beta} outside the convergence wedge")
     b1 = complex(beta[0])

@@ -126,8 +126,9 @@ def test_ray_quadrature_errors_carry_the_state(monkeypatch):
     # a negative tolerance never accepts a value: the error names the pair,
     # the last level tried and the values of its last two levels
     beta = (-1.3, -0.7)
+    monkeypatch.setattr(analytic, "_TOL", -1.0)
     with pytest.raises(QuadratureError) as err:
-        euler_mellin(A01, beta, (1.7, 0.9), 0.0, tol=-1.0)
+        euler_mellin(A01, beta, (1.7, 0.9), 0.0)
     message = str(err.value)
     assert message.startswith("ray quadrature failed to converge: beta = (-1.3, -0.7), S = 5.5, h = 0.000195")
     last = [complex(v) for v in re.fullmatch(r".*, last values (\S+) and (\S+)", message).groups()]
@@ -145,7 +146,7 @@ def test_ray_quadrature_errors_carry_the_state(monkeypatch):
     # negative tolerance doubles it to 2^18 nodes, and the error names the
     # circle, the last node count and its last two values
     with pytest.raises(QuadratureError) as err:
-        analytic._loop_integral(A01, (2, 1), (1.0, 1.0), 0.0, 0.5, tol=-1.0)
+        analytic._loop_integral(A01, (2, 1), (1.0, 1.0), 0.0, 0.5)
     message = str(err.value)
     assert message.startswith("loop quadrature failed to converge: center = 0, radius = 0.5, nodes = 262144, ")
     last = [complex(v) for v in re.fullmatch(r".*, last values (\S+) and (\S+)", message).groups()]

@@ -10,10 +10,11 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
-from oracles import in_NA_brute
+from oracles import h1_support_by_search, in_NA_brute
 
 import curvegkz
 from curvegkz.curve import (
@@ -175,10 +176,25 @@ def test_exceptional_sets_frozen():
 
 
 def test_exceptional_set_stable_under_larger_box():
-    # the default search box is proven sufficient; a strictly larger sweep
-    # must find nothing new
-    got = set(rank_jumping_parameters(A0145, box=(-3, 12, -6, 60)))
-    assert got == {(1, 2), (1, 3), (2, 3), (2, 7)}
+    # a search of a box with negative rows and rows far past the last jump
+    # finds the library set and nothing more
+    got = rank_jumping_parameters(A0145)
+    assert got == h1_support_by_search(A0145, (-3, 12, -6, 60))
+    assert set(got) == {(1, 2), (1, 3), (2, 3), (2, 7)}
+
+
+@pytest.mark.parametrize("command", ["analyze", "cohomology", "figure"])
+def test_rank_jump_sweep_of_a_sparse_large_degree_matrix_is_fast(command):
+    # the sweep stops at b2 = 299, 2k past the period start 99 of the
+    # facet-k semigroup <1, 100>; the proven box reaches b2 = 990000
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvegkz.cli", command, "-A", "0,1,100"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 5.0
 
 
 def test_is_rank_jumping_pointwise():
