@@ -133,6 +133,37 @@ class FiniteSeries:
         )
 
 
+# a polar-line solution with more part multisets than this is refused
+# before one is built.  The levels the tests and the benchmark build have at
+# most 45; level 100 of 0,1,2,3,5,8 has 24,853, which take seconds to build
+# and to check, and the count grows like a power of the level
+PART_MULTISET_BUDGET = 10_000
+
+
+def _count_part_multisets(values, N, budget):
+    """The number of multisets of the part values with sum N, exact when it
+    is at most the budget and a lower bound past the budget otherwise.
+
+    cnt_p(s), the number with sum s of the first p + 1 values, is
+    cnt_(p-1)(s) + cnt_p(s - v_p), so a pass over s = 0..N keeps only the
+    last v_p entries of each row.  The last row never decreases along a
+    residue class modulo its value v, so once v entries in a row of it pass
+    the budget, every later one does, and the pass stops.
+    """
+    rings = [[0] * v for v in values]
+    run = 0
+    count = 0
+    for s in range(N + 1):
+        count = 1 if s == 0 else 0
+        for ring, v in zip(rings, values):
+            count += ring[s % v]
+            ring[s % v] = count
+        run = run + 1 if count > budget else 0
+        if run == values[-1]:
+            return rings[-1][N % values[-1]]
+    return count
+
+
 def _part_multisets(parts, N):
     """Multiplicity tuples m, one entry per part, with sum m_p v_p = N.  The
     recursion runs over the parts, so its depth is their number."""
@@ -162,7 +193,8 @@ def polar_line_solution(A, facet, N):
     sum_sigma prod_j 1/(a_sigma(1) + ... + a_sigma(j)) = 1/prod a_i), and the
     part values v_i cancel against the weights v_i^m_i.  Level 0 is the
     constant solution; a negative level, or one with no multiset, gives the
-    zero series.
+    zero series.  A level with more than PART_MULTISET_BUDGET multisets
+    raises ValueError before any is built.
 
     >>> from .curve import CurveMatrix
     >>> sol = polar_line_solution(CurveMatrix([0, 1, 3, 4]), "facet-k", 3)
@@ -176,6 +208,12 @@ def polar_line_solution(A, facet, N):
     base = facet_base(A, facet)
     if N <= 0:
         return FiniteSeries(A, facet, N, {(0,) * A.n: _ONE} if N == 0 else {})
+    count = _count_part_multisets([v for _, v in parts], N, PART_MULTISET_BUDGET)
+    if count > PART_MULTISET_BUDGET:
+        raise ValueError(
+            f"the level-{N} line of {facet} has at least {count} part multisets,"
+            f" past the budget of {PART_MULTISET_BUDGET}"
+        )
     terms = {}
     # falling[c] = N (lam-1)(lam-2)...(lam-c+1), grown as needed
     falling = [None, PolyQ([N])]
@@ -333,31 +371,6 @@ def canonical_series(A, beta, order="d1-first", bound=None):
     return [series_for_exponent(A, fe, bound) for fe in fake_exponents(A, beta, order)]
 
 
-def _falling_factorial_scaled(w, a, D):
-    """Falling factorial of the exponent vector w / D, times D^|a|, for an
-    integer vector w."""
-    out = 1
-    for wi, ai in zip(w, a):
-        for j in range(ai):
-            out *= wi - j * D
-    return out
-
-
-def _falling_factorial_poly(o, a, base, n):
-    """Falling factorial of the shifted exponent vector as a PolyQ in lam."""
-    out = _ONE
-    for i in range(n):
-        ai = a[i]
-        for j in range(ai):
-            if i == base:
-                out = out * PolyQ([o[i] - j, 1])
-            else:
-                out = out * Fraction(o[i] - j)
-            if out.is_zero():
-                return out
-    return out
-
-
 class AnnihilationReport:
     def __init__(self, ok, checked, skipped, failures):
         self.ok = ok
@@ -377,68 +390,140 @@ def annihilation_check(A, series, order="d1-first"):
     output monomial whose sources both lie inside the truncation bound.  For
     finite line solutions the check is a polynomial identity in lam and is
     complete.
+
+    Every residual is decided by one comparison of integers.  A generator
+    x^a - x^b is homogeneous, since the first row of A is all ones, so
+    |a| = |b|.  The map u -> u - a is injective, so the residual at the
+    step s gets at most one a-term, from u = s + a, and at most one b-term,
+    from u = s + b.  Over a common denominator D of v the exponent v + u has
+    the integer numerator w = N + u D, and d^a x^(v+u) is ff_a / D^|a| times
+    x^(v+u-a), with the integer
+    ff_a = prod_i w_i (w_i - D) ... (w_i - (a_i - 1) D).
+    So the residual is (c(s+a) ff_a - c(s+b) ff_b) / D^|a|, and with
+    c = p / q it vanishes exactly when p_a ff_a q_b == p_b ff_b q_a.  On a
+    polar line each coefficient is an integer polynomial in lam over one
+    denominator, the falling factorial is an integer times
+    (lam + o_base)(lam + o_base - 1)..., and the same comparison holds
+    coefficient by coefficient.  Only a residual that fails becomes a
+    Fraction or a PolyQ.
     """
-    gb = toric_ideal_groebner(A, order)
-    n = A.n
+    gens = toric_ideal_groebner(A, order).generators
+    for a, b in gens:
+        if sum(a) != sum(b):
+            raise AssertionError(f"generator {(a, b)} is not homogeneous")
     if isinstance(series, TruncatedSeries):
-        v = series.v
-        for u in series.terms:
-            if A.degree(u) != (0, 0):
-                raise AssertionError(f"step {u} is not in the kernel lattice")
-        # over a common denominator D of v the exponent v + u has the
-        # integer numerator N + u D, and an output monomial x^(v + u - mono)
-        # is keyed by its integer step u - mono
-        D = lcm(*(vi.denominator for vi in v))
-        N = [vi.numerator * (D // vi.denominator) for vi in v]
-        checked = 0
-        skipped = 0
-        failures = []
-        for (a, b) in gb.generators:
-            residual = {}
-            for u, c in series.terms.items():
-                w = [Ni + ui * D for Ni, ui in zip(N, u)]
-                for mono, sign in ((a, 1), (b, -1)):
-                    ff = _falling_factorial_scaled(w, mono, D)
-                    if ff == 0:
-                        continue
-                    step = tuple(ui - mi for ui, mi in zip(u, mono))
-                    residual[step] = residual.get(step, 0) + sign * c * Fraction(ff, D ** sum(mono))
-            for step, val in residual.items():
-                # the source steps step + a and step + b must be inside the bound
-                size_a = sum(abs(s + ai) for s, ai in zip(step, a))
-                size_b = sum(abs(s + bi) for s, bi in zip(step, b))
-                if size_a <= series.bound and size_b <= series.bound:
-                    checked += 1
-                    if val != 0:
-                        key = tuple(vi + s for vi, s in zip(v, step))
-                        failures.append(((a, b), key, val))
-                else:
-                    skipped += 1
-        return AnnihilationReport(not failures, checked, skipped, failures)
+        return _truncated_annihilation(A, series, gens)
     if isinstance(series, FiniteSeries):
-        base = series.base
-        checked = 0
-        failures = []
-        for o in series.terms:
-            # scale rows: both homogeneity degrees must sit on the line
-            if sum(o) != 0 or facet_level(A.k, series.facet, A.degree(o)) != series.level:
-                raise AssertionError(f"offset {o} leaves the level-{series.level} line")
-        for (a, b) in gb.generators:
-            residual = {}
-            for o, c in series.terms.items():
-                for mono, sign in ((a, 1), (b, -1)):
-                    ff = _falling_factorial_poly(o, mono, base, n)
-                    if ff.is_zero():
-                        continue
-                    key = tuple(oi - mi for oi, mi in zip(o, mono))
-                    term = c * ff if sign > 0 else -(c * ff)
-                    residual[key] = residual.get(key, PolyQ()) + term
-            for key, val in residual.items():
-                checked += 1
-                if not val.is_zero():
-                    failures.append(((a, b), key, val))
-        return AnnihilationReport(not failures, checked, 0, failures)
+        return _finite_annihilation(A, series, gens)
     raise TypeError(f"cannot check {type(series).__name__}")
+
+
+def _truncated_annihilation(A, series, gens):
+    v = series.v
+    for u in series.terms:
+        if A.degree(u) != (0, 0):
+            raise AssertionError(f"step {u} is not in the kernel lattice")
+    D = lcm(*(vi.denominator for vi in v))
+    N = [vi.numerator * (D // vi.denominator) for vi in v]
+    bound = series.bound
+    # once per term: the numerators N + u D of its exponent, p and q of c,
+    # and whether u is inside the bound
+    rows = [
+        (u, [Ni + ui * D for Ni, ui in zip(N, u)], c.numerator, c.denominator, sum(map(abs, u)) <= bound)
+        for u, c in series.terms.items()
+    ]
+    checked = 0
+    skipped = 0
+    failures = []
+    for a, b in gens:
+        # step -> [p_a ff_a, q_a, source inside, p_b ff_b, q_b, source inside],
+        # in first-contribution order; None: no term from that side
+        sides = {}
+        both = [(mono, [(i, mi) for i, mi in enumerate(mono) if mi], slot) for mono, slot in ((a, 0), (b, 3))]
+        for u, w, p, q, inside in rows:
+            for mono, support, slot in both:
+                ff = 1
+                for i, mi in support:
+                    wi = w[i]
+                    for j in range(mi):
+                        ff *= wi - j * D
+                if ff == 0:
+                    continue
+                step = tuple([ui - mi for ui, mi in zip(u, mono)])
+                entry = sides.get(step)
+                if entry is None:
+                    entry = sides[step] = [0, 1, None, 0, 1, None]
+                entry[slot : slot + 3] = p * ff, q, inside
+        scale = D ** sum(a)
+        for step, (pa, qa, in_a, pb, qb, in_b) in sides.items():
+            # the source steps step + a and step + b must be inside the bound
+            if in_a is None:
+                in_a = sum(abs(s + ai) for s, ai in zip(step, a)) <= bound
+            if in_b is None:
+                in_b = sum(abs(s + bi) for s, bi in zip(step, b)) <= bound
+            if in_a and in_b:
+                checked += 1
+                if pa * qb != pb * qa:
+                    key = tuple(vi + s for vi, s in zip(v, step))
+                    failures.append(((a, b), key, Fraction(pa, qa * scale) - Fraction(pb, qb * scale)))
+            else:
+                skipped += 1
+    return AnnihilationReport(not failures, checked, skipped, failures)
+
+
+def _finite_annihilation(A, series, gens):
+    base = series.base
+    for o in series.terms:
+        # scale rows: both homogeneity degrees must sit on the line
+        if sum(o) != 0 or facet_level(A.k, series.facet, A.degree(o)) != series.level:
+            raise AssertionError(f"offset {o} leaves the level-{series.level} line")
+    # once per term: the coefficient as integers P over the lcm q of its
+    # denominators
+    rows = []
+    for o, c in series.terms.items():
+        q = lcm(*(x.denominator for x in c.coeffs))
+        rows.append((o, [x.numerator * (q // x.denominator) for x in c.coeffs], q))
+    # (o_base, a_base) -> (lam + o_base)(lam + o_base - 1)... as integers
+    lam_falling = {}
+    checked = 0
+    failures = []
+    for a, b in gens:
+        # key -> [P_a ff_a, q_a, P_b ff_b, q_b], in first-contribution order
+        sides = {}
+        for o, P, q in rows:
+            for mono, slot in ((a, 0), (b, 2)):
+                const = 1
+                for i, mi in enumerate(mono):
+                    if i != base:
+                        for j in range(mi):
+                            const *= o[i] - j
+                if const == 0:
+                    continue
+                ob, mb = o[base], mono[base]
+                ff = lam_falling.get((ob, mb))
+                if ff is None:
+                    ff = [1]
+                    for j in range(mb):
+                        # times (lam + ob - j)
+                        ff = [x * (ob - j) + y for x, y in zip(ff + [0], [0] + ff)]
+                    lam_falling[ob, mb] = ff
+                side = [0] * (len(P) + len(ff) - 1) if P else []
+                for i, x in enumerate(P):
+                    x *= const
+                    for j, y in enumerate(ff):
+                        side[i + j] += x * y
+                key = tuple([oi - mi for oi, mi in zip(o, mono)])
+                entry = sides.get(key)
+                if entry is None:
+                    entry = sides[key] = [[], 1, [], 1]
+                entry[slot : slot + 2] = side, q
+        for key, (pa, qa, pb, qb) in sides.items():
+            checked += 1
+            if [x * qb for x in pa] != [y * qa for y in pb]:
+                val = PolyQ([Fraction(x, qa) for x in pa]) - PolyQ([Fraction(y, qb) for y in pb])
+                failures.append(((a, b), key, val))
+    return AnnihilationReport(not failures, checked, 0, failures)
+
 
 
 def parametric_derivative(series, lam0, q):

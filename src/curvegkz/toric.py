@@ -187,11 +187,13 @@ def toric_ideal_groebner(A, order):
     for d in itertools.count(1):
         if d > cap:
             raise AssertionError(f"Groebner degree {d} exceeded the bound {cap}")
+        # base is standard, so a lead that divides x_i base contains x_i
+        with_i = [[lead for lead, _ in gens if lead[i]] for i in range(n)]
         fibers = {}
         for w, base in standard.items():
             for i, ki in enumerate(A.exponents):
                 m = base[:i] + (base[i] + 1,) + base[i + 1 :]
-                if not any(_divides(lead, m) for lead, _ in gens):
+                if not any(_divides(lead, m) for lead in with_i[i]):
                     fibers.setdefault(w + ki, set()).add(m)
         standard = {}
         for w, members in fibers.items():

@@ -9,7 +9,8 @@ Frobenius number comes from a search for a run of members.
 
 The exact series path has its plain versions here as well: the kernel
 steps by a search of the whole box, the series coefficients and the
-operator residuals by one Fraction per factor.  The Groebner basis, which
+operator residuals by one Fraction per factor, and the residuals on a polar
+line by one PolyQ in lam per factor.  The Groebner basis, which
 the library reads off the fibers of the grading, is computed here by
 Buchberger's algorithm from a kernel lattice basis, saturating one
 variable at a time, with an S-pair list sorted again before every pop.
@@ -197,6 +198,32 @@ def truncated_annihilation_fractions(series, generators):
             else:
                 skipped += 1
     return checked, skipped, failures
+
+
+def finite_annihilation_polyq(series, generators):
+    """(checked, failures) of the binomial operators on a finite polar-line
+    solution, with every falling factorial and residual a PolyQ in lam."""
+    base = series.base
+    n = series.A.n
+    checked = 0
+    failures = []
+    for a, b in generators:
+        residual = {}
+        for o, c in series.terms.items():
+            for mono, sign in ((a, 1), (b, -1)):
+                ff = PolyQ([1])
+                for i in range(n):
+                    for j in range(mono[i]):
+                        ff = ff * (PolyQ([o[i] - j, 1]) if i == base else Fraction(o[i] - j))
+                if ff.is_zero():
+                    continue
+                key = tuple(oi - mi for oi, mi in zip(o, mono))
+                residual[key] = residual.get(key, PolyQ()) + sign * c * ff
+        for key, val in residual.items():
+            checked += 1
+            if not val.is_zero():
+                failures.append(((a, b), key, val))
+    return checked, failures
 
 
 def kernel_lattice_basis(A):
@@ -456,7 +483,7 @@ def delta_conditions_by_reach(A, beta):
     return (cond1, cond2)
 
 
-def euler_mellin_untabled(A, beta, x, theta, tol=1e-10):
+def euler_mellin_untabled(A, beta, x, theta):
     """analytic.euler_mellin for one pair, in a loop of its own: the nodes
     and log f built at every refinement level, and one 1-D array a level."""
     if not in_convergence_domain(A, beta):
@@ -494,7 +521,7 @@ def euler_mellin_untabled(A, beta, x, theta, tol=1e-10):
             prev = None
             continue
         val = complex(h * np.sum(g))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+        if prev is not None and abs(val - prev) <= 1e-10 * max(1.0, abs(val)):
             return val
         prev = val
         h *= 0.5
@@ -502,7 +529,7 @@ def euler_mellin_untabled(A, beta, x, theta, tol=1e-10):
             raise QuadratureError("ray quadrature failed to converge")
 
 
-def extension_shift_recursive(A, beta, x, theta, order="facet-0-first", margin=0.25, tol=1e-10):
+def extension_shift_recursive(A, beta, x, theta, order="facet-0-first"):
     """analytic.extension_shift as a recursive memoised get(m, w): each node
     evaluates its children depth first, in the order of the columns, and
     each wedge shift is its own euler_mellin_untabled quadrature, so no
@@ -510,6 +537,7 @@ def extension_shift_recursive(A, beta, x, theta, order="facet-0-first", margin=0
     b1 = complex(beta[0])
     b2 = complex(beta[1])
     k = A.k
+    margin = 0.25
     memo = {}
 
     def get(m, w):
@@ -519,7 +547,7 @@ def extension_shift_recursive(A, beta, x, theta, order="facet-0-first", margin=0
         p1 = b1 - m
         p2 = b2 - w
         if p2.real <= -margin and (k * p1 - p2).real <= -margin:
-            memo[key] = euler_mellin_untabled(A, (p1, p2), x, theta, tol)
+            memo[key] = euler_mellin_untabled(A, (p1, p2), x, theta)
             return memo[key]
         if order == "facet-0-first":
             facet = FACET_0 if p2.real > -margin else FACET_K

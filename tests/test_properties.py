@@ -1,8 +1,9 @@
 """Property tests: on random admissible matrices (n <= 5, k <= 7) the
 semigroup-table answers of the library agree with the search oracles of
 ``oracles.py``, and the fast exact series path agrees with its plain
-versions there.  The Groebner bases read off the fibers of the grading
-agree with Buchberger's algorithm with saturation.  The closed forms of
+versions there, the integer annihilation checks with their Fraction and
+PolyQ residuals included.  The Groebner bases read off the fibers of the
+grading agree with Buchberger's algorithm with saturation.  The closed forms of
 the finite polar-line solutions, of their stripped factor and of the
 Delta conditions agree with their path sum, Euclidean gcd and reach
 table, the proportionality test with an exact rank, the planned shift
@@ -23,6 +24,7 @@ from oracles import (
     delta_conditions_by_reach,
     euler_mellin_untabled,
     extension_shift_recursive,
+    finite_annihilation_polyq,
     frobenius_by_run,
     h1_support_by_search,
     in_NA_bfs,
@@ -53,7 +55,9 @@ from curvegkz.curve import (
     _default_jump_box,
 )
 from curvegkz.errors import PolarLineError, QuadratureError, SeriesDenominatorError
+from curvegkz.qexact import PolyQ
 from curvegkz.series import (
+    FiniteSeries,
     TruncatedSeries,
     _kernel_steps,
     _phi_coefficient,
@@ -192,6 +196,31 @@ def test_annihilation_check_matches_fractions(A, data):
     expected = truncated_annihilation_fractions(ts, toric_ideal_groebner(A, name).generators)
     assert (rep.checked, rep.skipped, rep.failures) == expected
     assert rep.ok == (not expected[2])
+
+
+@SERIES_PROPERTY
+@given(matrices, st.data())
+def test_finite_annihilation_check_matches_polyq(A, data):
+    # a line solution at a random level, as built or stripped, and with up
+    # to three coefficients scaled (by a constant, by a factor in lam, or to
+    # zero) so that residuals fail
+    name = data.draw(st.sampled_from(ORDER_NAMES))
+    facet = data.draw(st.sampled_from((FACET_0, FACET_K)))
+    N = data.draw(st.integers(0, 3 * A.k))
+    sol = polar_line_solution(A, facet, N)
+    if sol.is_zero():
+        return
+    if data.draw(st.booleans()):
+        sol = sol.stripped()[0]
+    terms = dict(sol.terms)
+    factors = st.sampled_from([2, Fraction(-1, 3), PolyQ([-1, 1]), PolyQ()])
+    for o in data.draw(st.lists(st.sampled_from(sorted(terms)), max_size=3, unique=True)):
+        terms[o] = terms[o] * data.draw(factors)
+    sol = FiniteSeries(A, facet, N, terms)
+    rep = annihilation_check(A, sol, name)
+    checked, failures = finite_annihilation_polyq(sol, toric_ideal_groebner(A, name).generators)
+    assert (rep.ok, rep.checked, rep.failures) == (not failures, checked, failures)
+    assert rep.skipped == 0
 
 
 @PROPERTY

@@ -10,15 +10,25 @@ matrices.
 """
 
 import itertools
+import os
+import re
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
-from oracles import ordered_partitions
+from oracles import ordered_partitions, truncated_annihilation_fractions
 
-from curvegkz.curve import FACET_0, FACET_K, CurveMatrix
+import curvegkz
+from curvegkz.curve import FACET_0, FACET_K, CurveMatrix, facet_parts
 from curvegkz.errors import BasisCountError, LogObstructionError, SeriesDenominatorError
 from curvegkz.qexact import PolyQ
 from curvegkz.series import (
+    PART_MULTISET_BUDGET,
+    TruncatedSeries,
+    _count_part_multisets,
+    _part_multisets,
     _proportional,
     annihilation_check,
     b_matrix,
@@ -30,7 +40,7 @@ from curvegkz.series import (
     series_for_exponent,
     solution_basis_at_point,
 )
-from curvegkz.toric import fake_exponents
+from curvegkz.toric import ORDER_NAMES, fake_exponents, toric_ideal_groebner
 
 A0134 = CurveMatrix([0, 1, 3, 4])
 A0145 = CurveMatrix([0, 1, 4, 5])
@@ -123,6 +133,38 @@ def test_polar_line_solution_frozen_shapes():
     assert sol0.terms == {(0, 0, 0, 0): PolyQ([1])}
 
 
+def test_part_multiset_count_matches_enumeration():
+    # exact up to the budget; past it, a lower bound that is itself past it
+    for A in (A0134, A0145, A023, A0234):
+        for facet in (FACET_0, FACET_K):
+            parts = facet_parts(A, facet)
+            values = [v for _, v in parts]
+            for N in range(6 * A.k):
+                exact = len(_part_multisets(parts, N))
+                assert _count_part_multisets(values, N, exact) == exact, (A, facet, N)
+                for budget in (0, 1, exact - 1):
+                    got = _count_part_multisets(values, N, budget)
+                    assert budget < got <= exact or got == exact <= budget, (A, facet, N, budget)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_huge_polar_level_is_refused_up_front(flags):
+    # the facet-k line of 0,1,3,4 through (100000, 3) has level 399997 and
+    # billions of part multisets; the count stops once it passes the budget
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "curvegkz.cli", "verify", "-A", "0,1,3,4", "-b", "100000,3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    found = re.search(r"level-399997 line of facet-k has at least (\d+) part multisets", proc.stderr)
+    assert found and int(found.group(1)) > PART_MULTISET_BUDGET, proc.stderr
+    assert f"past the budget of {PART_MULTISET_BUDGET}" in proc.stderr
+    assert elapsed < 1.0
+
+
 def test_finite_solution_monomials_and_normalization():
     sol = polar_line_solution(A0134, FACET_K, 3)
     lam = Fraction(1)
@@ -188,6 +230,20 @@ def test_canonical_series_annihilated_generic():
         assert rep.ok, rep.failures
         total_checked += rep.checked
     assert total_checked > 0
+
+
+def test_annihilation_failures_match_fractions_when_every_coefficient_changes():
+    # each coefficient scaled by its own factor and every third term dropped,
+    # so that most residuals fail, some with one side missing: the integer
+    # check lists them in the order and with the values of the
+    # one-Fraction-per-factor sums
+    for name in ORDER_NAMES:
+        for ts in canonical_series(A0134, (Fraction(1, 3), Fraction(1, 5)), name, bound=8):
+            terms = {u: c * (i + 2) for i, (u, c) in enumerate(ts.terms.items()) if i % 3 != 1}
+            ts = TruncatedSeries(A0134, ts.v, ts.pair, ts.bound, terms)
+            rep = annihilation_check(A0134, ts, name)
+            expected = truncated_annihilation_fractions(ts, toric_ideal_groebner(A0134, name).generators)
+            assert expected[2] and (rep.checked, rep.skipped, rep.failures) == expected
 
 
 def test_parametric_derivative():
