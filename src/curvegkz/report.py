@@ -69,11 +69,10 @@ def analyze_report(A, window=8):
     exceptional = rank_jumping_parameters(A)
     lines = {}
     for facet in FACETS:
+        found = resonant_lines(A, facet, (-window, window))
         lines[facet] = {
-            "polar": [L.level for L in resonant_lines(A, facet, (-window, window)) if L.polar],
-            "resonant_only": [
-                L.level for L in resonant_lines(A, facet, (-window, window)) if not L.polar
-            ],
+            "polar": [L.level for L in found if L.polar],
+            "resonant_only": [L.level for L in found if not L.polar],
         }
     return {
         **_header("analyze", A),

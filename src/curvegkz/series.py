@@ -133,53 +133,48 @@ class FiniteSeries:
         )
 
 
-# a polar-line solution with more part multisets than this is refused
-# before one is built.  The levels the tests and the benchmark build have at
-# most 45; level 100 of 0,1,2,3,5,8 has 24,853, which take seconds to build
-# and to check, and the count grows like a power of the level
-PART_MULTISET_BUDGET = 10_000
+# a polar-line solution whose part multisets need more coefficient work
+# than this is refused before one is built.  A multiset of c parts costs c^2
+# (its coefficient has degree c - 1).  The levels the tests and the
+# benchmark build need at most 14,501; levels near the budget take 0.3-0.6 s
+# to build, strip and check, and up to 1.3 s when a few multisets of
+# several hundred parts make it up (level 342 of facet-0 on 0,1,100)
+POLAR_WORK_BUDGET = 200_000
 
 
-def _count_part_multisets(values, N, budget):
-    """The number of multisets of the part values with sum N, exact when it
-    is at most the budget and a lower bound past the budget otherwise.
+def _part_multisets(parts, N, budget):
+    """Multiplicity tuples m, one entry per part, with sum m_p v_p = N, in
+    lexicographic order, and their work, the sum of c^2 over them with c =
+    sum(m).  The listing stops as soon as the work passes the budget, so
+    past the budget the list is a prefix and the work a lower bound.
 
-    cnt_p(s), the number with sum s of the first p + 1 values, is
-    cnt_(p-1)(s) + cnt_p(s - v_p), so a pass over s = 0..N keeps only the
-    last v_p entries of each row.  The last row never decreases along a
-    residue class modulo its value v, so once v entries in a row of it pass
-    the budget, every later one does, and the pass stops.
+    The recursion runs over the parts, so its depth is their number.  The
+    last multiplicity is solved, not looped over.  Every other m_p runs only
+    through the residue class that leaves a rest divisible by the gcd t of
+    the later values, m_p v_p = rest mod t.  The values have gcd 1, so only
+    a branch whose rest runs out ends without a multiset, and the listing
+    costs about as much as the multisets it lists.
     """
-    rings = [[0] * v for v in values]
-    run = 0
-    count = 0
-    for s in range(N + 1):
-        count = 1 if s == 0 else 0
-        for ring, v in zip(rings, values):
-            count += ring[s % v]
-            ring[s % v] = count
-        run = run + 1 if count > budget else 0
-        if run == values[-1]:
-            return rings[-1][N % values[-1]]
-    return count
-
-
-def _part_multisets(parts, N):
-    """Multiplicity tuples m, one entry per part, with sum m_p v_p = N.  The
-    recursion runs over the parts, so its depth is their number."""
+    values = [v for _, v in parts]
     out = []
+    work = 0
 
-    def rec(p, remaining, prefix):
-        if p == len(parts):
-            if remaining == 0:
-                out.append(prefix)
-            return
-        v = parts[p][1]
-        for mp in range(remaining // v + 1):
-            rec(p + 1, remaining - mp * v, prefix + (mp,))
+    def rec(p, rest, prefix):
+        nonlocal work
+        v = values[p]
+        if p == len(values) - 1:
+            m = prefix + (rest // v,)
+            out.append(m)
+            work += sum(m) ** 2
+            return work > budget
+        t = gcd(*values[p + 1 :])
+        d = gcd(v, t)  # rest is a multiple of d
+        step = t // d
+        start = rest // d * pow(v // d, -1, step) % step
+        return any(rec(p + 1, rest - mp * v, prefix + (mp,)) for mp in range(start, rest // v + 1, step))
 
     rec(0, N, ())
-    return out
+    return out, work
 
 
 def polar_line_solution(A, facet, N):
@@ -193,8 +188,8 @@ def polar_line_solution(A, facet, N):
     sum_sigma prod_j 1/(a_sigma(1) + ... + a_sigma(j)) = 1/prod a_i), and the
     part values v_i cancel against the weights v_i^m_i.  Level 0 is the
     constant solution; a negative level, or one with no multiset, gives the
-    zero series.  A level with more than PART_MULTISET_BUDGET multisets
-    raises ValueError before any is built.
+    zero series.  A level whose multisets need more work than
+    POLAR_WORK_BUDGET raises ValueError before any term is built.
 
     >>> from .curve import CurveMatrix
     >>> sol = polar_line_solution(CurveMatrix([0, 1, 3, 4]), "facet-k", 3)
@@ -208,16 +203,17 @@ def polar_line_solution(A, facet, N):
     base = facet_base(A, facet)
     if N <= 0:
         return FiniteSeries(A, facet, N, {(0,) * A.n: _ONE} if N == 0 else {})
-    count = _count_part_multisets([v for _, v in parts], N, PART_MULTISET_BUDGET)
-    if count > PART_MULTISET_BUDGET:
+    multisets, work = _part_multisets(parts, N, POLAR_WORK_BUDGET)
+    if work > POLAR_WORK_BUDGET:
         raise ValueError(
-            f"the level-{N} line of {facet} has at least {count} part multisets,"
-            f" past the budget of {PART_MULTISET_BUDGET}"
+            f"the level-{N} line of {facet} needs coefficient work of at least {work}"
+            f" (the sum of c^2 over its part multisets of c parts), past the budget"
+            f" of {POLAR_WORK_BUDGET}"
         )
     terms = {}
     # falling[c] = N (lam-1)(lam-2)...(lam-c+1), grown as needed
     falling = [None, PolyQ([N])]
-    for m in _part_multisets(parts, N):
+    for m in multisets:
         c = sum(m)
         while len(falling) <= c:
             falling.append(falling[-1] * PolyQ([1 - len(falling), 1]))

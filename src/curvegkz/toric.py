@@ -11,6 +11,7 @@ polynomial arithmetic is needed.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .curve import FACET_0, FACET_K, FACETS, ResonantLine, facet_base, facet_level
 from .curve import _polar_level_semigroup
@@ -125,10 +126,9 @@ class GroebnerBasis:
         return f"GroebnerBasis({self.A!r}, {self.order.name}, {len(self.generators)} gens)"
 
 
-# at most GB_CACHE_SIZE bases, in order of last use: a new basis beyond
-# that drops the least recently used one
+# at most GB_CACHE_SIZE bases are kept; a new basis beyond that drops the
+# least recently used one
 GB_CACHE_SIZE = 64
-_GB_CACHE = {}
 
 
 def _degree_cap(A):
@@ -176,11 +176,11 @@ def toric_ideal_groebner(A, order):
     """
     if isinstance(order, str):
         order = term_order(order, A.n)
-    key = (A.exponents, order.cheap)
-    hit = _GB_CACHE.pop(key, None)
-    if hit is not None:
-        _GB_CACHE[key] = hit
-        return hit
+    return _toric_ideal_groebner(A, order)
+
+
+@lru_cache(maxsize=GB_CACHE_SIZE)
+def _toric_ideal_groebner(A, order):
     n, cap = A.n, _degree_cap(A)
     standard = {0: (0,) * n}  # weight -> the standard monomial of that fiber
     gens = []
@@ -208,11 +208,7 @@ def toric_ideal_groebner(A, order):
             if any(min(a, b) for a, b in zip(f[0], g[0]))
         )
         if all(s is None or gb.reduces_to_zero(*s) for s in spairs):
-            break
-    if len(_GB_CACHE) >= GB_CACHE_SIZE:
-        del _GB_CACHE[next(iter(_GB_CACHE))]
-    _GB_CACHE[key] = gb
-    return gb
+            return gb
 
 
 class StandardPair:

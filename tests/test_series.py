@@ -10,6 +10,7 @@ matrices.
 """
 
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -25,9 +26,8 @@ from curvegkz.curve import FACET_0, FACET_K, CurveMatrix, facet_parts
 from curvegkz.errors import BasisCountError, LogObstructionError, SeriesDenominatorError
 from curvegkz.qexact import PolyQ
 from curvegkz.series import (
-    PART_MULTISET_BUDGET,
+    POLAR_WORK_BUDGET,
     TruncatedSeries,
-    _count_part_multisets,
     _part_multisets,
     _proportional,
     annihilation_check,
@@ -133,24 +133,78 @@ def test_polar_line_solution_frozen_shapes():
     assert sol0.terms == {(0, 0, 0, 0): PolyQ([1])}
 
 
-def test_part_multiset_count_matches_enumeration():
-    # exact up to the budget; past it, a lower bound that is itself past it
+def test_part_multisets_match_ordered_partitions_and_stop_at_the_budget():
+    # the oracle's multisets in lexicographic order, with work sum(c^2);
+    # below that work the listing is the prefix whose work first passes
+    # the budget
     for A in (A0134, A0145, A023, A0234):
         for facet in (FACET_0, FACET_K):
             parts = facet_parts(A, facet)
-            values = [v for _, v in parts]
-            for N in range(6 * A.k):
-                exact = len(_part_multisets(parts, N))
-                assert _count_part_multisets(values, N, exact) == exact, (A, facet, N)
-                for budget in (0, 1, exact - 1):
-                    got = _count_part_multisets(values, N, budget)
-                    assert budget < got <= exact or got == exact <= budget, (A, facet, N, budget)
+            for N in range(4 * A.k):
+                seqs = ordered_partitions(A, facet, N)
+                expected = sorted({tuple(seq.count(v) for _, v in parts) for seq in seqs})
+                works = list(itertools.accumulate(sum(m) ** 2 for m in expected))
+                total = works[-1] if works else 0
+                assert _part_multisets(parts, N, total) == (expected, total), (A, facet, N)
+                for budget in sorted({b for b in (0, 1, total // 2, total - 1) if 0 <= b < total}):
+                    stop = next(i for i, w in enumerate(works) if w > budget)
+                    got = _part_multisets(parts, N, budget)
+                    assert got == (expected[: stop + 1], works[stop]), (A, facet, N, budget)
+
+
+# levels whose solutions take from 4.6 s to hours to build, strip and check;
+# on the last, a listing that stepped through every multiplicity but the last
+# would run for minutes before its first multiset
+COSTLY_POLAR_LEVELS = [
+    ((0, 1, 2, 3, 5, 8), FACET_0, 58),
+    ((0, 2, 3), FACET_0, 377),
+    ((0, 1, 100), FACET_K, 98999),
+    ((0, 1, 3, 4), FACET_K, 162),
+    ((0, 1, 3, 4), FACET_K, 400),
+    ((0, 1, 100), FACET_K, 9999997),
+    ((0, 1, 2, 4, 6), FACET_0, 10000001),
+]
+
+_REFUSAL_SCRIPT = """
+import json, sys, time
+from curvegkz.curve import CurveMatrix
+from curvegkz.series import polar_line_solution
+for exps, facet, level in json.loads(sys.argv[1]):
+    start = time.perf_counter()
+    try:
+        polar_line_solution(CurveMatrix(exps), facet, level)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    print(json.dumps([message, time.perf_counter() - start]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_costly_polar_levels_are_refused_within_a_second(flags):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _REFUSAL_SCRIPT, json.dumps(COSTLY_POLAR_LEVELS)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(COSTLY_POLAR_LEVELS)
+    for (_, facet, level), line in zip(COSTLY_POLAR_LEVELS, lines):
+        message, elapsed = json.loads(line)
+        found = re.fullmatch(
+            rf"the level-{level} line of {facet} needs coefficient work of at least (\d+)"
+            rf" \(.*\), past the budget of {POLAR_WORK_BUDGET}",
+            message or "",
+        )
+        assert found and int(found.group(1)) > POLAR_WORK_BUDGET, (level, message)
+        assert elapsed < 1.0, (level, elapsed)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_huge_polar_level_is_refused_up_front(flags):
-    # the facet-k line of 0,1,3,4 through (100000, 3) has level 399997 and
-    # billions of part multisets; the count stops once it passes the budget
+    # the facet-k line of 0,1,3,4 through (100000, 3) has level 399997; its
+    # first multiset, 399997 parts of 1, already passes the budget
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)))
     start = time.perf_counter()
     proc = subprocess.run(
@@ -159,9 +213,9 @@ def test_huge_polar_level_is_refused_up_front(flags):
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 2, proc.stderr
-    found = re.search(r"level-399997 line of facet-k has at least (\d+) part multisets", proc.stderr)
-    assert found and int(found.group(1)) > PART_MULTISET_BUDGET, proc.stderr
-    assert f"past the budget of {PART_MULTISET_BUDGET}" in proc.stderr
+    found = re.search(r"level-399997 line of facet-k needs coefficient work of at least (\d+)", proc.stderr)
+    assert found and int(found.group(1)) > POLAR_WORK_BUDGET, proc.stderr
+    assert f"past the budget of {POLAR_WORK_BUDGET}" in proc.stderr
     assert elapsed < 1.0
 
 

@@ -169,10 +169,11 @@ def _admissible_matrices(kmax):
                     yield CurveMatrix([0, *mid, k])
 
 
-def test_groebner_cache_is_bounded(monkeypatch):
+def test_groebner_cache_is_bounded():
     # more distinct (matrix, order) keys than the cache holds; past the
     # cache size the least recently used key goes first
-    monkeypatch.setattr(toric, "_GB_CACHE", {})
+    cache = toric._toric_ideal_groebner
+    cache.cache_clear()
     keys = [(A, name) for A in _admissible_matrices(7) for name in ORDER_NAMES]
     keys = [key for key in keys if key != (A023, "d1-first")][: GB_CACHE_SIZE + 8]
     assert len(keys) == GB_CACHE_SIZE + 8
@@ -181,19 +182,22 @@ def test_groebner_cache_is_bounded(monkeypatch):
     for A, name in keys:
         built[A, name] = toric_ideal_groebner(A, name).generators
         # a hit on 0,2,3 makes it the most recently used key again
+        hits = cache.cache_info().hits
         assert toric_ideal_groebner(A023, "d1-first") is first
-        assert len(toric._GB_CACHE) <= GB_CACHE_SIZE
-    # the last GB_CACHE_SIZE - 1 keys and 0,2,3 are kept, least recent first
-    def cache_key(A, name):
-        return (A.exponents, term_order(name, A.n).cheap)
-
-    kept = [cache_key(A, name) for A, name in keys[-(GB_CACHE_SIZE - 1):]]
-    assert list(toric._GB_CACHE) == kept + [cache_key(A023, "d1-first")]
-    # the evicted first key is built again, identically
+        assert cache.cache_info().hits == hits + 1
+        assert cache.cache_info().currsize <= GB_CACHE_SIZE
+    # the last GB_CACHE_SIZE - 1 keys are kept
+    misses = cache.cache_info().misses
+    for A, name in keys[-(GB_CACHE_SIZE - 1):]:
+        toric_ideal_groebner(A, name)
+    assert cache.cache_info().misses == misses
+    # the evicted first key is a miss, built again identically, and kept
     A, name = keys[0]
     assert toric_ideal_groebner(A, name).generators == built[A, name]
+    assert cache.cache_info().misses == misses + 1
     assert set(built[A, name]) == _sympy_toric_generators(A.exponents, name)
-    assert cache_key(A, name) in toric._GB_CACHE
+    toric_ideal_groebner(A, name)
+    assert cache.cache_info().misses == misses + 1
 
 
 def test_groebner_degree_bound_survives_optimized_mode():
