@@ -1,9 +1,10 @@
 """Series solutions: finite solutions on polar lines, canonical series at a
 point, exact operator checks, and assembly of a full solution basis.
 
-Finite solutions carry coefficients that are polynomials in the line
-parameter lam; point solutions carry plain rational coefficients indexed by
-kernel lattice steps from a starting exponent.
+Finite solutions carry each coefficient as a rational times a run of
+linear factors in the line parameter lam; point solutions carry plain
+rational coefficients indexed by kernel lattice steps from a starting
+exponent.
 """
 
 import cmath
@@ -14,10 +15,7 @@ from math import factorial, gcd, lcm
 from .curve import FACETS, facet_base, facet_level, facet_parts, is_rank_jumping
 from .curve import polar_lines_through, rank
 from .errors import BasisCountError, LogObstructionError, SeriesDenominatorError
-from .qexact import PolyQ
 from .toric import fake_exponents, toric_ideal_groebner
-
-_ONE = PolyQ([1])
 
 
 def _proportional(m1, m2):
@@ -75,20 +73,26 @@ class FiniteSeries:
     """Finite solution attached to a polar line of one facet.
 
     Terms are keyed by integer offset vectors o; the term monomial is
-    x_base^(lam + o_base) * prod_i x_i^(o_i) and its coefficient is a PolyQ
-    in lam.  ``removed`` records a factor already divided out of every
-    coefficient (the trivial polynomial 1 when nothing was removed).
+    x_base^(lam + o_base) * prod_i x_i^(o_i).  With c = -o_base, the
+    coefficient of the term is the rational terms[o] times the run of
+    linear factors (lam - start)(lam - start - 1)...(lam - c + 1), one
+    integer ``start`` for the whole series.  A line solution as built has
+    start 1 (start 0 at level 0); ``stripped()`` raises start to the least
+    c.  Every term must have start <= c, or ValueError is raised.
     """
 
-    __slots__ = ("A", "facet", "level", "base", "terms", "removed")
+    __slots__ = ("A", "facet", "level", "base", "terms", "start")
 
-    def __init__(self, A, facet, level, terms, removed=_ONE):
+    def __init__(self, A, facet, level, terms, start):
         self.A = A
         self.facet = facet
         self.level = int(level)
         self.base = facet_base(A, facet)
         self.terms = dict(terms)
-        self.removed = removed
+        self.start = start
+        for o in self.terms:
+            if -o[self.base] < start:
+                raise ValueError(f"offset {o} has fewer than {start} base parts, the start of its run")
 
     def is_zero(self):
         return not self.terms
@@ -98,26 +102,26 @@ class FiniteSeries:
         return tuple(oi + lam if i == self.base else Fraction(oi) for i, oi in enumerate(o))
 
     def stripped(self):
-        """Divide out the monic gcd of all coefficients.
+        """The series with the factors common to all coefficients divided out.
 
         Each coefficient of a line solution is N (lam-1)...(lam-c+1) / prod m_i!
-        for c parts, so the one of least degree divides all the others and,
-        made monic, is the gcd.
+        for c parts, so the one of least c divides all the others, and made
+        monic it is their gcd, (lam - start)...(lam - c_min + 1).  Dividing
+        it out only moves start up to the least c.
         """
-        if not self.terms:
-            return self, _ONE
-        g = min(self.terms.values(), key=lambda c: c.degree).monic()
-        if g.is_constant():
-            return self, _ONE
-        new = {o: c.divexact(g) for o, c in self.terms.items()}
-        return FiniteSeries(self.A, self.facet, self.level, new, self.removed * g), g
+        start = min((-o[self.base] for o in self.terms), default=self.start)
+        return FiniteSeries(self.A, self.facet, self.level, self.terms, start)
 
     def monomials(self, lam):
         """Exact (coefficient, exponent vector) pairs at lam; zero terms dropped."""
         lam = Fraction(lam)
+        # run[c - start] = (lam - start)...(lam - c + 1), one running product
+        run = [Fraction(1)]
+        for j in range(self.start, max((-o[self.base] for o in self.terms), default=0)):
+            run.append(run[-1] * (lam - j))
         out = []
-        for o, c in sorted(self.terms.items()):
-            val = c(lam)
+        for o, r in sorted(self.terms.items()):
+            val = r * run[-o[self.base] - self.start]
             if val != 0:
                 out.append((val, self._exponents(o, lam)))
         return out
@@ -127,18 +131,16 @@ class FiniteSeries:
         return _evaluate(self.monomials(lam), x)
 
     def __repr__(self):
-        return (
-            f"FiniteSeries({self.facet}, level={self.level}, "
-            f"{len(self.terms)} terms, removed={self.removed.text('lam')})"
-        )
+        return f"FiniteSeries({self.facet}, level={self.level}, {len(self.terms)} terms, start={self.start})"
 
 
 # a polar-line solution whose part multisets need more coefficient work
 # than this is refused before one is built.  A multiset of c parts costs c^2
-# (its coefficient has degree c - 1).  The levels the tests and the
-# benchmark build need at most 14,501; levels near the budget take 0.3-0.6 s
-# to build, strip and check, and up to 1.3 s when a few multisets of
-# several hundred parts make it up (level 342 of facet-0 on 0,1,100)
+# (a rational of about c log c digits, evaluated over a run of c - 1
+# factors).  The tests and the benchmark build levels of work 14,501 at
+# most.  The largest admitted levels take 0.03 s at most to build, strip,
+# evaluate and check (level 38 of facet-0 on 0,1,2,3,5), so the budget now
+# bounds the listing of the multisets more than the arithmetic
 POLAR_WORK_BUDGET = 200_000
 
 
@@ -182,7 +184,8 @@ def polar_line_solution(A, facet, N):
 
     A multiset of facet parts summing to N > 0, with m_i parts at
     coordinate i and c parts in all, gives the term with offset o_i = m_i,
-    o_base = -c and coefficient N (lam-1)(lam-2)...(lam-c+1) / prod m_i!.
+    o_base = -c and coefficient N (lam-1)(lam-2)...(lam-c+1) / prod m_i!,
+    stored as the rational N / prod m_i! over the factors from start = 1.
     Summed over the orderings of the multiset, the per-prefix denominators
     1/(N - s) give N / prod(v_i^m_i m_i!) (the classical identity
     sum_sigma prod_j 1/(a_sigma(1) + ... + a_sigma(j)) = 1/prod a_i), and the
@@ -193,16 +196,18 @@ def polar_line_solution(A, facet, N):
 
     >>> from .curve import CurveMatrix
     >>> sol = polar_line_solution(CurveMatrix([0, 1, 3, 4]), "facet-k", 3)
-    >>> for o, c in sorted(sol.terms.items()):
-    ...     print(o, c.text("lam"))
-    (0, 0, 3, -3) 1/2*lam^2 - 3/2*lam + 1
+    >>> for o, r in sorted(sol.terms.items()):
+    ...     print(o, r)
+    (0, 0, 3, -3) 1/2
     (0, 1, 0, -1) 3
+
+    The first term is (lam-1)(lam-2)/2 x3^3 x4^(lam-3), as sol.start is 1.
     """
     N = int(N)
     parts = facet_parts(A, facet)
     base = facet_base(A, facet)
     if N <= 0:
-        return FiniteSeries(A, facet, N, {(0,) * A.n: _ONE} if N == 0 else {})
+        return FiniteSeries(A, facet, N, {(0,) * A.n: Fraction(1)} if N == 0 else {}, 0)
     multisets, work = _part_multisets(parts, N, POLAR_WORK_BUDGET)
     if work > POLAR_WORK_BUDGET:
         raise ValueError(
@@ -211,20 +216,15 @@ def polar_line_solution(A, facet, N):
             f" of {POLAR_WORK_BUDGET}"
         )
     terms = {}
-    # falling[c] = N (lam-1)(lam-2)...(lam-c+1), grown as needed
-    falling = [None, PolyQ([N])]
     for m in multisets:
-        c = sum(m)
-        while len(falling) <= c:
-            falling.append(falling[-1] * PolyQ([1 - len(falling), 1]))
         o = [0] * A.n
-        o[base] = -c
+        o[base] = -sum(m)
         den = 1
         for (idx, _), mi in zip(parts, m):
             o[idx] += mi
             den *= factorial(mi)
-        terms[tuple(o)] = falling[c] * Fraction(1, den)
-    return FiniteSeries(A, facet, N, terms)
+        terms[tuple(o)] = Fraction(N, den)
+    return FiniteSeries(A, facet, N, terms, 1)
 
 
 class TruncatedSeries:
@@ -396,12 +396,10 @@ def annihilation_check(A, series, order="d1-first"):
     x^(v+u-a), with the integer
     ff_a = prod_i w_i (w_i - D) ... (w_i - (a_i - 1) D).
     So the residual is (c(s+a) ff_a - c(s+b) ff_b) / D^|a|, and with
-    c = p / q it vanishes exactly when p_a ff_a q_b == p_b ff_b q_a.  On a
-    polar line each coefficient is an integer polynomial in lam over one
-    denominator, the falling factorial is an integer times
-    (lam + o_base)(lam + o_base - 1)..., and the same comparison holds
-    coefficient by coefficient.  Only a residual that fails becomes a
-    Fraction or a PolyQ.
+    c = p / q it vanishes exactly when p_a ff_a q_b == p_b ff_b q_a.  Only
+    a residual that fails becomes a Fraction.  A polar line takes the same
+    kind of comparison of one scalar per side; _finite_annihilation gives
+    the argument.
     """
     gens = toric_ideal_groebner(A, order).generators
     for a, b in gens:
@@ -468,25 +466,33 @@ def _truncated_annihilation(A, series, gens):
 
 
 def _finite_annihilation(A, series, gens):
+    """The residuals of a finite line solution, each decided by comparing
+    two scalars.
+
+    The term at o is r_o (lam - start)...(lam + o_base + 1) times
+    x_base^(lam + o_base) prod_i x_i^(o_i).  The monomial x^a takes it to
+    the key s = o - a with const_a = prod_{i != base} o_i (o_i - 1)...
+    (o_i - a_i + 1) and the factors (lam + o_base)...(lam + o_base - a_base
+    + 1), which continue the run of the coefficient to
+    (lam - start)...(lam + s_base + 1).  The b-side term at the same key
+    comes from o' with o'_base - b_base = s_base as well, so it carries the
+    same run.  That run is a nonzero polynomial in lam, so the residual at
+    s vanishes exactly when r_a const_a == r_b const_b, cross-multiplied
+    over the denominators of r.  A failure reports r_a const_a - r_b const_b,
+    the coefficient at key in the convention of a term at that offset.
+    """
     base = series.base
     for o in series.terms:
         # scale rows: both homogeneity degrees must sit on the line
         if sum(o) != 0 or facet_level(A.k, series.facet, A.degree(o)) != series.level:
             raise AssertionError(f"offset {o} leaves the level-{series.level} line")
-    # once per term: the coefficient as integers P over the lcm q of its
-    # denominators
-    rows = []
-    for o, c in series.terms.items():
-        q = lcm(*(x.denominator for x in c.coeffs))
-        rows.append((o, [x.numerator * (q // x.denominator) for x in c.coeffs], q))
-    # (o_base, a_base) -> (lam + o_base)(lam + o_base - 1)... as integers
-    lam_falling = {}
+    rows = [(o, r.numerator, r.denominator) for o, r in series.terms.items()]
     checked = 0
     failures = []
     for a, b in gens:
-        # key -> [P_a ff_a, q_a, P_b ff_b, q_b], in first-contribution order
+        # key -> [p_a const_a, q_a, p_b const_b, q_b], in first-contribution order
         sides = {}
-        for o, P, q in rows:
+        for o, p, q in rows:
             for mono, slot in ((a, 0), (b, 2)):
                 const = 1
                 for i, mi in enumerate(mono):
@@ -495,31 +501,16 @@ def _finite_annihilation(A, series, gens):
                             const *= o[i] - j
                 if const == 0:
                     continue
-                ob, mb = o[base], mono[base]
-                ff = lam_falling.get((ob, mb))
-                if ff is None:
-                    ff = [1]
-                    for j in range(mb):
-                        # times (lam + ob - j)
-                        ff = [x * (ob - j) + y for x, y in zip(ff + [0], [0] + ff)]
-                    lam_falling[ob, mb] = ff
-                side = [0] * (len(P) + len(ff) - 1) if P else []
-                for i, x in enumerate(P):
-                    x *= const
-                    for j, y in enumerate(ff):
-                        side[i + j] += x * y
                 key = tuple([oi - mi for oi, mi in zip(o, mono)])
                 entry = sides.get(key)
                 if entry is None:
-                    entry = sides[key] = [[], 1, [], 1]
-                entry[slot : slot + 2] = side, q
+                    entry = sides[key] = [0, 1, 0, 1]
+                entry[slot : slot + 2] = p * const, q
         for key, (pa, qa, pb, qb) in sides.items():
             checked += 1
-            if [x * qb for x in pa] != [y * qa for y in pb]:
-                val = PolyQ([Fraction(x, qa) for x in pa]) - PolyQ([Fraction(y, qb) for y in pb])
-                failures.append(((a, b), key, val))
+            if pa * qb != pb * qa:
+                failures.append(((a, b), key, Fraction(pa, qa) - Fraction(pb, qb)))
     return AnnihilationReport(not failures, checked, 0, failures)
-
 
 
 def parametric_derivative(series, lam0, q):
@@ -527,19 +518,27 @@ def parametric_derivative(series, lam0, q):
 
     Every coefficient must vanish to order at least q at lam0; otherwise the
     derivative would leave the logarithm-free setting and
-    LogObstructionError is raised.  Returns a list of (coefficient,
-    exponent vector) pairs; the list is empty when everything vanishes to
-    higher order.
+    LogObstructionError is raised.  The factors of a coefficient's run are
+    distinct, so it vanishes at lam0 to order 1 when lam0 is one of them and
+    to order 0 otherwise, and q = 2 or more always raises.
+    Returns a list of (coefficient, exponent vector) pairs; the list is
+    empty when everything vanishes to higher order.
     """
     if not isinstance(series, FiniteSeries):
         raise TypeError(f"cannot differentiate {type(series).__name__}")
     lam0 = Fraction(lam0)
     out = []
-    for o, c in sorted(series.terms.items()):
-        mult = c.root_multiplicity(lam0) if c(lam0) == 0 else 0
+    for o, r in sorted(series.terms.items()):
+        run = range(series.start, -o[series.base])
+        mult = int(lam0.denominator == 1 and lam0.numerator in run)
         if mult < q:
             raise LogObstructionError(o, mult, q)
-        val = c.derivative(q)(lam0)
+        # q = 0: the value of the run; q = 1: at its root lam0, the product
+        # of the other factors
+        val = r
+        for j in run:
+            if q == 0 or j != lam0:
+                val *= lam0 - j
         if val != 0:
             out.append((val, series._exponents(o, lam0)))
     return out
@@ -569,7 +568,7 @@ def coincidence_at_intersection(A, beta):
     levels = dict(polar_lines_through(A, (b1, b2)))
     if len(levels) != 2:
         raise AssertionError(f"{(b1, b2)} is not a crossing of polar lines: {levels}")
-    s0, sk = (polar_line_solution(A, facet, levels[facet]).stripped()[0] for facet in FACETS)
+    s0, sk = (polar_line_solution(A, facet, levels[facet]).stripped() for facet in FACETS)
     return coincidence_of_line_solutions((b1, b2), s0, sk)
 
 
@@ -660,9 +659,11 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
     proportional.
     """
     b1, b2 = Fraction(beta[0]), Fraction(beta[1])
+    # the line solutions come first: a level past the work budget is refused
+    # before any Groebner basis is built
+    lines = [(f, N, polar_line_solution(A, f, N).stripped()) for f, N in polar_lines_through(A, (b1, b2))]
     entries = []
     discarded = []
-    lines = []
     for fe in fake_exponents(A, (b1, b2), order):
         if not fe.is_top:
             continue
@@ -672,9 +673,7 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
             discarded.append((fe, err))
             continue
         entries.append(BasisElement("series", ts.monomials(), [f"top {fe.pair.r}"], ts))
-    for facet, N in polar_lines_through(A, (b1, b2)):
-        fs, _ = polar_line_solution(A, facet, N).stripped()
-        lines.append((facet, N, fs))
+    for facet, N, fs in lines:
         tag = f"{facet} line level {N}"
         mono = fs.monomials(b1)
         if not mono:

@@ -10,7 +10,10 @@ Frobenius number comes from a search for a run of members.
 The exact series path has its plain versions here as well: the kernel
 steps by a search of the whole box, the series coefficients and the
 operator residuals by one Fraction per factor, and the residuals on a polar
-line by one PolyQ in lam per factor.  The Groebner basis, which
+line by one PolyQ in lam per factor.  PolyQ, a dense polynomial over Q,
+is defined here: the library stores each coefficient of a line solution
+as a rational times a run of linear factors, and ``expand_factored``
+multiplies such a series out for the oracles.  The Groebner basis, which
 the library reads off the fibers of the grading, is computed here by
 Buchberger's algorithm from a kernel lattice basis, saturating one
 variable at a time, with an S-pair list sorted again before every pop.
@@ -35,9 +38,207 @@ import numpy as np
 from curvegkz import toric
 from curvegkz.analytic import _tracked_log_f
 from curvegkz.curve import FACET_0, FACET_K, facet_parts, facet_semigroup, in_convergence_domain
-from curvegkz.errors import PolarLineError, QuadratureError, SeriesDenominatorError
-from curvegkz.qexact import PolyQ, fraction_matrix_rank
-from curvegkz.series import FiniteSeries
+from curvegkz.errors import LogObstructionError, PolarLineError, QuadratureError, SeriesDenominatorError
+from curvegkz.qexact import fraction_matrix_rank
+
+
+def _as_fraction(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an exact number, got {type(x).__name__}")
+
+
+class PolyQ:
+    """Dense univariate polynomial over Q, coefficients ascending.
+
+    >>> p = PolyQ([1, -2, 1])          # 1 - 2 t + t^2
+    >>> p(Fraction(1))
+    Fraction(0, 1)
+    >>> p.root_multiplicity(Fraction(1))
+    2
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [_as_fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @staticmethod
+    def variable():
+        return PolyQ([0, 1])
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def is_constant(self):
+        return len(self.coeffs) <= 1
+
+    def leading(self):
+        if not self.coeffs:
+            raise AssertionError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __eq__(self, other):
+        if isinstance(other, PolyQ):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self == PolyQ([other])
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = PolyQ([other])
+        if not isinstance(other, PolyQ):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return PolyQ(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PolyQ([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, PolyQ) else PolyQ([-_as_fraction(other)]))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return PolyQ([c * other for c in self.coeffs])
+        if not isinstance(other, PolyQ):
+            return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return PolyQ()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return PolyQ(out)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other):
+        if not isinstance(other, PolyQ) or other.is_zero():
+            raise AssertionError(f"cannot divide by {other!r}")
+        rem = list(self.coeffs)
+        den = other.coeffs
+        if len(rem) < len(den):
+            return PolyQ(), self
+        quot = [Fraction(0)] * (len(rem) - len(den) + 1)
+        for i in range(len(quot) - 1, -1, -1):
+            c = rem[i + len(den) - 1] / den[-1]
+            quot[i] = c
+            if c:
+                for j, d in enumerate(den):
+                    rem[i + j] -= c * d
+        return PolyQ(quot), PolyQ(rem)
+
+    def divexact(self, other):
+        q, r = divmod(self, other)
+        if not r.is_zero():
+            raise AssertionError("division was not exact")
+        return q
+
+    def monic(self):
+        if self.is_zero():
+            return self
+        lead = self.leading()
+        return PolyQ([c / lead for c in self.coeffs])
+
+    def gcd(self, other):
+        """Monic gcd by the Euclidean algorithm."""
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, divmod(a, b)[1]
+        return a.monic()
+
+    def derivative(self, times=1):
+        p = self
+        for _ in range(times):
+            p = PolyQ([i * c for i, c in enumerate(p.coeffs)][1:])
+        return p
+
+    def root_multiplicity(self, a):
+        """Multiplicity of ``a`` as a root (0 when not a root)."""
+        a = _as_fraction(a)
+        if self.is_zero():
+            raise ValueError("zero polynomial vanishes to infinite order")
+        mult = 0
+        p = self
+        lin = PolyQ([-a, 1])
+        while p(a) == 0:
+            p = p.divexact(lin)
+            mult += 1
+        return mult
+
+    def __call__(self, x):
+        if isinstance(x, (int, Fraction)):
+            acc = Fraction(0)
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        acc = 0j
+        for c in reversed(self.coeffs):
+            acc = acc * x + complex(float(c))
+        return acc
+
+    def text(self, var="t"):
+        if self.is_zero():
+            return "0"
+        parts = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if not c:
+                continue
+            if i == 0:
+                mono = str(abs(c))
+            else:
+                head = "" if abs(c) == 1 else f"{abs(c)}*"
+                mono = f"{head}{var}" + (f"^{i}" if i > 1 else "")
+            if not parts:
+                parts.append(("-" if c < 0 else "") + mono)
+            else:
+                parts.append(("- " if c < 0 else "+ ") + mono)
+        return " ".join(parts)
+
+    def __repr__(self):
+        return f"PolyQ({self.text()})"
+
+
+def factor_run(start, stop):
+    """(lam - start)(lam - start - 1)...(lam - stop + 1) as a PolyQ in lam;
+    1 when stop <= start."""
+    run = PolyQ([1])
+    for j in range(start, stop):
+        run = run * PolyQ([-j, 1])
+    return run
+
+
+def expand_factored(series):
+    """The coefficients of a FiniteSeries multiplied out, {offset: PolyQ in
+    lam}: the rational of each term times its run of factors from the
+    series' start up to its number of parts c = -o_base."""
+    return {o: factor_run(series.start, -o[series.base]) * r for o, r in series.terms.items()}
 
 
 def min_parts_table(gens, upto):
@@ -202,14 +403,16 @@ def truncated_annihilation_fractions(series, generators):
 
 def finite_annihilation_polyq(series, generators):
     """(checked, failures) of the binomial operators on a finite polar-line
-    solution, with every falling factorial and residual a PolyQ in lam."""
+    solution, multiplied out, with every falling factorial and residual a
+    PolyQ in lam."""
     base = series.base
     n = series.A.n
+    terms = expand_factored(series)
     checked = 0
     failures = []
     for a, b in generators:
         residual = {}
-        for o, c in series.terms.items():
+        for o, c in terms.items():
             for mono, sign in ((a, 1), (b, -1)):
                 ff = PolyQ([1])
                 for i in range(n):
@@ -224,6 +427,21 @@ def finite_annihilation_polyq(series, generators):
             if not val.is_zero():
                 failures.append(((a, b), key, val))
     return checked, failures
+
+
+def parametric_derivative_polyq(series, lam0, q):
+    """series.parametric_derivative on the multiplied-out coefficients: the
+    root multiplicity at lam0 by repeated division, the value by the q-th
+    derivative of the PolyQ."""
+    out = []
+    for o, c in sorted(expand_factored(series).items()):
+        mult = c.root_multiplicity(lam0) if c(lam0) == 0 else 0
+        if mult < q:
+            raise LogObstructionError(o, mult, q)
+        val = c.derivative(q)(lam0)
+        if val != 0:
+            out.append((val, tuple(oi + lam0 if i == series.base else Fraction(oi) for i, oi in enumerate(o))))
+    return out
 
 
 def kernel_lattice_basis(A):
@@ -391,9 +609,10 @@ def ordered_partitions(A, facet, N):
 
 
 def polar_line_solution_by_paths(A, facet, N):
-    """The finite solution on the level-N line of a facet, by dynamic
-    programming over part multisets: one PolyQ per partial multiset, summing
-    the per-prefix factors (lam - j)/(N - s) path by path."""
+    """The coefficients {offset: PolyQ in lam} of the finite solution on the
+    level-N line of a facet, by dynamic programming over part multisets: one
+    PolyQ per partial multiset, summing the per-prefix factors
+    (lam - j)/(N - s) path by path."""
     N = int(N)
     parts = facet_parts(A, facet)
     lam = PolyQ.variable()
@@ -425,21 +644,19 @@ def polar_line_solution_by_paths(A, facet, N):
                         new[m2] = new.get(m2, PolyQ()) + mult
             frontier = new
             count += 1
-    terms = {o: c for o, c in terms.items() if not c.is_zero()}
-    return FiniteSeries(A, facet, N, terms)
+    return {o: c for o, c in terms.items() if not c.is_zero()}
 
 
 def stripped_by_gcd(series):
-    """FiniteSeries.stripped by the Euclidean gcd of all coefficients."""
-    if not series.terms:
-        return series, PolyQ([1])
+    """FiniteSeries.stripped by the Euclidean gcd of all coefficients,
+    multiplied out: the quotients {offset: PolyQ in lam} and the gcd."""
+    terms = expand_factored(series)
     g = PolyQ()
-    for c in series.terms.values():
+    for c in terms.values():
         g = g.gcd(c)
     if g.is_constant():
-        return series, PolyQ([1])
-    new = {o: c.divexact(g) for o, c in series.terms.items()}
-    return FiniteSeries(series.A, series.facet, series.level, new, series.removed * g), g
+        return terms, PolyQ([1])
+    return {o: c.divexact(g) for o, c in terms.items()}, g
 
 
 def proportional_by_rank(m1, m2):

@@ -33,7 +33,7 @@ from curvegkz.curve import (
     rank_jumping_parameters,
 )
 from curvegkz.errors import SeriesDenominatorError
-from curvegkz.qexact import Aff2, PolyQ
+from curvegkz.qexact import Aff2
 from curvegkz.series import (
     annihilation_check,
     coincidence_at_intersection,
@@ -57,23 +57,24 @@ def test_criterion_01_exceptional_set():
 
 def test_criterion_02_finite_solution_pairs():
     # at (1/2, 1) both polar lines carry bare monomial solutions
-    s0, _ = polar_line_solution(A0134, FACET_0, 1).stripped()
+    s0 = polar_line_solution(A0134, FACET_0, 1).stripped()
     assert s0.monomials(Fraction(1, 2)) == [
         (Fraction(1), (Fraction(-1, 2), Fraction(1), Fraction(0), Fraction(0)))
     ]
-    sk, _ = polar_line_solution(A0134, FACET_K, 1).stripped()
+    sk = polar_line_solution(A0134, FACET_K, 1).stripped()
     assert sk.monomials(Fraction(1, 2)) == [
         (Fraction(1), (Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2)))
     ]
     # at (1, 2) both level-2 lines lose the common factor (lam - 1) to
-    # stripping and then evaluate to a single monomial each
-    s0, removed0 = polar_line_solution(A0134, FACET_0, 2).stripped()
-    assert removed0 == PolyQ([-1, 1])
+    # stripping, which moves the start of their factor runs from 1 to 2, and
+    # then evaluate to a single monomial each
+    s0 = polar_line_solution(A0134, FACET_0, 2).stripped()
+    assert s0.start == 2
     assert s0.monomials(Fraction(1)) == [
         (Fraction(1), (Fraction(-1), Fraction(2), Fraction(0), Fraction(0)))
     ]
-    sk, removedk = polar_line_solution(A0134, FACET_K, 2).stripped()
-    assert removedk == PolyQ([-1, 1])
+    sk = polar_line_solution(A0134, FACET_K, 2).stripped()
+    assert sk.start == 2
     assert sk.monomials(Fraction(1)) == [
         (Fraction(1), (Fraction(0), Fraction(0), Fraction(2), Fraction(-1)))
     ]

@@ -3,12 +3,13 @@ semigroup-table answers of the library agree with the search oracles of
 ``oracles.py``, and the fast exact series path agrees with its plain
 versions there, the integer annihilation checks with their Fraction and
 PolyQ residuals included.  The Groebner bases read off the fibers of the
-grading agree with Buchberger's algorithm with saturation.  The closed forms of
-the finite polar-line solutions, of their stripped factor and of the
-Delta conditions agree with their path sum, Euclidean gcd and reach
-table, the proportionality test with an exact rank, the planned shift
-continuation with its recursive definition, and the batched ray
-quadrature with one loop per parameter pair.  Examples are derandomized
+grading agree with Buchberger's algorithm with saturation.  The closed
+forms of the finite polar-line solutions, of their stripped factor, of
+their parametric derivatives and of the Delta conditions agree with their
+path sum, Euclidean gcd, PolyQ derivatives and reach table, the
+proportionality test with an exact rank, the planned shift continuation
+with its recursive definition, and the batched ray quadrature with one
+loop per parameter pair.  Examples are derandomized
 so every run checks the same matrices.
 """
 
@@ -23,7 +24,9 @@ from hypothesis import strategies as st
 from oracles import (
     delta_conditions_by_reach,
     euler_mellin_untabled,
+    expand_factored,
     extension_shift_recursive,
+    factor_run,
     finite_annihilation_polyq,
     frobenius_by_run,
     h1_support_by_search,
@@ -32,6 +35,7 @@ from oracles import (
     in_ray_module_by_shift,
     kernel_steps_brute,
     min_parts_table,
+    parametric_derivative_polyq,
     phi_coefficient_fractions,
     polar_line_solution_by_paths,
     proportional_by_rank,
@@ -54,8 +58,7 @@ from curvegkz.curve import (
     rank_jumping_parameters,
     _default_jump_box,
 )
-from curvegkz.errors import PolarLineError, QuadratureError, SeriesDenominatorError
-from curvegkz.qexact import PolyQ
+from curvegkz.errors import LogObstructionError, PolarLineError, QuadratureError, SeriesDenominatorError
 from curvegkz.series import (
     FiniteSeries,
     TruncatedSeries,
@@ -64,6 +67,7 @@ from curvegkz.series import (
     _proportional,
     annihilation_check,
     default_step_bound,
+    parametric_derivative,
     polar_line_solution,
     series_for_exponent,
 )
@@ -201,9 +205,10 @@ def test_annihilation_check_matches_fractions(A, data):
 @SERIES_PROPERTY
 @given(matrices, st.data())
 def test_finite_annihilation_check_matches_polyq(A, data):
-    # a line solution at a random level, as built or stripped, and with up
-    # to three coefficients scaled (by a constant, by a factor in lam, or to
-    # zero) so that residuals fail
+    # a line solution at a random level, as built or stripped, with up to
+    # three coefficients scaled (by a constant or to zero) and at times a
+    # term added at another offset of the level, so that residuals fail;
+    # multiplied out, the library's failures are the oracle's residuals
     name = data.draw(st.sampled_from(ORDER_NAMES))
     facet = data.draw(st.sampled_from((FACET_0, FACET_K)))
     N = data.draw(st.integers(0, 3 * A.k))
@@ -211,16 +216,55 @@ def test_finite_annihilation_check_matches_polyq(A, data):
     if sol.is_zero():
         return
     if data.draw(st.booleans()):
-        sol = sol.stripped()[0]
+        sol = sol.stripped()
+    gens = toric_ideal_groebner(A, name).generators
     terms = dict(sol.terms)
-    factors = st.sampled_from([2, Fraction(-1, 3), PolyQ([-1, 1]), PolyQ()])
     for o in data.draw(st.lists(st.sampled_from(sorted(terms)), max_size=3, unique=True)):
-        terms[o] = terms[o] * data.draw(factors)
-    sol = FiniteSeries(A, facet, N, terms)
+        terms[o] = terms[o] * data.draw(st.sampled_from([2, Fraction(-1, 3), 0]))
+    # a kernel step a - b moves an offset along its level line
+    others = {tuple(oi + s * (ai - bi) for oi, ai, bi in zip(o, a, b)) for o in terms for a, b in gens for s in (1, -1)}
+    others = sorted(others - set(terms))
+    if others and data.draw(st.booleans()):
+        o = data.draw(st.sampled_from(others))
+        terms[o] = data.draw(st.sampled_from([1, Fraction(-2, 5)]))
+        if -o[sol.base] < sol.start:
+            # its run would start past its last factor
+            with pytest.raises(ValueError):
+                FiniteSeries(A, facet, N, terms, sol.start)
+            return
+    sol = FiniteSeries(A, facet, N, terms, sol.start)
     rep = annihilation_check(A, sol, name)
-    checked, failures = finite_annihilation_polyq(sol, toric_ideal_groebner(A, name).generators)
-    assert (rep.ok, rep.checked, rep.failures) == (not failures, checked, failures)
+    checked, failures = finite_annihilation_polyq(sol, gens)
+    expanded = [(ab, key, factor_run(sol.start, -key[sol.base]) * val) for ab, key, val in rep.failures]
+    assert (rep.ok, rep.checked, expanded) == (not failures, checked, failures)
     assert rep.skipped == 0
+
+
+@SERIES_PROPERTY
+@given(matrices, st.data())
+def test_parametric_derivative_matches_polyq(A, data):
+    # built or stripped line solutions, an integral lam0 inside or outside
+    # the runs of factors, and q up to 2, log obstructions included; a lam0
+    # inside every run, where the first derivative exists, is drawn often
+    facet = data.draw(st.sampled_from((FACET_0, FACET_K)))
+    sol = polar_line_solution(A, facet, data.draw(st.integers(0, 3 * A.k)))
+    if sol.is_zero():
+        return
+    if data.draw(st.booleans()):
+        sol = sol.stripped()
+    parts = [-o[sol.base] for o in sol.terms]
+    anywhere = st.integers(sol.start - 2, max(parts) + 1)
+    lam0 = Fraction(data.draw(st.one_of(st.integers(sol.start, min(parts) - 1), anywhere)
+                              if sol.start < min(parts) else anywhere))
+    q = data.draw(st.integers(0, 2))
+    try:
+        expected = parametric_derivative_polyq(sol, lam0, q)
+    except LogObstructionError as err:
+        with pytest.raises(LogObstructionError) as got:
+            parametric_derivative(sol, lam0, q)
+        assert got.value.args == err.args
+    else:
+        assert parametric_derivative(sol, lam0, q) == expected
 
 
 @PROPERTY
@@ -240,7 +284,7 @@ def test_polar_line_solution_matches_path_sum(A):
     for facet in (FACET_0, FACET_K):
         for N in range(-2, 3 * A.k + 1):
             sol = polar_line_solution(A, facet, N)
-            assert sol.terms == polar_line_solution_by_paths(A, facet, N).terms, (A, facet, N)
+            assert expand_factored(sol) == polar_line_solution_by_paths(A, facet, N), (A, facet, N)
             if not sol.is_zero():
                 assert annihilation_check(A, sol).ok, (A, facet, N)
 
@@ -251,9 +295,10 @@ def test_stripped_matches_euclidean_gcd(A, data):
     for facet in (FACET_0, FACET_K):
         N = data.draw(st.integers(-1, 3 * A.k), label=facet)
         sol = polar_line_solution(A, facet, N)
-        got, got_g = sol.stripped()
+        got = sol.stripped()
         want, want_g = stripped_by_gcd(sol)
-        assert (got.terms, got.removed, got_g) == (want.terms, want.removed, want_g), (A, facet, N)
+        # the factor taken out is the run from the built start to the new one
+        assert (expand_factored(got), factor_run(sol.start, got.start)) == (want, want_g), (A, facet, N)
 
 
 exact_coefficients = st.fractions(-20, 20, max_denominator=12).filter(bool)

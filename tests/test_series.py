@@ -19,14 +19,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import ordered_partitions, truncated_annihilation_fractions
+from oracles import PolyQ, expand_factored, factor_run, ordered_partitions, truncated_annihilation_fractions
 
 import curvegkz
 from curvegkz.curve import FACET_0, FACET_K, CurveMatrix, facet_parts
 from curvegkz.errors import BasisCountError, LogObstructionError, SeriesDenominatorError
-from curvegkz.qexact import PolyQ
 from curvegkz.series import (
     POLAR_WORK_BUDGET,
+    FiniteSeries,
     TruncatedSeries,
     _part_multisets,
     _proportional,
@@ -107,30 +107,56 @@ def test_polar_line_solution_matches_brute(exps):
     for facet in (FACET_0, FACET_K):
         for N in range(0, 9):
             sol = polar_line_solution(A, facet, N)
-            assert sol.terms == _brute_polar_solution(A, facet, N), (exps, facet, N)
+            assert expand_factored(sol) == _brute_polar_solution(A, facet, N), (exps, facet, N)
 
 
 def test_polar_line_solution_frozen_shapes():
     # facet-k level 3: 3 x2 x4^(lam-1) + (lam-1)(lam-2)/2 x3^3 x4^(lam-3)
     sol = polar_line_solution(A0134, FACET_K, 3)
-    assert sol.terms == {
+    assert (sol.terms, sol.start) == ({(0, 1, 0, -1): 3, (0, 0, 3, -3): Fraction(1, 2)}, 1)
+    assert expand_factored(sol) == {
         (0, 1, 0, -1): PolyQ([3]),
         (0, 0, 3, -3): PolyQ([-1, 1]) * PolyQ([-2, 1]) * Fraction(1, 2),
     }
     # facet-0 level 2: (lam-1) x1^(lam-2) x2^2, with (lam-1) stripped off
     sol2 = polar_line_solution(A0134, FACET_0, 2)
-    assert sol2.terms == {(-2, 2, 0, 0): PolyQ([-1, 1])}
-    stripped, removed = sol2.stripped()
-    assert removed == PolyQ([-1, 1])
-    assert stripped.terms == {(-2, 2, 0, 0): PolyQ([1])}
-    assert stripped.removed == PolyQ([-1, 1])
+    assert expand_factored(sol2) == {(-2, 2, 0, 0): PolyQ([-1, 1])}
+    stripped = sol2.stripped()
+    assert stripped.start == 2
+    assert factor_run(sol2.start, stripped.start) == PolyQ([-1, 1])
+    assert expand_factored(stripped) == {(-2, 2, 0, 0): PolyQ([1])}
     # facet-0 level 4, mixed term x2 x3: the two orderings (1,3) and (3,1)
     # carry different denominators and sum to 4 (lam - 1)
     sol4 = polar_line_solution(A0134, FACET_0, 4)
-    assert sol4.terms[(-2, 1, 1, 0)] == PolyQ([-4, 4])
+    assert expand_factored(sol4)[(-2, 1, 1, 0)] == PolyQ([-4, 4])
     # level 0 is the constant solution
     sol0 = polar_line_solution(A0134, FACET_0, 0)
-    assert sol0.terms == {(0, 0, 0, 0): PolyQ([1])}
+    assert expand_factored(sol0) == {(0, 0, 0, 0): PolyQ([1])}
+
+
+_INVARIANT_SCRIPT = """
+from curvegkz.curve import CurveMatrix
+from curvegkz.series import FiniteSeries
+A = CurveMatrix([0, 1, 3, 4])
+FiniteSeries(A, "facet-0", 2, {(-2, 2, 0, 0): 1}, 2)
+try:
+    FiniteSeries(A, "facet-0", 2, {(-2, 2, 0, 0): 1}, 3)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_finite_series_refuses_a_run_past_its_term(flags):
+    # the term has c = 2 parts: a run from start 3 would end before it
+    # starts, and the scalar annihilation check needs start <= c.  The check
+    # raises ValueError, so python -O keeps it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _INVARIANT_SCRIPT], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "offset (-2, 2, 0, 0) has fewer than 3 base parts, the start of its run\n"
 
 
 def test_part_multisets_match_ordered_partitions_and_stop_at_the_budget():
@@ -201,19 +227,31 @@ def test_costly_polar_levels_are_refused_within_a_second(flags):
         assert elapsed < 1.0, (level, elapsed)
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_huge_polar_level_is_refused_up_front(flags):
-    # the facet-k line of 0,1,3,4 through (100000, 3) has level 399997; its
-    # first multiset, 399997 parts of 1, already passes the budget
+# the facet-k line of 0,1,3,4 through (100000, 3) has level 399997; its
+# first multiset, 399997 parts of 1, already passes the budget.  On 0,1,100
+# the level is 9999997, and the refusal must come before the Groebner bases
+# of 0,1,100, which take about a second to build
+HUGE_POLAR_POINTS = [("0,1,3,4", 399997), ("0,1,100", 9999997)]
+
+
+@pytest.mark.parametrize(
+    "flags,matrix,level",
+    [
+        pytest.param(flags, matrix, level, id=name if matrix == "0,1,3,4" else f"{name}-{matrix}")
+        for matrix, level in HUGE_POLAR_POINTS
+        for flags, name in (([], "plain"), (["-O"], "optimized"))
+    ],
+)
+def test_huge_polar_level_is_refused_up_front(flags, matrix, level):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, *flags, "-m", "curvegkz.cli", "verify", "-A", "0,1,3,4", "-b", "100000,3"],
+        [sys.executable, *flags, "-m", "curvegkz.cli", "verify", "-A", matrix, "-b", "100000,3"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 2, proc.stderr
-    found = re.search(r"level-399997 line of facet-k needs coefficient work of at least (\d+)", proc.stderr)
+    found = re.search(rf"level-{level} line of facet-k needs coefficient work of at least (\d+)", proc.stderr)
     assert found and int(found.group(1)) > POLAR_WORK_BUDGET, proc.stderr
     assert f"past the budget of {POLAR_WORK_BUDGET}" in proc.stderr
     assert elapsed < 1.0
@@ -379,7 +417,8 @@ def test_solution_basis_merges_coincident_lines():
     # the merged line keeps its solution in ``lines``
     assert [(facet, N) for facet, N, _ in basis.lines] == [(FACET_0, 2), (FACET_K, 6)]
     for facet, N, fs in basis.lines:
-        assert fs.terms == polar_line_solution(A0134, facet, N).stripped()[0].terms
+        built = polar_line_solution(A0134, facet, N).stripped()
+        assert (fs.terms, fs.start) == (built.terms, built.start)
 
 
 def test_basis_count_error_carries_the_assembled_basis():
