@@ -70,7 +70,7 @@ class CurveMatrix:
 
     def __init__(self, exponents):
         exps = tuple(exponents)
-        if not all(isinstance(e, int) for e in exps):
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in exps):
             raise TypeError("exponents must be integers")
         if len(exps) < 2:
             raise MatrixValidationError("too-short", "need at least two columns")

@@ -68,42 +68,28 @@ def build_svg(A, window=5):
         pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(b1, b2) for b1, b2 in wedge))
         parts.append(f'<polygon points="{pts}" fill="#dce9f5" stroke="none"/>')
 
+    def line(p, q, color, width, dashed=False):
+        (x0, y0), (x1, y1) = to_px(*p), to_px(*q)
+        dash = ' stroke-dasharray="6,4"' if dashed else ""
+        return (
+            f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
+            f'stroke="{color}" stroke-width="{width}"{dash}/>'
+        )
+
     # axes
-    x0, y0 = to_px(0, -W)
-    x1, y1 = to_px(0, W)
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-        f'stroke="#999999" stroke-width="1"/>'
-    )
-    x0, y0 = to_px(-W, 0)
-    x1, y1 = to_px(W, 0)
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-        f'stroke="#999999" stroke-width="1"/>'
-    )
+    parts.append(line((0, -W), (0, W), "#999999", "1"))
+    parts.append(line((-W, 0), (W, 0), "#999999", "1"))
 
     # facet-0 lines are horizontal; facet-k lines have slope k
     for L in resonant_lines(A, FACET_0, (-W, W)):
-        xa, ya = to_px(-W, L.level)
-        xb, yb = to_px(W, L.level)
-        dash = "" if L.polar else ' stroke-dasharray="6,4"'
-        parts.append(
-            f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" y2="{_fmt(yb)}" '
-            f'stroke="{_COLORS[FACET_0]}" stroke-width="1.5"{dash}/>'
-        )
+        parts.append(line((-W, L.level), (W, L.level), _COLORS[FACET_0], "1.5", not L.polar))
     for L in resonant_lines(A, FACET_K, (-A.k * W - W, A.k * W + W)):
         # b2 = k*b1 - N inside the window square
         lo = max(-W, (L.level - W) / A.k)
         hi = min(W, (L.level + W) / A.k)
         if lo >= hi:
             continue
-        xa, ya = to_px(lo, A.k * lo - L.level)
-        xb, yb = to_px(hi, A.k * hi - L.level)
-        dash = "" if L.polar else ' stroke-dasharray="6,4"'
-        parts.append(
-            f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" y2="{_fmt(yb)}" '
-            f'stroke="{_COLORS[FACET_K]}" stroke-width="1.5"{dash}/>'
-        )
+        parts.append(line((lo, A.k * lo - L.level), (hi, A.k * hi - L.level), _COLORS[FACET_K], "1.5", not L.polar))
 
     # negated columns
     for i in range(A.n):

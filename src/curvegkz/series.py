@@ -302,6 +302,13 @@ def _kernel_steps(A, bound, mid_lower):
     return out
 
 
+def _common_numerators(v):
+    """The common denominator D of the rationals v and the integer
+    numerators N_i = v_i D."""
+    D = lcm(*(vi.denominator for vi in v))
+    return D, [vi.numerator * (D // vi.denominator) for vi in v]
+
+
 def _phi_coefficient(v, u):
     """Coefficient of the step u in the canonical series at v.
 
@@ -311,10 +318,9 @@ def _phi_coefficient(v, u):
     carries one D, on top for u_i < 0 and below for u_i > 0; a kernel step
     has as many of either, since its entries sum to zero, so the D's cancel.
     """
-    D = lcm(*(vi.denominator for vi in v))
+    D, N = _common_numerators(v)
     num = den = 1
-    for i, ui in enumerate(u):
-        Ni = v[i].numerator * (D // v[i].denominator)
+    for i, (Ni, ui) in enumerate(zip(N, u)):
         if ui < 0:
             for j in range(-ui):
                 num *= Ni - j * D
@@ -397,9 +403,9 @@ def annihilation_check(A, series, order="d1-first"):
     ff_a = prod_i w_i (w_i - D) ... (w_i - (a_i - 1) D).
     So the residual is (c(s+a) ff_a - c(s+b) ff_b) / D^|a|, and with
     c = p / q it vanishes exactly when p_a ff_a q_b == p_b ff_b q_a.  Only
-    a residual that fails becomes a Fraction.  A polar line takes the same
-    kind of comparison of one scalar per side; _finite_annihilation gives
-    the argument.
+    a residual that fails becomes a Fraction.  A polar line runs the same
+    loop with D = 1, v = 0, no bound and its base coordinate skipped;
+    _finite_annihilation gives the argument.
     """
     gens = toric_ideal_groebner(A, order).generators
     for a, b in gens:
@@ -413,56 +419,12 @@ def annihilation_check(A, series, order="d1-first"):
 
 
 def _truncated_annihilation(A, series, gens):
-    v = series.v
     for u in series.terms:
         if A.degree(u) != (0, 0):
             raise AssertionError(f"step {u} is not in the kernel lattice")
-    D = lcm(*(vi.denominator for vi in v))
-    N = [vi.numerator * (D // vi.denominator) for vi in v]
-    bound = series.bound
-    # once per term: the numerators N + u D of its exponent, p and q of c,
-    # and whether u is inside the bound
-    rows = [
-        (u, [Ni + ui * D for Ni, ui in zip(N, u)], c.numerator, c.denominator, sum(map(abs, u)) <= bound)
-        for u, c in series.terms.items()
-    ]
-    checked = 0
-    skipped = 0
-    failures = []
-    for a, b in gens:
-        # step -> [p_a ff_a, q_a, source inside, p_b ff_b, q_b, source inside],
-        # in first-contribution order; None: no term from that side
-        sides = {}
-        both = [(mono, [(i, mi) for i, mi in enumerate(mono) if mi], slot) for mono, slot in ((a, 0), (b, 3))]
-        for u, w, p, q, inside in rows:
-            for mono, support, slot in both:
-                ff = 1
-                for i, mi in support:
-                    wi = w[i]
-                    for j in range(mi):
-                        ff *= wi - j * D
-                if ff == 0:
-                    continue
-                step = tuple([ui - mi for ui, mi in zip(u, mono)])
-                entry = sides.get(step)
-                if entry is None:
-                    entry = sides[step] = [0, 1, None, 0, 1, None]
-                entry[slot : slot + 3] = p * ff, q, inside
-        scale = D ** sum(a)
-        for step, (pa, qa, in_a, pb, qb, in_b) in sides.items():
-            # the source steps step + a and step + b must be inside the bound
-            if in_a is None:
-                in_a = sum(abs(s + ai) for s, ai in zip(step, a)) <= bound
-            if in_b is None:
-                in_b = sum(abs(s + bi) for s, bi in zip(step, b)) <= bound
-            if in_a and in_b:
-                checked += 1
-                if pa * qb != pb * qa:
-                    key = tuple(vi + s for vi, s in zip(v, step))
-                    failures.append(((a, b), key, Fraction(pa, qa * scale) - Fraction(pb, qb * scale)))
-            else:
-                skipped += 1
-    return AnnihilationReport(not failures, checked, skipped, failures)
+    D, N = _common_numerators(series.v)
+    rows = [(u, [Ni + ui * D for Ni, ui in zip(N, u)], c) for u, c in series.terms.items()]
+    return _residual_check(gens, rows, D, series.v, series.bound, None)
 
 
 def _finite_annihilation(A, series, gens):
@@ -479,38 +441,67 @@ def _finite_annihilation(A, series, gens):
     same run.  That run is a nonzero polynomial in lam, so the residual at
     s vanishes exactly when r_a const_a == r_b const_b, cross-multiplied
     over the denominators of r.  A failure reports r_a const_a - r_b const_b,
-    the coefficient at key in the convention of a term at that offset.
+    the coefficient at key in the convention of a term at that offset.  So
+    this is the residual loop of a point series with D = 1, v = 0 and no
+    bound, with the base coordinate skipped, as the run carries its factor.
     """
-    base = series.base
     for o in series.terms:
         # scale rows: both homogeneity degrees must sit on the line
         if sum(o) != 0 or facet_level(A.k, series.facet, A.degree(o)) != series.level:
             raise AssertionError(f"offset {o} leaves the level-{series.level} line")
-    rows = [(o, r.numerator, r.denominator) for o, r in series.terms.items()]
+    rows = [(o, o, r) for o, r in series.terms.items()]
+    return _residual_check(gens, rows, 1, (0,) * A.n, None, series.base)
+
+
+def _residual_check(gens, rows, D, v, bound, skip):
+    """annihilation_check's residual loop on rows of (step u, numerators
+    w = N + u D, coefficient).  A residual is checked when both its source
+    steps are inside the bound (every step, when bound is None) and skipped
+    otherwise; coordinate ``skip`` takes no falling factor (None: every one
+    does).  A failure is keyed by v + step."""
+
+    def inside(u):
+        return bound is None or sum(map(abs, u)) <= bound
+
+    # once per term: p and q of c, and whether u is inside the bound
+    rows = [(u, w, c.numerator, c.denominator, inside(u)) for u, w, c in rows]
     checked = 0
+    skipped = 0
     failures = []
     for a, b in gens:
-        # key -> [p_a const_a, q_a, p_b const_b, q_b], in first-contribution order
+        # step -> [p_a ff_a, q_a, source inside, p_b ff_b, q_b, source inside],
+        # in first-contribution order; None: no term from that side
         sides = {}
-        for o, p, q in rows:
-            for mono, slot in ((a, 0), (b, 2)):
-                const = 1
-                for i, mi in enumerate(mono):
-                    if i != base:
-                        for j in range(mi):
-                            const *= o[i] - j
-                if const == 0:
+        both = [(m, [(i, mi) for i, mi in enumerate(m) if mi and i != skip], slot) for m, slot in ((a, 0), (b, 3))]
+        for u, w, p, q, in_u in rows:
+            for mono, support, slot in both:
+                ff = 1
+                for i, mi in support:
+                    wi = w[i]
+                    for j in range(mi):
+                        ff *= wi - j * D
+                if ff == 0:
                     continue
-                key = tuple([oi - mi for oi, mi in zip(o, mono)])
-                entry = sides.get(key)
+                step = tuple([ui - mi for ui, mi in zip(u, mono)])
+                entry = sides.get(step)
                 if entry is None:
-                    entry = sides[key] = [0, 1, 0, 1]
-                entry[slot : slot + 2] = p * const, q
-        for key, (pa, qa, pb, qb) in sides.items():
-            checked += 1
-            if pa * qb != pb * qa:
-                failures.append(((a, b), key, Fraction(pa, qa) - Fraction(pb, qb)))
-    return AnnihilationReport(not failures, checked, 0, failures)
+                    entry = sides[step] = [0, 1, None, 0, 1, None]
+                entry[slot : slot + 3] = p * ff, q, in_u
+        scale = D ** sum(a)
+        for step, (pa, qa, in_a, pb, qb, in_b) in sides.items():
+            # the source steps step + a and step + b must be inside the bound
+            if in_a is None:
+                in_a = inside([s + ai for s, ai in zip(step, a)])
+            if in_b is None:
+                in_b = inside([s + bi for s, bi in zip(step, b)])
+            if in_a and in_b:
+                checked += 1
+                if pa * qb != pb * qa:
+                    key = tuple(vi + s for vi, s in zip(v, step))
+                    failures.append(((a, b), key, Fraction(pa, qa * scale) - Fraction(pb, qb * scale)))
+            else:
+                skipped += 1
+    return AnnihilationReport(not failures, checked, skipped, failures)
 
 
 def parametric_derivative(series, lam0, q):
@@ -526,6 +517,8 @@ def parametric_derivative(series, lam0, q):
     """
     if not isinstance(series, FiniteSeries):
         raise TypeError(f"cannot differentiate {type(series).__name__}")
+    if q == 0:
+        return series.monomials(lam0)
     lam0 = Fraction(lam0)
     out = []
     for o, r in sorted(series.terms.items()):
@@ -533,11 +526,11 @@ def parametric_derivative(series, lam0, q):
         mult = int(lam0.denominator == 1 and lam0.numerator in run)
         if mult < q:
             raise LogObstructionError(o, mult, q)
-        # q = 0: the value of the run; q = 1: at its root lam0, the product
-        # of the other factors
+        # at its root lam0, the derivative of the run is the product of the
+        # other factors
         val = r
         for j in run:
-            if q == 0 or j != lam0:
+            if j != lam0:
                 val *= lam0 - j
         if val != 0:
             out.append((val, series._exponents(o, lam0)))

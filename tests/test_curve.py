@@ -63,6 +63,12 @@ def test_matrix_validation_type():
         CurveMatrix([0, 1.5, 3])
 
 
+def test_matrix_validation_rejects_bool():
+    # bool is a subclass of int, so True would otherwise pass for 1
+    with pytest.raises(TypeError, match="exponents must be integers"):
+        CurveMatrix([0, True])
+
+
 def test_matrix_basics():
     assert A0134.n == 4 and A0134.k == 4
     assert A0134.columns == ((1, 0), (1, 1), (1, 3), (1, 4))
