@@ -55,8 +55,9 @@ def _parse_beta(text):
 
 
 def _step_ball(A, bound):
-    """Number of points u of Z^(n-2) with |u|_1 <= bound, the middle
-    coordinates of the kernel steps the series walks at this bound."""
+    """Number of points u of Z^(n-2) with |u|_1 <= bound.  The middle
+    coordinates of the kernel steps a series keeps at this bound lie among
+    them, so the ball bounds the steps kept."""
     d = A.n - 2
     return sum(2**i * math.comb(d, i) * math.comb(bound, i) for i in range(d + 1))
 

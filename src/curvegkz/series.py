@@ -245,10 +245,9 @@ class TruncatedSeries:
         self.terms = dict(terms)
 
     def monomials(self):
-        out = []
-        for u, c in sorted(self.terms.items()):
-            out.append((c, tuple(vi + ui for vi, ui in zip(self.v, u))))
-        return out
+        # v_i + u_i once per coordinate and distinct u_i
+        shifted = [{ui: vi + ui for ui in set(col)} for vi, col in zip(self.v, zip(*self.terms))]
+        return [(c, tuple(map(dict.__getitem__, shifted, u))) for u, c in sorted(self.terms.items())]
 
     def evaluate(self, x):
         return _evaluate(self.monomials(), x)
@@ -265,6 +264,15 @@ def _kernel_steps(A, bound, mid_lower):
     each within what is left of the l1 budget.  The last one runs only over
     the residue class that makes the weighted sum divisible by k, and the
     end coordinates then follow from the two degree equations.
+
+    A middle coordinate c is skipped when s + max(|T|, ceil(|W| / k)) >
+    bound, where s, W and T are the l1 norm, the weighted sum and the plain
+    sum of the prefix up to c: the later coordinates, of weights in [0, k],
+    must cancel T and W, so their l1 norm is at least |T| and |W| / k.
+    Only prefixes with no vector inside the bound are cut, so the list and
+    its order stay those of the unpruned walk.  A prefix walked on has
+    |T| <= left, what its norm leaves of the bound, so the next c with
+    |c| + |T + c| <= left are the range [-(left + T) / 2, (left - T) / 2].
     """
     n, k = A.n, A.k
     lows = [mid_lower.get(i, -bound) for i in range(1, n - 1)]
@@ -279,11 +287,15 @@ def _kernel_steps(A, bound, mid_lower):
 
     def walk(i, prefix, norm, wsum, total):
         left = bound - norm
-        lo = max(lows[i], -left)
+        lo = max(lows[i], -((left + total) // 2))
+        hi = (left - total) // 2
         weight = weights[i]
         if i + 1 < len(lows):
-            for c in range(lo, left + 1):
-                walk(i + 1, prefix + (c,), norm + abs(c), wsum + weight * c, total + c)
+            for c in range(lo, hi + 1):
+                # what the later coordinates may still spend
+                rest = left - abs(c)
+                if abs(wsum + weight * c) <= k * rest:
+                    walk(i + 1, prefix + (c,), bound - rest, wsum + weight * c, total + c)
             return
         # weight * c = -wsum (mod k) has solutions iff g divides wsum; they
         # form one class modulo k / g
@@ -292,7 +304,7 @@ def _kernel_steps(A, bound, mid_lower):
             return
         step = k // g
         first = -(wsum // g) * pow(weight // g, -1, step) % step
-        for c in range(lo + (first - lo) % step, left + 1, step):
+        for c in range(lo + (first - lo) % step, hi + 1, step):
             keep(prefix + (c,), norm + abs(c), wsum + weight * c, total + c)
 
     if lows:
@@ -309,28 +321,40 @@ def _common_numerators(v):
     return D, [vi.numerator * (D // vi.denominator) for vi in v]
 
 
-def _phi_coefficient(v, u):
-    """Coefficient of the step u in the canonical series at v.
+def _step_coefficients(v, steps):
+    """Coefficients of the kernel steps in the canonical series at v, in
+    the order of ``steps``.
 
-    Raises SeriesDenominatorError when a rising factor vanishes; returns 0
-    when a falling factor vanishes.  The factors are taken over one common
-    denominator D of v, so all products are of integers.  Each factor
+    Raises SeriesDenominatorError(u, i) at the first step u and the first
+    coordinate i where a rising factor vanishes; a vanishing falling factor
+    gives 0.  The factors are taken over one common denominator D of v, so
+    coordinate i has the integer tables fall[m] = prod_{j<m} (N_i - j D)
+    and rise[m] = prod_{j=1..m} (N_i + j D), as long as the steps need, and
+    the coefficient of u is prod fall[-u_i] / prod rise[u_i].  Each factor
     carries one D, on top for u_i < 0 and below for u_i > 0; a kernel step
     has as many of either, since its entries sum to zero, so the D's cancel.
     """
     D, N = _common_numerators(v)
-    num = den = 1
-    for i, (Ni, ui) in enumerate(zip(N, u)):
-        if ui < 0:
-            for j in range(-ui):
-                num *= Ni - j * D
-        elif ui > 0:
-            for j in range(1, ui + 1):
-                f = Ni + j * D
-                if f == 0:
+    tables = []
+    for Ni, col in zip(N, zip(*steps)):
+        fall, rise = [1], [1]
+        for j in range(-min(col)):
+            fall.append(fall[-1] * (Ni - j * D))
+        for j in range(1, max(col) + 1):
+            rise.append(rise[-1] * (Ni + j * D))
+        tables.append((fall, rise))
+    out = []
+    for u in steps:
+        num = den = 1
+        for i, (ui, (fall, rise)) in enumerate(zip(u, tables)):
+            if ui < 0:
+                num *= fall[-ui]
+            elif ui > 0:
+                if rise[ui] == 0:
                     raise SeriesDenominatorError(u, i)
-                den *= f
-    return Fraction(num, den)
+                den *= rise[ui]
+        out.append(Fraction(num, den))
+    return out
 
 
 def default_step_bound(A):
@@ -349,16 +373,13 @@ def series_for_exponent(A, fe, bound=None):
     v = tuple(Fraction(c) for c in fe.v)
     sigma = fe.pair.sigma
     mid_lower = {i: -fe.pair.r[i] for i in range(1, n - 1)}
-    terms = {}
-    for u in _kernel_steps(A, bound, mid_lower):
-        # end coordinates outside sigma must stay nonnegative as well
-        if 0 not in sigma and v[0] + u[0] < 0:
-            continue
-        if (n - 1) not in sigma and v[n - 1] + u[n - 1] < 0:
-            continue
-        c = _phi_coefficient(v, u)
-        if c != 0:
-            terms[u] = c
+    # end coordinates outside sigma must stay nonnegative as well
+    steps = [
+        u
+        for u in _kernel_steps(A, bound, mid_lower)
+        if (0 in sigma or v[0] + u[0] >= 0) and (n - 1 in sigma or v[n - 1] + u[n - 1] >= 0)
+    ]
+    terms = {u: c for u, c in zip(steps, _step_coefficients(v, steps)) if c != 0}
     if terms.get((0,) * n) != 1:
         raise AssertionError(f"series at {v} does not start with coefficient 1")
     return TruncatedSeries(A, v, fe.pair, bound, terms)
@@ -513,10 +534,13 @@ def parametric_derivative(series, lam0, q):
     distinct, so it vanishes at lam0 to order 1 when lam0 is one of them and
     to order 0 otherwise, and q = 2 or more always raises.
     Returns a list of (coefficient, exponent vector) pairs; the list is
-    empty when everything vanishes to higher order.
+    empty when everything vanishes to higher order.  An order q that is not
+    an int >= 0 raises ValueError.
     """
     if not isinstance(series, FiniteSeries):
         raise TypeError(f"cannot differentiate {type(series).__name__}")
+    if not isinstance(q, int) or q < 0:
+        raise ValueError(f"derivative order must be an int >= 0, got {q!r}")
     if q == 0:
         return series.monomials(lam0)
     lam0 = Fraction(lam0)

@@ -8,9 +8,10 @@ the start of its period in the library; here it grows to any m, and the
 Frobenius number comes from a search for a run of members.
 
 The exact series path has its plain versions here as well: the kernel
-steps by a search of the whole box, the series coefficients and the
-operator residuals by one Fraction per factor, and the residuals on a polar
-line by one PolyQ in lam per factor.  PolyQ, a dense polynomial over Q,
+steps by a search of the whole box, the series coefficients by one
+Fraction per factor or by integer products built afresh for every step,
+the operator residuals by one Fraction per factor, and the residuals on a
+polar line by one PolyQ in lam per factor.  PolyQ, a dense polynomial over Q,
 is defined here: the library stores each coefficient of a line solution
 as a rational times a run of linear factors, and ``expand_factored``
 multiplies such a series out for the oracles.  The Groebner basis, which
@@ -32,6 +33,7 @@ at every refinement level of every call, and one 1-D array per level.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -367,6 +369,44 @@ def phi_coefficient_fractions(v, u):
                     raise SeriesDenominatorError(u, i)
                 den *= f
     return num / den
+
+
+def phi_coefficient_integers(v, u):
+    """Coefficient of the step u in the canonical series at v, from its
+    own integer products over one common denominator D of v: the factors
+    N_i - j D on top for u_i < 0 and N_i + j D below for u_i > 0, with no
+    table shared between steps."""
+    D = lcm(*(vi.denominator for vi in v))
+    num = den = 1
+    for i, (vi, ui) in enumerate(zip(v, u)):
+        Ni = vi.numerator * (D // vi.denominator)
+        if ui < 0:
+            for j in range(-ui):
+                num *= Ni - j * D
+        elif ui > 0:
+            for j in range(1, ui + 1):
+                f = Ni + j * D
+                if f == 0:
+                    raise SeriesDenominatorError(u, i)
+                den *= f
+    return Fraction(num, den)
+
+
+def series_terms_brute(A, fe, bound):
+    """(step, coefficient) pairs of the canonical series at the fake
+    exponent fe, in the order of the box search: the kernel steps of the
+    whole box, the end coordinates outside sigma kept nonnegative, and one
+    Fraction per factor; a vanishing rising factor raises as the library
+    does, at the first step that has one."""
+    v = tuple(Fraction(c) for c in fe.v)
+    n, sigma = A.n, fe.pair.sigma
+    out = []
+    for u in kernel_steps_brute(A, bound, {i: -fe.pair.r[i] for i in range(1, n - 1)}):
+        if (0 in sigma or v[0] + u[0] >= 0) and (n - 1 in sigma or v[n - 1] + u[n - 1] >= 0):
+            c = phi_coefficient_fractions(v, u)
+            if c != 0:
+                out.append((u, c))
+    return out
 
 
 def truncated_annihilation_fractions(series, generators):

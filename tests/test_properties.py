@@ -37,8 +37,10 @@ from oracles import (
     min_parts_table,
     parametric_derivative_polyq,
     phi_coefficient_fractions,
+    phi_coefficient_integers,
     polar_line_solution_by_paths,
     proportional_by_rank,
+    series_terms_brute,
     stripped_by_gcd,
     toric_ideal_groebner_sorted,
     truncated_annihilation_fractions,
@@ -63,8 +65,8 @@ from curvegkz.series import (
     FiniteSeries,
     TruncatedSeries,
     _kernel_steps,
-    _phi_coefficient,
     _proportional,
+    _step_coefficients,
     annihilation_check,
     default_step_bound,
     parametric_derivative,
@@ -168,15 +170,59 @@ exponent_entries = st.one_of(
 @given(matrices, st.data())
 def test_phi_coefficient_matches_fractions(A, data):
     v = tuple(data.draw(st.lists(exponent_entries, min_size=A.n, max_size=A.n)))
-    for u in _kernel_steps(A, 2 * A.k, {}):
+    steps = _kernel_steps(A, 2 * A.k, {})
+    for u in steps:
         try:
             expected = phi_coefficient_fractions(v, u)
         except SeriesDenominatorError as err:
             with pytest.raises(SeriesDenominatorError) as got:
-                _phi_coefficient(v, u)
+                _step_coefficients(v, [u])
             assert got.value.args == err.args
         else:
-            assert _phi_coefficient(v, u) == expected, (v, u)
+            assert _step_coefficients(v, [u]) == [expected], (v, u)
+    # tables shared by the whole list: the values of the per-step products,
+    # or the error of the first step with a vanishing rising factor
+    try:
+        expected = [phi_coefficient_integers(v, u) for u in steps]
+    except SeriesDenominatorError as err:
+        with pytest.raises(SeriesDenominatorError) as got:
+            _step_coefficients(v, steps)
+        assert got.value.args == err.args
+    else:
+        assert _step_coefficients(v, steps) == expected
+
+
+@SERIES_PROPERTY
+@given(matrices.filter(lambda A: A.n > 2), st.data())
+def test_series_for_exponent_matches_box_search(A, data):
+    # the fake exponent of a random standard pair at a random rational
+    # parameter on its line: r off sigma and random entries on sigma.  The
+    # terms must come in the order of the box search, since the basis keeps
+    # them in it
+    name = data.draw(st.sampled_from(ORDER_NAMES))
+    pair = data.draw(st.sampled_from(standard_pairs(A, name)))
+    # counted down from 4k, so that small draws still give long series
+    bound = default_step_bound(A) - data.draw(st.integers(0, default_step_bound(A)))
+    v = [Fraction(ri) if i not in pair.sigma else data.draw(exponent_entries) for i, ri in enumerate(pair.r)]
+    if data.draw(st.booleans()):
+        # vanishing rising factors are rare at random parameters: make an
+        # entry on sigma -m for a step that reaches u_e >= m there
+        steps = kernel_steps_brute(A, bound, {i: -pair.r[i] for i in range(1, A.n - 1)})
+        poles = sorted({(e, m) for u in steps for e in pair.sigma for m in range(1, u[e] + 1)})
+        if poles:
+            e, m = data.draw(st.sampled_from(poles))
+            v[e] = Fraction(-m)
+    fe = next(fe for fe in fake_exponents(A, A.degree(v), name) if fe.pair == pair)
+    try:
+        expected = series_terms_brute(A, fe, bound)
+    except SeriesDenominatorError as err:
+        with pytest.raises(SeriesDenominatorError) as got:
+            series_for_exponent(A, fe, bound)
+        assert got.value.args == err.args
+        return
+    ts = series_for_exponent(A, fe, bound)
+    assert list(ts.terms.items()) == expected
+    assert ts.monomials() == [(c, tuple(vi + ui for vi, ui in zip(v, u))) for u, c in sorted(expected)]
 
 
 @SERIES_PROPERTY

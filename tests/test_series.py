@@ -352,6 +352,15 @@ def test_parametric_derivative():
         parametric_derivative(sol3, Fraction(1), 1)
 
 
+@pytest.mark.parametrize("q", [-1, -2, 1.0, Fraction(1), "1", None])
+def test_parametric_derivative_rejects_bad_orders(q):
+    # a negative order never fails the multiplicity test, mult < q, so the
+    # order is checked on its own
+    sol = polar_line_solution(A0134, FACET_K, 3)
+    with pytest.raises(ValueError, match="derivative order"):
+        parametric_derivative(sol, 2, q)
+
+
 def test_coincidence_verdicts_frozen():
     res = coincidence_at_intersection(A0134, (Fraction(1), Fraction(2)))
     assert (res.verdict, res.point_type) == ("independent", "rank-jumping")
