@@ -14,6 +14,8 @@ never call it, and a cold process should not pay for numpy.
 
 import cmath
 import math
+from collections import namedtuple
+from functools import lru_cache
 
 from .curve import FACET_0, FACET_K, FACETS, facet_level, facet_parts, in_convergence_domain
 from .curve import _polar_level_semigroup
@@ -29,6 +31,10 @@ _SHIFT_MARGIN = 0.25
 _BLOCK_VALUES = 1 << 16
 # a shift plan may hold this many shifts (about 6 b1^2 on 0,1,3,4), seconds of work
 _PLAN_BUDGET = 10**6
+# bounds of the caches of sample points and root sets, and of ray levels (a
+# few hundred nodes each, up to 72,000 or 3.4 MB where h keeps halving)
+_POINT_CACHE_SIZE = 64
+_NODE_CACHE_SIZE = 32
 # a ray or loop quadrature stops when two successive refinements agree to
 # this, relative to max(1, |value|); a converged integral does not depend
 # on it, so no caller sets another
@@ -44,28 +50,24 @@ def _coeff_array(A, x):
     return c
 
 
-class RootData:
+class RootData(namedtuple("RootData", "roots angles components ray_angles scale")):
     """Roots of the curve polynomial sorted by argument, together with the
     angular components they cut out of the punctured plane.
 
     components[i] is the open angular interval (lo, hi); ray_angles[i] is its
-    midpoint, a safe direction for the ray integral of that component.
+    midpoint, a safe direction for the ray integral of that component.  A
+    named tuple of tuples: roots_and_components caches and shares it.
     """
 
-    __slots__ = ("roots", "angles", "components", "ray_angles", "scale")
-
-    def __init__(self, roots, angles, components, ray_angles, scale):
-        self.roots = roots
-        self.angles = angles
-        self.components = components
-        self.ray_angles = ray_angles
-        self.scale = scale
+    __slots__ = ()
 
     def __repr__(self):
         return f"RootData({len(self.roots)} roots, scale={self.scale:.3g})"
 
 
+@lru_cache(maxsize=_POINT_CACHE_SIZE)
 def roots_and_components(A, x):
+    """The RootData of the point x (a tuple), cached by (A, x)."""
     import numpy as np
     if x[0] == 0 or x[-1] == 0:
         raise QuadratureError("boundary coefficients x_1, x_n must not vanish")
@@ -93,23 +95,22 @@ def roots_and_components(A, x):
             if abs(r[i] - r[j]) < 1e-6 * scale:
                 raise QuadratureError("repeated root: the point is too close to the discriminant")
     order = np.argsort(np.mod(np.angle(r), _TWO_PI))
-    roots = [complex(r[i]) for i in order]
-    angles = [float(np.mod(np.angle(v), _TWO_PI)) for v in roots]
-    components = []
-    ray_angles = []
-    for i in range(len(roots)):
-        lo = angles[i - 1] - (_TWO_PI if i == 0 else 0.0)
-        hi = angles[i]
-        components.append((lo, hi))
-        ray_angles.append(0.5 * (lo + hi))
+    roots = tuple(complex(r[i]) for i in order)
+    angles = tuple(float(np.mod(np.angle(v), _TWO_PI)) for v in roots)
+    components = tuple((angles[i - 1] - (_TWO_PI if i == 0 else 0.0), angles[i]) for i in range(len(roots)))
+    ray_angles = tuple(0.5 * (lo + hi) for lo, hi in components)
     return RootData(roots, angles, components, ray_angles, scale)
 
 
+@lru_cache(maxsize=_POINT_CACHE_SIZE)
 def sample_structured_point(A, seed):
     """Random coefficient point with dominant boundary coordinates and small
     middle coordinates, rejecting near-discriminant draws.  Points of this
-    shape keep the k roots in distinct angular components."""
+    shape keep the k roots in distinct angular components.  The point is a
+    function of (A, seed), an integer, and is cached by it."""
     import numpy as np
+    if not hasattr(seed, "__index__"):
+        raise TypeError(f"the seed must be an integer, got {seed!r}: points are cached by their seed")
     rng = np.random.default_rng(seed)
     for _ in range(64):
         x = []
@@ -160,6 +161,20 @@ def _state(pair, S, h):
     return f": beta = {pair}, S = {S}, h = {h:.3g}"
 
 
+@lru_cache(maxsize=_NODE_CACHE_SIZE)
+def _ray_nodes(A, x, theta, S, h):
+    """A level of the ray arg z = theta, cached by (A, x, theta, S, h): s = -S,
+    -S + h, ..., S, sinh s + i theta, its _tracked_log_f and cosh s, read-only."""
+    import numpy as np
+    s = np.arange(-S, S + 0.5 * h, h)
+    logz = np.sinh(s) + 1j * theta
+    logf, why = _tracked_log_f(A, x, logz)
+    cosh_s = np.cosh(s)
+    for table in [s, logz, cosh_s] + ([] if logf is None else [logf]):
+        table.flags.writeable = False
+    return s, logz, (logf, why), cosh_s
+
+
 def euler_mellin(A, beta, x, theta):
     """Ray integral of f^(b1) z^(-b2) dz/z along arg z = theta, by
     double-exponential substitution t = exp(sinh s).
@@ -174,13 +189,12 @@ def euler_mellin(A, beta, x, theta):
     decayed, and the step h halves where the phase tracking fails and until
     two successive values agree.  At each round the pairs that sit at the
     same (S, h) are integrated together as the rows of one array, at most
-    _BLOCK_VALUES integrand values a block.  The nodes s = -S, -S + h, ...,
-    S of a level, log z = sinh s + i theta and the tracked log f do not
-    depend on the parameters, and a round moves every pair one step, S up
-    or h down, so a level comes up in one round only and is built once per
-    call.  A row goes through exactly the steps of a lone pair, and numpy
-    sums it along its contiguous nodes as it sums a lone pair's array, so
-    every value equals, bit for bit, the value its pair gives alone.
+    _BLOCK_VALUES integrand values a block.  The nodes of a level come from
+    _ray_nodes, built once per (A, x, theta, S, h), and a round moves every
+    pair one step, S up or h down, so a level comes up in one round only.
+    A row goes through exactly the steps of a lone pair, and numpy sums it
+    along its contiguous nodes as it sums a lone pair's array, so every
+    value equals, bit for bit, the value its pair gives alone.
 
     A failure raises where it is found: first a pair outside the wedge, in
     list order, then the first failure in round order.  Each error names
@@ -200,9 +214,7 @@ def euler_mellin(A, beta, x, theta):
         for i, (S, h, _) in todo.items():
             rounds.setdefault((S, h), []).append(i)
         for (S, h), rows in rounds.items():
-            s = np.arange(-S, S + 0.5 * h, h)
-            logz = np.sinh(s) + 1j * theta
-            logf, why = _tracked_log_f(A, x, logz)
+            _, logz, (logf, why), cosh_s = _ray_nodes(A, x, theta, S, h)
             if logf is None:
                 if why == "zero":
                     raise QuadratureError(
@@ -213,7 +225,6 @@ def euler_mellin(A, beta, x, theta):
                 for i in rows:
                     todo[i] = (S, 0.5 * h, None)
                 continue
-            cosh_s = np.cosh(s)
             per_block = max(1, _BLOCK_VALUES // logz.size)
             for lo in range(0, len(rows), per_block):
                 block = rows[lo:lo + per_block]
@@ -222,25 +233,23 @@ def euler_mellin(A, beta, x, theta):
                 expo = b1 * logf - b2 * logz
                 expo_re = np.clip(expo.real, -700.0, 700.0)
                 g = np.exp(expo_re + 1j * expo.imag) * cosh_s
-                overflow = np.any(expo.real > 690.0, axis=1)
-                gmax = np.max(np.abs(g), axis=1)
-                sums = np.sum(g, axis=1)
-                for r, i in enumerate(block):
-                    if overflow[r]:
+                # each row as Python numbers; Python's abs of an end node is numpy's
+                columns = [np.any(expo.real > 690.0, axis=1), np.max(np.abs(g), axis=1), g[:, 0], g[:, -1]]
+                columns.append(h * np.sum(g, axis=1))
+                for i, overflow, gmax, head, end, val in zip(block, *(c.tolist() for c in columns)):
+                    if overflow:
                         raise QuadratureError(
                             "integrand overflow: parameters too deep outside the wedge" + _state(pairs[i], S, h)
                         )
-                    if gmax[r] == 0.0:
+                    if gmax == 0.0:
                         values[i] = 0.0 + 0.0j
                         del todo[i]
                         continue
-                    tail = max(abs(g[r, 0]), abs(g[r, -1]))
-                    if tail > 1e-16 * gmax[r]:
+                    if max(abs(head), abs(end)) > 1e-16 * gmax:
                         if S >= 7.0:
                             raise QuadratureError("integrand tail does not decay" + _state(pairs[i], S, h))
                         todo[i] = (S + 1.5, h, None)
                         continue
-                    val = complex(h * sums[r])
                     prev = todo[i][2]
                     if prev is not None and abs(val - prev) <= _TOL * max(1.0, abs(val)):
                         values[i] = val
@@ -253,14 +262,15 @@ def euler_mellin(A, beta, x, theta):
     return values if isinstance(beta, list) else values[0]
 
 
-def _shift_plan(A, beta, x, order):
+def _shift_plan(A, beta, x, order, known=()):
     """The steps of both facets, and levels[m] mapping w to None when the
     shift (m, w) lies inside the wedge, else to its facet and prefactor.
 
     The plan goes breadth first: level m + 1 holds the children of the
     shifts of level m outside the wedge, in the order they are reached.  A
     vanishing denominator raises at once, so PolarLineError names the first
-    one of the lowest level that has one.
+    one of the lowest level that has one.  A shift that known[m] holds takes
+    its entry from there, unplanned.
     """
     if order not in ("facet-0-first", "facet-k-first"):
         raise ValueError(f"unknown order {order!r}")
@@ -275,6 +285,7 @@ def _shift_plan(A, beta, x, order):
     }
     children = {facet: [ki for ki, _ in steps[facet]] for facet in FACETS}
     b1_re, b2_re = b1.real, b2.real
+    facet_0_first = order == "facet-0-first"
     levels = []
     level = {0: None}
     size = 0
@@ -286,28 +297,43 @@ def _shift_plan(A, beta, x, order):
             )
         m = len(levels)
         levels.append(level)
+        known_m = known[m] if m < len(known) else {}
         p1 = b1 - m
+        # the real parts of the facet levels p2 and k*p1 - p2 of
+        # facet_level, inline and in floats on this hot path
+        sum_levels = k * (b1_re - m)
+        scale = 1.0 + abs(p1) * k
         below = {}
         for w in level:
-            # the real parts of the facet levels p2 and k*p1 - p2 of
-            # facet_level, inline and in floats on this hot path
-            level_0 = b2_re - w
-            level_k = k * (b1_re - m) - level_0
-            if level_0 <= -_SHIFT_MARGIN and level_k <= -_SHIFT_MARGIN:
+            plan = known_m.get(w, False)
+            if plan is False:
+                level_0 = b2_re - w
+                level_k = sum_levels - level_0
+                if level_0 <= -_SHIFT_MARGIN and level_k <= -_SHIFT_MARGIN:
+                    continue
+                if facet_0_first:
+                    facet = FACET_0 if level_0 > -_SHIFT_MARGIN else FACET_K
+                else:
+                    facet = FACET_K if level_k > -_SHIFT_MARGIN else FACET_0
+                p2 = b2 - w
+                den = p2 if facet == FACET_0 else k * p1 - p2
+                if abs(den) < 1e-12 * (scale + abs(p2)):
+                    raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
+                plan = (facet, p1 / den)
+            elif plan is None:
                 continue
-            if order == "facet-0-first":
-                facet = FACET_0 if level_0 > -_SHIFT_MARGIN else FACET_K
-            else:
-                facet = FACET_K if level_k > -_SHIFT_MARGIN else FACET_0
-            p2 = b2 - w
-            den = p2 if facet == FACET_0 else k * p1 - p2
-            if abs(den) < 1e-12 * (1.0 + abs(p1) * k + abs(p2)):
-                raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
-            level[w] = (facet, p1 / den)
-            for ki in children[facet]:
+            level[w] = plan
+            for ki in children[plan[0]]:
                 below[w + ki] = None
         level = below
     return steps, levels
+
+
+def _from_m_star(k, b1, levels):
+    """A copy of levels with the levels below m* of extension_shift emptied."""
+    m_star = math.floor(b1.real + 2 * _SHIFT_MARGIN / k) + 2 if math.isfinite(b1.real) else len(levels)
+    m_star = min(max(m_star, 0), len(levels))
+    return [{}] * m_star + levels[m_star:]
 
 
 def extension_shift(A, beta, x, theta, order="facet-0-first"):
@@ -328,6 +354,16 @@ def extension_shift(A, beta, x, theta, order="facet-0-first"):
     order, combines every other shift from the level below it.  Each value
     equals, bit for bit, the one its pair gives alone.
 
+    A later entry with an earlier one's pair takes that entry's plan entries
+    and values on the levels m >= m* = floor(Re b1 + 2 margin / k) + 2,
+    margin = _SHIFT_MARGIN, and plans only the shifts there that it lacks.
+    The real facet levels of (m, w), l0 = Re b2 - w and lk = k (Re b1 - m)
+    - l0, sum to at most -2 margin - k from m* on (the extra level absorbs
+    rounding), so a shift outside the wedge has one facet outside, which
+    both orders take: its entry and value are the same operations in every
+    entry.  Each entry still walks its own levels, counts its own shifts
+    against _PLAN_BUDGET and raises the error it raises alone.
+
     Raises PolarLineError when a needed denominator sits on a polar line,
     and QuadratureError when a plan holds more than _PLAN_BUDGET shifts,
     when a wedge quadrature fails, or at the first level whose values are
@@ -337,36 +373,45 @@ def extension_shift(A, beta, x, theta, order="facet-0-first"):
         return extension_shift(A, [beta], x, theta, [order])[0]
     if isinstance(order, str) or len(order) != len(beta):
         raise ValueError("a list of pairs needs a list of orders of the same length")
-    plans = [_shift_plan(A, pair, x, pair_order) for pair, pair_order in zip(beta, order)]
+    pairs = [(complex(b1), complex(b2)) for b1, b2 in beta]
+    # the levels a later entry takes from the first entry of its pair: plan
+    # entries, then values, which a combined level holds in their place
+    first = {}
+    firsts = [first.setdefault(pair, j) for j, pair in enumerate(pairs)]
+    plans, knowns = [], []
+    for j, (pair, pair_order) in enumerate(zip(beta, order)):
+        knowns.append(_from_m_star(A.k, pairs[j][0], plans[firsts[j]][1]) if firsts[j] < j else ())
+        plans.append(_shift_plan(A, pair, x, pair_order, knowns[j]))
     wedge = {}
-    for pair, (_, levels) in zip(beta, plans):
-        b1, b2 = complex(pair[0]), complex(pair[1])
+    for (b1, b2), (_, levels) in zip(pairs, plans):
         for m, level in enumerate(levels):
             wedge.update(((b1 - m, b2 - w), None) for w, plan in level.items() if plan is None)
     wedge_values = dict(zip(wedge, euler_mellin(A, list(wedge), x, theta)))
     results = []
-    for pair, (steps, levels) in zip(beta, plans):
-        b1, b2 = complex(pair[0]), complex(pair[1])
+    for pair, (b1, b2), (steps, levels), known in zip(beta, pairs, plans, knowns):
         below = {}
         for m in range(len(levels) - 1, -1, -1):
-            values = {}
-            for w, plan in levels[m].items():
-                if plan is None:
-                    values[w] = wedge_values[(b1 - m, b2 - w)]
-                    continue
-                facet, prefactor = plan
-                total = 0.0 + 0.0j
-                for ki, weight in steps[facet]:
-                    total += weight * below[w + ki]
-                values[w] = prefactor * total
+            level = levels[m]
+            known_m = known[m] if m < len(known) else {}
+            for w, plan in level.items():
+                if w in known_m:
+                    level[w] = known_m[w]
+                elif plan is None:
+                    level[w] = wedge_values[(b1 - m, b2 - w)]
+                else:
+                    facet, prefactor = plan
+                    total = 0.0 + 0.0j
+                    for ki, weight in steps[facet]:
+                        total += weight * below[w + ki]
+                    level[w] = prefactor * total
             # every shift of the plan feeds (0, 0), and a value that is not
             # finite stays so through the weighted sums above it
-            if not all(map(cmath.isfinite, values.values())):
+            if not all(map(cmath.isfinite, level.values())):
                 raise QuadratureError(
                     f"shift continuation over {len(levels)} levels overflowed at {pair}: "
                     f"the values of level {m} are not finite"
                 )
-            below = values
+            below = level
         results.append(below[0])
     return results
 

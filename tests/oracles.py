@@ -23,13 +23,15 @@ The closed forms of the library have their searches here too: the finite
 polar-line solutions by a path sum over ordered part sequences, their
 stripped factor by a Euclidean gcd of all coefficients, the two Delta
 conditions by a reach table over sums of Delta columns, and the shift
-continuation by its recursive memoised definition.  Whether two exact
-solutions are proportional is decided by the rank of their zero-filled
-coefficient rows.  The ray
-quadrature is here as one loop per parameter pair: nodes and log f built
-at every refinement level of every call, and one 1-D array per level.
+continuation by its recursive memoised definition and, for a list of
+pairs, by one plan and one combination per entry, shared with no other.
+Whether two exact solutions are proportional is decided by the rank of
+their zero-filled coefficient rows.  The ray quadrature is here as one
+loop per parameter pair: nodes and log f built at every refinement level
+of every call, and one 1-D array per level.
 """
 
+import cmath
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +39,7 @@ from math import lcm
 
 import numpy as np
 
-from curvegkz import toric
+from curvegkz import analytic, toric
 from curvegkz.analytic import _tracked_log_f
 from curvegkz.curve import FACET_0, FACET_K, facet_parts, facet_semigroup, in_convergence_domain
 from curvegkz.errors import LogObstructionError, PolarLineError, QuadratureError, SeriesDenominatorError
@@ -831,3 +833,87 @@ def extension_shift_recursive(A, beta, x, theta, order="facet-0-first"):
         return memo[key]
 
     return get(0, 0)
+
+
+def _shift_plan_per_order(A, beta, x, order):
+    """analytic._shift_plan of one pair and order, planned on its own: the
+    steps of both facets and levels[m] mapping w to None inside the wedge,
+    else to the facet and prefactor of the shift (m, w)."""
+    b1 = complex(beta[0])
+    b2 = complex(beta[1])
+    k = A.k
+    margin = analytic._SHIFT_MARGIN
+    steps = {
+        facet: [(A.exponents[i], level * complex(x[i])) for i, level in facet_parts(A, facet)]
+        for facet in (FACET_0, FACET_K)
+    }
+    levels = []
+    level = {0: None}
+    size = 0
+    while level:
+        size += len(level)
+        if size > analytic._PLAN_BUDGET:
+            raise QuadratureError(
+                f"the shift plan at beta = {beta} ({order}) holds more than {analytic._PLAN_BUDGET} shifts"
+            )
+        m = len(levels)
+        levels.append(level)
+        p1 = b1 - m
+        below = {}
+        for w in level:
+            level_0 = b2.real - w
+            level_k = k * (b1.real - m) - level_0
+            if level_0 <= -margin and level_k <= -margin:
+                continue
+            if order == "facet-0-first":
+                facet = FACET_0 if level_0 > -margin else FACET_K
+            else:
+                facet = FACET_K if level_k > -margin else FACET_0
+            p2 = b2 - w
+            den = p2 if facet == FACET_0 else k * p1 - p2
+            if abs(den) < 1e-12 * (1.0 + abs(p1) * k + abs(p2)):
+                raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
+            level[w] = (facet, p1 / den)
+            for ki, _ in steps[facet]:
+                below[w + ki] = None
+        level = below
+    return steps, levels
+
+
+def extension_shift_per_order(A, beta, x, theta, order):
+    """analytic.extension_shift on a list of pairs and orders with every
+    entry planned and combined on its own, so that no entry takes a plan
+    entry or value from another with the same pair.  The stages and their
+    errors are the library's: all plans in list order, one batched
+    euler_mellin call over the distinct wedge shifts, then each entry's
+    combination from its deepest level up."""
+    plans = [_shift_plan_per_order(A, pair, x, pair_order) for pair, pair_order in zip(beta, order)]
+    wedge = {}
+    for pair, (_, levels) in zip(beta, plans):
+        b1, b2 = complex(pair[0]), complex(pair[1])
+        for m, level in enumerate(levels):
+            wedge.update(((b1 - m, b2 - w), None) for w, plan in level.items() if plan is None)
+    wedge_values = dict(zip(wedge, analytic.euler_mellin(A, list(wedge), x, theta)))
+    results = []
+    for pair, (steps, levels) in zip(beta, plans):
+        b1, b2 = complex(pair[0]), complex(pair[1])
+        below = {}
+        for m in range(len(levels) - 1, -1, -1):
+            values = {}
+            for w, plan in levels[m].items():
+                if plan is None:
+                    values[w] = wedge_values[(b1 - m, b2 - w)]
+                    continue
+                facet, prefactor = plan
+                total = 0.0 + 0.0j
+                for ki, weight in steps[facet]:
+                    total += weight * below[w + ki]
+                values[w] = prefactor * total
+            if not all(map(cmath.isfinite, values.values())):
+                raise QuadratureError(
+                    f"shift continuation over {len(levels)} levels overflowed at {pair}: "
+                    f"the values of level {m} are not finite"
+                )
+            below = values
+        results.append(below[0])
+    return results

@@ -11,6 +11,7 @@ import cmath
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -31,6 +32,7 @@ from curvegkz.analytic import (
 )
 from curvegkz.curve import FACET_0, FACET_K, CurveMatrix
 from curvegkz.errors import PolarLineError, QuadratureError
+from curvegkz.report import verify_report
 
 A0134 = CurveMatrix([0, 1, 3, 4])
 A023 = CurveMatrix([0, 2, 3])
@@ -47,12 +49,49 @@ def test_roots_and_components_structure():
     assert len(rc.roots) == 4
     for rho in rc.roots:
         assert abs(_f(A0134, x, rho)) < 1e-9 * rc.scale
-    assert rc.angles == sorted(rc.angles)
+    assert list(rc.angles) == sorted(rc.angles)
     # components tile a full turn and each ray angle sits inside its component
     total = sum(hi - lo for lo, hi in rc.components)
     assert abs(total - 2 * math.pi) < 1e-12
     for (lo, hi), mid in zip(rc.components, rc.ray_angles):
         assert lo < mid < hi
+
+
+def test_verify_session_caches_are_shared_and_bounded():
+    # verify_report samples x with its seed, so a second call on the same
+    # matrix finds the point, its roots and, here, every ray level cached
+    caches = [sample_structured_point, roots_and_components, analytic._ray_nodes]
+    for cache in caches:
+        cache.cache_clear()
+    verify_report(A023, (Fraction(1, 3), Fraction(5, 2)))
+    before = [cache.cache_info() for cache in caches]
+    verify_report(A023, (Fraction(7, 3), Fraction(9, 2)))
+    after = [cache.cache_info() for cache in caches]
+    assert [info.misses for info in after] == [info.misses for info in before]
+    assert all(a.hits > b.hits for a, b in zip(after, before))
+    # a shared result cannot be changed by the caller that gets it
+    rc = roots_and_components(A023, sample_structured_point(A023, 0))
+    assert all(type(field) is tuple for field in (rc.roots, rc.angles, rc.components, rc.ray_angles))
+    with pytest.raises(AttributeError):
+        rc.ray_angles = (0.0,)
+    for table in analytic._ray_nodes(A023, sample_structured_point(A023, 0), rc.ray_angles[0], 4.0, 0.2):
+        if isinstance(table, tuple):
+            table = table[0]
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    # a draw without an integer seed would be a fixed point once cached
+    with pytest.raises(TypeError, match="must be an integer"):
+        sample_structured_point(A023, None)
+    # more keys than a cache holds: it stays at its bound
+    for seed in range(analytic._POINT_CACHE_SIZE + 8):
+        roots_and_components(A0134, sample_structured_point(A0134, seed))
+        assert sample_structured_point.cache_info().currsize <= analytic._POINT_CACHE_SIZE
+        assert roots_and_components.cache_info().currsize <= analytic._POINT_CACHE_SIZE
+    x = sample_structured_point(A0134, 5)
+    for j in range(analytic._NODE_CACHE_SIZE + 8):
+        euler_mellin(A0134, (-1.1, -0.6), x, 0.01 * j)
+        assert analytic._ray_nodes.cache_info().currsize <= analytic._NODE_CACHE_SIZE
+    assert analytic._ray_nodes.cache_info().currsize == analytic._NODE_CACHE_SIZE
 
 
 def test_roots_rejects_degenerate_input():
@@ -151,6 +190,7 @@ def test_ray_quadrature_errors_carry_the_state(monkeypatch):
     assert message.startswith("loop quadrature failed to converge: center = 0, radius = 0.5, nodes = 262144, ")
     last = [complex(v) for v in re.fullmatch(r".*, last values (\S+) and (\S+)", message).groups()]
     assert all(abs(v - 4j * math.pi) <= 1e-5 * 4 * math.pi for v in last)
+    _fresh_node_cache(monkeypatch)
     monkeypatch.setattr(analytic, "_tracked_log_f", lambda *a: (None, "phase"))
     stabilize = "phase tracking failed to stabilize: beta = (-1.3, -0.7), S = 4.0, h = 0.000195"
     with pytest.raises(QuadratureError, match=re.escape(stabilize)):
@@ -302,9 +342,26 @@ def test_extension_shift_list_shares_the_wedge_shifts(monkeypatch):
     assert len(batches[2]) == len(set(batches[2])) < len(batches[0]) + len(batches[1])
 
 
+def _fresh_node_cache(monkeypatch):
+    """Give the test an empty node-table cache of its own, so that a patched
+    _tracked_log_f runs on every level and no table it built outlives the
+    test."""
+    fresh = lru_cache(maxsize=analytic._NODE_CACHE_SIZE)(analytic._ray_nodes.__wrapped__)
+    monkeypatch.setattr(analytic, "_ray_nodes", fresh)
+
+
+def _restart(calls):
+    """Forget the recorded levels and the cached node tables: the next call
+    tracks each of its levels anew."""
+    calls.clear()
+    analytic._ray_nodes.cache_clear()
+
+
 def _record_levels(monkeypatch):
     """Record each call of analytic._tracked_log_f as ((S, h), why) for its
-    nodes s = -S, -S + h, ..., S; why is None where the tracking held."""
+    nodes s = -S, -S + h, ..., S; why is None where the tracking held.  The
+    node tables start empty; _restart empties them again."""
+    _fresh_node_cache(monkeypatch)
     calls = []
     tracked = analytic._tracked_log_f
 
@@ -338,13 +395,13 @@ def test_shared_node_table_is_bit_identical(monkeypatch):
     calls = _record_levels(monkeypatch)
     levels = []
     for beta, want in zip(betas, lone):
-        calls.clear()
+        _restart(calls)
         assert euler_mellin(A0134, beta, x, theta) == want, beta
         levels.append({level for level, _ in calls})
     assert {S for S, _ in levels[0]} == {4.0}
     assert 5.5 in {S for S, _ in levels[1]}
     assert 7.0 in {S for S, _ in levels[2]}
-    calls.clear()
+    _restart(calls)
     assert euler_mellin(A0134, betas, x, theta) == lone
     batch = [level for level, _ in calls]
     assert len(batch) == len(set(batch))
@@ -362,12 +419,12 @@ def test_shared_node_table_replays_phase_halvings(monkeypatch):
     calls = _record_levels(monkeypatch)
     levels = []
     for beta, want in zip(betas, lone):
-        calls.clear()
+        _restart(calls)
         assert euler_mellin(A0134, beta, x, theta) == want, beta
         assert {level: why for level, why in calls if why is not None} == phase
         levels.append({level for level, _ in calls})
     # the batch halves past them once for all pairs, with the same values
-    calls.clear()
+    _restart(calls)
     assert euler_mellin(A0134, betas, x, theta) == lone
     batch = [level for level, _ in calls]
     assert len(batch) == len(set(batch))
@@ -383,7 +440,7 @@ def test_shared_node_table_root_on_the_ray(monkeypatch):
     betas = [(-1.3, -0.7), (-2.6, -0.35), (-1.2 + 0.3j, -0.5 - 0.2j)]
     calls = _record_levels(monkeypatch)
     for pairs in [[beta] for beta in betas] + [betas]:
-        calls.clear()
+        _restart(calls)
         with pytest.raises(QuadratureError, match="curve root on or near the integration ray"):
             euler_mellin(A01, pairs, x, 0.0)
         assert calls == [((4.0, 0.2), "zero")]

@@ -13,6 +13,7 @@ loop per parameter pair.  Examples are derandomized
 so every run checks the same matrices.
 """
 
+import math
 import re
 from fractions import Fraction
 from math import gcd
@@ -25,6 +26,7 @@ from oracles import (
     delta_conditions_by_reach,
     euler_mellin_untabled,
     expand_factored,
+    extension_shift_per_order,
     extension_shift_recursive,
     factor_run,
     finite_annihilation_polyq,
@@ -170,6 +172,11 @@ exponent_entries = st.one_of(
 @given(matrices, st.data())
 def test_phi_coefficient_matches_fractions(A, data):
     v = tuple(data.draw(st.lists(exponent_entries, min_size=A.n, max_size=A.n)))
+    if data.draw(st.booleans(), label="rising factor 0 at j = 1"):
+        # v_i = -1 makes the first rising factor v_i + 1 of every step with
+        # u_i > 0 vanish, which the draws above alone almost never give
+        i = data.draw(st.integers(0, A.n - 1), label="i")
+        v = v[:i] + (Fraction(-1),) + v[i + 1:]
     steps = _kernel_steps(A, 2 * A.k, {})
     for u in steps:
         try:
@@ -479,6 +486,42 @@ def test_extension_shift_list_matches_lone_calls(A, data):
     polar = [str(v) for v in failed if isinstance(v, PolarLineError)]
     if polar:
         assert str(err.value) == polar[0], (A, jobs, theta)
+
+
+SHARED_LEVEL_MATRICES = [CurveMatrix([0, 2, 3]), CurveMatrix([0, 1, 3, 4]), CurveMatrix([0, 2, 5, 7])]
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.data())
+def test_extension_shift_orders_share_levels(data):
+    # the two orders of one pair share their plan entries and values from
+    # level m* on; each value must still equal, bit for bit, the one of a
+    # plan and combination of its own.  An integral b2 or k b1 - b2 puts the
+    # point on a polar line, where both must raise the same error
+    A = data.draw(st.sampled_from(SHARED_LEVEL_MATRICES), label="A")
+    x = sample_structured_point(A, data.draw(st.integers(0, 3), label="seed"))
+    theta = roots_and_components(A, x).ray_angles[0]
+    q = data.draw(st.integers(3, 13), label="q")
+    b1 = Fraction(data.draw(st.integers(-2 * q, 40 * q), label="b1"), q)
+    lo, hi = sorted((Fraction(-2), A.k * b1 + 2))
+    b2 = Fraction(data.draw(st.integers(math.ceil(lo * q), math.floor(hi * q)), label="b2"), q)
+    line = data.draw(st.sampled_from(["none", "facet-0", "none", "facet-k"]), label="line")
+    if line == "facet-0":
+        b2 = Fraction(round(b2))
+    elif line == "facet-k":
+        b2 = A.k * b1 - round(A.k * b1 - b2)
+    else:
+        while b2.denominator == 1 or (A.k * b1 - b2).denominator == 1:
+            b2 += Fraction(1, q)
+    beta = (float(b1), float(b2))
+    orders = ["facet-0-first", "facet-k-first"]
+    outcomes = []
+    for shift in (extension_shift, extension_shift_per_order):
+        try:
+            outcomes.append(shift(A, [beta, beta], x, theta, orders))
+        except (PolarLineError, QuadratureError) as err:
+            outcomes.append((type(err), str(err)))
+    assert outcomes[0] == outcomes[1], (A, beta)
 
 
 # facet levels of wedge parameters; the ones near 0 decay slowly at an end
