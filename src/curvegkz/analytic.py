@@ -65,9 +65,13 @@ class RootData(namedtuple("RootData", "roots angles components ray_angles scale"
         return f"RootData({len(self.roots)} roots, scale={self.scale:.3g})"
 
 
-@lru_cache(maxsize=_POINT_CACHE_SIZE)
 def roots_and_components(A, x):
-    """The RootData of the point x (a tuple), cached by (A, x)."""
+    """The RootData of the point x, any sequence, cached by (A, tuple(x))."""
+    return _roots_and_components(A, tuple(x))
+
+
+@lru_cache(maxsize=_POINT_CACHE_SIZE)
+def _roots_and_components(A, x):
     import numpy as np
     if x[0] == 0 or x[-1] == 0:
         raise QuadratureError("boundary coefficients x_1, x_n must not vanish")
@@ -201,6 +205,7 @@ def euler_mellin(A, beta, x, theta):
     its level, so it is the error that its pair raises alone.
     """
     import numpy as np
+    x = tuple(x)
     pairs = beta if isinstance(beta, list) else [beta]
     for pair in pairs:
         if not in_convergence_domain(A, pair):

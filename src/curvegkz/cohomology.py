@@ -10,7 +10,7 @@ level k*b1 - b2 is a sum of facet-k parts.
 """
 
 from .curve import FACET_0, FACET_K, FACETS, facet_base, facet_level, facet_parts, in_NA
-from .curve import _jump_candidates, _polar_level_semigroup
+from .curve import _integral_pair, _jump_candidates, _polar_level_semigroup
 from .toric import toric_ideal_groebner
 
 
@@ -23,13 +23,17 @@ def in_ray_module(A, alpha, ray):
     (a2 for a_1 = (1, 0), k*a1 - a2 for a_n = (1, k)) and can raise the
     first coordinate past any number of parts.  So alpha lies in the ray
     module exactly when its facet level is a sum of the facet's parts, the
-    polar-level semigroup of that facet.
+    polar-level semigroup of that facet.  A degree that is not integral
+    raises ValueError.
     """
-    return facet_level(A.k, ray, (int(alpha[0]), int(alpha[1]))) in _polar_level_semigroup(A, ray)
+    degree = _integral_pair(alpha)
+    if degree is None:
+        raise ValueError(f"degree {alpha} is not integral")
+    return facet_level(A.k, ray, degree) in _polar_level_semigroup(A, ray)
 
 
 def graded_dims(A, alpha):
-    """(h0, h1, h2) of local cohomology in one Z^2-degree.
+    """(h0, h1, h2) of local cohomology in one integral Z^2-degree.
 
     >>> from .curve import CurveMatrix
     >>> graded_dims(CurveMatrix([0, 1, 3, 4]), (1, 2))
@@ -120,7 +124,7 @@ def cocycle_generator(A, alpha):
     """
     if graded_dims(A, alpha)[1] != 1:
         raise ValueError(f"no first cohomology class in degree {alpha}")
-    a1, a2 = int(alpha[0]), int(alpha[1])
+    a1, a2 = _integral_pair(alpha)
     n = A.n
 
     reps = []

@@ -190,8 +190,17 @@ def facet_semigroup(A, facet):
     return NumericalSemigroup(level for _, level in facet_parts(A, other))
 
 
-def _is_integral(beta):
-    return all(isinstance(b, int) or (isinstance(b, Fraction) and b.denominator == 1) for b in beta)
+def _integral_pair(beta):
+    """beta as a pair of ints when both entries are integers by value (2.0 and
+    Fraction(2) too), else None, as for a non-finite or non-real entry."""
+    b1, b2 = beta
+    if type(b1) is int and type(b2) is int:
+        return (b1, b2)
+    try:
+        f1, f2 = Fraction(b1), Fraction(b2)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return (int(f1), int(f2)) if f1.denominator == f2.denominator == 1 else None
 
 
 def in_NA(A, beta):
@@ -207,9 +216,10 @@ def in_NA(A, beta):
     >>> in_NA(A, (2, 2))
     True
     """
-    if not _is_integral(beta):
+    b = _integral_pair(beta)
+    if b is None:
         return False
-    b1, b2 = int(beta[0]), int(beta[1])
+    b1, b2 = b
     # each column adds at most k to b2, which also bounds the table lookup
     if not 0 <= b2 <= A.k * b1:
         return False
@@ -220,15 +230,16 @@ def in_NA(A, beta):
 def is_rank_jumping(A, beta):
     """Exceptional parameters: both facet memberships hold but the parameter
     is outside the column semigroup."""
-    if not _is_integral(beta):
+    b = _integral_pair(beta)
+    if b is None:
         return False
-    b1, b2 = int(beta[0]), int(beta[1])
+    b1, b2 = b
     # the two facet levels of facet_level, inline on this hot path
     if b2 not in facet_semigroup(A, FACET_K):
         return False
     if A.k * b1 - b2 not in facet_semigroup(A, FACET_0):
         return False
-    return not in_NA(A, (b1, b2))
+    return not in_NA(A, b)
 
 
 def _default_jump_box(A):
@@ -364,12 +375,8 @@ def polar_lines_through(A, beta):
     [('facet-k', 1)]
     """
     beta = (Fraction(beta[0]), Fraction(beta[1]))
-    out = []
-    for facet in FACETS:
-        level = facet_level(A.k, facet, beta)
-        if level.denominator == 1 and int(level) in _polar_level_semigroup(A, facet):
-            out.append((facet, int(level)))
-    return out
+    levels = [(facet, int(facet_level(A.k, facet, beta))) for facet in is_resonant(A, beta)]
+    return [(facet, N) for facet, N in levels if N in _polar_level_semigroup(A, facet)]
 
 
 def delta_conditions(A, beta):
@@ -381,9 +388,9 @@ def delta_conditions(A, beta):
     gamma_2 and delta' nonzero; the second swaps the roles of the rows.
     Both hold together exactly on the column semigroup.
     """
-    if not _is_integral(beta):
+    b = _integral_pair(beta)
+    if b is None:
         return (False, False)
-    b = (int(beta[0]), int(beta[1]))
     g1 = facet_level(A.k, FACET_K, b)
     g2 = facet_level(A.k, FACET_0, b)
     cond1 = cond2 = False
@@ -401,7 +408,7 @@ def delta_conditions(A, beta):
         G0 = facet_semigroup(A, FACET_0)
         cond1 = any(in_delta(g1, y) and (g2 - y) in Gk for y in range(g2 + 1))
         cond2 = any(in_delta(x, g2) and (g1 - x) in G0 for x in range(g1 + 1))
-    if (cond1 and cond2) != in_NA(A, beta):
+    if (cond1 and cond2) != in_NA(A, b):
         raise AssertionError(f"delta conditions {(cond1, cond2)} disagree with in_NA at {beta}")
     return (cond1, cond2)
 

@@ -88,24 +88,10 @@ def analyze_report(A, window=8):
 
 def solve_report(A, beta, order="d1-first", bound=None):
     basis = solution_basis_at_point(A, beta, order=order, bound=bound)
-    entries = []
-    for e in basis.entries:
-        entries.append(
-            {
-                "kind": e.kind,
-                "tags": list(e.tags),
-                "monomials": e.monomials(),
-            }
-        )
-    discarded = []
-    for fe, err in basis.discarded:
-        discarded.append(
-            {
-                "top": list(fe.pair.r),
-                "step": list(err.u),
-                "coordinate": err.coordinate,
-            }
-        )
+    entries = [{"kind": e.kind, "tags": list(e.tags), "monomials": e.monomials()} for e in basis.entries]
+    discarded = [
+        {"top": list(fe.pair.r), "step": list(err.u), "coordinate": err.coordinate} for fe, err in basis.discarded
+    ]
     return {
         **_header("solve", A),
         "beta": [Fraction(beta[0]), Fraction(beta[1])],

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .curve import FACET_0, FACET_K, FACETS, ResonantLine, facet_base, facet_level
 from .curve import _polar_level_semigroup
-from .qexact import Aff2
 
 ORDER_NAMES = ("d1-first", "dn-first", "d1-mirror")
 
@@ -296,8 +295,7 @@ def standard_pairs(A, order):
 class FakeExponent:
     """Starting exponent attached to a standard pair at a parameter.
 
-    ``v`` has entries that are Fractions, or Aff2 when the parameter itself
-    was symbolic.
+    ``v`` has Fraction entries.
     """
 
     __slots__ = ("v", "pair")
@@ -314,21 +312,14 @@ class FakeExponent:
         return f"FakeExponent({self.v}, {self.pair!r})"
 
 
-def _coerce_param(b):
-    if isinstance(b, Aff2):
-        return b
-    return Fraction(b)
-
-
 def fake_exponents(A, beta, order):
-    """All starting exponents at ``beta`` for the given order.
+    """All starting exponents at a rational ``beta`` for the given order.
 
     Top pairs always contribute; an end pair, free on the column of one
     facet, contributes only when ``beta`` has the pair's level on that
     facet.  Every returned exponent v satisfies A.v = beta exactly.
     """
-    b1 = _coerce_param(beta[0])
-    b2 = _coerce_param(beta[1])
+    b1, b2 = Fraction(beta[0]), Fraction(beta[1])
     n, k = A.n, A.k
     out = []
     for pair in standard_pairs(A, order):
@@ -340,14 +331,12 @@ def fake_exponents(A, beta, order):
             v = (xi,) + tuple(Fraction(c) for c in r[1:-1]) + (zeta,)
         else:
             facet = FACET_0 if pair.kind(n) == "first-end" else FACET_K
-            if not (facet_level(k, facet, (b1, b2)) == facet_level(k, facet, (d1, d2))):
+            if facet_level(k, facet, (b1, b2)) != facet_level(k, facet, (d1, d2)):
                 continue
             base = facet_base(A, facet)
             v = tuple(b1 - d1 if i == base else Fraction(c) for i, c in enumerate(r))
-        deg1 = sum(v[1:], start=v[0])
-        deg2 = sum((A.exponents[i] * v[i] for i in range(1, n)), start=0 * v[0])
-        if not (deg1 == b1 and deg2 == b2):
-            raise AssertionError(f"starting exponent {v} has degree {(deg1, deg2)}, not {(b1, b2)}")
+        if A.degree(v) != (b1, b2):
+            raise AssertionError(f"starting exponent {v} has degree {A.degree(v)}, not {(b1, b2)}")
         out.append(FakeExponent(v, pair))
     return out
 

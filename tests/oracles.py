@@ -43,7 +43,6 @@ from curvegkz import analytic, toric
 from curvegkz.analytic import _tracked_log_f
 from curvegkz.curve import FACET_0, FACET_K, facet_parts, facet_semigroup, in_convergence_domain
 from curvegkz.errors import LogObstructionError, PolarLineError, QuadratureError, SeriesDenominatorError
-from curvegkz.qexact import fraction_matrix_rank
 
 
 def _as_fraction(x):
@@ -710,7 +709,9 @@ def proportional_by_rank(m1, m2):
     for row, mono in zip(rows, (m1, m2)):
         for c, e in mono:
             row[index[e]] = c
-    return fraction_matrix_rank(rows) == 1
+    import sympy
+
+    return sympy.Matrix(rows).rank() == 1
 
 
 def delta_conditions_by_reach(A, beta):

@@ -60,7 +60,7 @@ def test_roots_and_components_structure():
 def test_verify_session_caches_are_shared_and_bounded():
     # verify_report samples x with its seed, so a second call on the same
     # matrix finds the point, its roots and, here, every ray level cached
-    caches = [sample_structured_point, roots_and_components, analytic._ray_nodes]
+    caches = [sample_structured_point, analytic._roots_and_components, analytic._ray_nodes]
     for cache in caches:
         cache.cache_clear()
     verify_report(A023, (Fraction(1, 3), Fraction(5, 2)))
@@ -86,12 +86,36 @@ def test_verify_session_caches_are_shared_and_bounded():
     for seed in range(analytic._POINT_CACHE_SIZE + 8):
         roots_and_components(A0134, sample_structured_point(A0134, seed))
         assert sample_structured_point.cache_info().currsize <= analytic._POINT_CACHE_SIZE
-        assert roots_and_components.cache_info().currsize <= analytic._POINT_CACHE_SIZE
+        assert analytic._roots_and_components.cache_info().currsize <= analytic._POINT_CACHE_SIZE
     x = sample_structured_point(A0134, 5)
     for j in range(analytic._NODE_CACHE_SIZE + 8):
         euler_mellin(A0134, (-1.1, -0.6), x, 0.01 * j)
         assert analytic._ray_nodes.cache_info().currsize <= analytic._NODE_CACHE_SIZE
     assert analytic._ray_nodes.cache_info().currsize == analytic._NODE_CACHE_SIZE
+
+
+def test_entry_points_take_any_sequence_of_coefficients():
+    # x becomes a tuple in front of the caches, so a list or a numpy array
+    # gives the tuple's values bit for bit; each form starts on empty caches
+    import numpy as np
+
+    x = sample_structured_point(A0134, 2)
+    theta = roots_and_components(A0134, x).ray_angles[0]
+    outcomes = []
+    for point in (x, list(x), np.array(x)):
+        analytic._roots_and_components.cache_clear()
+        analytic._ray_nodes.cache_clear()
+        outcomes.append(
+            (
+                roots_and_components(A0134, point),
+                euler_mellin(A0134, (-1.1, -0.6), point, theta),
+                extension_shift(A0134, (Fraction(1, 3), Fraction(5, 2)), point, theta),
+                residue_at_zero(A0134, (0.3, 2.0), point),
+            )
+        )
+    values = [[v.hex() for c in out[1:] for v in (c.real, c.imag)] for out in outcomes]
+    assert values[1] == values[0] and values[2] == values[0]
+    assert outcomes[1][0] == outcomes[0][0] and outcomes[2][0] == outcomes[0][0]
 
 
 def test_roots_rejects_degenerate_input():

@@ -7,6 +7,8 @@ search, is kept in ``oracles.py`` as the independent route this file checks
 the library against.
 """
 
+from fractions import Fraction
+
 import pytest
 from oracles import h1_support_by_search, in_ray_module_by_shift
 
@@ -137,3 +139,16 @@ def test_cocycle_generator_rejects_non_jump():
         cocycle_generator(A0134, (1, 1))
     with pytest.raises(ValueError):
         cocycle_generator(A023, (1, 2))
+
+
+def test_cohomology_refuses_a_degree_that_is_not_integral():
+    # a non-integral degree is refused, not truncated to (1, 2)
+    for alpha in [(Fraction(3, 2), 2), (1, 2.5), (complex(1, 0), 2)]:
+        for call in (lambda a: in_ray_module(A0134, a, FACET_0), lambda a: graded_dims(A0134, a)):
+            with pytest.raises(ValueError, match="not integral"):
+                call(alpha)
+        with pytest.raises(ValueError, match="not integral"):
+            cocycle_generator(A0134, alpha)
+    # an integral value of another type is the degree itself
+    assert graded_dims(A0134, (1.0, Fraction(2))) == graded_dims(A0134, (1, 2)) == (0, 1, 0)
+    assert cocycle_generator(A0134, (1.0, 2.0)).alpha == (1, 2)

@@ -7,6 +7,7 @@ two independent routes.
 """
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -211,6 +212,22 @@ def test_is_rank_jumping_pointwise():
     assert rank(A0134, (1, 2)) == 5
     assert rank(A0134, (0, 0)) == 4
     assert rank(A023, (1, 2)) == 3
+
+
+def test_integrality_is_decided_by_value():
+    # a float, a Fraction or a numpy integer with an integral value is the
+    # integer itself; a fraction, a complex or a non-finite value is not
+    import numpy as np
+
+    for beta in [(1, 2), (1.0, 2.0), (Fraction(1), Fraction(2)), (np.int64(1), np.int64(2)), (np.float64(1), 2)]:
+        assert rank(A0134, beta) == 5 and is_rank_jumping(A0134, beta), beta
+        assert not in_NA(A0134, beta) and delta_conditions(A0134, beta) == (False, False), beta
+    for beta in [(2, 2), (2.0, 2.0), (np.int64(2), np.int64(2)), (Fraction(4, 2), 2.0)]:
+        assert in_NA(A0134, beta) and not is_rank_jumping(A0134, beta), beta
+        assert delta_conditions(A0134, beta) == (True, True) and rank(A0134, beta) == 4, beta
+    for beta in [(Fraction(3, 2), 2), (1.5, 2.0), (complex(2, 0), 2), (math.nan, 2), (2, math.inf)]:
+        assert not in_NA(A0134, beta) and not is_rank_jumping(A0134, beta), beta
+        assert delta_conditions(A0134, beta) == (False, False) and rank(A0134, beta) == 4, beta
 
 
 def test_is_resonant():

@@ -1,5 +1,5 @@
-"""Exact-arithmetic helpers checked against sympy: those of curvegkz.qexact
-and the PolyQ polynomials that the oracles of ``oracles.py`` compute with.
+"""The PolyQ polynomials that the oracles of ``oracles.py`` compute with,
+checked against sympy.
 
 sympy is used here purely as an independent oracle; the package itself
 never imports it.
@@ -11,8 +11,6 @@ from fractions import Fraction
 import pytest
 import sympy
 from oracles import PolyQ
-
-from curvegkz.qexact import Aff2, fraction_matrix_rank
 
 T = sympy.Symbol("t")
 
@@ -92,28 +90,3 @@ def test_divexact_rejects_inexact():
 def test_text_roundtrip_shapes():
     assert PolyQ().text() == "0"
     assert PolyQ([1, -2, 1]).text("lam") == "lam^2 - 2*lam + 1"
-
-
-def test_aff2_algebra_and_substitution():
-    b1, b2 = Aff2.coord1(), Aff2.coord2()
-    e = b1 - (b2 + 3) / 4
-    assert e == Aff2(Fraction(-3, 4), 1, Fraction(-1, 4))
-    assert e.evaluate(Fraction(1), Fraction(2)) == Fraction(-1, 4)
-    # a complex point goes through the float path
-    assert abs(e.evaluate(1j, 2.0) - (-1.25 + 1j)) < 1e-12
-
-
-def test_fraction_matrix_rank_matches_sympy():
-    rng = random.Random(20)
-    for _ in range(40):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        mat = [
-            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-        assert fraction_matrix_rank(mat) == sympy.Matrix(mat).rank()
-    # a matrix built to be rank deficient
-    r1 = [Fraction(1), Fraction(2), Fraction(3)]
-    r2 = [Fraction(2), Fraction(4), Fraction(6)]
-    assert fraction_matrix_rank([r1, r2]) == 1

@@ -9,7 +9,8 @@ their parametric derivatives and of the Delta conditions agree with their
 path sum, Euclidean gcd, PolyQ derivatives and reach table, the
 proportionality test with an exact rank, the planned shift continuation
 with its recursive definition, and the batched ray quadrature with one
-loop per parameter pair.  Examples are derandomized
+loop per parameter pair.  The starting exponents of the top pairs are
+affine in beta and have degree beta.  Examples are derandomized
 so every run checks the same matrices.
 """
 
@@ -329,6 +330,25 @@ def test_groebner_matches_sorted_pair_list(A):
         gb = toric_ideal_groebner(A, name)
         assert gb.generators == toric_ideal_groebner_sorted(A, name), (A, name)
         assert all(sum(lead) <= toric._degree_cap(A) for lead in gb.lead_monomials), (A, name)
+
+
+rational_params = st.tuples(*[st.fractions(-6, 6, max_denominator=7)] * 2)
+
+
+@PROPERTY
+@given(matrices, st.sampled_from(ORDER_NAMES), rational_params, rational_params)
+def test_top_starting_exponents_are_affine_in_beta(A, name, beta, beta2):
+    # v(beta) of every top pair has degree beta, and v(beta + beta') =
+    # v(beta) + v(beta') - v(0): the affine form in beta, on every matrix
+    def tops(b):
+        return {fe.pair.r: fe.v for fe in fake_exponents(A, b, name) if fe.is_top}
+
+    at_zero, at_beta, at_beta2 = tops((0, 0)), tops(beta), tops(beta2)
+    at_sum = tops((beta[0] + beta2[0], beta[1] + beta2[1]))
+    assert len(at_beta) == A.k
+    for r, v in at_beta.items():
+        assert A.degree(v) == beta, (A, name, r)
+        assert at_sum[r] == tuple(a + b - c for a, b, c in zip(v, at_beta2[r], at_zero[r])), (A, name, r)
 
 
 @PROPERTY

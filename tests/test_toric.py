@@ -23,7 +23,6 @@ from sympy.polys.orderings import grevlex
 import curvegkz
 from curvegkz import toric
 from curvegkz.curve import FACET_0, FACET_K, CurveMatrix
-from curvegkz.qexact import Aff2
 from curvegkz.toric import (
     GB_CACHE_SIZE,
     ORDER_NAMES,
@@ -336,22 +335,14 @@ def test_fake_exponents_end_pair_gating():
 
 
 def test_fake_exponents_symbolic():
-    b1, b2 = Aff2.coord1(), Aff2.coord2()
-    fes = fake_exponents(A0134, (b1, b2), "d1-first")
-    tops = {fe.pair.r: fe.v for fe in fes if fe.is_top}
-    v = tops[(0, 1, 0, 0)]
-    assert v == (b1 - (b2 + 3) / 4, Fraction(1), Fraction(0), (b2 - 1) / 4)
-    # symbolic values specialize to the numeric ones
-    for fe in fes:
-        if not fe.is_top:
-            continue
-        numeric = {
-            f.pair.r: f.v for f in fake_exponents(A0134, (Fraction(1), Fraction(2)), "d1-first")
-        }[fe.pair.r]
-        got = tuple(
-            c.evaluate(Fraction(1), Fraction(2)) if isinstance(c, Aff2) else c for c in fe.v
-        )
-        assert got == numeric
+    # the closed form of the top pair (0, 1, 0, 0), checked at rational
+    # points: an affine function of beta is fixed by its values at three
+    # affinely independent points, and the first three here are such
+    points = [(0, 0), (1, 0), (0, 1), (1, 2), (Fraction(-5, 2), Fraction(7, 3))]
+    for b1, b2 in (map(Fraction, beta) for beta in points):
+        tops = {fe.pair.r: fe.v for fe in fake_exponents(A0134, (b1, b2), "d1-first") if fe.is_top}
+        assert tops[(0, 1, 0, 0)] == (b1 - (b2 + 3) / 4, Fraction(1), Fraction(0), (b2 - 1) / 4)
+        assert all(type(c) is Fraction for v in tops.values() for c in v)
 
 
 def test_special_lines_two_orders():
