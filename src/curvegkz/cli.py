@@ -1,9 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
-3 numerical or internal failure.  The default tolerance for numerical
-checks can be set through the CURVEGKZ_TOL environment variable; it and
---tol must be finite and at least 0.
+Exit codes: 0 success, 1 a verification check failed, 2 invalid input or
+an --output that cannot be written, 3 numerical or internal failure.  The
+default tolerance for numerical checks can be set through the CURVEGKZ_TOL
+environment variable; it and --tol must be finite and at least 0.
 """
 
 import argparse
@@ -12,6 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
+from . import series
 from .curve import CurveMatrix
 from .errors import LogObstructionError, MatrixValidationError, QuadratureError
 from .figure import build_svg
@@ -23,7 +24,6 @@ from .report import (
     to_json,
     verify_report,
 )
-from .series import default_step_bound
 from .toric import ORDER_NAMES
 
 # largest --window accepted; the analyze and figure work grows with it
@@ -123,6 +123,20 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        return _run(parser, args)
+    except Exception as err:
+        # a failure no handler of _run names is a defect or a broken
+        # install (a submodule is first imported here), not a failed check;
+        # traceback is imported only then, as it costs every cold start
+        import traceback
+
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
+
+
+def _run(parser, args):
+    try:
         A = _parse_matrix(args.matrix)
         if args.command in ("analyze", "figure"):
             # the figure divides by the window, so it needs at least 1
@@ -135,7 +149,7 @@ def main(argv=None):
             bound = args.bound
             if bound is not None and bound < 0:
                 raise ValueError(f"--bound must be at least 0, got {bound}")
-            if bound is not None and bound > default_step_bound(A) and _step_ball(A, bound) > STEP_BALL_MAX:
+            if bound is not None and bound > series.default_step_bound(A) and _step_ball(A, bound) > STEP_BALL_MAX:
                 raise ValueError(f"--bound {bound}: its step ball exceeds the limit of {STEP_BALL_MAX} points")
             beta = _parse_beta(args.beta)
             payload = to_json(solve_report(A, beta, order=args.order, bound=bound))
@@ -174,8 +188,12 @@ def main(argv=None):
         return 2
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as err:
+            print(f"error: cannot write {args.output}: {err.strerror or err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
 

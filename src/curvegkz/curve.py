@@ -109,6 +109,29 @@ class CurveMatrix:
         return f"CurveMatrix({list(self.exponents)})"
 
 
+def b_matrix(A):
+    """Primitive relation data for each middle column.
+
+    For 0 < i < n-1 the triple (b_first, b_diag, b_last) gives the primitive
+    relation  b_diag * a_i = b_first * a_first + b_last * a_last, scaled by
+    g = gcd(k_i, k).
+
+    >>> b_matrix(CurveMatrix([0, 1, 3, 4]))
+    {1: (3, 4, 1), 2: (1, 4, 3)}
+    """
+    out = {}
+    for i in range(1, A.n - 1):
+        ki = A.exponents[i]
+        g = gcd(ki, A.k)
+        triple = ((A.k - ki) // g, A.k // g, ki // g)
+        if triple[0] + triple[2] != triple[1] or ki * triple[1] != A.k * triple[2]:
+            raise AssertionError(f"column {i}: {triple} is not a relation")
+        if gcd(*triple) != 1:
+            raise AssertionError(f"column {i}: relation {triple} is not primitive")
+        out[i] = triple
+    return out
+
+
 class NumericalSemigroup:
     """Numerical semigroup generated by positive integers with gcd 1.
 

@@ -7,31 +7,18 @@ All numbers are encoded reproducibly: exact rationals as strings like
 import json
 from fractions import Fraction
 
-from .analytic import (
-    extension_shift,
-    residue_at_infinity,
-    residue_at_zero,
-    residue_integral,
-    roots_and_components,
-    sample_structured_point,
-)
+from . import analytic, cohomology, series
 from .curve import (
     FACET_0,
     FACET_K,
     FACETS,
+    b_matrix,
     facet_semigroup,
     rank_jumping_parameters,
     resonant_lines,
     _default_jump_box,
 )
-from .cohomology import cocycle_generator, graded_dims, h1_support
 from .errors import BasisCountError
-from .series import (
-    annihilation_check,
-    b_matrix,
-    coincidence_of_line_solutions,
-    solution_basis_at_point,
-)
 
 SCHEMA = "curvegkz/1"
 
@@ -87,7 +74,7 @@ def analyze_report(A, window=8):
 
 
 def solve_report(A, beta, order="d1-first", bound=None):
-    basis = solution_basis_at_point(A, beta, order=order, bound=bound)
+    basis = series.solution_basis_at_point(A, beta, order=order, bound=bound)
     entries = [{"kind": e.kind, "tags": list(e.tags), "monomials": e.monomials()} for e in basis.entries]
     discarded = [
         {"top": list(fe.pair.r), "step": list(err.u), "coordinate": err.coordinate} for fe, err in basis.discarded
@@ -121,13 +108,13 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
 
     # exact checks first
     try:
-        basis = solution_basis_at_point(A, (b1, b2), order=order)
+        basis = series.solution_basis_at_point(A, (b1, b2), order=order)
         record("basis-count", "pass", count=len(basis.entries), rank=basis.expected_rank)
     except BasisCountError as err:
         basis = err.basis
         record("basis-count", "fail", reason=str(err))
 
-    reps = [annihilation_check(A, e.source, order) for e in basis.entries if e.kind == "series"]
+    reps = [series.annihilation_check(A, e.source, order) for e in basis.entries if e.kind == "series"]
     record(
         "series-annihilation",
         "pass" if all(r.ok for r in reps) else "fail",
@@ -135,7 +122,7 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
     )
 
     if basis.lines:
-        reps = [annihilation_check(A, fs, order) for _, _, fs in basis.lines]
+        reps = [series.annihilation_check(A, fs, order) for _, _, fs in basis.lines]
         record(
             "finite-line-annihilation",
             "pass" if all(r.ok for r in reps) else "fail",
@@ -146,7 +133,7 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
 
     if len(basis.lines) == 2:
         line = {facet: fs for facet, _, fs in basis.lines}
-        res = coincidence_of_line_solutions((b1, b2), line[FACET_0], line[FACET_K])
+        res = series.coincidence_of_line_solutions((b1, b2), line[FACET_0], line[FACET_K])
         # the two line solutions are proportional only at an integral
         # crossing that is not a rank jump
         expected = "proportional" if res.point_type == "interior" else "independent"
@@ -161,13 +148,13 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
         record("coincidence-structure", "skipped", reason="beta is not a crossing of polar lines")
 
     # numeric checks at a sampled coefficient point
-    x = sample_structured_point(A, seed)
-    rc = roots_and_components(A, x)
+    x = analytic.sample_structured_point(A, seed)
+    rc = analytic.roots_and_components(A, x)
     if basis.lines:
         record("shift-order-independence", "skipped", reason="beta lies on a polar line")
     else:
         bc = (complex(float(b1)), complex(float(b2)))
-        v1, v2 = extension_shift(A, [bc, bc], x, rc.ray_angles[0], ["facet-0-first", "facet-k-first"])
+        v1, v2 = analytic.extension_shift(A, [bc, bc], x, rc.ray_angles[0], ["facet-0-first", "facet-k-first"])
         rel = abs(v1 - v2) / max(1.0, abs(v1))
         record(
             "shift-order-independence",
@@ -177,13 +164,13 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
         )
 
     if b1.denominator == 1 and b2.denominator == 1:
-        total = residue_at_zero(A, (int(b1), int(b2)), x)
+        total = analytic.residue_at_zero(A, (int(b1), int(b2)), x)
         scale = abs(total)
         for i in range(A.k):
-            v = residue_integral(A, (int(b1), int(b2)), x, i)
+            v = analytic.residue_integral(A, (int(b1), int(b2)), x, i)
             total += v
             scale = max(scale, abs(v))
-        total += residue_at_infinity(A, (int(b1), int(b2)), x)
+        total += analytic.residue_at_infinity(A, (int(b1), int(b2)), x)
         rel = abs(total) / max(scale, 1.0)
         record("loop-sum-rule", "pass" if rel <= tol else "fail", rel_residual=rel)
     else:
@@ -202,11 +189,11 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
 
 
 def cohomology_report(A):
-    support = h1_support(A)
+    support = cohomology.h1_support(A)
     degrees = []
     for alpha in support:
-        dims = graded_dims(A, alpha)
-        coc = cocycle_generator(A, alpha)
+        dims = cohomology.graded_dims(A, alpha)
+        coc = cohomology.cocycle_generator(A, alpha)
         degrees.append(
             {
                 "alpha": list(alpha),

@@ -1,10 +1,15 @@
-"""The cold-start contract.  The exact commands never call the numerical
+"""The cold-start contract.  A process compiles and executes only the
+package modules it uses, and the exact commands never call the numerical
 layer, so a process that runs one of them must not pay for numpy:
 ``analytic`` imports numpy inside the functions that use it, and no package
-module imports it at module level.  ``import curvegkz`` still loads every
-submodule, ``analytic`` included, because code that wraps the package's
-functions from outside (a tracer, a profiler) finds them in
-``sys.modules``."""
+module imports it at module level.
+
+``import curvegkz`` registers every submodule, ``analytic`` included, in
+``sys.modules`` without executing it; a module counts as executed once its
+type is plain ``types.ModuleType`` again.  The modules stay registered
+because code that wraps the package's functions from outside (a tracer, a
+profiler) finds them in ``sys.modules`` right after ``import curvegkz``,
+and what it installs in a module is what every caller then reaches."""
 
 import ast
 import os
@@ -17,6 +22,8 @@ import curvegkz
 
 PACKAGE = os.path.dirname(curvegkz.__file__)
 MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+# an expression that lists the executed curvegkz submodules
+EXECUTED = "sorted(n for n, m in sys.modules.items() if n.startswith('curvegkz.') and type(m) is types.ModuleType)"
 
 
 def _run(code):
@@ -86,14 +93,84 @@ def test_import_registers_every_submodule():
         f"curvegkz.{name[:-3]}" for name in MODULES if name not in ("__init__.py", "cli.py")
     )
     out = _run(
-        "import sys, curvegkz\n"
+        "import sys, types, curvegkz\n"
         "print(*sorted(n for n in sys.modules if n.startswith('curvegkz.')))\n"
+        f"print(*{EXECUTED})\n"
         "print('numpy' in sys.modules)\n"
     )
-    loaded, numpy_loaded = out.splitlines()
+    loaded, executed, numpy_loaded = out.splitlines()
     assert "curvegkz.analytic" in expected
     assert loaded.split() == expected
+    assert executed == ""
     assert numpy_loaded == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (["analyze", "-A", "0,1,3,4"], ()),
+        (["figure", "-A", "0,1,3,4"], ()),
+        (["cohomology", "-A", "0,1,3,4"], ("cohomology",)),
+        (["solve", "-A", "0,1,3,4", "-b", "1/2,1/3"], ("series",)),
+        (["verify", "-A", "0,1,3,4", "-b", "1/2,1/3"], ("analytic", "series")),
+    ],
+    ids=["analyze", "figure", "cohomology", "solve", "verify"],
+)
+def test_each_command_executes_only_the_modules_it_calls(argv, executed):
+    # every command runs cli, its report and figure front ends, curve,
+    # errors and toric (cli offers ORDER_NAMES); analyze and figure never
+    # execute the series, numerical or cohomology layers
+    out = _run(
+        "import contextlib, io, sys, types\n"
+        "from curvegkz import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(code, *{EXECUTED})\n"
+    )
+    common = ("cli", "curve", "errors", "figure", "report", "toric")
+    assert out.split() == ["0", *sorted(f"curvegkz.{name}" for name in common + executed)]
+
+
+def test_wrappers_installed_after_import_are_what_callers_reach():
+    # the way a tracer installs itself: right after ``import curvegkz``, it
+    # finds each function through sys.modules and replaces it in every
+    # curvegkz namespace that holds it
+    out = _run(
+        "import contextlib, io, sys\n"
+        "import curvegkz\n"
+        "calls, wrappers = {}, {}\n"
+        "targets = [('curve', 'rank_jumping_parameters'), ('cohomology', 'h1_support'),\n"
+        "           ('series', 'solution_basis_at_point'), ('report', 'to_json')]\n"
+        "modules = [m for n, m in list(sys.modules.items()) if n == 'curvegkz' or n.startswith('curvegkz.')]\n"
+        "for module, fn_name in targets:\n"
+        "    original = getattr(sys.modules[f'curvegkz.{module}'], fn_name)\n"
+        "    def wrapper(*args, _original=original, _name=fn_name, **kwargs):\n"
+        "        calls[_name] = calls.get(_name, 0) + 1\n"
+        "        return _original(*args, **kwargs)\n"
+        "    wrappers[fn_name] = wrapper\n"
+        "    for mod in modules:\n"
+        "        for attr, value in list(vars(mod).items()):\n"
+        "            if value is original:\n"
+        "                setattr(mod, attr, wrapper)\n"
+        "served = all(getattr(curvegkz, name) is wrapper for name, wrapper in wrappers.items())\n"
+        "from curvegkz import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['analyze', '-A', '0,1,3,4']), cli.main(['cohomology', '-A', '0,1,3,4']),\n"
+        "             cli.main(['solve', '-A', '0,1,3,4', '-b', '1/2,1/3'])]\n"
+        "print(served, *codes, *sorted(f'{name}={n}' for name, n in calls.items()))\n"
+    )
+    assert out.split() == [
+        # the package serves each wrapper under its public name
+        "True",
+        "0",
+        "0",
+        "0",
+        # analyze and cohomology each list the rank jumps once
+        "h1_support=1",
+        "rank_jumping_parameters=2",
+        "solution_basis_at_point=1",
+        "to_json=3",
+    ]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,7 +1,8 @@
 """Report payloads, JSON encoding, the SVG portrait, and the command line
 surface with its exit-code contract:
 
-    0 success, 1 verification failed, 2 invalid input, 3 numerical failure.
+    0 success, 1 verification failed, 2 invalid input or an unwritable
+    --output, 3 numerical or internal failure.
 """
 
 import json
@@ -301,16 +302,20 @@ def test_verify_builds_each_solution_once(monkeypatch):
     assert sorted(built["polar_line_solution"]) == [(A0134, "facet-0", 2), (A0134, "facet-k", 2)]
 
 
-def _run_cli(argv, optimize):
+def _python(args, optimize):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)))
     flags = ["-O"] if optimize else []
     return subprocess.run(
-        [sys.executable, *flags, "-m", "curvegkz.cli", *argv],
+        [sys.executable, *flags, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def _run_cli(argv, optimize):
+    return _python(["-m", "curvegkz.cli", *argv], optimize)
 
 
 def test_basis_count_check_survives_optimized_mode():
@@ -373,6 +378,31 @@ def test_cli_log_obstruction_is_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_report", boom)
     assert cli.main(["solve", "-A", "0,1,3,4", "-b", "1,2"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_cli_unwritable_output_is_exit_2(optimize, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = _run_cli(["analyze", "-A", "0,1,3,4", "--output", str(target)], optimize)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_cli_internal_error_is_exit_3(optimize):
+    # an exception no handler names is a defect, not a failed check (exit 1)
+    code = (
+        "from curvegkz import cli\n"
+        "def boom(*args, **kwargs):\n"
+        "    raise TypeError('synthetic defect')\n"
+        "cli.solve_report = boom\n"
+        "raise SystemExit(cli.main(['solve', '-A', '0,1,3,4', '-b', '1/2,1/3']))\n"
+    )
+    proc = _python(["-c", code], optimize)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: TypeError: synthetic defect\n")
 
 
 def test_cli_env_tolerance(monkeypatch, capsys):

@@ -22,7 +22,7 @@ import pytest
 from oracles import PolyQ, expand_factored, factor_run, ordered_partitions, truncated_annihilation_fractions
 
 import curvegkz
-from curvegkz.curve import FACET_0, FACET_K, CurveMatrix, facet_parts
+from curvegkz.curve import FACET_0, FACET_K, CurveMatrix, b_matrix, facet_parts
 from curvegkz.errors import BasisCountError, LogObstructionError, SeriesDenominatorError
 from curvegkz.series import (
     POLAR_WORK_BUDGET,
@@ -31,7 +31,6 @@ from curvegkz.series import (
     _part_multisets,
     _proportional,
     annihilation_check,
-    b_matrix,
     canonical_series,
     coincidence_at_intersection,
     default_step_bound,
