@@ -11,9 +11,9 @@ the exact data through residues on the polar lines.
 each is loaded through ``importlib.util.LazyLoader``, and its code runs on
 its first attribute access.  A process then compiles and executes only the
 modules it uses; ``analyze`` and ``figure`` never run ``analytic``,
-``series`` or ``cohomology``.  The modules stay registered because code
-that wraps the package's functions from outside (a tracer, a profiler)
-finds them in ``sys.modules`` right after ``import curvegkz``.
+``series``, ``toric`` or ``cohomology``.  The modules stay registered
+because code that wraps the package's functions from outside (a tracer,
+a profiler) finds them in ``sys.modules`` right after ``import curvegkz``.
 
 Each public name is listed once, in ``_EXPORTS``, under its home module.
 The package's ``__getattr__`` reads it from that module at access time, so
@@ -57,6 +57,7 @@ _EXPORTS = {
     "curve": (
         "FACET_0",
         "FACET_K",
+        "ORDER_NAMES",
         "CurveMatrix",
         "NumericalSemigroup",
         "ResonantLine",
@@ -105,7 +106,6 @@ _EXPORTS = {
         "solution_basis_at_point",
     ),
     "toric": (
-        "ORDER_NAMES",
         "FakeExponent",
         "GroebnerBasis",
         "SpecialLines",

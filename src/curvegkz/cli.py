@@ -12,10 +12,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import series
-from .curve import CurveMatrix
+from . import figure, series
+from .curve import ORDER_NAMES, CurveMatrix
 from .errors import LogObstructionError, MatrixValidationError, QuadratureError
-from .figure import build_svg
 from .report import (
     SCHEMA,
     analyze_report,
@@ -24,7 +23,6 @@ from .report import (
     to_json,
     verify_report,
 )
-from .toric import ORDER_NAMES
 
 # largest --window accepted; the analyze and figure work grows with it
 WINDOW_MAX = 10000
@@ -163,7 +161,7 @@ def _run(parser, args):
         elif args.command == "cohomology":
             payload = to_json(cohomology_report(A))
         elif args.command == "figure":
-            svg = build_svg(A, window=args.window)
+            svg = figure.build_svg(A, window=args.window)
             if args.format == "json":
                 payload = to_json({"schema": SCHEMA, "command": "figure", "svg": svg})
             else:

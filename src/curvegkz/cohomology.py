@@ -11,7 +11,6 @@ level k*b1 - b2 is a sum of facet-k parts.
 
 from .curve import FACET_0, FACET_K, FACETS, facet_base, facet_level, facet_parts, in_NA
 from .curve import _integral_pair, _jump_candidates, _polar_level_semigroup
-from .toric import toric_ideal_groebner
 
 
 def in_ray_module(A, alpha, ray):
@@ -118,9 +117,10 @@ def cocycle_generator(A, alpha):
     The ray-0 representative uses the maximal number of positive parts for
     the second coordinate, pushing the first coordinate exponent as low as
     it goes; the ray-k representative mirrors this.  Multiplying both by
-    (x_1 x_n)^clearing gives two honest monomials of equal degree whose
-    difference reduces to zero modulo the d1-first Groebner basis of the
-    toric ideal, certifying that the two sections agree away from the rays.
+    (x_1 x_n)^clearing gives two honest monomials x^m1 and x^m2, and the
+    sections agree away from the rays when x^m1 - x^m2 lies in the toric
+    ideal, that is when A.m1 = A.m2 (Sturmfels, Groebner Bases and Convex
+    Polytopes, 1996, Lemma 4.1): ``certified`` is that degree comparison.
     """
     if graded_dims(A, alpha)[1] != 1:
         raise ValueError(f"no first cohomology class in degree {alpha}")
@@ -143,13 +143,10 @@ def cocycle_generator(A, alpha):
     v, vp = reps
 
     m = max(0, -v[0], -vp[n - 1])
-    clear = [0] * n
-    clear[0] = m
-    clear[n - 1] = m
-    mono1 = tuple(v[i] + clear[i] for i in range(n))
-    mono2 = tuple(vp[i] + clear[i] for i in range(n))
+    clear = (m,) + (0,) * (n - 2) + (m,)
+    mono1 = tuple(a + c for a, c in zip(v, clear))
+    mono2 = tuple(a + c for a, c in zip(vp, clear))
     if min(mono1) < 0 or min(mono2) < 0:
         raise AssertionError(f"clearing by {m} leaves a negative exponent in {mono1} or {mono2}")
-    gb = toric_ideal_groebner(A, "d1-first")
-    certified = gb.reduces_to_zero(mono1, mono2)
+    certified = A.degree(mono1) == A.degree(mono2)
     return CocycleData((a1, a2), tuple(v), tuple(vp), m, (mono1, mono2), certified)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .curve import FACETS, facet_base, facet_level, facet_parts, is_rank_jumping
-from .curve import polar_lines_through, rank
+from .curve import _kernel_steps, polar_lines_through, rank
 from .errors import BasisCountError, LogObstructionError, SeriesDenominatorError
 from .toric import fake_exponents, toric_ideal_groebner
 
@@ -230,64 +230,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries(v={self.v}, {len(self.terms)} terms, bound={self.bound})"
-
-
-def _kernel_steps(A, bound, mid_lower):
-    """Kernel lattice vectors with |u|_1 <= bound and middle coordinates
-    bounded below by ``mid_lower`` (coordinate-indexed dict).
-
-    The middle coordinates are chosen one at a time, in lexicographic order,
-    each within what is left of the l1 budget.  The last one runs only over
-    the residue class that makes the weighted sum divisible by k, and the
-    end coordinates then follow from the two degree equations.
-
-    A middle coordinate c is skipped when s + max(|T|, ceil(|W| / k)) >
-    bound, where s, W and T are the l1 norm, the weighted sum and the plain
-    sum of the prefix up to c: the later coordinates, of weights in [0, k],
-    must cancel T and W, so their l1 norm is at least |T| and |W| / k.
-    Only prefixes with no vector inside the bound are cut, so the list and
-    its order stay those of the unpruned walk.  A prefix walked on has
-    |T| <= left, what its norm leaves of the bound, so the next c with
-    |c| + |T + c| <= left are the range [-(left + T) / 2, (left - T) / 2].
-    """
-    n, k = A.n, A.k
-    lows = [mid_lower.get(i, -bound) for i in range(1, n - 1)]
-    weights = A.exponents[1 : n - 1]
-    out = []
-
-    def keep(prefix, norm, wsum, total):
-        u_last = -wsum // k
-        u_first = -total - u_last
-        if norm + abs(u_first) + abs(u_last) <= bound:
-            out.append((u_first,) + prefix + (u_last,))
-
-    def walk(i, prefix, norm, wsum, total):
-        left = bound - norm
-        lo = max(lows[i], -((left + total) // 2))
-        hi = (left - total) // 2
-        weight = weights[i]
-        if i + 1 < len(lows):
-            for c in range(lo, hi + 1):
-                # what the later coordinates may still spend
-                rest = left - abs(c)
-                if abs(wsum + weight * c) <= k * rest:
-                    walk(i + 1, prefix + (c,), bound - rest, wsum + weight * c, total + c)
-            return
-        # weight * c = -wsum (mod k) has solutions iff g divides wsum; they
-        # form one class modulo k / g
-        g = gcd(weight, k)
-        if wsum % g:
-            return
-        step = k // g
-        first = -(wsum // g) * pow(weight // g, -1, step) % step
-        for c in range(lo + (first - lo) % step, hi + 1, step):
-            keep(prefix + (c,), norm + abs(c), wsum + weight * c, total + c)
-
-    if lows:
-        walk(0, (), 0, 0, 0)
-    else:
-        keep((), 0, 0, 0)
-    return out
 
 
 def _common_numerators(v):

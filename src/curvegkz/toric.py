@@ -4,7 +4,7 @@ pairs.
 
 Monomials are exponent tuples.  A binomial is an ordered pair (lead, trail)
 of distinct monomials, understood as lead - trail.  The reduced Groebner
-basis is read off the fibers of the grading, degree by degree, and an
+basis is read off the kernel vectors of A, degree by degree, and an
 S-pair test on binomials tells when it is complete, so no general
 polynomial arithmetic is needed.
 """
@@ -12,11 +12,10 @@ polynomial arithmetic is needed.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter, sub
 
-from .curve import FACET_0, FACET_K, FACETS, ResonantLine, facet_base, facet_level
-from .curve import _polar_level_semigroup
-
-ORDER_NAMES = ("d1-first", "dn-first", "d1-mirror")
+from .curve import FACET_0, FACET_K, FACETS, ORDER_NAMES, ResonantLine, facet_base, facet_level
+from .curve import _kernel_steps, _polar_level_semigroup
 
 
 class TermOrder:
@@ -138,19 +137,19 @@ def _degree_cap(A):
 
 def toric_ideal_groebner(A, order):
     """Reduced Groebner basis of the toric ideal of the curve, read off the
-    fibers of the grading one degree at a time.
+    kernel vectors of A one degree at a time.
 
-    The first row of A is all ones and every term order here is graded, so
-    the monomials of degree d split into fibers by their weight
-    sum(k_i u_i), and I_A is spanned in degree d by the differences inside
-    each fiber.  The least monomial of a fiber is standard, and every other
-    member lies in the initial ideal (Sturmfels, Groebner Bases and Convex
-    Polytopes, 1996, ch. 4-5).  Standard monomials form an order ideal, so
-    the candidates of degree d are x_i times the standard monomials of
-    degree d - 1, minus those that a lead found so far divides.  In each
-    fiber the least candidate is the new standard monomial, and every other
-    one is a minimal generator x^u of the initial ideal, whose basis element
-    is x^u minus that least monomial.  The basis comes out reduced.
+    The first row of A is all ones, so a binomial x^u+ - x^u- of I_A of
+    degree d is a kernel vector u with |u|_1 = 2d (Sturmfels, Groebner Bases
+    and Convex Polytopes, 1996, ch. 4).  For each positive part a keep the
+    least negative part b with b < a.  The new leads of degree d are the a
+    that no lead of lower degree divides, each with tail b.  The least
+    member m of a fiber is standard.  I_A is prime and contains no
+    variable, so if a minimal lead a shared a variable x_i with m, dividing
+    both by x_i would give a smaller non-standard monomial.  So a and m have
+    disjoint supports, u = a - m is listed, and b = m: the basis comes out
+    reduced.  One walk lists the u with |u|_1 <= 2 (k - n + 3); each degree
+    the S-pair test adds walks again, with u_i > -e for each lead x_i^e.
 
     Stop: the curve is nondegenerate of degree k in P^(n-1), so I_A is
     generated in degrees up to reg(I_A) <= k - n + 3 (Gruson, Lazarsfeld
@@ -180,25 +179,27 @@ def toric_ideal_groebner(A, order):
 
 @lru_cache(maxsize=GB_CACHE_SIZE)
 def _toric_ideal_groebner(A, order):
-    n, cap = A.n, _degree_cap(A)
-    standard = {0: (0,) * n}  # weight -> the standard monomial of that fiber
-    gens = []
+    start, cap = A.k - A.n + 3, _degree_cap(A)
+    # by TermOrder, u+ > u- (one degree) exactly when cheap(u) < 0 in tuples
+    cheap, zero = itemgetter(*order.cheap), (0,) * A.n
+    walked, gens = 0, []
     for d in itertools.count(1):
         if d > cap:
             raise AssertionError(f"Groebner degree {d} exceeded the bound {cap}")
-        # base is standard, so a lead that divides x_i base contains x_i
-        with_i = [[lead for lead, _ in gens if lead[i]] for i in range(n)]
-        fibers = {}
-        for w, base in standard.items():
-            for i, ki in enumerate(A.exponents):
-                m = base[:i] + (base[i] + 1,) + base[i + 1 :]
-                if not any(_divides(lead, m) for lead in with_i[i]):
-                    fibers.setdefault(w + ki, set()).add(m)
-        standard = {}
-        for w, members in fibers.items():
-            least = standard[w] = min(members, key=order.key)
-            gens.extend((m, least) for m in members - {least})
-        if d < A.k - n + 3:
+        if d > walked:
+            walked = max(d, start)
+            # a tail is standard, so its x_i-degree is below e for a lead x_i^e
+            lower = {i: 1 - e for lead, _ in gens for i, e in enumerate(lead) if e == sum(lead)}
+            shells = {}  # degree d -> the kernel vectors u with |u|_1 = 2d and u+ > u-
+            for u in _kernel_steps(A, 2 * walked, lower):
+                if cheap(u) < zero:
+                    shells.setdefault(sum(map(abs, u)) // 2, []).append(u)
+        # among the u with u+ = a, u- = a - u is least where cheap(u) is
+        tails = {tuple(map(max, u, zero)): u for u in sorted(shells.get(d, ()), key=cheap, reverse=True)}
+        gens += [
+            (a, tuple(map(sub, a, u))) for a, u in tails.items() if not any(_divides(lead, a) for lead, _ in gens)
+        ]
+        if d < start:
             continue
         gb = GroebnerBasis(A, order, sorted(gens, key=lambda g: order.key(g[0])))
         spairs = (

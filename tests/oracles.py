@@ -15,9 +15,11 @@ polar line by one PolyQ in lam per factor.  PolyQ, a dense polynomial over Q,
 is defined here: the library stores each coefficient of a line solution
 as a rational times a run of linear factors, and ``expand_factored``
 multiplies such a series out for the oracles.  The Groebner basis, which
-the library reads off the fibers of the grading, is computed here by
+the library reads off the kernel vectors of A, is computed here twice: by
 Buchberger's algorithm from a kernel lattice basis, saturating one
-variable at a time, with an S-pair list sorted again before every pop.
+variable at a time, with an S-pair list sorted again before every pop,
+and by a walk over the fibers of the grading that keeps one standard
+monomial per fiber, degree by degree, and lists no kernel vector.
 
 The closed forms of the library have their searches here too: the finite
 polar-line solutions by a path sum over ordered part sequences, their
@@ -627,6 +629,53 @@ def toric_ideal_groebner_sorted(A, order_name):
             for a, b in buchberger_sorted(gens, toric.TermOrder(n, cheap), degree_bound)
         ]
     return tuple(buchberger_sorted(gens, toric.term_order(order_name, n), degree_bound))
+
+
+def toric_ideal_groebner_by_fibers(A, order_name):
+    """Generators of the reduced Groebner basis read off the fibers of the
+    grading one degree at a time.
+
+    The first row of A is all ones and every term order here is graded, so
+    the monomials of degree d split into fibers by their weight
+    sum(k_i u_i), and I_A is spanned in degree d by the differences inside
+    each fiber.  The least monomial of a fiber is standard, and every other
+    member lies in the initial ideal.  Standard monomials form an order
+    ideal, so the candidates of degree d are x_i times the standard
+    monomials of degree d - 1, minus those that a lead found so far
+    divides.  In each fiber the least candidate is the new standard
+    monomial, and every other one is a minimal generator of the initial
+    ideal with that least monomial as its tail.  From degree k - n + 3 on,
+    the walk stops at the first degree where every S-pair reduces to zero.
+    Degree d has up to k d + 1 fibers, so the walk to degree k - n + 3
+    grows like k^3, however small the basis.
+    """
+    n = A.n
+    order = toric.term_order(order_name, n)
+    standard = {0: (0,) * n}  # weight -> the standard monomial of that fiber
+    gens = []
+    for d in itertools.count(1):
+        # base is standard, so a lead that divides x_i base contains x_i
+        with_i = [[lead for lead, _ in gens if lead[i]] for i in range(n)]
+        fibers = {}
+        for w, base in standard.items():
+            for i, ki in enumerate(A.exponents):
+                m = base[:i] + (base[i] + 1,) + base[i + 1 :]
+                if not any(toric._divides(lead, m) for lead in with_i[i]):
+                    fibers.setdefault(w + ki, set()).add(m)
+        standard = {}
+        for w, members in fibers.items():
+            least = standard[w] = min(members, key=order.key)
+            gens.extend((m, least) for m in members - {least})
+        if d < A.k - n + 3:
+            continue
+        gb = toric.GroebnerBasis(A, order, sorted(gens, key=lambda g: order.key(g[0])))
+        spairs = (
+            toric._spair(f, g, order)
+            for f, g in itertools.combinations(gb.generators, 2)
+            if any(min(a, b) for a, b in zip(f[0], g[0]))
+        )
+        if all(s is None or gb.reduces_to_zero(*s) for s in spairs):
+            return gb.generators
 
 
 def ordered_partitions(A, facet, N):

@@ -109,17 +109,17 @@ def test_import_registers_every_submodule():
     "argv, executed",
     [
         (["analyze", "-A", "0,1,3,4"], ()),
-        (["figure", "-A", "0,1,3,4"], ()),
+        (["figure", "-A", "0,1,3,4"], ("figure",)),
         (["cohomology", "-A", "0,1,3,4"], ("cohomology",)),
-        (["solve", "-A", "0,1,3,4", "-b", "1/2,1/3"], ("series",)),
-        (["verify", "-A", "0,1,3,4", "-b", "1/2,1/3"], ("analytic", "series")),
+        (["solve", "-A", "0,1,3,4", "-b", "1/2,1/3"], ("series", "toric")),
+        (["verify", "-A", "0,1,3,4", "-b", "1/2,1/3"], ("analytic", "series", "toric")),
     ],
     ids=["analyze", "figure", "cohomology", "solve", "verify"],
 )
 def test_each_command_executes_only_the_modules_it_calls(argv, executed):
-    # every command runs cli, its report and figure front ends, curve,
-    # errors and toric (cli offers ORDER_NAMES); analyze and figure never
-    # execute the series, numerical or cohomology layers
+    # every command runs cli, its report front end, curve (which holds
+    # ORDER_NAMES, the --order choices) and errors; only figure executes
+    # figure, and only solve and verify execute toric and series
     out = _run(
         "import contextlib, io, sys, types\n"
         "from curvegkz import cli\n"
@@ -127,7 +127,7 @@ def test_each_command_executes_only_the_modules_it_calls(argv, executed):
         f"    code = cli.main({argv!r})\n"
         f"print(code, *{EXECUTED})\n"
     )
-    common = ("cli", "curve", "errors", "figure", "report", "toric")
+    common = ("cli", "curve", "errors", "report")
     assert out.split() == ["0", *sorted(f"curvegkz.{name}" for name in common + executed)]
 
 

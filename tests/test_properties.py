@@ -2,8 +2,10 @@
 semigroup-table answers of the library agree with the search oracles of
 ``oracles.py``, and the fast exact series path agrees with its plain
 versions there, the integer annihilation checks with their Fraction and
-PolyQ residuals included.  The Groebner bases read off the fibers of the
-grading agree with Buchberger's algorithm with saturation.  The closed
+PolyQ residuals included.  The Groebner bases read off the kernel vectors
+of A agree with Buchberger's algorithm with saturation, and on wider
+matrices (n <= 6, k <= 16) with a walk over the fibers of the grading,
+and they certify every cocycle generator under all three orders.  The closed
 forms of the finite polar-line solutions, of their stripped factor, of
 their parametric derivatives and of the Delta conditions agree with their
 path sum, Euclidean gcd, PolyQ derivatives and reach table, the
@@ -45,18 +47,20 @@ from oracles import (
     proportional_by_rank,
     series_terms_brute,
     stripped_by_gcd,
+    toric_ideal_groebner_by_fibers,
     toric_ideal_groebner_sorted,
     truncated_annihilation_fractions,
 )
 
 from curvegkz import analytic, toric
 from curvegkz.analytic import euler_mellin, extension_shift, roots_and_components, sample_structured_point
-from curvegkz.cohomology import h1_support, in_ray_module
+from curvegkz.cohomology import cocycle_generator, h1_support, in_ray_module
 from curvegkz.curve import (
     FACET_0,
     FACET_K,
     CurveMatrix,
     NumericalSemigroup,
+    _kernel_steps,
     delta_conditions,
     facet_level,
     in_NA,
@@ -67,7 +71,6 @@ from curvegkz.errors import LogObstructionError, PolarLineError, QuadratureError
 from curvegkz.series import (
     FiniteSeries,
     TruncatedSeries,
-    _kernel_steps,
     _proportional,
     _step_coefficients,
     annihilation_check,
@@ -90,13 +93,14 @@ SERIES_PROPERTY = settings(PROPERTY, max_examples=50)
 
 
 @st.composite
-def exponent_lists(draw):
-    k = draw(st.integers(1, 7))
-    middle = draw(st.sets(st.integers(1, k - 1), max_size=3)) if k > 1 else set()
+def exponent_lists(draw, kmax=7, middle_max=3):
+    k = draw(st.integers(1, kmax))
+    middle = draw(st.sets(st.integers(1, k - 1), max_size=middle_max)) if k > 1 else set()
     return [0, *sorted(middle), k]
 
 
 matrices = exponent_lists().filter(lambda exps: gcd(*exps[1:]) == 1).map(CurveMatrix)
+wide_matrices = exponent_lists(16, 4).filter(lambda exps: gcd(*exps[1:]) == 1).map(CurveMatrix)
 
 
 generator_sets = st.sets(st.integers(1, 15), min_size=1, max_size=4).filter(lambda s: gcd(*s) == 1)
@@ -149,6 +153,18 @@ def test_rank_jumps_and_h1_support_match_search_sweep(A):
     expected = h1_support_by_search(A, (b1min - A.k, b1max + A.k, b2min - A.k, b2max + A.k))
     assert rank_jumping_parameters(A) == expected
     assert h1_support(A) == expected
+
+
+@PROPERTY
+@given(matrices.filter(h1_support))
+def test_cocycle_binomials_reduce_to_zero(A):
+    # the degree comparison that certifies a cocycle agrees with the normal
+    # forms of its two cleared monomials under every adapted order
+    for alpha in h1_support(A):
+        coc = cocycle_generator(A, alpha)
+        assert coc.certified
+        for name in ORDER_NAMES:
+            assert toric_ideal_groebner(A, name).reduces_to_zero(*coc.binomial), (A, alpha, name)
 
 
 @SERIES_PROPERTY
@@ -324,12 +340,23 @@ def test_parametric_derivative_matches_polyq(A, data):
 @PROPERTY
 @given(matrices)
 def test_groebner_matches_sorted_pair_list(A):
-    # the bases read off the fibers equal Buchberger with saturation, in the
-    # same order, and no lead passes the proven degree cap
+    # the bases read off the kernel vectors equal Buchberger with
+    # saturation, in the same order, and no lead passes the proven degree cap
     for name in ORDER_NAMES:
         gb = toric_ideal_groebner(A, name)
         assert gb.generators == toric_ideal_groebner_sorted(A, name), (A, name)
         assert all(sum(lead) <= toric._degree_cap(A) for lead in gb.lead_monomials), (A, name)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(wide_matrices)
+def test_groebner_matches_fiber_walk(A):
+    # up to k = 16, where Buchberger with saturation is too slow, the bases
+    # equal those read off the fibers of the grading, in the same order; 50
+    # draws reach the dense matrices whose S-pair test walks again past the
+    # start degree
+    for name in ORDER_NAMES:
+        assert toric_ideal_groebner(A, name).generators == toric_ideal_groebner_by_fibers(A, name), (A, name)
 
 
 rational_params = st.tuples(*[st.fractions(-6, 6, max_denominator=7)] * 2)

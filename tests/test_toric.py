@@ -1,7 +1,7 @@
 """Toric ideal machinery: term orders, Groebner bases, standard pairs,
 starting exponents, and the special line arrangements.
 
-The Groebner bases, which the library reads off the fibers of the grading,
+The Groebner bases, which the library reads off the kernel vectors of A,
 are cross-checked against sympy via variable elimination (saturating with an
 auxiliary inverse variable), started from the kernel lattice basis of
 ``oracles.py``; neither shares code with the construction under test.
@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,18 @@ def test_groebner_frozen_leads():
     assert sorted(toric_ideal_groebner(A023, "d1-first").lead_monomials) == [(0, 3, 0)]
 
 
+def test_groebner_of_sparse_plane_curves_is_one_binomial():
+    # for 0,a,k with gcd(a, k) = 1 the kernel is spanned by (k - a, -k, a),
+    # so I_A is principal and every order leads with x_2^k; the basis comes
+    # from one short kernel walk however large k is
+    t0 = time.monotonic()
+    for a, k in [(1, 1000), (499, 1000), (999, 1000), (37, 100)]:
+        for name in ORDER_NAMES:
+            gb = toric_ideal_groebner(CurveMatrix([0, a, k]), name)
+            assert gb.generators == (((0, k, 0), (k - a, 0, a)),), (a, k, name)
+    assert time.monotonic() - t0 < 5.0
+
+
 def _admissible_matrices(kmax):
     # every admissible matrix with 3 <= k <= kmax, by k, then by exponents
     for k in range(3, kmax + 1):
@@ -200,8 +213,8 @@ def test_groebner_cache_is_bounded():
 
 
 def test_groebner_degree_bound_survives_optimized_mode():
-    # python -O strips assert statements; the degree cap of the fiber
-    # construction must still stop a run that needs larger degrees
+    # python -O strips assert statements; the degree cap of the kernel
+    # vector construction must still stop a run that needs larger degrees
     code = (
         "from curvegkz import toric\n"
         "from curvegkz.curve import CurveMatrix\n"
