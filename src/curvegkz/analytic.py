@@ -246,10 +246,6 @@ def euler_mellin(A, beta, x, theta):
                         raise QuadratureError(
                             "integrand overflow: parameters too deep outside the wedge" + _state(pairs[i], S, h)
                         )
-                    if gmax == 0.0:
-                        values[i] = 0.0 + 0.0j
-                        del todo[i]
-                        continue
                     if max(abs(head), abs(end)) > 1e-16 * gmax:
                         if S >= 7.0:
                             raise QuadratureError("integrand tail does not decay" + _state(pairs[i], S, h))

@@ -10,7 +10,7 @@ level k*b1 - b2 is a sum of facet-k parts.
 """
 
 from .curve import FACET_0, FACET_K, FACETS, facet_base, facet_level, facet_parts, in_NA
-from .curve import _integral_pair, _jump_candidates, _polar_level_semigroup
+from .curve import _integral_pair, _polar_level_semigroup, _rank_jumps
 
 
 def in_ray_module(A, alpha, ray):
@@ -53,10 +53,10 @@ def graded_dims(A, alpha):
 def h1_support(A):
     """All degrees with nonzero first local cohomology, sorted.
 
-    A degree outside the candidates of the rank-jump search lies outside a
-    ray module or inside NA, so only the candidates are tested.
+    h1 is one exactly on both ray modules outside NA, the rank jumps of
+    ``_rank_jumps``; each one is checked against ``graded_dims``.
     """
-    return sorted(alpha for alpha in _jump_candidates(A) if graded_dims(A, alpha)[1] == 1)
+    return sorted(alpha for alpha in _rank_jumps(A) if graded_dims(A, alpha)[1] == 1)
 
 
 def _max_parts_decomposition(N, gens):

@@ -7,6 +7,7 @@ numerical semigroup that controls where the associated analytic continuation
 has poles.
 """
 
+import heapq
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -221,6 +222,7 @@ class NumericalSemigroup:
         # least-parts table: _parts[m] is the least number of generators
         # summing to m, None on gaps; extended on demand up to _period_start
         self._parts = [0]
+        self._apery = {}  # modulus -> Apery set, see apery
 
     def min_parts(self, m):
         """Least number of generators summing to ``m`` (None for non-members)."""
@@ -237,16 +239,35 @@ class NumericalSemigroup:
             table.append(min(prev) + 1 if prev else None)
         return None if table[m] is None else table[m] + shifts
 
+    def apery(self, m):
+        """Least member of each residue class r mod a member ``m``, by
+        shortest paths over the residues, one edge per generator (Nijenhuis
+        1979).  Adding m keeps r, so the members of r are least[r] + m*N.
+
+        >>> NumericalSemigroup((3, 5)).apery(3)
+        [0, 10, 5]
+        """
+        least = self._apery.get(m)
+        if least is None:
+            least, heap = [None] * m, [(0, 0)]
+            while heap:
+                d, r = heapq.heappop(heap)
+                if least[r] is None:
+                    least[r] = d
+                    for g in self.gens:
+                        heapq.heappush(heap, (d + g, (r + g) % m))
+            self._apery[m] = least
+        return least
+
     def __contains__(self, m):
-        # every integer above the Frobenius number is a member
-        return m > self.frobenius or self.min_parts(m) is not None
+        g = self.gens[0]
+        return m >= 0 and m >= self.apery(g)[m % g]
 
     @cached_property
     def frobenius(self):
-        """Largest gap, or -1 when there are no gaps.  It lies below Schur's
-        bound (g_min - 1)(g_max - 1) (Brauer 1942)."""
-        bound = (self.gens[0] - 1) * (self.gens[-1] - 1)
-        return next((m for m in range(bound - 1, -1, -1) if self.min_parts(m) is None), -1)
+        """Largest gap, or -1 when there are no gaps: the largest Apery
+        element of the least generator g, less g (Selmer 1977)."""
+        return max(self.apery(self.gens[0])) - self.gens[0]
 
     @property
     def gaps(self):
@@ -340,12 +361,16 @@ def _default_jump_box(A):
     return (0, A.k * C, 0, A.k * A.k * C)
 
 
-def _jump_candidates(A):
-    """The parameters that can be rank jumps: b2 in the facet-k semigroup
-    and ceil(b2/k) <= b1 < min_parts(b2), for b2 up to T + 2k with T the
-    larger of the facet-k semigroup's period start and Frobenius number.
-    Every other integral point of those rows has b2 outside the facet-k
-    semigroup, k*b1 - b2 < 0, or lies in NA.
+def _rank_jumps(A):
+    """The rank jumps: in each row b2 of the facet-k semigroup Gk up to
+    T + 2k, with T the larger of Gk's period start and Frobenius number,
+    the b1 from (b2 + least0[-b2 % k]) / k to min_parts(b2) - 1, where
+    least0 is the Apery set of k in the facet-0 semigroup G0.
+
+    A jump has b2 in Gk, k*b1 - b2 in G0 and, outside NA, b1 < min_parts(b2).
+    The column 0 makes k a generator of G0, so k*b1 - b2 lies in G0 exactly
+    when it is at least least0[r], r = -b2 % k, the Apery element of its
+    class; as least0[r] is congruent to r, the lower bound is an integer.
 
     No rank jump lies past row T, and the 2k rows after it are a margin.
     Past T, min_parts(b2 + k) is min_parts(b2) + 1 and b2 + k is a member
@@ -355,18 +380,19 @@ def _jump_candidates(A):
     and the exceptional set is finite (Cattani-D'Andrea-Dickenstein 1999).
     """
     Gk = facet_semigroup(A, FACET_K)
+    least0 = facet_semigroup(A, FACET_0).apery(A.k)
     for b2 in range(max(Gk._period_start, Gk.frobenius) + 2 * A.k + 1):
         parts = Gk.min_parts(b2)
         if parts is None:
             continue
-        for b1 in range(-(-b2 // A.k), parts):
+        for b1 in range((b2 + least0[-b2 % A.k]) // A.k, parts):
             yield (b1, b2)
 
 
 def rank_jumping_parameters(A):
-    """All exceptional parameters, sorted.  Only the candidates of
-    ``_jump_candidates`` are tested."""
-    return sorted(beta for beta in _jump_candidates(A) if is_rank_jumping(A, beta))
+    """All exceptional parameters, sorted: those of ``_rank_jumps``, each
+    checked against ``is_rank_jumping``."""
+    return sorted(beta for beta in _rank_jumps(A) if is_rank_jumping(A, beta))
 
 
 def rank(A, beta):

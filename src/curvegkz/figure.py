@@ -26,26 +26,6 @@ def _mapper(window):
     return to_px
 
 
-def _clip_halfplane(poly, a, b, c):
-    """Sutherland-Hodgman step: keep points with a*x + b*y <= c."""
-    if not poly:
-        return []
-    out = []
-    m = len(poly)
-    for i in range(m):
-        px, py = poly[i]
-        qx, qy = poly[(i + 1) % m]
-        pin = a * px + b * py <= c
-        qin = a * qx + b * qy <= c
-        if pin:
-            out.append((px, py))
-        if pin != qin:
-            denom = a * (qx - px) + b * (qy - py)
-            t = (c - a * px - b * py) / denom
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-    return out
-
-
 def _fmt(v):
     return f"{v:.2f}"
 
@@ -60,13 +40,11 @@ def build_svg(A, window=5):
     )
     parts.append(f'<rect x="0" y="0" width="{_fmt(SIZE)}" height="{_fmt(SIZE)}" fill="#ffffff"/>')
 
-    # convergence wedge: b2 <= 0 intersected with k*b1 - b2 <= 0
-    square = [(-W, -W), (W, -W), (W, W), (-W, W)]
-    wedge = _clip_halfplane(square, 0.0, 1.0, 0.0)
-    wedge = _clip_halfplane(wedge, float(A.k), -1.0, 0.0)
-    if wedge:
-        pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(b1, b2) for b1, b2 in wedge))
-        parts.append(f'<polygon points="{pts}" fill="#dce9f5" stroke="none"/>')
+    # convergence wedge: b2 <= 0 and k*b1 - b2 <= 0 cut the window square
+    # down to this quadrilateral, whose first two vertices agree when k = 1
+    wedge = [(-W, -W), (-W / A.k, -W), (0, 0), (-W, 0)]
+    pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(b1, b2) for b1, b2 in wedge))
+    parts.append(f'<polygon points="{pts}" fill="#dce9f5" stroke="none"/>')
 
     def line(p, q, color, width, dashed=False):
         (x0, y0), (x1, y1) = to_px(*p), to_px(*q)

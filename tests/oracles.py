@@ -1,11 +1,13 @@
 """Slow, independent routes to what the fast paths of curvegkz compute.
 
-The library decides "(b1, b2) in NA", "alpha in Q + Z a_ray" and the rank
-jumps from one least-parts table per facet semigroup.  The searches below
-answer the same questions without that table, so the tests can compare
-two routes instead of one formula with itself.  The table itself stops at
-the start of its period in the library; here it grows to any m, and the
-Frobenius number comes from a search for a run of members.
+The library decides "(b1, b2) in NA" from one least-parts table per
+facet semigroup, and semigroup membership, the Frobenius number and the
+rank jumps from Apery sets.  The searches below answer the same questions
+without them, so the tests can compare two routes instead of one formula
+with itself.  The table itself stops at the start of its period in the
+library; here it grows to any m, the Frobenius number comes from a search
+for a run of members, and the rank jumps from a sweep over every
+candidate b1 of each row.
 
 The exact series path has its plain versions here as well: the kernel
 steps by a search of the whole box, the series coefficients by one
@@ -267,6 +269,21 @@ def frobenius_by_run(gens):
         if run == m0:
             return max((t for t in range(m) if table[t] is None), default=-1)
     raise AssertionError(f"no full run of {m0} members in {gens}")
+
+
+def rank_jumps_by_candidates(A):
+    """The rank jumps by a sweep over every b1 of each row: b2 a member of
+    the facet-k semigroup, up to T + 2k with T the larger of its period
+    start and Frobenius number, and ceil(b2/k) <= b1 < min_parts(b2), kept
+    when the facet-0 level k*b1 - b2 is a member of the facet-0 semigroup.
+    Both memberships come from least-parts tables over every m."""
+    k = A.k
+    gk = facet_semigroup(A, FACET_K).gens
+    top = max((gk[-1] - 1) * (gk[-2] if len(gk) > 1 else 0), frobenius_by_run(gk)) + 2 * k
+    rows = min_parts_table(gk, top)
+    candidates = [(b1, b2) for b2, parts in enumerate(rows) if parts is not None for b1 in range(-(-b2 // k), parts)]
+    levels = min_parts_table(facet_semigroup(A, FACET_0).gens, max((k * b1 - b2 for b1, b2 in candidates), default=0))
+    return sorted((b1, b2) for b1, b2 in candidates if levels[k * b1 - b2] is not None)
 
 
 def in_NA_brute(A, b1, b2):

@@ -18,6 +18,7 @@ import pytest
 from oracles import h1_support_by_search, in_NA_brute
 
 import curvegkz
+from curvegkz.cohomology import h1_support
 from curvegkz.curve import (
     FACET_0,
     SEMIGROUP_CACHE_SIZE,
@@ -202,6 +203,29 @@ def test_rank_jump_sweep_of_a_sparse_large_degree_matrix_is_fast(command):
     )
     assert proc.returncode == 0, proc.stderr
     assert time.perf_counter() - start < 5.0
+
+
+def test_hypersurfaces_have_no_rank_jumps():
+    # 0,a,k with gcd(a, k) = 1 is a hypersurface, so Cohen-Macaulay, so it
+    # has no rank jumps (Matusevich-Miller-Walther 2005).  Each has a facet
+    # semigroup, <999, 1000>, <499, 1000> or <501, 1000>, whose Frobenius
+    # number lies near 10**6 or 5 * 10**5
+    start = time.perf_counter()
+    for a in (1, 499, 999):
+        A = CurveMatrix([0, a, 1000])
+        assert rank_jumping_parameters(A) == [], a
+        assert h1_support(A) == [], a
+    assert time.perf_counter() - start < 5.0
+
+
+def test_apery_set_decides_membership_and_frobenius_without_a_table():
+    # <999, 1000> has Frobenius number 999 * 1000 - 999 - 1000, far past
+    # its Schur bound search; the Apery set of 999 answers both without a
+    # least-parts table
+    S = NumericalSemigroup((999, 1000))
+    assert S.frobenius == 997001
+    assert 997001 not in S and 997002 in S and 1998 in S and 1997 not in S
+    assert len(S._parts) == 1
 
 
 def test_is_rank_jumping_pointwise():

@@ -1,12 +1,14 @@
 """Property tests: on random admissible matrices (n <= 5, k <= 7) the
 semigroup-table answers of the library agree with the search oracles of
-``oracles.py``, and the fast exact series path agrees with its plain
-versions there, the integer annihilation checks with their Fraction and
-PolyQ residuals included.  The Groebner bases read off the kernel vectors
-of A agree with Buchberger's algorithm with saturation, and on wider
-matrices (n <= 6, k <= 16) with a walk over the fibers of the grading,
-and they certify every cocycle generator under all three orders.  The closed
-forms of the finite polar-line solutions, of their stripped factor, of
+``oracles.py``: the Apery sets with the least member of each class in a
+least-parts table, and the rank jumps, on sparse matrices with k <= 60
+too, with a sweep over every candidate.  The fast exact series path
+agrees with its plain versions there, the integer annihilation checks
+with their Fraction and PolyQ residuals included.  The Groebner bases
+read off the kernel vectors of A agree with Buchberger's algorithm with
+saturation, and on wider matrices (n <= 6, k <= 16) with a walk over the
+fibers of the grading, and they certify every cocycle generator under all
+three orders.  The closed forms of the finite polar-line solutions, of their stripped factor, of
 their parametric derivatives and of the Delta conditions agree with their
 path sum, Euclidean gcd, PolyQ derivatives and reach table, the
 proportionality test with an exact rank, the planned shift continuation
@@ -23,7 +25,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     delta_conditions_by_reach,
@@ -45,6 +47,7 @@ from oracles import (
     phi_coefficient_integers,
     polar_line_solution_by_paths,
     proportional_by_rank,
+    rank_jumps_by_candidates,
     series_terms_brute,
     stripped_by_gcd,
     toric_ideal_groebner_by_fibers,
@@ -153,6 +156,32 @@ def test_rank_jumps_and_h1_support_match_search_sweep(A):
     expected = h1_support_by_search(A, (b1min - A.k, b1max + A.k, b2min - A.k, b2max + A.k))
     assert rank_jumping_parameters(A) == expected
     assert h1_support(A) == expected
+
+
+sparse_matrices = exponent_lists(60, 2).filter(lambda exps: gcd(*exps[1:]) == 1).map(CurveMatrix)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.one_of(matrices, sparse_matrices))
+def test_rank_jumps_and_h1_support_match_candidate_sweep(A):
+    # the rows of the library take the b1 past the facet-0 Apery bound at
+    # once; the oracle tries every b1 of every row
+    expected = rank_jumps_by_candidates(A)
+    assert rank_jumping_parameters(A) == expected
+    assert h1_support(A) == expected
+
+
+@settings(PROPERTY, max_examples=50)
+@given(generator_sets, st.lists(st.integers(0, 3), min_size=1, max_size=3))
+@example({1}, [0])
+def test_apery_sets_match_least_members(gens, picks):
+    # m is a sum of generators; a least member of a class has fewer than m
+    # parts, else a sub-sum is a multiple of m and could be dropped
+    gens = sorted(gens)
+    m = sum(gens[i % len(gens)] for i in picks)
+    table = min_parts_table(gens, (m - 1) * gens[-1])
+    least = [min(t for t, parts in enumerate(table) if parts is not None and t % m == r) for r in range(m)]
+    assert NumericalSemigroup(gens).apery(m) == least
 
 
 @PROPERTY
