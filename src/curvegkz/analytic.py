@@ -179,6 +179,48 @@ def _ray_nodes(A, x, theta, S, h):
     return s, logz, (logf, why), cosh_s
 
 
+@lru_cache(maxsize=_NODE_CACHE_SIZE)
+def _odd_nodes(A, x, theta, S, h):
+    """log f, log z and cosh s at the odd nodes of the level (S, h), the
+    nodes it adds to the level (S, 2h), as read-only arrays, cached like
+    _ray_nodes.  None unless its even nodes repeat that level bit for bit
+    in every table: np.arange rounds the node positions of the two levels
+    apart at some S and h, and the phase tracking may unwrap differently."""
+    import numpy as np
+    s, logz, (logf, _), cosh_s = _ray_nodes(A, x, theta, S, h)
+    coarse_s, coarse_logz, (coarse_logf, _), coarse_cosh_s = _ray_nodes(A, x, theta, S, 2.0 * h)
+    if logf is None or coarse_logf is None or s.size != 2 * coarse_s.size - 1:
+        return None
+    fine, coarse = (s, logz, logf, cosh_s), (coarse_s, coarse_logz, coarse_logf, coarse_cosh_s)
+    if any(f[::2].tobytes() != c.tobytes() for f, c in zip(fine, coarse)):
+        return None
+    odd = tuple(np.ascontiguousarray(table[1::2]) for table in (logf, logz, cosh_s))
+    for table in odd:
+        table.flags.writeable = False
+    return odd
+
+
+def _integrand(b1, b2, logf, logz, cosh_s):
+    """The rows exp(b1 log f - b2 log z) cosh s for the columns b1, b2 of
+    parameters at the given nodes, built in one buffer in place, and the
+    largest real part of each row's exponent before its clip at +-700.
+
+    The real part is clipped in place of the sum clip(Re) + 1j Im, whose
+    real part differs from the clip at most in the sign of a zero and whose
+    imaginary part at most in the sign of a zero; the factor cosh s >= 1
+    makes both zeros +0 in the product, so every value is the same bit for
+    bit.  np.fmax ignores NaN, so a row's maximum exceeds a bound exactly
+    when one of its real parts does."""
+    import numpy as np
+    g = b1 * logf
+    g -= b2 * logz
+    peak = np.fmax.reduce(g.real, axis=1)
+    np.clip(g.real, -700.0, 700.0, out=g.real)
+    np.exp(g, out=g)
+    g *= cosh_s
+    return g, peak
+
+
 def euler_mellin(A, beta, x, theta):
     """Ray integral of f^(b1) z^(-b2) dz/z along arg z = theta, by
     double-exponential substitution t = exp(sinh s).
@@ -200,6 +242,15 @@ def euler_mellin(A, beta, x, theta):
     along its contiguous nodes as it sums a lone pair's array, so every
     value equals, bit for bit, the value its pair gives alone.
 
+    A row that halves h after a value keeps its integrand row until its
+    next level.  When _odd_nodes finds that level's even nodes equal to the
+    kept level's nodes bit for bit, in every table, only the odd nodes are
+    evaluated and the kept row fills the even ones.  Each integrand value
+    is computed elementwise from the same table entries by the same
+    operations (_integrand), so it is the same bit for bit wherever it is
+    computed, and the row that numpy sums is the one the pair builds alone.
+    A row's overflow is read off its new nodes: the kept ones passed it.
+
     A failure raises where it is found: first a pair outside the wedge, in
     list order, then the first failure in round order.  Each error names
     its level, so it is the error that its pair raises alone.
@@ -211,12 +262,13 @@ def euler_mellin(A, beta, x, theta):
         if not in_convergence_domain(A, pair):
             raise QuadratureError(f"parameters {pair} outside the convergence wedge")
     params = [(complex(b1), complex(b2)) for b1, b2 in pairs]
-    # each pair still running, to its (S, h, value at the last h)
-    todo = dict.fromkeys(range(len(pairs)), (4.0, 0.2, None))
+    # each pair still running, to its (S, h, value at the last h, integrand
+    # row at the last h); a row is dropped when its pair leaves the level
+    todo = dict.fromkeys(range(len(pairs)), (4.0, 0.2, None, None))
     values = [None] * len(pairs)
     while todo:
         rounds = {}
-        for i, (S, h, _) in todo.items():
+        for i, (S, h, _, _) in todo.items():
             rounds.setdefault((S, h), []).append(i)
         for (S, h), rows in rounds.items():
             _, logz, (logf, why), cosh_s = _ray_nodes(A, x, theta, S, h)
@@ -228,20 +280,27 @@ def euler_mellin(A, beta, x, theta):
                 if 0.5 * h < 1e-4:
                     raise QuadratureError("phase tracking failed to stabilize" + _state(pairs[rows[0]], S, h))
                 for i in rows:
-                    todo[i] = (S, 0.5 * h, None)
+                    todo[i] = (S, 0.5 * h, None, None)
                 continue
+            # the rows that reach a level in one round have come the same
+            # way; should one of them bring no row, the level is evaluated
+            # in full for all of them
+            odd = _odd_nodes(A, x, theta, S, h) if all(todo[i][3] is not None for i in rows) else None
             per_block = max(1, _BLOCK_VALUES // logz.size)
             for lo in range(0, len(rows), per_block):
                 block = rows[lo:lo + per_block]
                 b1 = np.array([params[i][0] for i in block])[:, None]
                 b2 = np.array([params[i][1] for i in block])[:, None]
-                expo = b1 * logf - b2 * logz
-                expo_re = np.clip(expo.real, -700.0, 700.0)
-                g = np.exp(expo_re + 1j * expo.imag) * cosh_s
+                if odd is None:
+                    g, peak = _integrand(b1, b2, logf, logz, cosh_s)
+                else:
+                    g = np.empty((len(block), logz.size), dtype=complex)
+                    g[:, 1::2], peak = _integrand(b1, b2, *odd)
+                    g[:, ::2] = [todo[i][3] for i in block]
                 # each row as Python numbers; Python's abs of an end node is numpy's
-                columns = [np.any(expo.real > 690.0, axis=1), np.max(np.abs(g), axis=1), g[:, 0], g[:, -1]]
+                columns = [peak > 690.0, np.max(np.abs(g), axis=1), g[:, 0], g[:, -1]]
                 columns.append(h * np.sum(g, axis=1))
-                for i, overflow, gmax, head, end, val in zip(block, *(c.tolist() for c in columns)):
+                for i, row, overflow, gmax, head, end, val in zip(block, g, *(c.tolist() for c in columns)):
                     if overflow:
                         raise QuadratureError(
                             "integrand overflow: parameters too deep outside the wedge" + _state(pairs[i], S, h)
@@ -249,7 +308,7 @@ def euler_mellin(A, beta, x, theta):
                     if max(abs(head), abs(end)) > 1e-16 * gmax:
                         if S >= 7.0:
                             raise QuadratureError("integrand tail does not decay" + _state(pairs[i], S, h))
-                        todo[i] = (S + 1.5, h, None)
+                        todo[i] = (S + 1.5, h, None, None)
                         continue
                     prev = todo[i][2]
                     if prev is not None and abs(val - prev) <= _TOL * max(1.0, abs(val)):
@@ -259,7 +318,7 @@ def euler_mellin(A, beta, x, theta):
                         last = f"value {val:.6g}" if prev is None else f"values {prev:.6g} and {val:.6g}"
                         raise QuadratureError(f"ray quadrature failed to converge{_state(pairs[i], S, h)}, last {last}")
                     else:
-                        todo[i] = (S, 0.5 * h, val)
+                        todo[i] = (S, 0.5 * h, val, row)
     return values if isinstance(beta, list) else values[0]
 
 
@@ -318,7 +377,13 @@ def _shift_plan(A, beta, x, order, known=()):
                     facet = FACET_K if level_k > -_SHIFT_MARGIN else FACET_0
                 p2 = b2 - w
                 den = p2 if facet == FACET_0 else k * p1 - p2
-                if abs(den) < 1e-12 * (scale + abs(p2)):
+                # |den| < 1e-12 (scale + |p2|) implies |den| < 2.1e-12 scale, as
+                # |p2| = |den| on facet 0 and |p2| <= scale + |den| on facet k;
+                # Re den is the facet's level above, bit for bit, and
+                # |Re den| <= |den|, so the two complex abs are needed only
+                # where |Re den| <= 4e-12 scale
+                re_den = level_0 if facet == FACET_0 else level_k
+                if abs(re_den) <= 4e-12 * scale and abs(den) < 1e-12 * (scale + abs(p2)):
                     raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
                 plan = (facet, p1 / den)
             elif plan is None:

@@ -10,12 +10,13 @@ exponent.
 import cmath
 import itertools
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
+from operator import add, mul, sub
 
 from .curve import FACETS, facet_base, facet_level, facet_parts, is_rank_jumping
 from .curve import _kernel_steps, polar_lines_through, rank
 from .errors import BasisCountError, LogObstructionError, SeriesDenominatorError
-from .toric import fake_exponents, toric_ideal_groebner
+from .toric import _common_numerators, fake_exponents, toric_ideal_groebner
 
 
 def _proportional(m1, m2):
@@ -232,13 +233,6 @@ class TruncatedSeries:
         return f"TruncatedSeries(v={self.v}, {len(self.terms)} terms, bound={self.bound})"
 
 
-def _common_numerators(v):
-    """The common denominator D of the rationals v and the integer
-    numerators N_i = v_i D."""
-    D = lcm(*(vi.denominator for vi in v))
-    return D, [vi.numerator * (D // vi.denominator) for vi in v]
-
-
 def _step_coefficients(v, steps):
     """Coefficients of the kernel steps in the canonical series at v, in
     the order of ``steps``.
@@ -397,49 +391,82 @@ def _residual_check(gens, rows, D, v, bound, skip):
     w = N + u D, coefficient).  A residual is checked when both its source
     steps are inside the bound (every step, when bound is None) and skipped
     otherwise; coordinate ``skip`` takes no falling factor (None: every one
-    does).  A failure is keyed by v + step."""
+    does).  A failure is keyed by v + step.
+
+    The residual at a step s has the a-source s + a and the b-source s + b;
+    a source contributes when it is a row whose falling factorial ff is not
+    0.  So the b-source of an a-source u is the row u + (b - a), found by one
+    lookup, and a source whose partner does not contribute stands alone.
+    Each residual is decided once, at the first row that contributes to it,
+    a before b within a row.  That is the order in which a table keyed by
+    step (tests/oracles.py, residual_check_by_steps) first meets each
+    residual, so both give the same counts and the same failures in the
+    same order.  The falling factorials of a coordinate are computed once
+    per value of w_i that the rows take.
+    """
 
     def inside(u):
         return bound is None or sum(map(abs, u)) <= bound
 
+    steps = [u for u, _, _ in rows]
+    index = {u: j for j, u in enumerate(steps)}
     # once per term: p and q of c, and whether u is inside the bound
-    rows = [(u, w, c.numerator, c.denominator, inside(u)) for u, w, c in rows]
+    ps = [c.numerator for _, _, c in rows]
+    qs = [c.denominator for _, _, c in rows]
+    ins = list(map(inside, steps))
+    # falls[i][m] maps each w_i of the rows to w_i (w_i - D) ... (w_i - (m - 1) D)
+    columns = list(zip(*(w for _, w, _ in rows))) or [()] * len(v)
+    falls = []
+    for i, column in enumerate(columns):
+        falls.append([dict.fromkeys(column, 1)])
+        for m in range(0 if i == skip else max((mono[i] for g in gens for mono in g), default=0)):
+            falls[i].append({w: f * (w - m * D) for w, f in falls[i][m].items()})
     checked = 0
     skipped = 0
     failures = []
     for a, b in gens:
-        # step -> [p_a ff_a, q_a, source inside, p_b ff_b, q_b, source inside],
-        # in first-contribution order; None: no term from that side
-        sides = {}
-        both = [(m, [(i, mi) for i, mi in enumerate(m) if mi and i != skip], slot) for m, slot in ((a, 0), (b, 3))]
-        for u, w, p, q, in_u in rows:
-            for mono, support, slot in both:
-                ff = 1
-                for i, mi in support:
-                    wi = w[i]
-                    for j in range(mi):
-                        ff *= wi - j * D
-                if ff == 0:
-                    continue
-                step = tuple([ui - mi for ui, mi in zip(u, mono)])
-                entry = sides.get(step)
-                if entry is None:
-                    entry = sides[step] = [0, 1, None, 0, 1, None]
-                entry[slot : slot + 3] = p * ff, q, in_u
         scale = D ** sum(a)
-        for step, (pa, qa, in_a, pb, qb, in_b) in sides.items():
-            # the source steps step + a and step + b must be inside the bound
-            if in_a is None:
-                in_a = inside([s + ai for s, ai in zip(step, a)])
-            if in_b is None:
-                in_b = inside([s + bi for s, bi in zip(step, b)])
-            if in_a and in_b:
-                checked += 1
-                if pa * qb != pb * qa:
-                    key = tuple(vi + s for vi, s in zip(v, step))
-                    failures.append(((a, b), key, Fraction(pa, qa * scale) - Fraction(pb, qb * scale)))
-            else:
-                skipped += 1
+        # each row's ff on the side of a, then of b
+        sides = []
+        for mono in (a, b):
+            ff = None
+            for i, mi in enumerate(mono):
+                if mi and i != skip:
+                    column = map(falls[i][mi].__getitem__, columns[i])
+                    ff = list(column) if ff is None else list(map(mul, ff, column))
+            sides.append([1] * len(rows) if ff is None else ff)
+        ff_a, ff_b = sides
+        # the b-source of each a-source and the reverse, where both contribute
+        d = tuple(map(sub, b, a))
+        mate_a = list(map(index.get, map(tuple, map(map, itertools.repeat(add), steps, itertools.repeat(d)))))
+        mate_b = [None] * len(rows)
+        for j, jb in enumerate(mate_a):
+            if jb is not None:
+                if ff_a[j] and ff_b[jb]:
+                    mate_b[jb] = j
+                else:
+                    mate_a[j] = None
+        for j, u in enumerate(steps):
+            # the residual row j feeds as an a-source, then as a b-source
+            for ja, jb, ff in ((j, mate_a[j], ff_a), (mate_b[j], j, ff_b)):
+                if not ff[j] or (ja is not None and jb is not None and (ja < j or jb < j)):
+                    continue
+                if ja is None:
+                    pa, qa, in_a = 0, 1, inside(map(sub, u, d))
+                else:
+                    pa, qa, in_a = ps[ja] * ff_a[ja], qs[ja], ins[ja]
+                if jb is None:
+                    pb, qb, in_b = 0, 1, inside(map(add, u, d))
+                else:
+                    pb, qb, in_b = ps[jb] * ff_b[jb], qs[jb], ins[jb]
+                if in_a and in_b:
+                    checked += 1
+                    if pa * qb != pb * qa:
+                        step = tuple(map(sub, u, a if ja == j else b))
+                        key = tuple(vi + s for vi, s in zip(v, step))
+                        failures.append(((a, b), key, Fraction(pa, qa * scale) - Fraction(pb, qb * scale)))
+                else:
+                    skipped += 1
     return AnnihilationReport(not failures, checked, skipped, failures)
 
 
@@ -532,14 +559,23 @@ class BasisElement:
 
     kind is "series" (truncated canonical series at a top pair) or "finite"
     (a polar line solution evaluated at the point).  ``monomials`` always
-    gives exact (coefficient, exponent) data, truncated for series.
+    gives exact (coefficient, exponent) data, truncated for series.  Built
+    with monomials None, the element lists those of its TruncatedSeries
+    ``source``, one per term, when they are first read.
     """
 
     def __init__(self, kind, monomials, tags, source):
         self.kind = kind
-        self._monomials = list(monomials)
+        self._listed = None if monomials is None else list(monomials)
+        self._size = len(source.terms) if monomials is None else len(self._listed)
         self.tags = list(tags)
         self.source = source
+
+    @property
+    def _monomials(self):
+        if self._listed is None:
+            self._listed = self.source.monomials()
+        return self._listed
 
     def monomials(self):
         return list(self._monomials)
@@ -548,7 +584,13 @@ class BasisElement:
         return _evaluate(self._monomials, x)
 
     def __repr__(self):
-        return f"BasisElement({self.kind}, tags={self.tags}, {len(self._monomials)} monomials)"
+        return f"BasisElement({self.kind}, tags={self.tags}, {self._size} monomials)"
+
+
+def _proportional_elements(e1, e2):
+    """_proportional on two basis elements; elements of different sizes are
+    not, so their monomials are not listed for it."""
+    return e1._size == e2._size and _proportional(e1._monomials, e2._monomials)
 
 
 class SolutionBasis:
@@ -607,7 +649,7 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
         except SeriesDenominatorError as err:
             discarded.append((fe, err))
             continue
-        entries.append(BasisElement("series", ts.monomials(), [f"top {fe.pair.r}"], ts))
+        entries.append(BasisElement("series", None, [f"top {fe.pair.r}"], ts))
     for facet, N, fs in lines:
         tag = f"{facet} line level {N}"
         mono = fs.monomials(b1)
@@ -616,7 +658,7 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
         element = BasisElement("finite", mono, [tag], fs)
         merged = False
         for existing in entries:
-            if _proportional(existing._monomials, mono):
+            if _proportional_elements(existing, element):
                 existing.tags.append(tag)
                 if existing.kind == "finite":
                     existing.tags.append("coincident")
@@ -631,6 +673,6 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
             f"assembled {len(entries)} solutions but the rank at {(b1, b2)} is {expected}", basis
         )
     for i, j in itertools.combinations(range(len(entries)), 2):
-        if _proportional(entries[i]._monomials, entries[j]._monomials):
+        if _proportional_elements(entries[i], entries[j]):
             raise BasisCountError(f"solutions {i} and {j} at {(b1, b2)} coincide", basis)
     return basis

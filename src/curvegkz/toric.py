@@ -12,6 +12,7 @@ polynomial arithmetic is needed.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import itemgetter, sub
 
 from .curve import FACET_0, FACET_K, FACETS, ORDER_NAMES, ResonantLine, facet_base, facet_level
@@ -124,8 +125,8 @@ class GroebnerBasis:
         return f"GroebnerBasis({self.A!r}, {self.order.name}, {len(self.generators)} gens)"
 
 
-# at most GB_CACHE_SIZE bases are kept; a new basis beyond that drops the
-# least recently used one
+# at most GB_CACHE_SIZE bases, and as many lists of standard pairs, are kept;
+# a new entry beyond that drops the least recently used one
 GB_CACHE_SIZE = 64
 
 
@@ -213,13 +214,17 @@ def _toric_ideal_groebner(A, order):
 
 class StandardPair:
     """A pair (r, sigma): the cosets r + N^sigma not meeting the initial ideal,
-    maximally so."""
+    maximally so.  Immutable: standard_pairs shares its pairs between
+    callers."""
 
     __slots__ = ("r", "sigma")
 
     def __init__(self, r, sigma):
-        self.r = tuple(r)
-        self.sigma = frozenset(sigma)
+        object.__setattr__(self, "r", tuple(r))
+        object.__setattr__(self, "sigma", frozenset(sigma))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StandardPair is immutable")
 
     @property
     def is_top(self):
@@ -281,7 +286,18 @@ def standard_pairs_of_monomial_ideal(lead_monomials, n):
 
 def standard_pairs(A, order):
     """Standard pairs of the initial ideal; the top-dimensional ones (both end
-    variables free) always number k for the adapted orders."""
+    variables free) always number k for the adapted orders.
+
+    The pairs are computed once per (A, order), like the Groebner basis,
+    and kept in a cache of GB_CACHE_SIZE entries; each call gets a list of
+    its own."""
+    if isinstance(order, str):
+        order = term_order(order, A.n)
+    return list(_standard_pairs(A, order))
+
+
+@lru_cache(maxsize=GB_CACHE_SIZE)
+def _standard_pairs(A, order):
     gb = toric_ideal_groebner(A, order)
     pairs = standard_pairs_of_monomial_ideal(gb.lead_monomials, A.n)
     kinds = {p.kind(A.n) for p in pairs}
@@ -290,7 +306,7 @@ def standard_pairs(A, order):
     tops = [p for p in pairs if p.is_top]
     if len(tops) != A.k:
         raise AssertionError(f"expected {A.k} top pairs, found {len(tops)}")
-    return sorted(pairs, key=lambda p: (-len(p.sigma), p.r))
+    return tuple(sorted(pairs, key=lambda p: (-len(p.sigma), p.r)))
 
 
 class FakeExponent:
@@ -311,6 +327,13 @@ class FakeExponent:
 
     def __repr__(self):
         return f"FakeExponent({self.v}, {self.pair!r})"
+
+
+def _common_numerators(v):
+    """The common denominator D of the rationals v and the integer
+    numerators N_i = v_i D."""
+    D = lcm(*(vi.denominator for vi in v))
+    return D, [vi.numerator * (D // vi.denominator) for vi in v]
 
 
 def fake_exponents(A, beta, order):
@@ -336,7 +359,9 @@ def fake_exponents(A, beta, order):
                 continue
             base = facet_base(A, facet)
             v = tuple(b1 - d1 if i == base else Fraction(c) for i, c in enumerate(r))
-        if A.degree(v) != (b1, b2):
+        # A v = beta, decided in integers: v = N / D
+        D, N = _common_numerators(v)
+        if A.degree(N) != (b1 * D, b2 * D):
             raise AssertionError(f"starting exponent {v} has degree {A.degree(v)}, not {(b1, b2)}")
         out.append(FakeExponent(v, pair))
     return out

@@ -12,8 +12,9 @@ candidate b1 of each row.
 The exact series path has its plain versions here as well: the kernel
 steps by a search of the whole box, the series coefficients by one
 Fraction per factor or by integer products built afresh for every step,
-the operator residuals by one Fraction per factor, and the residuals on a
-polar line by one PolyQ in lam per factor.  PolyQ, a dense polynomial over Q,
+the operator residuals by one Fraction per factor or by a table of
+steps that every contribution fills, and the residuals on a polar line by
+one PolyQ in lam per factor.  PolyQ, a dense polynomial over Q,
 is defined here: the library stores each coefficient of a line solution
 as a rational times a run of linear factors, and ``expand_factored``
 multiplies such a series out for the oracles.  The Groebner basis, which
@@ -47,6 +48,7 @@ from curvegkz import analytic, toric
 from curvegkz.analytic import _tracked_log_f
 from curvegkz.curve import FACET_0, FACET_K, facet_parts, facet_semigroup, in_convergence_domain
 from curvegkz.errors import LogObstructionError, PolarLineError, QuadratureError, SeriesDenominatorError
+from curvegkz.series import AnnihilationReport
 
 
 def _as_fraction(x):
@@ -459,6 +461,56 @@ def truncated_annihilation_fractions(series, generators):
             else:
                 skipped += 1
     return checked, skipped, failures
+
+
+def residual_check_by_steps(gens, rows, D, v, bound, skip):
+    """series._residual_check by a table of steps: every contribution of
+    every row, in row order, fills the six slots [p_a ff_a, q_a, source
+    inside, p_b ff_b, q_b, source inside] of its step, and the steps are
+    decided in the order of their first contribution."""
+
+    def inside(u):
+        return bound is None or sum(map(abs, u)) <= bound
+
+    # once per term: p and q of c, and whether u is inside the bound
+    rows = [(u, w, c.numerator, c.denominator, inside(u)) for u, w, c in rows]
+    checked = 0
+    skipped = 0
+    failures = []
+    for a, b in gens:
+        # step -> [p_a ff_a, q_a, source inside, p_b ff_b, q_b, source inside],
+        # in first-contribution order; None: no term from that side
+        sides = {}
+        both = [(m, [(i, mi) for i, mi in enumerate(m) if mi and i != skip], slot) for m, slot in ((a, 0), (b, 3))]
+        for u, w, p, q, in_u in rows:
+            for mono, support, slot in both:
+                ff = 1
+                for i, mi in support:
+                    wi = w[i]
+                    for j in range(mi):
+                        ff *= wi - j * D
+                if ff == 0:
+                    continue
+                step = tuple([ui - mi for ui, mi in zip(u, mono)])
+                entry = sides.get(step)
+                if entry is None:
+                    entry = sides[step] = [0, 1, None, 0, 1, None]
+                entry[slot : slot + 3] = p * ff, q, in_u
+        scale = D ** sum(a)
+        for step, (pa, qa, in_a, pb, qb, in_b) in sides.items():
+            # the source steps step + a and step + b must be inside the bound
+            if in_a is None:
+                in_a = inside([s + ai for s, ai in zip(step, a)])
+            if in_b is None:
+                in_b = inside([s + bi for s, bi in zip(step, b)])
+            if in_a and in_b:
+                checked += 1
+                if pa * qb != pb * qa:
+                    key = tuple(vi + s for vi, s in zip(v, step))
+                    failures.append(((a, b), key, Fraction(pa, qa * scale) - Fraction(pb, qb * scale)))
+            else:
+                skipped += 1
+    return AnnihilationReport(not failures, checked, skipped, failures)
 
 
 def finite_annihilation_polyq(series, generators):

@@ -486,6 +486,91 @@ def test_extension_shift_tracks_each_level_once(monkeypatch):
     assert 10 * len(levels) < len(batches[0])
 
 
+def _record_integrands(monkeypatch):
+    """Record the (rows, nodes) of each block of integrand values that
+    euler_mellin evaluates.  The node tables and the odd-node tables start
+    empty."""
+    _fresh_node_cache(monkeypatch)
+    monkeypatch.setattr(analytic, "_odd_nodes", lru_cache(maxsize=analytic._NODE_CACHE_SIZE)(analytic._odd_nodes.__wrapped__))
+    sizes = []
+    integrand = analytic._integrand
+
+    def recording(b1, b2, logf, logz, cosh_s):
+        sizes.append((b1.shape[0], logf.size))
+        return integrand(b1, b2, logf, logz, cosh_s)
+
+    monkeypatch.setattr(analytic, "_integrand", recording)
+    return sizes
+
+
+def _bits(value):
+    return value.real.hex(), value.imag.hex()
+
+
+def test_refinement_evaluates_only_the_new_nodes(monkeypatch):
+    # (-3, -6) converges between the levels (4, 0.2) and (4, 0.1); the even
+    # nodes of the second are the 41 nodes of the first in every table, so
+    # only its 40 odd nodes are evaluated, and the value is the untabled
+    # loop's bit for bit
+    x = sample_structured_point(A0134, 5)
+    theta = roots_and_components(A0134, x).ray_angles[0]
+    want = euler_mellin_untabled(A0134, (-3.0, -6.0), x, theta)
+    sizes = _record_integrands(monkeypatch)
+    assert _bits(euler_mellin(A0134, (-3.0, -6.0), x, theta)) == _bits(want)
+    assert sizes == [(1, 41), (1, 40)]
+    assert sum(rows * nodes for rows, nodes in sizes) == 81
+
+
+def test_refinement_evaluates_every_node_without_a_kept_row(monkeypatch):
+    # (-1.1, -0.6) needs S = 5.5, where np.arange rounds the nodes of h =
+    # 0.1 away from those of h = 0.2, so that level is evaluated in full.  On
+    # the ray 0.03 short of a root the phase tracking fails at (4, 0.2) and
+    # (4, 0.1), so (-3, -6) has no row before (4, 0.05), evaluates its 161
+    # nodes and reuses them at (4, 0.025)
+    x = sample_structured_point(A0134, 5)
+    rc = roots_and_components(A0134, x)
+    assert analytic._odd_nodes(A0134, x, rc.ray_angles[0], 5.5, 0.1) is None
+    for theta, beta, first in [
+        (rc.ray_angles[0], (-1.1, -0.6), [(1, 41), (1, 56), (1, 111)]),
+        (rc.angles[0] - 0.03, (-3.0, -6.0), [(1, 161), (1, 160)]),
+    ]:
+        want = euler_mellin_untabled(A0134, beta, x, theta)
+        sizes = _record_integrands(monkeypatch)
+        assert _bits(euler_mellin(A0134, beta, x, theta)) == _bits(want)
+        assert sizes[: len(first)] == first
+
+
+def test_refinement_keeps_the_round_order_of_failures(monkeypatch):
+    # f = 1e-3 + z.  The exponent of (-4200, -3969) peaks between the nodes
+    # of (4, 0.2), below the overflow bound 690 there, and passes it at an
+    # odd node of (4, 0.1), the level that reuses the first.  (-0.5, -1e-3)
+    # decays too slowly and goes on to fresh levels of S = 5.5 and 7, where it
+    # fails a round later, and (-1.3, -0.7) needs S = 5.5.  A batch of kept
+    # and fresh rows raises the first failure in round order, the error its
+    # pair raises alone
+    x = (1e-3, 1.0)
+    odd_overflow, tail, fine = (-4200.0, -3969.0), (-0.5, -1e-3), (-1.3, -0.7)
+    peaks = []
+    for h in (0.2, 0.1):
+        _, logz, (logf, _), _ = analytic._ray_nodes(A01, x, 0.0, 4.0, h)
+        peaks.append(max((odd_overflow[0] * logf - odd_overflow[1] * logz).real))
+    assert peaks[0] <= 690.0 < peaks[1]
+    sizes = _record_integrands(monkeypatch)
+    errors = {pair: _lone_error(euler_mellin, A01, pair, x, 0.0) for pair in (odd_overflow, tail)}
+    assert errors[odd_overflow].endswith(f"beta = {odd_overflow}, S = 4.0, h = 0.1")
+    assert errors[tail].endswith(f"beta = {tail}, S = 7.0, h = 0.2")
+    for pairs, failing, batches in [
+        ([tail, odd_overflow, fine], odd_overflow, [(3, 41), (2, 56), (1, 40)]),
+        ([odd_overflow, fine, tail], odd_overflow, [(3, 41), (1, 40)]),
+        ([fine, tail], tail, [(2, 41), (2, 56), (1, 111), (1, 71)]),
+    ]:
+        sizes.clear()
+        with pytest.raises(QuadratureError) as err:
+            euler_mellin(A01, pairs, x, 0.0)
+        assert str(err.value) == errors[failing]
+        assert sizes == batches
+
+
 def test_loop_calculus_sum_rule():
     x = sample_structured_point(A0134, 3)
     rc = roots_and_components(A0134, x)

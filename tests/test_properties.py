@@ -4,7 +4,8 @@ semigroup-table answers of the library agree with the search oracles of
 least-parts table, and the rank jumps, on sparse matrices with k <= 60
 too, with a sweep over every candidate.  The fast exact series path
 agrees with its plain versions there, the integer annihilation checks
-with their Fraction and PolyQ residuals included.  The Groebner bases
+with their Fraction and PolyQ residuals included, and the residual loop
+with the table of steps it replaced.  The Groebner bases
 read off the kernel vectors of A agree with Buchberger's algorithm with
 saturation, and on wider matrices (n <= 6, k <= 16) with a walk over the
 fibers of the grading, and they certify every cocycle generator under all
@@ -48,6 +49,7 @@ from oracles import (
     polar_line_solution_by_paths,
     proportional_by_rank,
     rank_jumps_by_candidates,
+    residual_check_by_steps,
     series_terms_brute,
     stripped_by_gcd,
     toric_ideal_groebner_by_fibers,
@@ -55,7 +57,7 @@ from oracles import (
     truncated_annihilation_fractions,
 )
 
-from curvegkz import analytic, toric
+from curvegkz import analytic, series, toric
 from curvegkz.analytic import euler_mellin, extension_shift, roots_and_components, sample_structured_point
 from curvegkz.cohomology import cocycle_generator, h1_support, in_ray_module
 from curvegkz.curve import (
@@ -299,6 +301,48 @@ def test_annihilation_check_matches_fractions(A, data):
     expected = truncated_annihilation_fractions(ts, toric_ideal_groebner(A, name).generators)
     assert (rep.checked, rep.skipped, rep.failures) == expected
     assert rep.ok == (not expected[2])
+
+
+@SERIES_PROPERTY
+@given(matrices, st.data())
+def test_residual_loop_matches_step_table(A, data):
+    # the residual loop against the table of steps it replaced, on the rows
+    # that annihilation_check builds: a series as built, with one
+    # coefficient changed, with one term deleted (so that some residuals
+    # have one source only), and a stripped polar-line solution, whose base
+    # coordinate is skipped; the reports agree, failures in the same order
+    name = data.draw(st.sampled_from(ORDER_NAMES))
+    kind = data.draw(st.sampled_from(["built", "changed", "deleted", "line"]))
+    if kind == "line":
+        facet = data.draw(st.sampled_from((FACET_0, FACET_K)))
+        sol = polar_line_solution(A, facet, data.draw(st.integers(1, 3 * A.k))).stripped()
+        if sol.is_zero():
+            return
+    else:
+        beta = (data.draw(exponent_entries), data.draw(exponent_entries))
+        fe = data.draw(st.sampled_from([fe for fe in fake_exponents(A, beta, name) if fe.is_top]))
+        try:
+            ts = series_for_exponent(A, fe, bound=2 * A.k)
+        except SeriesDenominatorError:
+            return
+        terms = dict(ts.terms)
+        u = data.draw(st.sampled_from(sorted(terms)))
+        if kind == "changed":
+            terms[u] += data.draw(st.sampled_from([1, Fraction(-1, 3)]))
+        elif kind == "deleted":
+            del terms[u]
+        sol = TruncatedSeries(A, ts.v, ts.pair, ts.bound, terms)
+    with mock.patch.object(series, "_residual_check", wraps=series._residual_check) as loop:
+        rep = annihilation_check(A, sol, name)
+    args = loop.call_args.args
+    assert args[5] == (sol.base if kind == "line" else None)
+    expected = residual_check_by_steps(*args)
+    assert (rep.ok, rep.checked, rep.skipped, rep.failures) == (
+        expected.ok,
+        expected.checked,
+        expected.skipped,
+        expected.failures,
+    )
 
 
 @SERIES_PROPERTY

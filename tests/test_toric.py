@@ -302,6 +302,28 @@ def test_standard_pairs_frozen_0134():
     ]
 
 
+def test_standard_pairs_give_each_caller_its_own_list():
+    # the pairs are computed once per (A, order), by name or by TermOrder,
+    # and every call gets a list of its own that equals a fresh listing, so
+    # a caller that changes its list changes no later result; the pairs in
+    # it are shared and cannot be changed
+    for name in ORDER_NAMES:
+        leads = toric_ideal_groebner(A0134, name).lead_monomials
+        fresh = sorted(standard_pairs_of_monomial_ideal(leads, 4), key=lambda p: (-len(p.sigma), p.r))
+        first = standard_pairs(A0134, name)
+        assert first == fresh
+        first.reverse()
+        first.append(StandardPair((9, 9, 9, 9), {0, 3}))
+        misses = toric._standard_pairs.cache_info().misses
+        for order in (name, term_order(name, 4)):
+            again = standard_pairs(A0134, order)
+            assert again == fresh and again is not first
+        assert toric._standard_pairs.cache_info().misses == misses
+        with pytest.raises(AttributeError):
+            first[0].r = (9, 9, 9, 9)
+    assert toric._standard_pairs.cache_info().maxsize == GB_CACHE_SIZE
+
+
 def test_standard_pairs_top_count_is_degree():
     for exps in ORACLE_MATRICES:
         A = CurveMatrix(list(exps))
