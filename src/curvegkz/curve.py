@@ -8,6 +8,7 @@ has poles.
 """
 
 import heapq
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -203,6 +204,8 @@ class NumericalSemigroup:
     (1,)
     >>> S.frobenius
     1
+    >>> [NumericalSemigroup((3, 4)).min_parts(m) for m in (12, 5)]
+    [3, None]
     """
 
     def __init__(self, gens):
@@ -212,32 +215,40 @@ class NumericalSemigroup:
         if gcd(*gens) != 1:
             raise ValueError(f"generators must be coprime overall: {gens}")
         self.gens = gens
-        # A least factorization has at most g - 1 parts other than the
-        # largest generator g: among g such parts some sub-sum is a multiple
-        # of g, and fewer copies of g replace it.  So above (g - 1) * g', with
-        # g' the second largest generator, every least factorization holds a
-        # g, and min_parts(m) = min_parts(m - g) + 1 there, gaps included.
-        g = gens[-1]
-        self._period_start = (g - 1) * (gens[-2] if len(gens) > 1 else 0)
-        # least-parts table: _parts[m] is the least number of generators
-        # summing to m, None on gaps; extended on demand up to _period_start
-        self._parts = [0]
         self._apery = {}  # modulus -> Apery set, see apery
 
+    @cached_property
+    def _staircase(self):
+        """Per residue r mod the largest generator g, the pairs (m, g*p - m)
+        over the sums m = r (mod g) of p smaller generators that no other
+        such pair bounds in both entries, sorted by m.  Layer p grows from
+        the pairs layer p - 1 kept, as dropping a part of a minimal pair
+        leaves one; no pair bounds another of its layer or of an earlier
+        one, and the walk ends at the first layer that keeps nothing.
+        """
+        g, smaller = self.gens[-1], self.gens[:-1]
+        stairs = [[(0, 0)]] + [[] for _ in range(1, g)]
+        layer, p = [0], 0
+        while layer:
+            p, kept = p + 1, []
+            for m in sorted({m + h for m in layer for h in smaller}):
+                pairs = stairs[m % g]
+                j = bisect_left(pairs, (m + 1,))  # the pairs with first entry <= m
+                if not j or pairs[j - 1][1] > g * p - m:
+                    pairs.insert(j, (m, g * p - m))
+                    kept.append(m)
+            layer = kept
+        return stairs
+
     def min_parts(self, m):
-        """Least number of generators summing to ``m`` (None for non-members)."""
+        """Least number of generators summing to ``m`` (None for non-members):
+        (m + y) / g for the last staircase pair (x, y) of m's class with x <= m."""
         if m < 0:
             return None
-        table = self._parts
-        if m < len(table):
-            return table[m]
-        largest = self.gens[-1]
-        shifts = max(0, -((self._period_start - m) // largest))
-        m -= shifts * largest
-        for t in range(len(table), m + 1):
-            prev = [table[t - g] for g in self.gens if g <= t and table[t - g] is not None]
-            table.append(min(prev) + 1 if prev else None)
-        return None if table[m] is None else table[m] + shifts
+        g = self.gens[-1]
+        pairs = self._staircase[m % g]
+        j = bisect_left(pairs, (m + 1,))
+        return (m + pairs[j - 1][1]) // g if j else None
 
     def apery(self, m):
         """Least member of each residue class r mod a member ``m``, by
@@ -324,9 +335,6 @@ def in_NA(A, beta):
     if b is None:
         return False
     b1, b2 = b
-    # each column adds at most k to b2, which also bounds the table lookup
-    if not 0 <= b2 <= A.k * b1:
-        return False
     parts = facet_semigroup(A, FACET_K).min_parts(b2)
     return parts is not None and parts <= b1
 
@@ -362,31 +370,21 @@ def _default_jump_box(A):
 
 
 def _rank_jumps(A):
-    """The rank jumps: in each row b2 of the facet-k semigroup Gk up to
-    T + 2k, with T the larger of Gk's period start and Frobenius number,
-    the b1 from (b2 + least0[-b2 % k]) / k to min_parts(b2) - 1, where
-    least0 is the Apery set of k in the facet-0 semigroup G0.
+    """The rank jumps, read off the staircase of the facet-k semigroup Gk:
+    with (x_0, y_0), ..., (x_s, y_s) the pairs of the class r mod k, the
+    (b1, b2) with b2 = r (mod k), x_j <= b2 < x_{j+1}, y_s <= k*b1 - b2 < y_j.
 
-    A jump has b2 in Gk, k*b1 - b2 in G0 and, outside NA, b1 < min_parts(b2).
-    The column 0 makes k a generator of G0, so k*b1 - b2 lies in G0 exactly
-    when it is at least least0[r], r = -b2 % k, the Apery element of its
-    class; as least0[r] is congruent to r, the lower bound is an integer.
-
-    No rank jump lies past row T, and the 2k rows after it are a margin.
-    Past T, min_parts(b2 + k) is min_parts(b2) + 1 and b2 + k is a member
-    exactly when b2 is, so the candidates of row b2 + k are those of row b2
-    moved by (1, k): the facet-k membership, the facet-0 level k*b1 - b2
-    and NA membership all move along.  A jump there would repeat forever,
-    and the exceptional set is finite (Cattani-D'Andrea-Dickenstein 1999).
+    A jump has b2 in Gk, k*b1 - b2 in the facet-0 semigroup G0 and, outside
+    NA, b1 < min_parts(b2) = (b2 + y_j)/k.  The y of class r are the sums of
+    facet-0 parts other than k of class -r, and k generates G0, so k*b1 - b2
+    lies in G0 exactly when it is at least y_s, its Apery element of k.
     """
-    Gk = facet_semigroup(A, FACET_K)
-    least0 = facet_semigroup(A, FACET_0).apery(A.k)
-    for b2 in range(max(Gk._period_start, Gk.frobenius) + 2 * A.k + 1):
-        parts = Gk.min_parts(b2)
-        if parts is None:
-            continue
-        for b1 in range((b2 + least0[-b2 % A.k]) // A.k, parts):
-            yield (b1, b2)
+    k = A.k
+    for pairs in facet_semigroup(A, FACET_K)._staircase:
+        for (x, y), (nxt, _) in zip(pairs, pairs[1:]):
+            for b2 in range(x, nxt, k):
+                for level in range(pairs[-1][1], y, k):
+                    yield ((b2 + level) // k, b2)
 
 
 def rank_jumping_parameters(A):

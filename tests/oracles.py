@@ -1,13 +1,15 @@
 """Slow, independent routes to what the fast paths of curvegkz compute.
 
-The library decides "(b1, b2) in NA" from one least-parts table per
-facet semigroup, and semigroup membership, the Frobenius number and the
-rank jumps from Apery sets.  The searches below answer the same questions
-without them, so the tests can compare two routes instead of one formula
-with itself.  The table itself stops at the start of its period in the
-library; here it grows to any m, the Frobenius number comes from a search
-for a run of members, and the rank jumps from a sweep over every
-candidate b1 of each row.
+The library decides "(b1, b2) in NA" and the rank jumps from one
+staircase per semigroup, the minimal pairs (m, g*p - m) of each residue
+class mod the largest generator g, built one layer of parts at a time,
+and semigroup membership and the Frobenius number from Apery sets.  The
+searches below answer the same questions without them, so the tests can
+compare two routes instead of one formula with itself: the least parts
+come from a table over every m, the staircase from all sums of up to P
+smaller generators, the Frobenius number from a search for a run of
+members, and the rank jumps from a sweep over every candidate b1 of each
+row.
 
 The exact series path has its plain versions here as well: the kernel
 steps by a search of the whole box, the series coefficients by one
@@ -258,6 +260,22 @@ def min_parts_table(gens, upto):
         prev = [table[t - g] for g in gens if g <= t and table[t - g] is not None]
         table.append(min(prev) + 1 if prev else None)
     return table
+
+
+def staircase_by_sums(gens, P):
+    """The minimal pairs (m, g*p - m) of each residue class mod the largest
+    generator g, over every sum m of p <= P smaller generators: those no
+    other pair of the class is at most in both entries, sorted by m."""
+    g, smaller = max(gens), sorted(gens)[:-1]
+    pairs = {
+        (sum(parts), g * p - sum(parts))
+        for p in range(P + 1)
+        for parts in itertools.combinations_with_replacement(smaller, p)
+    }
+    classes = [[] for _ in range(g)]
+    for x, y in sorted(pairs):
+        classes[x % g].append((x, y))
+    return [[a for a in c if not any(b[0] <= a[0] and b[1] <= a[1] and b != a for b in c)] for c in classes]
 
 
 def frobenius_by_run(gens):

@@ -97,23 +97,27 @@ def test_membership_above_frobenius_needs_no_table():
     S = NumericalSemigroup((3, 5))
     assert 10**7 in S
     assert S.gaps == (1, 2, 4, 7)
-    assert len(S._parts) < 100
+    # membership reads the Apery set of 3 alone; the staircase of <3, 5>
+    # has one pair per class, 3p for p < 5
+    assert "_staircase" not in vars(S)
+    assert sum(map(len, S._staircase)) == 5
     # b2 lies above the facet-k Frobenius number and k*b1 - b2 < 0, so the
-    # answer needs no least-parts table up to b2
+    # answer needs nothing that grows with b2
     assert not is_rank_jumping(A0134, (1, 2 * 10**6))
-    assert len(facet_semigroup(A0134, FACET_K)._parts) < 10**4
+    assert facet_semigroup(A0134, FACET_K)._staircase == [[(0, 0)], [(1, 3)], [(2, 6), (6, 2)], [(3, 1)]]
 
 
 def test_least_parts_table_stops_at_its_period():
-    # above (g - 1) * g' the least number of parts grows by one per largest
-    # generator g, so no table reaches b2 = 2 * 10**6
+    # a minimal pair of the staircase has at most g - 1 parts, so its first
+    # entries stop at (g - 1) * g' and none reaches b2 = 2 * 10**6
     beta = (10**6, 2 * 10**6)
     assert in_NA(A0134, beta)
     assert not is_rank_jumping(A0134, beta)
     assert facet_semigroup(A0134, FACET_K).min_parts(2 * 10**6) == 5 * 10**5
     for facet in (FACET_0, FACET_K):
         S = facet_semigroup(A0134, facet)
-        assert len(S._parts) <= (S.gens[-1] - 1) * S.gens[-2] + 1, facet
+        assert sum(map(len, S._staircase)) == 5, facet
+        assert max(x for pairs in S._staircase for x, _ in pairs) <= (S.gens[-1] - 1) * S.gens[-2], facet
 
 
 def test_numerical_semigroup_membership_brute():
@@ -193,8 +197,8 @@ def test_exceptional_set_stable_under_larger_box():
 
 @pytest.mark.parametrize("command", ["analyze", "cohomology", "figure"])
 def test_rank_jump_sweep_of_a_sparse_large_degree_matrix_is_fast(command):
-    # the sweep stops at b2 = 299, 2k past the period start 99 of the
-    # facet-k semigroup <1, 100>; the proven box reaches b2 = 990000
+    # the staircase of the facet-k semigroup <1, 100> holds one pair per
+    # class, so there are no rank jumps; the proven box reaches b2 = 990000
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)))
     start = time.perf_counter()
     proc = subprocess.run(
@@ -209,23 +213,37 @@ def test_hypersurfaces_have_no_rank_jumps():
     # 0,a,k with gcd(a, k) = 1 is a hypersurface, so Cohen-Macaulay, so it
     # has no rank jumps (Matusevich-Miller-Walther 2005).  Each has a facet
     # semigroup, <999, 1000>, <499, 1000> or <501, 1000>, whose Frobenius
-    # number lies near 10**6 or 5 * 10**5
+    # number lies near 10**6 or 5 * 10**5.  The multiples pa, p < 1000,
+    # fill each class of the facet-k staircase with one pair
     start = time.perf_counter()
     for a in (1, 499, 999):
         A = CurveMatrix([0, a, 1000])
         assert rank_jumping_parameters(A) == [], a
         assert h1_support(A) == [], a
+        assert sum(map(len, facet_semigroup(A, FACET_K)._staircase)) == 1000, a
     assert time.perf_counter() - start < 5.0
 
 
 def test_apery_set_decides_membership_and_frobenius_without_a_table():
     # <999, 1000> has Frobenius number 999 * 1000 - 999 - 1000, far past
-    # its Schur bound search; the Apery set of 999 answers both without a
-    # least-parts table
+    # its Schur bound search; the Apery set of 999 answers both without the
+    # staircase, which holds 999p for p < 1000, one pair per class
     S = NumericalSemigroup((999, 1000))
     assert S.frobenius == 997001
     assert 997001 not in S and 997002 in S and 1998 in S and 1997 not in S
-    assert len(S._parts) == 1
+    assert "_staircase" not in vars(S)
+    assert sum(map(len, S._staircase)) == 1000
+
+
+def test_two_column_curves_have_one_pair_per_class_and_no_rank_jumps():
+    # 0,a,k with gcd(a, k) = 1: the multiples pa, p < k, fill each class of
+    # the facet-k staircase once, and no class of one pair holds a jump
+    for k in range(2, 61):
+        for a in range(1, k):
+            if math.gcd(a, k) == 1:
+                A = CurveMatrix([0, a, k])
+                assert all(len(pairs) == 1 for pairs in facet_semigroup(A, FACET_K)._staircase), (a, k)
+                assert rank_jumping_parameters(A) == [], (a, k)
 
 
 def test_is_rank_jumping_pointwise():

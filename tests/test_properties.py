@@ -1,7 +1,8 @@
 """Property tests: on random admissible matrices (n <= 5, k <= 7) the
-semigroup-table answers of the library agree with the search oracles of
+semigroup answers of the library agree with the search oracles of
 ``oracles.py``: the Apery sets with the least member of each class in a
-least-parts table, and the rank jumps, on sparse matrices with k <= 60
+least-parts table, the staircase with the minima of all sums of parts,
+and the rank jumps, on sparse matrices with k <= 60
 too, with a sweep over every candidate.  The fast exact series path
 agrees with its plain versions there, the integer annihilation checks
 with their Fraction and PolyQ residuals included, and the residual loop
@@ -51,6 +52,7 @@ from oracles import (
     rank_jumps_by_candidates,
     residual_check_by_steps,
     series_terms_brute,
+    staircase_by_sums,
     stripped_by_gcd,
     toric_ideal_groebner_by_fibers,
     toric_ideal_groebner_sorted,
@@ -68,6 +70,7 @@ from curvegkz.curve import (
     _kernel_steps,
     delta_conditions,
     facet_level,
+    facet_semigroup,
     in_NA,
     rank_jumping_parameters,
     _default_jump_box,
@@ -114,8 +117,10 @@ generator_sets = st.sets(st.integers(1, 15), min_size=1, max_size=4).filter(lamb
 @settings(PROPERTY, max_examples=50)
 @given(generator_sets, st.booleans())
 def test_min_parts_matches_the_unbounded_table(gens, descending):
-    # four periods past the threshold (g - 1) * g' and two more generators;
-    # asked from the top down, the first answer comes from a reduced m
+    # four times (g - 1) * g', past which every least factorization holds a
+    # g, and two more generators; asked from the top down too.  A minimal
+    # pair of the staircase has at most g - 1 parts, so its first entries
+    # are distinct numbers up to (g - 1) * g'
     g = max(gens)
     g2 = sorted(gens)[-2] if len(gens) > 1 else 0
     upto = 4 * (g - 1) * g2 + 2 * g
@@ -123,7 +128,7 @@ def test_min_parts_matches_the_unbounded_table(gens, descending):
     S = NumericalSemigroup(gens)
     order = range(upto, -1, -1) if descending else range(upto + 1)
     assert {m: S.min_parts(m) for m in order} == dict(enumerate(table))
-    assert len(S._parts) <= (g - 1) * g2 + 1
+    assert sum(map(len, S._staircase)) <= (g - 1) * g2 + 1
     fresh = NumericalSemigroup(gens)
     assert fresh.frobenius == frobenius_by_run(gens)
     assert fresh.gaps == tuple(m for m in range(fresh.frobenius + 1) if table[m] is None)
@@ -161,6 +166,29 @@ def test_rank_jumps_and_h1_support_match_search_sweep(A):
 
 
 sparse_matrices = exponent_lists(60, 2).filter(lambda exps: gcd(*exps[1:]) == 1).map(CurveMatrix)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(st.one_of(generator_sets, wide_matrices.map(lambda A: facet_semigroup(A, FACET_K).gens)))
+def test_staircase_matches_the_minima_of_all_sums(gens):
+    # a minimal pair has at most g - 1 parts, so the sums of up to g parts
+    # hold every pair and one layer more, which must add none
+    g = max(gens)
+    assert NumericalSemigroup(gens)._staircase == staircase_by_sums(gens, g)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.one_of(matrices, wide_matrices, sparse_matrices))
+def test_staircase_ends_are_the_apery_sets_of_k(A):
+    # the first pair of each class is its least member in the facet-k
+    # semigroup; the last one's second entry is the least facet-0 level of
+    # the mirrored class.  A class of two or more pairs holds rank jumps
+    k = A.k
+    stairs = facet_semigroup(A, FACET_K)._staircase
+    assert [pairs[0][0] for pairs in stairs] == facet_semigroup(A, FACET_K).apery(k)
+    least0 = facet_semigroup(A, FACET_0).apery(k)
+    assert [pairs[-1][1] for pairs in stairs] == [least0[-r % k] for r in range(k)]
+    assert (rank_jumping_parameters(A) == []) == all(len(pairs) == 1 for pairs in stairs)
 
 
 @settings(PROPERTY, max_examples=40)
