@@ -59,34 +59,27 @@ def h1_support(A):
     return sorted(alpha for alpha in _rank_jumps(A) if graded_dims(A, alpha)[1] == 1)
 
 
-def _max_parts_decomposition(N, gens):
-    """Decomposition of N in the semigroup with the largest number of
-    parts, preferring small generators; None when N is not a member."""
-    N = int(N)
-    if N < 0:
+def _max_parts_decomposition(S, N):
+    """The count of each generator of S in a decomposition of N with the
+    most parts, None when N is not a member.  At rest r it takes the least
+    generator g with max_parts(r - g) = max_parts(r) - 1.
+
+    With (x, z) the floor pair that gives max_parts(r), max_parts(r - s)
+    for the least generator s reads the same pair exactly when x <= r - s.
+    So once the rule takes s it takes it (r - x)/s times in a row, and that
+    run is taken at once.  A decomposition with the most parts holds fewer
+    than s other parts, so there are fewer than 2s steps.
+    """
+    most = S.max_parts(N)
+    if most is None:
         return None
-    gens = sorted(set(int(g) for g in gens))
-    NEG = -1
-    mp = [NEG] * (N + 1)
-    mp[0] = 0
-    for v in range(1, N + 1):
-        best = NEG
-        for g in gens:
-            if g <= v and mp[v - g] != NEG:
-                best = max(best, mp[v - g] + 1)
-        mp[v] = best
-    if mp[N] == NEG:
-        return None
-    counts = {g: 0 for g in gens}
-    r = N
-    while r > 0:
-        for g in gens:
-            if g <= r and mp[r - g] == mp[r] - 1:
-                counts[g] += 1
-                r -= g
-                break
-        else:
-            raise AssertionError("decomposition reconstruction failed")
+    s = S.gens[0]
+    counts = dict.fromkeys(S.gens, 0)
+    while N:
+        g = next(g for g in S.gens if S.max_parts(N - g) == most - 1)
+        run = (N - S._corner(S._floor, N)[0]) // s if g == s else 1
+        counts[g] += run
+        N, most = N - g * run, most - run
     return counts
 
 
@@ -116,11 +109,14 @@ def cocycle_generator(A, alpha):
 
     The ray-0 representative uses the maximal number of positive parts for
     the second coordinate, pushing the first coordinate exponent as low as
-    it goes; the ray-k representative mirrors this.  Multiplying both by
-    (x_1 x_n)^clearing gives two honest monomials x^m1 and x^m2, and the
-    sections agree away from the rays when x^m1 - x^m2 lies in the toric
-    ideal, that is when A.m1 = A.m2 (Sturmfels, Groebner Bases and Convex
-    Polytopes, 1996, Lemma 4.1): ``certified`` is that degree comparison.
+    it goes; the ray-k representative mirrors this.  The parts of a facet
+    generate its polar-level semigroup, whose ``max_parts`` gives the
+    number of parts and, generator by generator, the decomposition.
+    Multiplying both by (x_1 x_n)^clearing gives two honest monomials x^m1
+    and x^m2, and the sections agree away from the rays when x^m1 - x^m2
+    lies in the toric ideal, that is when A.m1 = A.m2 (Sturmfels, Groebner
+    Bases and Convex Polytopes, 1996, Lemma 4.1): ``certified`` is that
+    degree comparison.
     """
     if graded_dims(A, alpha)[1] != 1:
         raise ValueError(f"no first cohomology class in degree {alpha}")
@@ -131,11 +127,11 @@ def cocycle_generator(A, alpha):
     for facet in FACETS:
         # as many facet parts as possible sum to the facet level of alpha;
         # the facet's own column takes the rest of the first coordinate
-        parts = facet_parts(A, facet)
-        counts = _max_parts_decomposition(facet_level(A.k, facet, (a1, a2)), [p for _, p in parts])
+        S = _polar_level_semigroup(A, facet)
+        counts = _max_parts_decomposition(S, facet_level(A.k, facet, (a1, a2)))
         rep = [0] * n
-        for i, p in parts:
-            rep[i] = counts.get(p, 0)
+        for i, p in facet_parts(A, facet):
+            rep[i] = counts[p]
         rep[facet_base(A, facet)] = a1 - sum(rep)
         if A.degree(rep) != (a1, a2):
             raise AssertionError(f"ray representative {rep} does not have degree {(a1, a2)}")

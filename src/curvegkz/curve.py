@@ -217,38 +217,73 @@ class NumericalSemigroup:
         self.gens = gens
         self._apery = {}  # modulus -> Apery set, see apery
 
-    @cached_property
-    def _staircase(self):
-        """Per residue r mod the largest generator g, the pairs (m, g*p - m)
-        over the sums m = r (mod g) of p smaller generators that no other
-        such pair bounds in both entries, sorted by m.  Layer p grows from
-        the pairs layer p - 1 kept, as dropping a part of a minimal pair
-        leaves one; no pair bounds another of its layer or of an earlier
-        one, and the walk ends at the first layer that keeps nothing.
+    def _stairs(self, g):
+        """Per residue r mod the pivot g, an end generator, the pairs (m,
+        |g*p - m|) over the sums m = r (mod g) of p other generators that no
+        other such pair bounds in both entries, sorted by m, so with second
+        entries falling.  Layer p grows from the pairs layer p - 1 kept, as
+        dropping a part of a minimal pair leaves one, and the walk ends at
+        the first layer that keeps nothing: g or more parts hold some whose
+        sum is a multiple of g, and trading them for copies of g gives a
+        pair that bounds theirs.  An inserted pair drops the pairs it
+        bounds.  About the largest generator this never happens, as a pair
+        of fewer parts and a larger m has the smaller second entry; about
+        the least one a pair of more parts can bound one of fewer.
         """
-        g, smaller = self.gens[-1], self.gens[:-1]
+        others = [h for h in self.gens if h != g]
         stairs = [[(0, 0)]] + [[] for _ in range(1, g)]
         layer, p = [0], 0
         while layer:
             p, kept = p + 1, []
-            for m in sorted({m + h for m in layer for h in smaller}):
-                pairs = stairs[m % g]
-                j = bisect_left(pairs, (m + 1,))  # the pairs with first entry <= m
-                if not j or pairs[j - 1][1] > g * p - m:
-                    pairs.insert(j, (m, g * p - m))
+            for m in sorted({m + h for m in layer for h in others}):
+                pairs, y = stairs[m % g], abs(g * p - m)
+                i = bisect_left(pairs, (m,))  # the pairs with first entry < m
+                j = bisect_left(pairs, (m + 1,), i)
+                if not j or pairs[j - 1][1] > y:
+                    # the pairs it bounds are those from i on with entry >= y
+                    pairs[i:] = [(m, y)] + [q for q in pairs[i:] if q[1] < y]
                     kept.append(m)
             layer = kept
         return stairs
 
-    def min_parts(self, m):
-        """Least number of generators summing to ``m`` (None for non-members):
-        (m + y) / g for the last staircase pair (x, y) of m's class with x <= m."""
+    @cached_property
+    def _staircase(self):
+        """The staircase about the largest generator g: (m + y)/g parts for
+        the last pair (x, y) of m's class with x <= m are the fewest."""
+        return self._stairs(self.gens[-1])
+
+    @cached_property
+    def _floor(self):
+        """The staircase about the least generator s: (m - z)/s parts for
+        the last pair (x, z) of m's class with x <= m are the most."""
+        return self._stairs(self.gens[0])
+
+    @staticmethod
+    def _corner(stairs, m):
+        """The last pair of m's class with first entry <= m, or None when
+        there is none, that is when m is not a member."""
         if m < 0:
             return None
-        g = self.gens[-1]
-        pairs = self._staircase[m % g]
+        pairs = stairs[m % len(stairs)]
         j = bisect_left(pairs, (m + 1,))
-        return (m + pairs[j - 1][1]) // g if j else None
+        return pairs[j - 1] if j else None
+
+    def min_parts(self, m):
+        """Least number of generators summing to ``m`` (None for non-members),
+        read off ``_staircase``."""
+        pair = self._corner(self._staircase, m)
+        return None if pair is None else (m + pair[1]) // self.gens[-1]
+
+    def max_parts(self, m):
+        """Largest number of generators summing to ``m`` (None for
+        non-members), read off ``_floor``.
+
+        >>> S = NumericalSemigroup((4, 5, 102))
+        >>> [S.max_parts(m) for m in (102, 11, 10)]
+        [25, None, 2]
+        """
+        pair = self._corner(self._floor, m)
+        return None if pair is None else (m - pair[1]) // self.gens[0]
 
     def apery(self, m):
         """Least member of each residue class r mod a member ``m``, by
@@ -282,8 +317,9 @@ class NumericalSemigroup:
 
     @property
     def gaps(self):
-        f = self.frobenius
-        return tuple(m for m in range(f + 1) if m not in self)
+        g = self.gens[0]
+        least = self.apery(g)
+        return tuple(m for m in range(self.frobenius + 1) if m < least[m % g])
 
     def __repr__(self):
         return f"NumericalSemigroup{self.gens}"
@@ -359,14 +395,22 @@ def _default_jump_box(A):
     # prints it as its search box.  For a member N of the facet-k semigroup
     # with N >= F+1+k one can split off floor parts of size k down into the
     # window [F+1, F+k], so min_parts(N) <= N/k + C with C the max of
-    # min_parts over members of [0, F+k+1].  A jumping parameter needs
+    # min_parts over members of [0, W], W = F+k+1.  A jumping parameter needs
     # b1 < min_parts(b2) and k*b1 - b2 >= 1, which forces k*b1 - b2 < k*C,
     # then b1 < k*C and b2 < k*b1 <= k^2*C by the mirrored argument.
+    # C is read off the staircase: on x_j <= t < x_{j+1} of a class,
+    # min_parts(t) = (t + y_j)/k grows with t, so the largest t of the class
+    # up to min(x_{j+1} - 1, W) takes the max of the step.
+    k = A.k
     Gk = facet_semigroup(A, FACET_K)
-    window = Gk.frobenius + A.k + 1
-    C = max(Gk.min_parts(t) for t in range(window + 1) if t in Gk)
-    C = max(C, 1)
-    return (0, A.k * C, 0, A.k * A.k * C)
+    window = Gk.frobenius + k + 1
+    C = 1
+    for pairs in Gk._staircase:
+        ends = [x for x, _ in pairs[1:]] + [window + 1]
+        for (x, y), nxt in zip(pairs, ends):
+            if x <= window:
+                C = max(C, (x + y) // k + (min(nxt - 1, window) - x) // k)
+    return (0, k * C, 0, k * k * C)
 
 
 def _rank_jumps(A):

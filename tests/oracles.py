@@ -1,15 +1,19 @@
 """Slow, independent routes to what the fast paths of curvegkz compute.
 
-The library decides "(b1, b2) in NA" and the rank jumps from one
-staircase per semigroup, the minimal pairs (m, g*p - m) of each residue
-class mod the largest generator g, built one layer of parts at a time,
-and semigroup membership and the Frobenius number from Apery sets.  The
-searches below answer the same questions without them, so the tests can
-compare two routes instead of one formula with itself: the least parts
-come from a table over every m, the staircase from all sums of up to P
-smaller generators, the Frobenius number from a search for a run of
-members, and the rank jumps from a sweep over every candidate b1 of each
-row.
+The library counts parts from both ends of one staircase per semigroup,
+the minimal pairs (m, |g*p - m|) of each residue class mod an end
+generator g over the sums m of p other generators, built one layer of
+parts at a time.  About the largest generator it decides "(b1, b2) in
+NA", the rank jumps and the search box of analyze; about the least one it
+gives the decompositions with the most parts that the cocycle generators
+use.  Semigroup membership and the Frobenius number come from Apery sets.
+The searches below answer the same questions without them, so the tests
+can compare two routes instead of one formula with itself: the least and
+the most parts come from tables over every m, and so does a decomposition
+with the most parts, the staircase about either end from all sums of up
+to P other generators, the Frobenius number from a search for a run of
+members, the rank jumps from a sweep over every candidate b1 of each row,
+and the search box from the least parts of every member of its window.
 
 The exact series path has its plain versions here as well: the kernel
 steps by a search of the whole box, the series coefficients by one
@@ -262,15 +266,58 @@ def min_parts_table(gens, upto):
     return table
 
 
-def staircase_by_sums(gens, P):
-    """The minimal pairs (m, g*p - m) of each residue class mod the largest
-    generator g, over every sum m of p <= P smaller generators: those no
-    other pair of the class is at most in both entries, sorted by m."""
-    g, smaller = max(gens), sorted(gens)[:-1]
+def max_parts_table(gens, upto):
+    """Largest number of generators summing to each m <= upto (None on
+    gaps), by a table over every m."""
+    table = [0]
+    for t in range(1, upto + 1):
+        prev = [table[t - g] for g in gens if g <= t and table[t - g] is not None]
+        table.append(max(prev) + 1 if prev else None)
+    return table
+
+
+def max_parts_decomposition_by_table(N, gens):
+    """Decomposition of N in the semigroup with the largest number of
+    parts, preferring small generators; None when N is not a member."""
+    N = int(N)
+    if N < 0:
+        return None
+    gens = sorted(set(int(g) for g in gens))
+    NEG = -1
+    mp = [NEG] * (N + 1)
+    mp[0] = 0
+    for v in range(1, N + 1):
+        best = NEG
+        for g in gens:
+            if g <= v and mp[v - g] != NEG:
+                best = max(best, mp[v - g] + 1)
+        mp[v] = best
+    if mp[N] == NEG:
+        return None
+    counts = {g: 0 for g in gens}
+    r = N
+    while r > 0:
+        for g in gens:
+            if g <= r and mp[r - g] == mp[r] - 1:
+                counts[g] += 1
+                r -= g
+                break
+        else:
+            raise AssertionError("decomposition reconstruction failed")
+    return counts
+
+
+def staircase_by_sums(gens, P, pivot=None):
+    """The minimal pairs (m, |g*p - m|) of each residue class mod the pivot
+    g, an end generator (the largest by default), over every sum m of p <= P
+    other generators: those no other pair of the class is at most in both
+    entries, sorted by m."""
+    g = max(gens) if pivot is None else pivot
+    others = sorted(set(gens) - {g})
     pairs = {
-        (sum(parts), g * p - sum(parts))
+        (sum(parts), abs(g * p - sum(parts)))
         for p in range(P + 1)
-        for parts in itertools.combinations_with_replacement(smaller, p)
+        for parts in itertools.combinations_with_replacement(others, p)
     }
     classes = [[] for _ in range(g)]
     for x, y in sorted(pairs):
@@ -304,6 +351,16 @@ def rank_jumps_by_candidates(A):
     candidates = [(b1, b2) for b2, parts in enumerate(rows) if parts is not None for b1 in range(-(-b2 // k), parts)]
     levels = min_parts_table(facet_semigroup(A, FACET_0).gens, max((k * b1 - b2 for b1, b2 in candidates), default=0))
     return sorted((b1, b2) for b1, b2 in candidates if levels[k * b1 - b2] is not None)
+
+
+def jump_box_by_window(A):
+    """The search box of analyze, (0, k*C, 0, k^2*C) with C at least 1 and
+    at least the least parts of every member of [0, F + k + 1] in the
+    facet-k semigroup, from a least-parts table over that window."""
+    gens = facet_semigroup(A, FACET_K).gens
+    window = frobenius_by_run(gens) + A.k + 1
+    C = max(1, max(parts for parts in min_parts_table(gens, window) if parts is not None))
+    return (0, A.k * C, 0, A.k * A.k * C)
 
 
 def in_NA_brute(A, b1, b2):

@@ -8,6 +8,7 @@ the library against.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from oracles import h1_support_by_search, in_ray_module_by_shift
@@ -22,7 +23,11 @@ from curvegkz.cohomology import (
 from curvegkz.curve import (
     FACET_0,
     FACET_K,
+    FACETS,
     CurveMatrix,
+    NumericalSemigroup,
+    _polar_level_semigroup,
+    facet_level,
     in_NA,
     rank_jumping_parameters,
     _default_jump_box,
@@ -152,3 +157,26 @@ def test_cohomology_refuses_a_degree_that_is_not_integral():
     # an integral value of another type is the degree itself
     assert graded_dims(A0134, (1.0, Fraction(2))) == graded_dims(A0134, (1, 2)) == (0, 1, 0)
     assert cocycle_generator(A0134, (1.0, 2.0)).alpha == (1, 2)
+
+
+def test_cocycle_work_is_counted_in_parts_not_levels():
+    # each ray representative reads the floor of its facet's polar-level
+    # semigroup <s, ..., g>, at most (s - 1) * g + 1 pairs.  A decomposition
+    # with the most parts holds fewer than s parts other than s, and each run
+    # of s is taken at once, so max_parts is called at most
+    # 1 + (2s - 1) * |gens| times per facet, however many parts there are
+    A = CurveMatrix([0, 4, 37, 40])
+    support = h1_support(A)
+    semigroups = [_polar_level_semigroup(A, facet) for facet in FACETS]
+    bound = sum(1 + (2 * S.gens[0] - 1) * len(S.gens) for S in semigroups)
+    for S in semigroups:
+        assert sum(map(len, S._floor)) <= (S.gens[0] - 1) * S.gens[-1] + 1, S
+    # one call per part would pass the bound
+    most = max(sum(S.max_parts(facet_level(A.k, f, a)) for f, S in zip(FACETS, semigroups)) for a in support)
+    assert most > 2 * bound
+    spy = mock.patch.object(NumericalSemigroup, "max_parts", autospec=True, side_effect=NumericalSemigroup.max_parts)
+    with spy as max_parts:
+        for alpha in support:
+            max_parts.reset_mock()
+            assert cocycle_generator(A, alpha).certified
+            assert max_parts.call_count <= bound, alpha

@@ -93,6 +93,20 @@ def test_numerical_semigroup_known_values():
     assert full.frobenius == -1 and full.gaps == ()
 
 
+def test_max_parts_reads_the_floor_after_pruning():
+    # about the least generator a pair of more parts can bound one of fewer:
+    # in <4, 5, 102>, 5 + 5 = (10, 2) bounds 102 = (102, 98), so 102 is
+    # 5 + 5 + 23 * 4 and not 102 alone; in <3, 5, 10>, 5 + 5 = (10, 4)
+    # bounds 10 = (10, 7), a pair of the same first entry
+    S = NumericalSemigroup((4, 5, 102))
+    assert S.max_parts(102) == 25
+    assert S._floor[2] == [(10, 2)]
+    T = NumericalSemigroup((3, 5, 10))
+    assert T.max_parts(10) == 2
+    assert T._floor[1] == [(10, 4)]
+    assert [T.max_parts(m) for m in (-3, 0, 1, 7, 13)] == [None, 0, None, None, 3]
+
+
 def test_membership_above_frobenius_needs_no_table():
     S = NumericalSemigroup((3, 5))
     assert 10**7 in S

@@ -1,11 +1,14 @@
 """Property tests: on random admissible matrices (n <= 5, k <= 7) the
 semigroup answers of the library agree with the search oracles of
 ``oracles.py``: the Apery sets with the least member of each class in a
-least-parts table, the staircase with the minima of all sums of parts,
-and the rank jumps, on sparse matrices with k <= 60
-too, with a sweep over every candidate.  The fast exact series path
-agrees with its plain versions there, the integer annihilation checks
-with their Fraction and PolyQ residuals included, and the residual loop
+least-parts table, the least and most parts with their tables, the
+staircases about either end generator with the minima of all sums of
+parts, and, on sparse matrices with k <= 60 too, the rank jumps with a
+sweep over every candidate, the decompositions with the most parts with
+their table and the search box with a scan of its window.  The fast
+exact series path agrees with its plain versions there, the integer
+annihilation checks with their Fraction and PolyQ residuals included,
+and the residual loop
 with the table of steps it replaced.  The Groebner bases
 read off the kernel vectors of A agree with Buchberger's algorithm with
 saturation, and on wider matrices (n <= 6, k <= 16) with a walk over the
@@ -42,7 +45,10 @@ from oracles import (
     in_NA_bfs,
     in_NA_brute,
     in_ray_module_by_shift,
+    jump_box_by_window,
     kernel_steps_brute,
+    max_parts_decomposition_by_table,
+    max_parts_table,
     min_parts_table,
     parametric_derivative_polyq,
     phi_coefficient_fractions,
@@ -61,15 +67,18 @@ from oracles import (
 
 from curvegkz import analytic, series, toric
 from curvegkz.analytic import euler_mellin, extension_shift, roots_and_components, sample_structured_point
-from curvegkz.cohomology import cocycle_generator, h1_support, in_ray_module
+from curvegkz.cohomology import _max_parts_decomposition, cocycle_generator, h1_support, in_ray_module
 from curvegkz.curve import (
     FACET_0,
     FACET_K,
+    FACETS,
     CurveMatrix,
     NumericalSemigroup,
     _kernel_steps,
+    _polar_level_semigroup,
     delta_conditions,
     facet_level,
+    facet_parts,
     facet_semigroup,
     in_NA,
     rank_jumping_parameters,
@@ -134,6 +143,21 @@ def test_min_parts_matches_the_unbounded_table(gens, descending):
     assert fresh.gaps == tuple(m for m in range(fresh.frobenius + 1) if table[m] is None)
 
 
+@settings(PROPERTY, max_examples=50)
+@given(generator_sets, st.booleans())
+def test_max_parts_matches_the_unbounded_table(gens, descending):
+    # the mirror of the least parts about the least generator s: a minimal
+    # pair of the floor has at most s - 1 parts, so its first entries are
+    # distinct numbers up to (s - 1) * g; asked from the top down too
+    s, g = min(gens), max(gens)
+    upto = 4 * (s - 1) * g + 2 * g
+    table = max_parts_table(sorted(gens), upto)
+    S = NumericalSemigroup(gens)
+    order = range(upto, -1, -1) if descending else range(upto + 1)
+    assert {m: S.max_parts(m) for m in order} == dict(enumerate(table))
+    assert sum(map(len, S._floor)) <= (s - 1) * g + 1
+
+
 @PROPERTY
 @given(matrices)
 def test_in_NA_matches_oracles(A):
@@ -175,6 +199,40 @@ def test_staircase_matches_the_minima_of_all_sums(gens):
     # hold every pair and one layer more, which must add none
     g = max(gens)
     assert NumericalSemigroup(gens)._staircase == staircase_by_sums(gens, g)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(st.one_of(generator_sets, wide_matrices.map(lambda A: facet_semigroup(A, FACET_0).gens)))
+@example({4, 5, 102})
+@example({3, 5, 10})
+def test_floor_matches_the_minima_of_all_sums(gens):
+    # about the least generator s a pair of more parts can bound one of
+    # fewer; the sums of up to s parts hold every minimal pair and one layer
+    # more, which must add none
+    s = min(gens)
+    assert NumericalSemigroup(gens)._floor == staircase_by_sums(gens, s, pivot=s)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.one_of(matrices, wide_matrices, sparse_matrices), st.data())
+def test_max_parts_decompositions_match_the_table(A, data):
+    # a random level of either facet, members and gaps alike; the oracle
+    # takes the facet's parts, the library their polar-level semigroup
+    facet = data.draw(st.sampled_from(FACETS))
+    N = data.draw(st.integers(-2, 2 * A.k * A.k + A.k))
+    parts = [p for _, p in facet_parts(A, facet)]
+    got = _max_parts_decomposition(_polar_level_semigroup(A, facet), N)
+    assert got == max_parts_decomposition_by_table(N, parts), (A, facet, N)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.one_of(matrices, wide_matrices, sparse_matrices))
+@example(CurveMatrix([0, 4, 42, 45]))
+@example(CurveMatrix([0, 7, 18, 20, 21]))
+def test_search_box_matches_the_window_scan(A):
+    # on the two examples the most least parts of the window lie past the
+    # corner of a step, where the corners alone fall one short
+    assert _default_jump_box(A) == jump_box_by_window(A)
 
 
 @settings(PROPERTY, max_examples=40)
