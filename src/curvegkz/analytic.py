@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .curve import FACET_0, FACET_K, FACETS, facet_level, facet_parts, in_convergence_domain
+from .curve import FACET_0, FACET_K, FACETS, facet_level, facet_parts
 from .curve import _polar_level_semigroup
 from .errors import PolarLineError, QuadratureError
 from .series import polar_line_solution
@@ -242,6 +242,14 @@ def euler_mellin(A, beta, x, theta):
     along its contiguous nodes as it sums a lone pair's array, so every
     value equals, bit for bit, the value its pair gives alone.
 
+    The pairs of a level are held as arrays, in pieces of at most one
+    block: their indices, their values at the last h and the integrand rows
+    kept from it.  Every decision of a block is read off its arrays with
+    the operations a lone pair makes on Python numbers (np.hypot is the
+    hypot of Python's complex abs), and the wedge guard reads the real
+    parts of b2 and k b1 - b2 off the arrays of all pairs, the comparisons
+    of in_convergence_domain.
+
     A row that halves h after a value keeps its integrand row until its
     next level.  When _odd_nodes finds that level's even nodes equal to the
     kept level's nodes bit for bit, in every table, only the odd nodes are
@@ -250,27 +258,36 @@ def euler_mellin(A, beta, x, theta):
     operations (_integrand), so it is the same bit for bit wherever it is
     computed, and the row that numpy sums is the one the pair builds alone.
     A row's overflow is read off its new nodes: the kept ones passed it.
+    A level that some row reaches from S - 1.5 or after a phase failure,
+    without a kept row, is evaluated in full for all its rows.
 
     A failure raises where it is found: first a pair outside the wedge, in
-    list order, then the first failure in round order.  Each error names
+    list order, then the first failure in round order.  A round visits its
+    levels ordered by the least pair index they hold, a level its rows in
+    pair order, block by block, and a row fails on overflow, then on a tail
+    that does not decay at S = 7, then on no convergence.  Each error names
     its level, so it is the error that its pair raises alone.
     """
     import numpy as np
     x = tuple(x)
     pairs = beta if isinstance(beta, list) else [beta]
-    for pair in pairs:
-        if not in_convergence_domain(A, pair):
-            raise QuadratureError(f"parameters {pair} outside the convergence wedge")
-    params = [(complex(b1), complex(b2)) for b1, b2 in pairs]
-    # each pair still running, to its (S, h, value at the last h, integrand
-    # row at the last h); a row is dropped when its pair leaves the level
-    todo = dict.fromkeys(range(len(pairs)), (4.0, 0.2, None, None))
+    b1s, b2s = np.array([(complex(b1), complex(b2)) for b1, b2 in pairs], dtype=complex).reshape(-1, 2).T
+    # in_convergence_domain of every pair at once: the real parts of the
+    # facet levels b2 and k b1 - b2, in the same complex operations
+    inside = (b2s.real < 0) & ((A.k * b1s - b2s).real < 0)
+    if not inside.all():
+        raise QuadratureError(f"parameters {pairs[int(np.argmin(inside))]} outside the convergence wedge")
+    # the pieces of rows at each level (S, h) of the next round: their pair
+    # indices, in pair order, and, for rows that halved h after a value,
+    # that value and their integrand rows (else None and None)
+    todo = {(4.0, 0.2): [(np.arange(len(pairs)), None, None)]} if pairs else {}
     values = [None] * len(pairs)
     while todo:
-        rounds = {}
-        for i, (S, h, _, _) in todo.items():
-            rounds.setdefault((S, h), []).append(i)
-        for (S, h), rows in rounds.items():
+        # a round visits its levels ordered by the least pair index they hold
+        rounds = sorted(((min(int(ids[0]) for ids, _, _ in pieces), level, pieces) for level, pieces in todo.items()),
+                        key=lambda entry: entry[0])
+        todo = {}
+        for first, (S, h), pieces in rounds:
             _, logz, (logf, why), cosh_s = _ray_nodes(A, x, theta, S, h)
             if logf is None:
                 if why == "zero":
@@ -278,59 +295,93 @@ def euler_mellin(A, beta, x, theta):
                         f"curve root on or near the integration ray: theta = {theta:.6g}, S = {S}, h = {h:.3g}"
                     )
                 if 0.5 * h < 1e-4:
-                    raise QuadratureError("phase tracking failed to stabilize" + _state(pairs[rows[0]], S, h))
-                for i in rows:
-                    todo[i] = (S, 0.5 * h, None, None)
+                    raise QuadratureError("phase tracking failed to stabilize" + _state(pairs[first], S, h))
+                todo.setdefault((S, 0.5 * h), []).extend((idx, None, None) for idx, _, _ in pieces)
                 continue
-            # the rows that reach a level in one round have come the same
-            # way; should one of them bring no row, the level is evaluated
-            # in full for all of them
-            odd = _odd_nodes(A, x, theta, S, h) if all(todo[i][3] is not None for i in rows) else None
+            idx = np.concatenate([piece[0] for piece in pieces])
+            prev = np.concatenate([np.full(len(i), np.nan, dtype=complex) if p is None else p for i, p, _ in pieces])
+            kept = all(rows is not None for _, _, rows in pieces)
+            if kept:
+                # every row halved h at (S, 2h) last round: its pieces are
+                # that level's blocks, in order
+                odd = _odd_nodes(A, x, theta, S, h)
+            else:
+                # rows from (S - 1.5, h) or a phase failure bring no row, and
+                # the level is evaluated in full for all rows
+                order = np.argsort(idx, kind="stable")
+                idx, prev, odd = idx[order], prev[order], None
             per_block = max(1, _BLOCK_VALUES // logz.size)
-            for lo in range(0, len(rows), per_block):
-                block = rows[lo:lo + per_block]
-                b1 = np.array([params[i][0] for i in block])[:, None]
-                b2 = np.array([params[i][1] for i in block])[:, None]
+            for lo in range(0, len(idx), per_block):
+                rows = idx[lo:lo + per_block]
+                b1, b2 = b1s[rows][:, None], b2s[rows][:, None]
                 if odd is None:
                     g, peak = _integrand(b1, b2, logf, logz, cosh_s)
                 else:
-                    g = np.empty((len(block), logz.size), dtype=complex)
+                    g = np.empty((len(rows), logz.size), dtype=complex)
                     g[:, 1::2], peak = _integrand(b1, b2, *odd)
-                    g[:, ::2] = [todo[i][3] for i in block]
-                # each row as Python numbers; Python's abs of an end node is numpy's
-                columns = [peak > 690.0, np.max(np.abs(g), axis=1), g[:, 0], g[:, -1]]
-                columns.append(h * np.sum(g, axis=1))
-                for i, row, overflow, gmax, head, end, val in zip(block, g, *(c.tolist() for c in columns)):
-                    if overflow:
-                        raise QuadratureError(
-                            "integrand overflow: parameters too deep outside the wedge" + _state(pairs[i], S, h)
-                        )
-                    if max(abs(head), abs(end)) > 1e-16 * gmax:
-                        if S >= 7.0:
-                            raise QuadratureError("integrand tail does not decay" + _state(pairs[i], S, h))
-                        todo[i] = (S + 1.5, h, None, None)
-                        continue
-                    prev = todo[i][2]
-                    if prev is not None and abs(val - prev) <= _TOL * max(1.0, abs(val)):
-                        values[i] = val
-                        del todo[i]
-                    elif 0.5 * h < 1e-4:
-                        last = f"value {val:.6g}" if prev is None else f"values {prev:.6g} and {val:.6g}"
-                        raise QuadratureError(f"ray quadrature failed to converge{_state(pairs[i], S, h)}, last {last}")
+                    start = 0
+                    for _, _, piece in pieces:
+                        a, b = max(lo, start), min(lo + len(rows), start + len(piece))
+                        if a < b:
+                            g[a - lo:b - lo, ::2] = piece[a - start:b - start]
+                        start += len(piece)
+                # the decisions a lone pair makes on Python numbers: np.hypot
+                # is the hypot of Python's complex abs bit for bit (np.abs of
+                # a complex array need not be), max(a, b) is b only where b >
+                # a, and max(1.0, a) is 1.0 where a is NaN, as np.fmax
+                head, end = (np.hypot(c.real, c.imag) for c in (g[:, 0], g[:, -1]))
+                tail = np.where(end > head, end, head) > 1e-16 * np.max(np.abs(g), axis=1)
+                val = h * np.sum(g, axis=1)
+                step = val - prev[lo:lo + len(rows)]
+                # a row without a value at the last h has a NaN there and
+                # never converges
+                done = ~tail & (np.hypot(step.real, step.imag) <= _TOL * np.fmax(1.0, np.hypot(val.real, val.imag)))
+                halve = ~tail & ~done
+                overflow = peak > 690.0
+                fail = overflow | (tail & (S >= 7.0)) | (halve & (0.5 * h < 1e-4))
+                if fail.any():
+                    r = int(np.argmax(fail))
+                    state = _state(pairs[rows[r]], S, h)
+                    if overflow[r]:
+                        raise QuadratureError("integrand overflow: parameters too deep outside the wedge" + state)
+                    if tail[r]:
+                        raise QuadratureError("integrand tail does not decay" + state)
+                    val_r, prev_r = complex(val[r]), complex(prev[lo + r])
+                    if any(p is not None and (ids == rows[r]).any() for ids, p, _ in pieces):
+                        last = f"values {prev_r:.6g} and {val_r:.6g}"
                     else:
-                        todo[i] = (S, 0.5 * h, val, row)
+                        last = f"value {val_r:.6g}"
+                    raise QuadratureError(f"ray quadrature failed to converge{state}, last {last}")
+                if tail.any():
+                    todo.setdefault((S + 1.5, h), []).append((rows[tail], None, None))
+                for i, v in zip(rows[done].tolist(), val[done].tolist()):
+                    values[i] = v
+                if halve.any():
+                    keep = g if halve.all() else g[halve]
+                    todo.setdefault((S, 0.5 * h), []).append((rows[halve], val[halve], keep))
     return values if isinstance(beta, list) else values[0]
 
 
-def _shift_plan(A, beta, x, order, known=()):
+def _shift_plan(A, beta, x, order, shared=None, top=None):
     """The steps of both facets, and levels[m] mapping w to None when the
     shift (m, w) lies inside the wedge, else to its facet and prefactor.
 
     The plan goes breadth first: level m + 1 holds the children of the
     shifts of level m outside the wedge, in the order they are reached.  A
     vanishing denominator raises at once, so PolarLineError names the first
-    one of the lowest level that has one.  A shift that known[m] holds takes
-    its entry from there, unplanned.
+    one of the lowest level that has one.
+
+    ``shared`` is the list of levels of an earlier plan of the same pair,
+    and ``top`` its level m* (see extension_shift).  The plan owns its
+    levels below m* only.  Level m* and every level after it is the shared
+    one, grown by the shifts of this plan that it lacks: those are planned
+    here, in the order this plan reaches them, and their children that the
+    next shared level lacks are the next to plan.  A child of a shift that
+    the shared level holds is in the next shared level already, so no other
+    shift of the plan is walked, and the first vanishing denominator is the
+    one the plan meets alone.  Each shared level counts whole against
+    _PLAN_BUDGET: with the levels below m*, at least the shifts the plan
+    counts alone, so it is refused wherever a lone plan is.
     """
     if order not in ("facet-0-first", "facet-k-first"):
         raise ValueError(f"unknown order {order!r}")
@@ -347,59 +398,83 @@ def _shift_plan(A, beta, x, order, known=()):
     b1_re, b2_re = b1.real, b2.real
     facet_0_first = order == "facet-0-first"
     levels = []
-    level = {0: None}
+    # the shifts of the next level that this plan plans
+    fresh = {0: None}
     size = 0
-    while level:
+    while fresh or top is not None and top < len(levels) < len(shared):
+        m = len(levels)
+        if top is not None and m >= top:
+            while len(shared) <= m:
+                shared.append({})
+            level = shared[m]
+            fresh = {w: None for w in fresh if w not in level}
+            level.update(fresh)
+        else:
+            level = fresh
         size += len(level)
         if size > _PLAN_BUDGET:
             raise QuadratureError(
                 f"the shift plan at beta = {beta} ({order}) holds more than {_PLAN_BUDGET} shifts"
             )
-        m = len(levels)
         levels.append(level)
-        known_m = known[m] if m < len(known) else {}
         p1 = b1 - m
         # the real parts of the facet levels p2 and k*p1 - p2 of
         # facet_level, inline and in floats on this hot path
         sum_levels = k * (b1_re - m)
         scale = 1.0 + abs(p1) * k
         below = {}
-        for w in level:
-            plan = known_m.get(w, False)
-            if plan is False:
-                level_0 = b2_re - w
-                level_k = sum_levels - level_0
-                if level_0 <= -_SHIFT_MARGIN and level_k <= -_SHIFT_MARGIN:
-                    continue
-                if facet_0_first:
-                    facet = FACET_0 if level_0 > -_SHIFT_MARGIN else FACET_K
-                else:
-                    facet = FACET_K if level_k > -_SHIFT_MARGIN else FACET_0
-                p2 = b2 - w
-                den = p2 if facet == FACET_0 else k * p1 - p2
-                # |den| < 1e-12 (scale + |p2|) implies |den| < 2.1e-12 scale, as
-                # |p2| = |den| on facet 0 and |p2| <= scale + |den| on facet k;
-                # Re den is the facet's level above, bit for bit, and
-                # |Re den| <= |den|, so the two complex abs are needed only
-                # where |Re den| <= 4e-12 scale
-                re_den = level_0 if facet == FACET_0 else level_k
-                if abs(re_den) <= 4e-12 * scale and abs(den) < 1e-12 * (scale + abs(p2)):
-                    raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
-                plan = (facet, p1 / den)
-            elif plan is None:
+        for w in fresh:
+            level_0 = b2_re - w
+            level_k = sum_levels - level_0
+            if level_0 <= -_SHIFT_MARGIN and level_k <= -_SHIFT_MARGIN:
                 continue
-            level[w] = plan
-            for ki in children[plan[0]]:
+            if facet_0_first:
+                facet = FACET_0 if level_0 > -_SHIFT_MARGIN else FACET_K
+            else:
+                facet = FACET_K if level_k > -_SHIFT_MARGIN else FACET_0
+            p2 = b2 - w
+            den = p2 if facet == FACET_0 else k * p1 - p2
+            # |den| < 1e-12 (scale + |p2|) implies |den| < 2.1e-12 scale, as
+            # |p2| = |den| on facet 0 and |p2| <= scale + |den| on facet k;
+            # Re den is the facet's level above, bit for bit, and
+            # |Re den| <= |den|, so the two complex abs are needed only
+            # where |Re den| <= 4e-12 scale
+            re_den = level_0 if facet == FACET_0 else level_k
+            if abs(re_den) <= 4e-12 * scale and abs(den) < 1e-12 * (scale + abs(p2)):
+                raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
+            level[w] = (facet, p1 / den)
+            for ki in children[facet]:
                 below[w + ki] = None
-        level = below
+        fresh = below
     return steps, levels
 
 
-def _from_m_star(k, b1, levels):
-    """A copy of levels with the levels below m* of extension_shift emptied."""
-    m_star = math.floor(b1.real + 2 * _SHIFT_MARGIN / k) + 2 if math.isfinite(b1.real) else len(levels)
-    m_star = min(max(m_star, 0), len(levels))
-    return [{}] * m_star + levels[m_star:]
+def _reach(steps, levels):
+    """The shifts of each level that a plan reaches from (0, 0), in the
+    order it reaches them: levels from m* on may hold other plans' shifts."""
+    children = {facet: [ki for ki, _ in facet_steps] for facet, facet_steps in steps.items()}
+    reach = []
+    level = {0: None}
+    for plans in levels:
+        if not level:
+            break
+        reach.append(level)
+        below = {}
+        for w in level:
+            if plans[w] is not None:
+                below.update(dict.fromkeys(w + ki for ki in children[plans[w][0]]))
+        level = below
+    return reach
+
+
+def _check_finite(pair, reach, m, values):
+    """Raise the overflow of a plan whose own shifts of level m, reach[m],
+    have a value that is not finite."""
+    if m < len(reach) and not all(cmath.isfinite(values[w]) for w in reach[m]):
+        raise QuadratureError(
+            f"shift continuation over {len(reach)} levels overflowed at {pair}: "
+            f"the values of level {m} are not finite"
+        )
 
 
 def extension_shift(A, beta, x, theta, order="facet-0-first"):
@@ -414,21 +489,27 @@ def extension_shift(A, beta, x, theta, order="facet-0-first"):
 
     ``beta`` is one pair, or a list of pairs with a list ``order`` of the
     same length, which gives the list of their values.  The work goes in
-    three stages, and each raises its first error: every pair's shifts are
-    planned level by level, in list order; the wedge shifts of all pairs go
-    once each into one batched euler_mellin call; and each pair, in list
-    order, combines every other shift from the level below it.  Each value
-    equals, bit for bit, the one its pair gives alone.
+    three stages, and each raises its first error: every entry's shifts are
+    planned level by level, in list order; the wedge shifts of all entries
+    go once each into one batched euler_mellin call; and each entry, in list
+    order, combines every other shift from the level below it, from its
+    deepest level up.  Each value equals, bit for bit, the one its entry
+    gives alone.
 
-    A later entry with an earlier one's pair takes that entry's plan entries
-    and values on the levels m >= m* = floor(Re b1 + 2 margin / k) + 2,
-    margin = _SHIFT_MARGIN, and plans only the shifts there that it lacks.
-    The real facet levels of (m, w), l0 = Re b2 - w and lk = k (Re b1 - m)
-    - l0, sum to at most -2 margin - k from m* on (the extra level absorbs
-    rounding), so a shift outside the wedge has one facet outside, which
-    both orders take: its entry and value are the same operations in every
-    entry.  Each entry still walks its own levels, counts its own shifts
-    against _PLAN_BUDGET and raises the error it raises alone.
+    A later entry with an earlier one's pair shares that entry's levels
+    m >= m* = max(0, floor(Re b1 + 2 margin / k) + 2), margin =
+    _SHIFT_MARGIN.  The real facet levels of (m, w), l0 = Re b2 - w and
+    lk = k (Re b1 - m) - l0, sum to at most -2 margin - k from m* on (the
+    extra level absorbs rounding), so a shift outside the wedge has one
+    facet outside, which both orders take: its plan entry and value are the
+    same operations in every entry.  The later entry plans its own levels
+    below m* and, from m* on, only the shifts the shared levels lack
+    (_shift_plan); the earlier entry combines the shared levels, the later
+    one's shifts included, and the later entry combines only its levels
+    below m*, from the values of level m*.  A level whose values are not
+    all finite raises for an entry only where its own shifts, the ones it
+    reaches from (0, 0), have such a value, and the error names its own
+    level count: every entry raises the error it raises alone.
 
     Raises PolarLineError when a needed denominator sits on a polar line,
     and QuadratureError when a plan holds more than _PLAN_BUDGET shifts,
@@ -440,44 +521,65 @@ def extension_shift(A, beta, x, theta, order="facet-0-first"):
     if isinstance(order, str) or len(order) != len(beta):
         raise ValueError("a list of pairs needs a list of orders of the same length")
     pairs = [(complex(b1), complex(b2)) for b1, b2 in beta]
-    # the levels a later entry takes from the first entry of its pair: plan
-    # entries, then values, which a combined level holds in their place
+    # the first entry of each pair; tops[j] is m* where entry j joined the
+    # levels of that entry, and shares[i] where a later entry joined entry i's
     first = {}
-    firsts = [first.setdefault(pair, j) for j, pair in enumerate(pairs)]
-    plans, knowns = [], []
+    plans, tops, shares = [], [], {}
     for j, (pair, pair_order) in enumerate(zip(beta, order)):
-        knowns.append(_from_m_star(A.k, pairs[j][0], plans[firsts[j]][1]) if firsts[j] < j else ())
-        plans.append(_shift_plan(A, pair, x, pair_order, knowns[j]))
+        i = first.setdefault(pairs[j], j)
+        b1_re = pairs[j][0].real
+        top = max(math.floor(b1_re + 2 * _SHIFT_MARGIN / A.k) + 2, 0) if i < j and math.isfinite(b1_re) else None
+        steps, levels = _shift_plan(A, pair, x, pair_order, None if top is None else plans[i][1], top)
+        if top is not None and len(levels) > top:
+            shares[i] = top
+        else:
+            # no earlier entry, or the plan ends below m*, alone
+            top = None
+        plans.append((steps, levels))
+        tops.append(top)
     wedge = {}
-    for (b1, b2), (_, levels) in zip(pairs, plans):
-        for m, level in enumerate(levels):
+    for (b1, b2), (_, levels), top in zip(pairs, plans, tops):
+        for m, level in enumerate(levels[:top]):
             wedge.update(((b1 - m, b2 - w), None) for w, plan in level.items() if plan is None)
     wedge_values = dict(zip(wedge, euler_mellin(A, list(wedge), x, theta)))
     results = []
-    for pair, (b1, b2), (steps, levels), known in zip(beta, pairs, plans, knowns):
-        below = {}
-        for m in range(len(levels) - 1, -1, -1):
-            level = levels[m]
-            known_m = known[m] if m < len(known) else {}
-            for w, plan in level.items():
-                if w in known_m:
-                    level[w] = known_m[w]
-                elif plan is None:
-                    level[w] = wedge_values[(b1 - m, b2 - w)]
+    # by entry: the values of its level m* and its levels whose values are
+    # not all finite, which the entries that joined it read
+    tails = {}
+    for j, (pair, (b1, b2), (steps, levels), top) in enumerate(zip(beta, pairs, plans, tops)):
+        # the shifts the entry reaches, read off its plan only where a value
+        # is not finite
+        reach = []
+        if top is None:
+            below, unfinite, m = {}, {}, len(levels)
+        else:
+            below, unfinite = tails[first[pairs[j]]]
+            m = top
+            for n in sorted(unfinite, reverse=True):
+                reach = reach or _reach(steps, levels)
+                _check_finite(pair, reach, n, unfinite[n])
+        while m > 0:
+            m -= 1
+            values = {}
+            for w, plan in levels[m].items():
+                if plan is None:
+                    values[w] = wedge_values[(b1 - m, b2 - w)]
                 else:
                     facet, prefactor = plan
                     total = 0.0 + 0.0j
                     for ki, weight in steps[facet]:
                         total += weight * below[w + ki]
-                    level[w] = prefactor * total
-            # every shift of the plan feeds (0, 0), and a value that is not
+                    values[w] = prefactor * total
+            # every shift of a plan feeds (0, 0), and a value that is not
             # finite stays so through the weighted sums above it
-            if not all(map(cmath.isfinite, level.values())):
-                raise QuadratureError(
-                    f"shift continuation over {len(levels)} levels overflowed at {pair}: "
-                    f"the values of level {m} are not finite"
-                )
-            below = level
+            if not all(map(cmath.isfinite, values.values())):
+                reach = reach or _reach(steps, levels)
+                _check_finite(pair, reach, m, values)
+                if top is None:
+                    unfinite[m] = values
+            if shares.get(j) == m:
+                tails[j] = (values, unfinite)
+            below = values
         results.append(below[0])
     return results
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import mpmath
 import pytest
-from oracles import euler_mellin_untabled
+from oracles import _shift_plan_per_order, euler_mellin_untabled, extension_shift_per_order
 
 from curvegkz import analytic
 from curvegkz.analytic import (
@@ -366,6 +366,111 @@ def test_extension_shift_list_shares_the_wedge_shifts(monkeypatch):
     assert len(batches[2]) == len(set(batches[2])) < len(batches[0]) + len(batches[1])
 
 
+A0257 = CurveMatrix([0, 2, 5, 7])
+ORDERS = ["facet-0-first", "facet-k-first"]
+
+
+def _shared_tail_case():
+    """The heaviest generic point of the seed-0 verify scan, (118/3, 512/3)
+    on 0,2,5,7, its point and ray, m*, and the levels of each order planned
+    alone (the oracle's)."""
+    x = sample_structured_point(A0257, 0)
+    theta = roots_and_components(A0257, x).ray_angles[0]
+    beta = (complex(118 / 3), complex(512 / 3))
+    m_star = math.floor(beta[0].real + 2 * analytic._SHIFT_MARGIN / A0257.k) + 2
+    alone = [_shift_plan_per_order(A0257, beta, x, order)[1] for order in ORDERS]
+    return x, theta, beta, m_star, alone
+
+
+def _lacking(levels, other, m_star):
+    """The shifts of levels from m* on that the same level of other lacks."""
+    return [
+        level.keys() - (other[m].keys() if m < len(other) else set())
+        for m, level in enumerate(levels)
+        if m >= m_star
+    ]
+
+
+def test_shared_tail_plans_each_shift_once(monkeypatch):
+    # the two orders share their levels from m* = 41 on.  The list call
+    # plans the 7,430 shifts of facet-0-first, then the 3,280 of
+    # facet-k-first below m* and the 1,801 from m* on that facet-0-first
+    # lacks: 12,511 plan entries, where the orders planned apart make
+    # 7,430 + 7,419.  A count, not a wall time
+    x, theta, beta, m_star, alone = _shared_tail_case()
+    assert ([len(levels) for levels in alone], m_star) == ([87, 102], 41)
+    first, below = sum(map(len, alone[0])), sum(map(len, alone[1][:m_star]))
+    lacking = sum(map(len, _lacking(alone[1], alone[0], m_star)))
+    assert (first, below, lacking) == (7430, 3280, 1801)
+    plans = []
+    planner = analytic._shift_plan
+    monkeypatch.setattr(analytic, "_shift_plan", lambda *args: plans.append(planner(*args)) or plans[-1])
+    values = extension_shift(A0257, [beta, beta], x, theta, ORDERS)
+    levels = {id(level): level for _, plan in plans for level in plan}
+    assert sum(map(len, levels.values())) == first + below + lacking
+    assert values == extension_shift_per_order(A0257, [beta, beta], x, theta, ORDERS)
+
+
+def test_shared_tail_overflow_is_each_entry_own(monkeypatch):
+    # an infinite wedge value makes every value it feeds not finite.  Made
+    # infinite on the wedge shifts from m* on that one order alone plans,
+    # it overflows that order only, which names its own level count, 87 or
+    # 102, whichever order comes first in the list and combines the shared
+    # levels; on the shifts both plan, it overflows the first entry
+    x, theta, beta, m_star, alone = _shared_tail_case()
+
+    def wedge_shifts(levels, lacking):
+        return {
+            (beta[0] - m, beta[1] - w)
+            for m, shifts in enumerate(lacking, m_star)
+            for w in shifts
+            if levels[m][w] is None
+        }
+
+    own = [wedge_shifts(alone[j], _lacking(alone[j], alone[1 - j], m_star)) for j in range(2)]
+    both = wedge_shifts(alone[0], [alone[0][m].keys() & alone[1][m].keys() for m in range(m_star, len(alone[0]))])
+    assert all(own) and both
+    quadrature = analytic.euler_mellin
+    for j, poisoned in [(0, own[0]), (1, own[1]), (None, both)]:
+        monkeypatch.setattr(
+            analytic,
+            "euler_mellin",
+            lambda A, pairs, *args: [
+                complex(math.inf) if pair in poisoned else value
+                for pair, value in zip(pairs, quadrature(A, pairs, *args))
+            ],
+        )
+        if j is not None:
+            assert cmath.isfinite(extension_shift(A0257, beta, x, theta, ORDERS[1 - j]))
+        for orders in (ORDERS, ORDERS[::-1]):
+            errors = [
+                _lone_error(shift, A0257, [beta, beta], x, theta, orders)
+                for shift in (extension_shift, extension_shift_per_order)
+            ]
+            failing = orders[0] if j is None else ORDERS[j]
+            assert errors[0] == errors[1] == _lone_error(extension_shift, A0257, beta, x, theta, failing)
+            assert f"over {[87, 102][ORDERS.index(failing)]} levels" in errors[0]
+
+
+def test_shared_tail_budget_counts_the_shared_levels(monkeypatch):
+    # the later entry counts its levels below m* and each shared level
+    # whole, the shifts of both orders: more than it counts alone, so the
+    # list refuses wherever a lone plan does
+    x, theta, beta, m_star, alone = _shared_tail_case()
+    shared = [
+        alone[1][m].keys() | (alone[0][m].keys() if m < len(alone[0]) else set())
+        for m in range(m_star, len(alone[1]))
+    ]
+    counted = sum(map(len, alone[1][:m_star])) + sum(map(len, shared))
+    assert counted > max(sum(map(len, levels)) for levels in alone)
+    monkeypatch.setattr(analytic, "_PLAN_BUDGET", counted)
+    extension_shift(A0257, [beta, beta], x, theta, ORDERS)
+    monkeypatch.setattr(analytic, "_PLAN_BUDGET", counted - 1)
+    assert cmath.isfinite(extension_shift(A0257, beta, x, theta, ORDERS[1]))
+    with pytest.raises(QuadratureError, match=re.escape(f"({ORDERS[1]}) holds more than {counted - 1} shifts")):
+        extension_shift(A0257, [beta, beta], x, theta, ORDERS)
+
+
 def _fresh_node_cache(monkeypatch):
     """Give the test an empty node-table cache of its own, so that a patched
     _tracked_log_f runs on every level and no table it built outlives the
@@ -569,6 +674,33 @@ def test_refinement_keeps_the_round_order_of_failures(monkeypatch):
             euler_mellin(A01, pairs, x, 0.0)
         assert str(err.value) == errors[failing]
         assert sizes == batches
+
+
+def test_refinement_merges_kept_and_fresh_rows(monkeypatch):
+    # f = 1 + z.  np.arange ends the level (5.5, 0.2) 1e-14 past 5.5 and
+    # (5.5, 0.1) 5e-14 short of it, and the tail |g(end)| of `late` sits
+    # just below the bound 1e-16 max |g| at the first and just above it at
+    # the second, both maxima on the same node.  So `late` leaves (5.5, 0.1)
+    # for (7, 0.1), in the round in which `early` and `other`, which left
+    # S = 5.5 at h = 0.2, halve h at (7, 0.2) and bring their rows and
+    # values there.  The level holds kept rows and a fresh one, out of pair
+    # order, is evaluated in full, and every value is the untabled loop's
+    # bit for bit
+    import numpy as np
+
+    x = (1.0, 1.0)
+    early, late, other = (-1.62, -1.5), (-1.8400189446658621, -1.5), (-1.6, -1.5)
+    tails = []
+    for h in (0.2, 0.1):
+        _, logz, (logf, _), cosh_s = analytic._ray_nodes(A01, x, 0.0, 5.5, h)
+        g = analytic._integrand(np.array([[late[0]]]), np.array([[late[1]]]), logf, logz, cosh_s)[0][0]
+        tails.append(max(abs(complex(g[0])), abs(complex(g[-1]))) > 1e-16 * np.max(np.abs(g)))
+    assert tails == [False, True]
+    pairs = [early, late, other]
+    lone = [euler_mellin_untabled(A01, pair, x, 0.0) for pair in pairs]
+    sizes = _record_integrands(monkeypatch)
+    assert [_bits(v) for v in euler_mellin(A01, pairs, x, 0.0)] == [_bits(v) for v in lone]
+    assert sizes == [(3, 41), (3, 56), (2, 71), (1, 111), (3, 141), (1, 140)]
 
 
 def test_loop_calculus_sum_rule():

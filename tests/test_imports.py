@@ -87,6 +87,19 @@ def test_verify_loads_numpy():
     assert out.split() == ["0", "False", "True"]
 
 
+def test_verify_without_a_numeric_check_leaves_numpy_unloaded():
+    # (1/2, 3) is non-integral on the facet-0 line of level 3: verify skips
+    # both numeric checks and samples no point, so numpy stays unloaded
+    out = _run(
+        "import contextlib, io, sys\n"
+        "from curvegkz import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '-A', '0,1,3,4', '-b', '1/2,3'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    assert out.split() == ["0", "False"]
+
+
 def test_import_registers_every_submodule():
     # cli is the entry point: it imports the package, not the reverse
     expected = sorted(

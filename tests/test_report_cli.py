@@ -96,6 +96,20 @@ def test_verify_report_generic_point_runs_numeric_checks():
     assert isinstance(value, list) and len(value) == 2
 
 
+def test_verify_report_samples_a_point_only_for_a_numeric_check(monkeypatch):
+    # at a non-integral point on a polar line both numeric checks are
+    # skipped, and no coefficient point is sampled for them
+    def unreachable(A, seed):
+        raise AssertionError("a point was sampled for no check")
+
+    monkeypatch.setattr(report.analytic, "sample_structured_point", unreachable)
+    rep = verify_report(A0134, (Fraction(1, 2), Fraction(3)))
+    by_name = {c["name"]: c for c in rep["checks"]}
+    assert by_name["shift-order-independence"]["status"] == "skipped"
+    assert by_name["loop-sum-rule"]["status"] == "skipped"
+    assert rep["status"] == "pass"
+
+
 def test_verify_report_zero_tolerance_fails():
     rep = verify_report(A0134, (Fraction(-1), Fraction(-2)), tol=0.0)
     assert rep["status"] == "fail"
