@@ -34,9 +34,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analytic": (
         "PolarMatchResult",
-        "ProbeResult",
         "RootData",
-        "em_independence_probe",
         "euler_mellin",
         "extension_shift",
         "polar_line_match_check",

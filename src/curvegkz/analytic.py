@@ -234,39 +234,41 @@ def euler_mellin(A, beta, x, theta):
     half-width S of the node range grows while the integrand's tail has not
     decayed, and the step h halves where the phase tracking fails and until
     two successive values agree.  At each round the pairs that sit at the
-    same (S, h) are integrated together as the rows of one array, at most
-    _BLOCK_VALUES integrand values a block.  The nodes of a level come from
-    _ray_nodes, built once per (A, x, theta, S, h), and a round moves every
-    pair one step, S up or h down, so a level comes up in one round only.
-    A row goes through exactly the steps of a lone pair, and numpy sums it
-    along its contiguous nodes as it sums a lone pair's array, so every
-    value equals, bit for bit, the value its pair gives alone.
+    same (S, h) read the nodes of that level from _ray_nodes, built once per
+    (A, x, theta, S, h), and a round moves every pair one step, S up or h
+    down, so a level comes up in one round only.  A row goes through exactly
+    the steps of a lone pair, and numpy sums it along its contiguous nodes
+    as it sums a lone pair's array, so every value equals, bit for bit, the
+    value its pair gives alone.
 
-    The pairs of a level are held as arrays, in pieces of at most one
-    block: their indices, their values at the last h and the integrand rows
-    kept from it.  Every decision of a block is read off its arrays with
-    the operations a lone pair makes on Python numbers (np.hypot is the
-    hypot of Python's complex abs), and the wedge guard reads the real
-    parts of b2 and k b1 - b2 off the arrays of all pairs, the comparisons
-    of in_convergence_domain.
+    The rows of a level arrive in pieces, in the order they are sent there:
+    their indices, in pair order, and, for rows that halved h after a
+    value, those values and the integrand rows kept from it.  A level takes
+    its pieces one at a time and cuts each into blocks of at most
+    _BLOCK_VALUES integrand values.  Every decision of a block is read off
+    its arrays with the operations a lone pair makes on Python numbers
+    (np.hypot is the hypot of Python's complex abs), and the wedge guard
+    reads the real parts of b2 and k b1 - b2 off the arrays of all pairs,
+    the comparisons of in_convergence_domain.
 
-    A row that halves h after a value keeps its integrand row until its
-    next level.  When _odd_nodes finds that level's even nodes equal to the
-    kept level's nodes bit for bit, in every table, only the odd nodes are
-    evaluated and the kept row fills the even ones.  Each integrand value
-    is computed elementwise from the same table entries by the same
-    operations (_integrand), so it is the same bit for bit wherever it is
-    computed, and the row that numpy sums is the one the pair builds alone.
-    A row's overflow is read off its new nodes: the kept ones passed it.
-    A level that some row reaches from S - 1.5 or after a phase failure,
-    without a kept row, is evaluated in full for all its rows.
+    A piece of kept rows evaluates only the odd nodes of its level when
+    _odd_nodes finds the level's even nodes equal to the kept level's nodes
+    bit for bit, in every table, and the kept rows fill the even ones.  Each
+    integrand value is computed elementwise from the same table entries by
+    the same operations (_integrand), so it is the same bit for bit wherever
+    it is computed, and the row that numpy sums is the one the pair builds
+    alone.  A row's overflow is read off its new nodes: the kept ones passed
+    it.  A piece of rows from (S - 1.5, h) or from a phase failure keeps no
+    integrand rows and evaluates every node.
 
     A failure raises where it is found: first a pair outside the wedge, in
-    list order, then the first failure in round order.  A round visits its
-    levels ordered by the least pair index they hold, a level its rows in
-    pair order, block by block, and a row fails on overflow, then on a tail
-    that does not decay at S = 7, then on no convergence.  Each error names
-    its level, so it is the error that its pair raises alone.
+    list order, then the first failure in level order.  A round visits its
+    levels in the order they were first reached, a level its pieces in the
+    order they arrived, a piece its rows in pair order, block by block, and
+    a row fails on overflow, then on a tail that does not decay at S = 7,
+    then on no convergence.  A phase tracking failure at the finest h names
+    the first row of the level's first piece.  Each error names its level,
+    so it is the error that its pair raises alone.
     """
     import numpy as np
     x = tuple(x)
@@ -277,17 +279,14 @@ def euler_mellin(A, beta, x, theta):
     inside = (b2s.real < 0) & ((A.k * b1s - b2s).real < 0)
     if not inside.all():
         raise QuadratureError(f"parameters {pairs[int(np.argmin(inside))]} outside the convergence wedge")
-    # the pieces of rows at each level (S, h) of the next round: their pair
-    # indices, in pair order, and, for rows that halved h after a value,
-    # that value and their integrand rows (else None and None)
+    # the pieces of rows at each level (S, h) of the next round, in arrival
+    # order: their pair indices, in pair order, and, for rows that halved h
+    # after a value, that value and their integrand rows (else None and None)
     todo = {(4.0, 0.2): [(np.arange(len(pairs)), None, None)]} if pairs else {}
     values = [None] * len(pairs)
     while todo:
-        # a round visits its levels ordered by the least pair index they hold
-        rounds = sorted(((min(int(ids[0]) for ids, _, _ in pieces), level, pieces) for level, pieces in todo.items()),
-                        key=lambda entry: entry[0])
-        todo = {}
-        for first, (S, h), pieces in rounds:
+        levels, todo = todo, {}
+        for (S, h), pieces in levels.items():
             _, logz, (logf, why), cosh_s = _ray_nodes(A, x, theta, S, h)
             if logf is None:
                 if why == "zero":
@@ -295,70 +294,57 @@ def euler_mellin(A, beta, x, theta):
                         f"curve root on or near the integration ray: theta = {theta:.6g}, S = {S}, h = {h:.3g}"
                     )
                 if 0.5 * h < 1e-4:
-                    raise QuadratureError("phase tracking failed to stabilize" + _state(pairs[first], S, h))
+                    first = pairs[int(pieces[0][0][0])]
+                    raise QuadratureError("phase tracking failed to stabilize" + _state(first, S, h))
                 todo.setdefault((S, 0.5 * h), []).extend((idx, None, None) for idx, _, _ in pieces)
                 continue
-            idx = np.concatenate([piece[0] for piece in pieces])
-            prev = np.concatenate([np.full(len(i), np.nan, dtype=complex) if p is None else p for i, p, _ in pieces])
-            kept = all(rows is not None for _, _, rows in pieces)
-            if kept:
-                # every row halved h at (S, 2h) last round: its pieces are
-                # that level's blocks, in order
-                odd = _odd_nodes(A, x, theta, S, h)
-            else:
-                # rows from (S - 1.5, h) or a phase failure bring no row, and
-                # the level is evaluated in full for all rows
-                order = np.argsort(idx, kind="stable")
-                idx, prev, odd = idx[order], prev[order], None
             per_block = max(1, _BLOCK_VALUES // logz.size)
-            for lo in range(0, len(idx), per_block):
-                rows = idx[lo:lo + per_block]
-                b1, b2 = b1s[rows][:, None], b2s[rows][:, None]
-                if odd is None:
-                    g, peak = _integrand(b1, b2, logf, logz, cosh_s)
-                else:
-                    g = np.empty((len(rows), logz.size), dtype=complex)
-                    g[:, 1::2], peak = _integrand(b1, b2, *odd)
-                    start = 0
-                    for _, _, piece in pieces:
-                        a, b = max(lo, start), min(lo + len(rows), start + len(piece))
-                        if a < b:
-                            g[a - lo:b - lo, ::2] = piece[a - start:b - start]
-                        start += len(piece)
-                # the decisions a lone pair makes on Python numbers: np.hypot
-                # is the hypot of Python's complex abs bit for bit (np.abs of
-                # a complex array need not be), max(a, b) is b only where b >
-                # a, and max(1.0, a) is 1.0 where a is NaN, as np.fmax
-                head, end = (np.hypot(c.real, c.imag) for c in (g[:, 0], g[:, -1]))
-                tail = np.where(end > head, end, head) > 1e-16 * np.max(np.abs(g), axis=1)
-                val = h * np.sum(g, axis=1)
-                step = val - prev[lo:lo + len(rows)]
-                # a row without a value at the last h has a NaN there and
-                # never converges
-                done = ~tail & (np.hypot(step.real, step.imag) <= _TOL * np.fmax(1.0, np.hypot(val.real, val.imag)))
-                halve = ~tail & ~done
-                overflow = peak > 690.0
-                fail = overflow | (tail & (S >= 7.0)) | (halve & (0.5 * h < 1e-4))
-                if fail.any():
-                    r = int(np.argmax(fail))
-                    state = _state(pairs[rows[r]], S, h)
-                    if overflow[r]:
-                        raise QuadratureError("integrand overflow: parameters too deep outside the wedge" + state)
-                    if tail[r]:
-                        raise QuadratureError("integrand tail does not decay" + state)
-                    val_r, prev_r = complex(val[r]), complex(prev[lo + r])
-                    if any(p is not None and (ids == rows[r]).any() for ids, p, _ in pieces):
-                        last = f"values {prev_r:.6g} and {val_r:.6g}"
+            for idx, prev, kept in pieces:
+                # kept rows evaluate only the odd nodes where the level nests,
+                # rows from (S - 1.5, h) or a phase failure every node
+                odd = None if kept is None else _odd_nodes(A, x, theta, S, h)
+                for lo in range(0, len(idx), per_block):
+                    rows = idx[lo:lo + per_block]
+                    b1, b2 = b1s[rows][:, None], b2s[rows][:, None]
+                    if odd is None:
+                        g, peak = _integrand(b1, b2, logf, logz, cosh_s)
                     else:
-                        last = f"value {val_r:.6g}"
-                    raise QuadratureError(f"ray quadrature failed to converge{state}, last {last}")
-                if tail.any():
-                    todo.setdefault((S + 1.5, h), []).append((rows[tail], None, None))
-                for i, v in zip(rows[done].tolist(), val[done].tolist()):
-                    values[i] = v
-                if halve.any():
-                    keep = g if halve.all() else g[halve]
-                    todo.setdefault((S, 0.5 * h), []).append((rows[halve], val[halve], keep))
+                        g = np.empty((len(rows), logz.size), dtype=complex)
+                        g[:, 1::2], peak = _integrand(b1, b2, *odd)
+                        g[:, ::2] = kept[lo:lo + per_block]
+                    # the decisions a lone pair makes on Python numbers:
+                    # np.hypot is the hypot of Python's complex abs bit for bit
+                    # (np.abs of a complex array need not be), max(a, b) is b
+                    # only where b > a, and max(1.0, a) is 1.0 where a is NaN,
+                    # as np.fmax
+                    head, end = (np.hypot(c.real, c.imag) for c in (g[:, 0], g[:, -1]))
+                    tail = np.where(end > head, end, head) > 1e-16 * np.max(np.abs(g), axis=1)
+                    val = h * np.sum(g, axis=1)
+                    # a row without a value at the last h has a NaN there and
+                    # never converges
+                    step = val - (np.nan if prev is None else prev[lo:lo + per_block])
+                    done = ~tail & (np.hypot(step.real, step.imag) <= _TOL * np.fmax(1.0, np.hypot(val.real, val.imag)))
+                    halve = ~tail & ~done
+                    overflow = peak > 690.0
+                    fail = overflow | (tail & (S >= 7.0)) | (halve & (0.5 * h < 1e-4))
+                    if fail.any():
+                        r = int(np.argmax(fail))
+                        state = _state(pairs[rows[r]], S, h)
+                        if overflow[r]:
+                            raise QuadratureError("integrand overflow: parameters too deep outside the wedge" + state)
+                        if tail[r]:
+                            raise QuadratureError("integrand tail does not decay" + state)
+                        val_r = complex(val[r])
+                        last = (f"value {val_r:.6g}" if prev is None
+                                else f"values {complex(prev[lo + r]):.6g} and {val_r:.6g}")
+                        raise QuadratureError(f"ray quadrature failed to converge{state}, last {last}")
+                    if tail.any():
+                        todo.setdefault((S + 1.5, h), []).append((rows[tail], None, None))
+                    for i, v in zip(rows[done].tolist(), val[done].tolist()):
+                        values[i] = v
+                    if halve.any():
+                        keep = g if halve.all() else g[halve]
+                        todo.setdefault((S, 0.5 * h), []).append((rows[halve], val[halve], keep))
     return values if isinstance(beta, list) else values[0]
 
 
@@ -764,42 +750,3 @@ def polar_line_match_check(A, facet, level, lam, x, theta=None):
     else:
         expected = -(lam_c / level) * series_val
     return PolarMatchResult(facet, level, lam, contour, expected)
-
-
-class ProbeResult:
-    def __init__(self, matrix, singular_values):
-        self.matrix = matrix
-        self.singular_values = singular_values
-
-    @property
-    def degeneracy_ratio(self):
-        sv = self.singular_values
-        return sv[-1] / sv[0] if sv[0] > 0 else 0.0
-
-    def __repr__(self):
-        return f"ProbeResult(size={len(self.singular_values)}, degeneracy_ratio={self.degeneracy_ratio:.2e})"
-
-
-def em_independence_probe(A, beta, x):
-    """Numerical independence signal for the k component integrals.
-
-    Rows are angular components, columns are phase translates of the
-    coefficient point (x_i multiplied by exp(2 pi i j k_i / k), which
-    rotates the root configuration rigidly).  A well-conditioned matrix
-    reports k independent values; a degenerate one (tiny last singular
-    value) signals a relation, which is exactly what happens on polar
-    lines.  This is a report, not a certificate.
-    """
-    import numpy as np
-    k = A.k
-    cols = []
-    for j in range(k):
-        xj = tuple(
-            complex(x[i]) * cmath.exp(2j * math.pi * j * A.exponents[i] / k)
-            for i in range(A.n)
-        )
-        rc = roots_and_components(A, xj)
-        cols.append([extension_shift(A, beta, xj, rc.ray_angles[i]) for i in range(k)])
-    matrix = np.array(cols, dtype=complex).T
-    sv = [float(s) for s in np.linalg.svd(matrix, compute_uv=False)]
-    return ProbeResult(matrix, sv)

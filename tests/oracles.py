@@ -966,7 +966,7 @@ def euler_mellin_untabled(A, beta, x, theta):
         gmax = float(np.max(np.abs(g)))
         if gmax == 0.0:
             return 0.0 + 0.0j
-        tail = max(abs(g[0]), abs(g[-1]))
+        tail = max(abs(complex(g[0])), abs(complex(g[-1])))
         if tail > 1e-16 * gmax:
             if S >= 7.0:
                 raise QuadratureError("integrand tail does not decay")

@@ -19,7 +19,6 @@ from oracles import _shift_plan_per_order, euler_mellin_untabled, extension_shif
 
 from curvegkz import analytic
 from curvegkz.analytic import (
-    em_independence_probe,
     euler_mellin,
     extension_shift,
     polar_line_match_check,
@@ -612,6 +611,20 @@ def _bits(value):
     return value.real.hex(), value.imag.hex()
 
 
+def _tails(pair, x, theta, S, steps):
+    """Whether the integrand of the pair on f = x_1 + x_2 z has not decayed
+    at the ends of the level (S, h), for each h of steps, by the test of a
+    lone pair."""
+    import numpy as np
+
+    tails = []
+    for h in steps:
+        _, logz, (logf, _), cosh_s = analytic._ray_nodes(A01, x, theta, S, h)
+        g = analytic._integrand(np.array([[pair[0]]]), np.array([[pair[1]]]), logf, logz, cosh_s)[0][0]
+        tails.append(max(abs(complex(g[0])), abs(complex(g[-1]))) > 1e-16 * np.max(np.abs(g)))
+    return tails
+
+
 def test_refinement_evaluates_only_the_new_nodes(monkeypatch):
     # (-3, -6) converges between the levels (4, 0.2) and (4, 0.1); the even
     # nodes of the second are the 41 nodes of the first in every table, so
@@ -645,14 +658,16 @@ def test_refinement_evaluates_every_node_without_a_kept_row(monkeypatch):
         assert sizes[: len(first)] == first
 
 
-def test_refinement_keeps_the_round_order_of_failures(monkeypatch):
+def test_refinement_keeps_the_level_order_of_failures(monkeypatch):
     # f = 1e-3 + z.  The exponent of (-4200, -3969) peaks between the nodes
     # of (4, 0.2), below the overflow bound 690 there, and passes it at an
     # odd node of (4, 0.1), the level that reuses the first.  (-0.5, -1e-3)
     # decays too slowly and goes on to fresh levels of S = 5.5 and 7, where it
     # fails a round later, and (-1.3, -0.7) needs S = 5.5.  A batch of kept
-    # and fresh rows raises the first failure in round order, the error its
-    # pair raises alone
+    # and fresh rows raises the first failure in level order, levels in the
+    # order they were first reached, and that is the error its pair raises
+    # alone.  (5.5, 0.2) sends the tail to (7, 0.2) before it sends (-1.3,
+    # -0.7) to (5.5, 0.1), so the tail fails before that level is evaluated
     x = (1e-3, 1.0)
     odd_overflow, tail, fine = (-4200.0, -3969.0), (-0.5, -1e-3), (-1.3, -0.7)
     peaks = []
@@ -666,8 +681,8 @@ def test_refinement_keeps_the_round_order_of_failures(monkeypatch):
     assert errors[tail].endswith(f"beta = {tail}, S = 7.0, h = 0.2")
     for pairs, failing, batches in [
         ([tail, odd_overflow, fine], odd_overflow, [(3, 41), (2, 56), (1, 40)]),
-        ([odd_overflow, fine, tail], odd_overflow, [(3, 41), (1, 40)]),
-        ([fine, tail], tail, [(2, 41), (2, 56), (1, 111), (1, 71)]),
+        ([odd_overflow, fine, tail], odd_overflow, [(3, 41), (2, 56), (1, 40)]),
+        ([fine, tail], tail, [(2, 41), (2, 56), (1, 71)]),
     ]:
         sizes.clear()
         with pytest.raises(QuadratureError) as err:
@@ -683,24 +698,39 @@ def test_refinement_merges_kept_and_fresh_rows(monkeypatch):
     # the second, both maxima on the same node.  So `late` leaves (5.5, 0.1)
     # for (7, 0.1), in the round in which `early` and `other`, which left
     # S = 5.5 at h = 0.2, halve h at (7, 0.2) and bring their rows and
-    # values there.  The level holds kept rows and a fresh one, out of pair
-    # order, is evaluated in full, and every value is the untabled loop's
-    # bit for bit
-    import numpy as np
-
+    # values there.  The level holds a piece of kept rows and a fresh piece,
+    # out of pair order; (7, 0.1) does not nest, so each piece is evaluated
+    # in full, and every value is the untabled loop's bit for bit
     x = (1.0, 1.0)
     early, late, other = (-1.62, -1.5), (-1.8400189446658621, -1.5), (-1.6, -1.5)
-    tails = []
-    for h in (0.2, 0.1):
-        _, logz, (logf, _), cosh_s = analytic._ray_nodes(A01, x, 0.0, 5.5, h)
-        g = analytic._integrand(np.array([[late[0]]]), np.array([[late[1]]]), logf, logz, cosh_s)[0][0]
-        tails.append(max(abs(complex(g[0])), abs(complex(g[-1]))) > 1e-16 * np.max(np.abs(g)))
-    assert tails == [False, True]
+    assert _tails(late, x, 0.0, 5.5, (0.2, 0.1)) == [False, True]
     pairs = [early, late, other]
     lone = [euler_mellin_untabled(A01, pair, x, 0.0) for pair in pairs]
     sizes = _record_integrands(monkeypatch)
     assert [_bits(v) for v in euler_mellin(A01, pairs, x, 0.0)] == [_bits(v) for v in lone]
-    assert sizes == [(3, 41), (3, 56), (2, 71), (1, 111), (3, 141), (1, 140)]
+    assert sizes == [(3, 41), (3, 56), (2, 71), (1, 111), (2, 141), (1, 141), (1, 140)]
+
+
+def test_refinement_nests_the_kept_rows_of_a_mixed_level(monkeypatch):
+    # f = 1 + z on the ray 0.3 short of its root -1.  np.arange ends the
+    # level (4, 0.05) about 3.5e-14 further in than (4, 0.1), and the tail
+    # |g(end)| of `fresh`, found by bisection on b1, sits just below the
+    # bound 1e-16 max |g| at the second and just above it at the first.  So
+    # `fresh` leaves (4, 0.05) for (5.5, 0.05), in the round in which the
+    # rows of `kept` halve h at (5.5, 0.1) and bring their rows and values
+    # there.  (5.5, 0.05) nests, so the piece of kept rows evaluates only
+    # its 110 odd nodes and the fresh piece all 221 nodes, and every value
+    # is the untabled loop's bit for bit
+    x, theta = (1.0, 1.0), 2.84
+    fresh, kept = (-4.282487705724938, -3.0), [(-2.3, -1.5), (-2.1, -1.5)]
+    assert analytic._odd_nodes(A01, x, theta, 5.5, 0.05) is not None
+    assert all(analytic._odd_nodes(A01, x, theta, S, h) is None for S, h in [(5.5, 0.1), (4.0, 0.05)])
+    assert _tails(fresh, x, theta, 4.0, (0.2, 0.1, 0.05)) == [False, False, True]
+    pairs = [fresh] + kept
+    lone = [euler_mellin_untabled(A01, pair, x, theta) for pair in pairs]
+    sizes = _record_integrands(monkeypatch)
+    assert [_bits(v) for v in euler_mellin(A01, pairs, x, theta)] == [_bits(v) for v in lone]
+    assert sizes == [(3, 41), (2, 56), (1, 40), (2, 111), (1, 161), (2, 110), (1, 221), (2, 441), (1, 441), (1, 440)]
 
 
 def test_loop_calculus_sum_rule():
@@ -822,15 +852,3 @@ def test_polar_residue_near_a_pole_of_the_other_facet(exps, level, lam):
     A = CurveMatrix(list(exps))
     res = polar_line_match_check(A, FACET_0, level, lam, sample_structured_point(A, 0))
     assert res.rel_error <= 1e-9, res
-
-
-def test_em_independence_probe_flags_polar_lines():
-    x = sample_structured_point(A0134, 3)
-    generic = em_independence_probe(A0134, (0.37, -0.41), x)
-    assert len(generic.singular_values) == 4
-    assert generic.degeneracy_ratio > 1e-6
-    near_polar = em_independence_probe(A0134, (0.37, 1.0 + 1e-4), x)
-    # one of the four values degenerates on the polar line, and the residue
-    # blowup inflates the leading singular value as beta2 approaches 1
-    assert near_polar.degeneracy_ratio < 0.1 * generic.degeneracy_ratio
-    assert near_polar.singular_values[0] > 10 * generic.singular_values[0]

@@ -21,10 +21,10 @@ PUBLIC = """
     AnnihilationReport BasisCountError BasisElement CocycleData CoincidenceResult CurveMatrix
     FACET_0 FACET_K FakeExponent FiniteSeries GroebnerBasis LogObstructionError
     MatrixValidationError NumericalSemigroup ORDER_NAMES PolarLineError PolarMatchResult
-    ProbeResult QuadratureError ResonantLine RootData SeriesDenominatorError SolutionBasis
+    QuadratureError ResonantLine RootData SeriesDenominatorError SolutionBasis
     SpecialLines StandardPair TermOrder TruncatedSeries analyze_report annihilation_check
     b_matrix build_svg canonical_series cocycle_generator cohomology_report
-    coincidence_at_intersection default_step_bound delta_conditions em_independence_probe
+    coincidence_at_intersection default_step_bound delta_conditions
     euler_mellin extension_shift facet_semigroup fake_exponents graded_dims h1_support in_NA
     in_convergence_domain in_ray_module is_rank_jumping is_resonant parametric_derivative
     polar_line_match_check polar_line_solution polar_lines power_series_coefficient rank
