@@ -4,8 +4,8 @@ All numbers are encoded reproducibly: exact rationals as strings like
 "-3/4", complex values as [re, im] pairs, and keys are sorted on output.
 """
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import analytic, cohomology, series
 from .curve import (
@@ -23,20 +23,98 @@ from .errors import BasisCountError
 SCHEMA = "curvegkz/1"
 
 
-def _encode(obj):
+_INF = float("inf")
+
+
+def _float(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _fraction(q):
+    return '"' + str(q) + '"'
+
+
+# the text of a scalar, by its exact type
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    Fraction: _fraction,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+_STR = {str}
+
+
+def _text(obj, nl):
+    """The JSON text of obj, without a trailing newline; nl is a newline
+    followed by the indentation of the line obj starts on.
+
+    Each container is joined into one string as it is finished, so the
+    pieces alive at once are those of the open containers, and a list of
+    scalars of one type is one join.
+    """
+    t = type(obj)
+    scalar = _SCALARS.get(t)
+    if scalar is not None:
+        return scalar(obj)
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        kinds = set(map(type, obj))
+        if len(kinds) == 1:
+            scalar = _SCALARS.get(kinds.pop())
+            if scalar is not None:
+                return f"[{inner}{sep.join(map(scalar, obj))}{nl}]"
+        return f"[{inner}{sep.join([_text(v, inner) for v in obj])}{nl}]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        # json.dumps sorts the keys as the strings it writes
+        if not _STR.issuperset(map(type, obj)):
+            obj = {str(k): v for k, v in obj.items()}
+        items = [f"{encode_basestring_ascii(k)}: {_text(v, inner)}" for k, v in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    return _other_text(obj, nl)
+
+
+def _other_text(obj, nl):
+    """The text of a value whose exact type _text does not dispatch on:
+    complex values and subclasses of the types it writes (numpy.float64, a
+    namedtuple, an IntEnum), as json.dumps writes them.  Anything else is a
+    TypeError, as there."""
     if isinstance(obj, Fraction):
-        return str(obj)
+        return encode_basestring_ascii(str(obj))
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return _text([obj.real, obj.imag], nl)
     if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
+        return _text({str(k): v for k, v in obj.items()}, nl)
     if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    return obj
+        return _text(list(obj), nl)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def to_json(report):
-    return json.dumps(_encode(report), sort_keys=True, indent=2) + "\n"
+    """The report as JSON: keys as str(k), sorted; Fractions as "p/q"
+    strings; complex values as [re, im]; floats as repr, with NaN and
+    Infinity; 2-space indentation and a trailing newline.  The text is that
+    of json.dumps(..., sort_keys=True, indent=2), written in one pass."""
+    return _text(report, "\n") + "\n"
 
 
 def _header(command, A):

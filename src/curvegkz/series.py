@@ -11,7 +11,7 @@ import cmath
 import itertools
 from fractions import Fraction
 from math import factorial, gcd
-from operator import add, mul, sub
+from operator import add, ge, mul, sub
 
 from .curve import FACETS, facet_base, facet_level, facet_parts, is_rank_jumping
 from .curve import _kernel_steps, polar_lines_through, rank
@@ -273,22 +273,39 @@ def default_step_bound(A):
     return 4 * A.k
 
 
-def series_for_exponent(A, fe, bound=None):
+def _step_bound(A, bound):
+    """The series bound, default_step_bound(A) when None; a negative bound
+    is invalid input and raises ValueError."""
+    if bound is None:
+        return default_step_bound(A)
+    if bound < 0:
+        raise ValueError(f"series bound must be at least 0, got {bound}")
+    return bound
+
+
+def series_for_exponent(A, fe, bound=None, *, _walk=None):
     """Canonical series for one starting exponent; raises on vanishing
     denominators (the discard criterion for basis assembly).  A negative
-    bound is invalid input and raises ValueError."""
-    if bound is None:
-        bound = default_step_bound(A)
-    elif bound < 0:
-        raise ValueError(f"series bound must be at least 0, got {bound}")
+    bound is invalid input and raises ValueError.
+
+    ``_walk`` is a list of kernel steps at this bound whose middle lower
+    limits are at most -r_i, as solution_basis_at_point shares one among its
+    top pairs; the steps of this pair are those with u_i >= -r_i, in walk
+    order, which is the list its own walk gives.
+    """
+    bound = _step_bound(A, bound)
     n = A.n
     v = tuple(Fraction(c) for c in fe.v)
     sigma = fe.pair.sigma
-    mid_lower = {i: -fe.pair.r[i] for i in range(1, n - 1)}
+    lows = [-r for r in fe.pair.r[1 : n - 1]]
+    if _walk is None:
+        walk = _kernel_steps(A, bound, dict(enumerate(lows, 1)))
+    else:
+        walk = [u for u in _walk if all(map(ge, u[1 : n - 1], lows))]
     # end coordinates outside sigma must stay nonnegative as well
     steps = [
         u
-        for u in _kernel_steps(A, bound, mid_lower)
+        for u in walk
         if (0 in sigma or v[0] + u[0] >= 0) and (n - 1 in sigma or v[n - 1] + u[n - 1] >= 0)
     ]
     terms = {u: c for u, c in zip(steps, _step_coefficients(v, steps)) if c != 0}
@@ -641,11 +658,14 @@ def solution_basis_at_point(A, beta, order="d1-first", bound=None):
     lines = [(f, N, polar_line_solution(A, f, N).stripped()) for f, N in polar_lines_through(A, (b1, b2))]
     entries = []
     discarded = []
-    for fe in fake_exponents(A, (b1, b2), order):
-        if not fe.is_top:
-            continue
+    tops = [fe for fe in fake_exponents(A, (b1, b2), order) if fe.is_top]
+    # one kernel walk for every top pair, at the least lower limit of each
+    # middle coordinate; each series keeps its own steps of it
+    lows = {i: min(-fe.pair.r[i] for fe in tops) for i in range(1, A.n - 1)}
+    walk = _kernel_steps(A, _step_bound(A, bound), lows)
+    for fe in tops:
         try:
-            ts = series_for_exponent(A, fe, bound)
+            ts = series_for_exponent(A, fe, bound, _walk=walk)
         except SeriesDenominatorError as err:
             discarded.append((fe, err))
             continue

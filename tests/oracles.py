@@ -40,10 +40,16 @@ Whether two exact solutions are proportional is decided by the rank of
 their zero-filled coefficient rows.  The ray quadrature is here as one
 loop per parameter pair: nodes and log f built at every refinement level
 of every call, and one 1-D array per level.
+
+The JSON text of a report, which the library writes in one pass, is here
+as ``json.dumps`` with sorted keys and 2-space indentation, run on a copy
+of the report with string keys, Fractions as strings and complex values
+as pairs.
 """
 
 import cmath
 import itertools
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -1111,3 +1117,21 @@ def extension_shift_per_order(A, beta, x, theta, order):
             below = values
         results.append(below[0])
     return results
+
+
+def _encode(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, dict):
+        return {str(k): _encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode(v) for v in obj]
+    return obj
+
+
+def to_json_by_dumps(report):
+    """report.to_json by the standard encoder: a copy with the rationals
+    and complex values spelled out, then json.dumps."""
+    return json.dumps(_encode(report), sort_keys=True, indent=2) + "\n"

@@ -186,6 +186,44 @@ def test_wrappers_installed_after_import_are_what_callers_reach():
     ]
 
 
+# every module outside the package that a package module imports, at
+# module level or inside a function
+IMPORTED = (
+    "argparse bisect cmath collections fractions functools heapq importlib itertools json math numpy operator os "
+    "sys traceback"
+).split()
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+
+
+def test_package_imports_only_the_pinned_modules():
+    found = set()
+    for name in MODULES:
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            found.update(n.split(".")[0] for n in _imported_names(ast.parse(fh.read(), filename=name)))
+    assert sorted(found) == IMPORTED
+
+
+def test_cli_import_loads_only_the_package():
+    # with the pinned modules of the standard library loaded first, the
+    # entry point adds only package modules: the JSON writer, say, brings
+    # in no encoder of its own
+    stdlib = [name for name in IMPORTED if name not in ("numpy", "importlib")] + ["importlib.util"]
+    out = _run(
+        f"import sys, {', '.join(stdlib)}\n"
+        "before = set(sys.modules)\n"
+        "import curvegkz.cli\n"
+        "print(*sorted(n for n in set(sys.modules) - before if n.split('.')[0] != 'curvegkz'))\n"
+    )
+    assert out.split() == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_level_numpy_import(name):
     path = os.path.join(PACKAGE, name)

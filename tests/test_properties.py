@@ -84,7 +84,13 @@ from curvegkz.curve import (
     rank_jumping_parameters,
     _default_jump_box,
 )
-from curvegkz.errors import LogObstructionError, PolarLineError, QuadratureError, SeriesDenominatorError
+from curvegkz.errors import (
+    BasisCountError,
+    LogObstructionError,
+    PolarLineError,
+    QuadratureError,
+    SeriesDenominatorError,
+)
 from curvegkz.series import (
     FiniteSeries,
     TruncatedSeries,
@@ -364,6 +370,45 @@ def test_series_for_exponent_matches_box_search(A, data):
     ts = series_for_exponent(A, fe, bound)
     assert list(ts.terms.items()) == expected
     assert ts.monomials() == [(c, tuple(vi + ui for vi, ui in zip(v, u))) for u, c in sorted(expected)]
+
+
+def _basis_summary(A, beta, order, bound):
+    # entries, tags and discarded (top, step, coordinate) of the basis at
+    # beta, as assembled when its count is wrong too
+    try:
+        basis = series.solution_basis_at_point(A, beta, order=order, bound=bound)
+    except BasisCountError as err:
+        basis = err.basis
+    entries = [(e.kind, e.tags, e.monomials()) for e in basis.entries]
+    return entries, [(fe.pair.r, err.u, err.coordinate) for fe, err in basis.discarded]
+
+
+@SERIES_PROPERTY
+@given(matrices, st.data())
+def test_one_kernel_walk_serves_every_top_pair(A, data):
+    # solution_basis_at_point walks the kernel once, at the least lower
+    # limit of each middle coordinate over the top pairs, and each pair
+    # keeps its steps of that walk: the list its own walk gives, in order,
+    # and so the same basis as a walk per pair
+    beta = (data.draw(exponent_entries), data.draw(exponent_entries))
+    per_pair = series.series_for_exponent
+
+    def alone(A, fe, bound=None, **_):
+        return per_pair(A, fe, bound)
+
+    for name in ORDER_NAMES:
+        tops = [fe for fe in fake_exponents(A, beta, name) if fe.is_top]
+        for bound in (None, default_step_bound(A) + 3):
+            steps_bound = default_step_bound(A) if bound is None else bound
+            middle = range(1, A.n - 1)
+            walk = _kernel_steps(A, steps_bound, {i: min(-fe.pair.r[i] for fe in tops) for i in middle})
+            for fe in tops:
+                own = {i: -fe.pair.r[i] for i in middle}
+                kept = [u for u in walk if all(u[i] >= low for i, low in own.items())]
+                assert kept == _kernel_steps(A, steps_bound, own), (fe.pair, bound)
+            shared = _basis_summary(A, beta, name, bound)
+            with mock.patch.object(series, "series_for_exponent", alone):
+                assert shared == _basis_summary(A, beta, name, bound), (name, bound)
 
 
 @SERIES_PROPERTY

@@ -6,13 +6,20 @@ surface with its exit-code contract:
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import to_json_by_dumps
 
 import curvegkz
 from curvegkz import cli, report, series
@@ -44,6 +51,83 @@ def test_to_json_deterministic():
     assert a == b
     # keys are sorted so dict construction order cannot leak through
     assert json.dumps(json.loads(a), sort_keys=True, indent=2) + "\n" == a
+
+
+Pair = namedtuple("Pair", "left right")
+
+special_floats = st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
+json_floats = st.one_of(special_floats, st.floats())
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    json_floats,
+    json_floats.map(np.float64),
+    st.fractions(),
+    st.builds(complex, json_floats, json_floats),
+    st.text(max_size=6),
+)
+# string keys, and int keys whose string order is not their numeric order
+json_keys = st.one_of(st.text(max_size=3), st.integers(-12, 12))
+json_reports = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.builds(Pair, inner, inner),
+        st.dictionaries(json_keys, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(json_reports)
+@example(
+    {
+        9: [Fraction(-3, 4), Fraction(-5), Fraction(6)],
+        10: (complex(-0.0, math.nan), complex(math.inf, -math.inf), np.float64(-0.0)),
+        "n\u00e9\u2028\x00\x1f\"\\": ["\u00e9t\u00e9\n\t", "\ud83d\ude00", True, None, False],
+        "empty": [(), [], {}, Pair([], {})],
+        "floats": [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf],
+    }
+)
+def test_to_json_is_json_dumps(report):
+    # the one-pass writer gives the bytes of json.dumps on the encoded copy
+    assert to_json(report) == to_json_by_dumps(report)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", np.int64(3), object()], ids=["set", "bytes", "int64", "object"])
+def test_to_json_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError) as ours:
+        to_json({"a": [1, {"b": value}]})
+    with pytest.raises(TypeError) as theirs:
+        to_json_by_dumps({"a": [1, {"b": value}]})
+    assert str(ours.value) == str(theirs.value)
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+REFERENCE_JOBS = json.loads(REFERENCE.read_text(encoding="utf-8"))["cli_stdout"]
+
+
+@pytest.mark.parametrize(
+    "job",
+    sorted(REFERENCE_JOBS) + ["solve -A 0,2,3,5,8,11 -b 1/2,1/3", "solve -A 0,1,2,3,4,5,6 -b 1/2,1/3"],
+)
+def test_cli_reports_are_json_dumps(job, monkeypatch, capsys):
+    # every report of the benchmark's CLI jobs (a figure as its JSON form)
+    # and of two wide solves prints as json.dumps prints it
+    reports = []
+
+    def recording(report):
+        reports.append(report)
+        return to_json(report)
+
+    monkeypatch.setattr(cli, "to_json", recording)
+    argv = job.split(" ") + (["--format", "json"] if job.startswith("figure") else [])
+    assert cli.main(argv) == 0
+    assert len(reports) == 1
+    assert capsys.readouterr().out == to_json_by_dumps(reports[0])
 
 
 def test_analyze_report_content():
