@@ -435,34 +435,6 @@ def _shift_plan(A, beta, x, order, shared=None, top=None):
     return steps, levels
 
 
-def _reach(steps, levels):
-    """The shifts of each level that a plan reaches from (0, 0), in the
-    order it reaches them: levels from m* on may hold other plans' shifts."""
-    children = {facet: [ki for ki, _ in facet_steps] for facet, facet_steps in steps.items()}
-    reach = []
-    level = {0: None}
-    for plans in levels:
-        if not level:
-            break
-        reach.append(level)
-        below = {}
-        for w in level:
-            if plans[w] is not None:
-                below.update(dict.fromkeys(w + ki for ki in children[plans[w][0]]))
-        level = below
-    return reach
-
-
-def _check_finite(pair, reach, m, values):
-    """Raise the overflow of a plan whose own shifts of level m, reach[m],
-    have a value that is not finite."""
-    if m < len(reach) and not all(cmath.isfinite(values[w]) for w in reach[m]):
-        raise QuadratureError(
-            f"shift continuation over {len(reach)} levels overflowed at {pair}: "
-            f"the values of level {m} are not finite"
-        )
-
-
 def extension_shift(A, beta, x, theta, order="facet-0-first"):
     """Value of the ray integral at arbitrary parameters, by contiguity
     relations that lower the parameters into the convergence wedge.
@@ -492,10 +464,11 @@ def extension_shift(A, beta, x, theta, order="facet-0-first"):
     below m* and, from m* on, only the shifts the shared levels lack
     (_shift_plan); the earlier entry combines the shared levels, the later
     one's shifts included, and the later entry combines only its levels
-    below m*, from the values of level m*.  A level whose values are not
-    all finite raises for an entry only where its own shifts, the ones it
-    reaches from (0, 0), have such a value, and the error names its own
-    level count: every entry raises the error it raises alone.
+    below m*, from the values of level m*.  An entry that shares levels
+    stops at the first level whose values are not all finite and is
+    continued alone, which raises the error it raises alone or returns its
+    lone value.  That continuation repeats its plan, which the list counted
+    whole, and integrates only wedge shifts the batch already integrated.
 
     Raises PolarLineError when a needed denominator sits on a polar line,
     and QuadratureError when a plan holds more than _PLAN_BUDGET shifts,
@@ -529,22 +502,12 @@ def extension_shift(A, beta, x, theta, order="facet-0-first"):
             wedge.update(((b1 - m, b2 - w), None) for w, plan in level.items() if plan is None)
     wedge_values = dict(zip(wedge, euler_mellin(A, list(wedge), x, theta)))
     results = []
-    # by entry: the values of its level m* and its levels whose values are
-    # not all finite, which the entries that joined it read
+    # by entry that a later one joined: the values of its level m*, absent
+    # or None where it stopped at a level m >= m*
     tails = {}
-    for j, (pair, (b1, b2), (steps, levels), top) in enumerate(zip(beta, pairs, plans, tops)):
-        # the shifts the entry reaches, read off its plan only where a value
-        # is not finite
-        reach = []
-        if top is None:
-            below, unfinite, m = {}, {}, len(levels)
-        else:
-            below, unfinite = tails[first[pairs[j]]]
-            m = top
-            for n in sorted(unfinite, reverse=True):
-                reach = reach or _reach(steps, levels)
-                _check_finite(pair, reach, n, unfinite[n])
-        while m > 0:
+    for j, (pair, pair_order, (b1, b2), (steps, levels), top) in enumerate(zip(beta, order, pairs, plans, tops)):
+        below, m = ({}, len(levels)) if top is None else (tails.get(first[pairs[j]]), top)
+        while below is not None and m > 0:
             m -= 1
             values = {}
             for w, plan in levels[m].items():
@@ -559,14 +522,16 @@ def extension_shift(A, beta, x, theta, order="facet-0-first"):
             # every shift of a plan feeds (0, 0), and a value that is not
             # finite stays so through the weighted sums above it
             if not all(map(cmath.isfinite, values.values())):
-                reach = reach or _reach(steps, levels)
-                _check_finite(pair, reach, m, values)
-                if top is None:
-                    unfinite[m] = values
+                if top is None and j not in shares:
+                    raise QuadratureError(
+                        f"shift continuation over {len(levels)} levels overflowed at {pair}: "
+                        f"the values of level {m} are not finite"
+                    )
+                values = None
             if shares.get(j) == m:
-                tails[j] = (values, unfinite)
+                tails[j] = values
             below = values
-        results.append(below[0])
+        results.append(extension_shift(A, pair, x, theta, pair_order) if below is None else below[0])
     return results
 
 

@@ -7,7 +7,6 @@ numerical semigroup that controls where the associated analytic continuation
 has poles.
 """
 
-import heapq
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -215,7 +214,6 @@ class NumericalSemigroup:
         if gcd(*gens) != 1:
             raise ValueError(f"generators must be coprime overall: {gens}")
         self.gens = gens
-        self._apery = {}  # modulus -> Apery set, see apery
 
     def _stairs(self, g):
         """Per residue r mod the pivot g, an end generator, the pairs (m,
@@ -285,40 +283,26 @@ class NumericalSemigroup:
         pair = self._corner(self._floor, m)
         return None if pair is None else (m - pair[1]) // self.gens[0]
 
-    def apery(self, m):
-        """Least member of each residue class r mod a member ``m``, by
-        shortest paths over the residues, one edge per generator (Nijenhuis
-        1979).  Adding m keeps r, so the members of r are least[r] + m*N.
-
-        >>> NumericalSemigroup((3, 5)).apery(3)
-        [0, 10, 5]
-        """
-        least = self._apery.get(m)
-        if least is None:
-            least, heap = [None] * m, [(0, 0)]
-            while heap:
-                d, r = heapq.heappop(heap)
-                if least[r] is None:
-                    least[r] = d
-                    for g in self.gens:
-                        heapq.heappush(heap, (d + g, (r + g) % m))
-            self._apery[m] = least
-        return least
+    @cached_property
+    def _apery(self):
+        """The least member of each residue class mod the least generator g,
+        its Apery set: the first entries of ``_floor``.  Adding g keeps the
+        class, so the members of class r are _apery[r] + g*N."""
+        return [pairs[0][0] for pairs in self._floor]
 
     def __contains__(self, m):
         g = self.gens[0]
-        return m >= 0 and m >= self.apery(g)[m % g]
+        return m >= 0 and m >= self._apery[m % g]
 
     @cached_property
     def frobenius(self):
         """Largest gap, or -1 when there are no gaps: the largest Apery
         element of the least generator g, less g (Selmer 1977)."""
-        return max(self.apery(self.gens[0])) - self.gens[0]
+        return max(self._apery) - self.gens[0]
 
     @property
     def gaps(self):
-        g = self.gens[0]
-        least = self.apery(g)
+        g, least = self.gens[0], self._apery
         return tuple(m for m in range(self.frobenius + 1) if m < least[m % g])
 
     def __repr__(self):

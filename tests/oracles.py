@@ -6,14 +6,16 @@ generator g over the sums m of p other generators, built one layer of
 parts at a time.  About the largest generator it decides "(b1, b2) in
 NA", the rank jumps and the search box of analyze; about the least one it
 gives the decompositions with the most parts that the cocycle generators
-use.  Semigroup membership and the Frobenius number come from Apery sets.
-The searches below answer the same questions without them, so the tests
-can compare two routes instead of one formula with itself: the least and
-the most parts come from tables over every m, and so does a decomposition
-with the most parts, the staircase about either end from all sums of up
-to P other generators, the Frobenius number from a search for a run of
-members, the rank jumps from a sweep over every candidate b1 of each row,
-and the search box from the least parts of every member of its window.
+use, and its first entries, the Apery set of the least generator, decide
+membership and the Frobenius number.  The searches below answer the same
+questions without them, so the tests can compare two routes instead of
+one formula with itself: the least and the most parts come from tables
+over every m, and so does a decomposition with the most parts, the
+staircase about either end from all sums of up to P other generators,
+the Apery set of any member by shortest paths over its residues, the
+Frobenius number from a search for a run of members, the rank jumps from
+a sweep over every candidate b1 of each row, and the search box from the
+least parts of every member of its window.
 
 The exact series path has its plain versions here as well: the kernel
 steps by a search of the whole box, the series coefficients by one
@@ -48,6 +50,7 @@ as pairs.
 """
 
 import cmath
+import heapq
 import itertools
 import json
 from fractions import Fraction
@@ -329,6 +332,19 @@ def staircase_by_sums(gens, P, pivot=None):
     for x, y in sorted(pairs):
         classes[x % g].append((x, y))
     return [[a for a in c if not any(b[0] <= a[0] and b[1] <= a[1] and b != a for b in c)] for c in classes]
+
+
+def apery_by_shortest_paths(gens, m):
+    """Least member of each residue class r mod a member ``m``, by shortest
+    paths over the residues, one edge per generator (Nijenhuis 1979)."""
+    least, heap = [None] * m, [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if least[r] is None:
+            least[r] = d
+            for g in gens:
+                heapq.heappush(heap, (d + g, (r + g) % m))
+    return least
 
 
 def frobenius_by_run(gens):

@@ -470,6 +470,76 @@ def test_shared_tail_budget_counts_the_shared_levels(monkeypatch):
         extension_shift(A0257, [beta, beta], x, theta, ORDERS)
 
 
+def _record_lone(monkeypatch):
+    """Record each lone continuation of a list call, a call of
+    analytic.extension_shift with one pair, as its order and its value or
+    the text of its error."""
+    lone = []
+    shift = analytic.extension_shift
+
+    def recording(A, beta, x, theta, order="facet-0-first"):
+        if isinstance(beta, list):
+            return shift(A, beta, x, theta, order)
+        try:
+            value = shift(A, beta, x, theta, order)
+        except QuadratureError as err:
+            lone.append((order, str(err)))
+            raise
+        lone.append((order, value))
+        return value
+
+    monkeypatch.setattr(analytic, "extension_shift", recording)
+    return lone
+
+
+def test_shared_tail_continues_alone_only_where_it_must(monkeypatch):
+    # with every value finite no entry is continued alone.  An infinite
+    # wedge value stops each entry that combines a level holding it, and
+    # each is continued alone once: on the shifts both orders plan from m*
+    # on, the first entry, which raises; on those only the later entry
+    # plans, the earlier entry too when it combines the shared levels, with
+    # its finite lone value, and then the later one, which reads no level m*
+    x, theta, beta, m_star, alone = _shared_tail_case()
+
+    def wedge_shifts(both):
+        # the wedge shifts of facet-k-first from m* on that facet-0-first
+        # plans as well, or lacks
+        return {
+            (beta[0] - m, beta[1] - w)
+            for m in range(m_star, len(alone[1]))
+            for w, plan in alone[1][m].items()
+            if plan is None and (m < len(alone[0]) and w in alone[0][m]) == both
+        }
+
+    shared, later = wedge_shifts(True), wedge_shifts(False)
+    assert shared and later
+    lone = _record_lone(monkeypatch)
+    values = extension_shift(A0257, [beta, beta], x, theta, ORDERS)
+    assert lone == []
+    quadrature = analytic.euler_mellin
+    for poisoned, orders, want in [
+        (shared, ORDERS, [ORDERS[0]]),
+        (shared, ORDERS[::-1], [ORDERS[1]]),
+        (later, ORDERS, ORDERS),
+        (later, ORDERS[::-1], [ORDERS[1]]),
+    ]:
+        monkeypatch.setattr(
+            analytic,
+            "euler_mellin",
+            lambda A, pairs, *args: [
+                complex(math.inf) if pair in poisoned else value
+                for pair, value in zip(pairs, quadrature(A, pairs, *args))
+            ],
+        )
+        errors = {order: _lone_error(extension_shift, A0257, beta, x, theta, order) for order in ORDERS}
+        lone.clear()
+        error = _lone_error(extension_shift, A0257, [beta, beta], x, theta, orders)
+        assert [order for order, _ in lone] == want
+        assert error == lone[-1][1] == errors[want[-1]]
+        if len(want) == 2:
+            assert errors[want[0]] is None and lone[0][1] == values[0]
+
+
 def _fresh_node_cache(monkeypatch):
     """Give the test an empty node-table cache of its own, so that a patched
     _tracked_log_f runs on every level and no table it built outlives the
@@ -787,6 +857,40 @@ def test_loop_guards():
         residue_at_zero(A0134, (-2.0, -3.3), x)
     with pytest.raises(QuadratureError):
         residue_at_infinity(A0134, (-2.1, -3.0), x)
+
+
+def _loop_reporting(monkeypatch, whys):
+    """Make analytic._tracked_log_f report the failure whys[i] on its call
+    i, or track as before where that is None or past the end; record the
+    node count of each call."""
+    nodes, whys = [], list(whys)
+    tracked = analytic._tracked_log_f
+
+    def reporting(A, x, logz):
+        nodes.append(len(logz))
+        why = whys.pop(0) if whys else None
+        return tracked(A, x, logz) if why is None else (None, why)
+
+    monkeypatch.setattr(analytic, "_tracked_log_f", reporting)
+    return nodes
+
+
+def test_loop_restarts_after_a_phase_failure(monkeypatch):
+    # the origin loop of f = 1 + z at (2, 1) is 4 pi i, exact at 64 nodes,
+    # so it stops at 128.  A phase failure at 128 forgets the value at 64:
+    # the loop compares 512 with 256 nodes, not 256 with 64
+    loop = (A01, (2, 1), (1.0, 1.0), 0.0, 0.5)
+    nodes = _loop_reporting(monkeypatch, [])
+    want = analytic._loop_integral(*loop)
+    assert nodes == [64, 128]
+    nodes = _loop_reporting(monkeypatch, [None, "phase"])
+    got = analytic._loop_integral(*loop)
+    assert nodes == [64, 128, 256, 512]
+    assert abs(got - want) <= analytic._TOL * max(1.0, abs(want))
+    nodes = _loop_reporting(monkeypatch, ["phase", "zero"])
+    with pytest.raises(QuadratureError, match="curve root on the loop"):
+        analytic._loop_integral(*loop)
+    assert nodes == [64, 128]
 
 
 def test_power_series_coefficient_vs_mpmath():

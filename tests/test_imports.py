@@ -189,7 +189,7 @@ def test_wrappers_installed_after_import_are_what_callers_reach():
 # every module outside the package that a package module imports, at
 # module level or inside a function
 IMPORTED = (
-    "argparse bisect cmath collections fractions functools heapq importlib itertools json math numpy operator os "
+    "argparse bisect cmath collections fractions functools importlib itertools json math numpy operator os "
     "sys traceback"
 ).split()
 

@@ -33,6 +33,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    apery_by_shortest_paths,
     delta_conditions_by_reach,
     euler_mellin_untabled,
     expand_factored,
@@ -248,9 +249,11 @@ def test_staircase_ends_are_the_apery_sets_of_k(A):
     # semigroup; the last one's second entry is the least facet-0 level of
     # the mirrored class.  A class of two or more pairs holds rank jumps
     k = A.k
-    stairs = facet_semigroup(A, FACET_K)._staircase
-    assert [pairs[0][0] for pairs in stairs] == facet_semigroup(A, FACET_K).apery(k)
-    least0 = facet_semigroup(A, FACET_0).apery(k)
+    Gk, G0 = facet_semigroup(A, FACET_K), facet_semigroup(A, FACET_0)
+    stairs = Gk._staircase
+    assert [pairs[0][0] for pairs in stairs] == apery_by_shortest_paths(Gk.gens, k)
+    assert [pairs[0][0] for pairs in Gk._floor] == apery_by_shortest_paths(Gk.gens, Gk.gens[0])
+    least0 = apery_by_shortest_paths(G0.gens, k)
     assert [pairs[-1][1] for pairs in stairs] == [least0[-r % k] for r in range(k)]
     assert (rank_jumping_parameters(A) == []) == all(len(pairs) == 1 for pairs in stairs)
 
@@ -270,12 +273,16 @@ def test_rank_jumps_and_h1_support_match_candidate_sweep(A):
 @example({1}, [0])
 def test_apery_sets_match_least_members(gens, picks):
     # m is a sum of generators; a least member of a class has fewer than m
-    # parts, else a sub-sum is a multiple of m and could be dropped
+    # parts, else a sub-sum is a multiple of m and could be dropped.  The
+    # first pairs of the staircase about an end generator are its Apery set
     gens = sorted(gens)
     m = sum(gens[i % len(gens)] for i in picks)
     table = min_parts_table(gens, (m - 1) * gens[-1])
     least = [min(t for t, parts in enumerate(table) if parts is not None and t % m == r) for r in range(m)]
-    assert NumericalSemigroup(gens).apery(m) == least
+    assert apery_by_shortest_paths(gens, m) == least
+    S = NumericalSemigroup(gens)
+    for stairs, g in ((S._floor, gens[0]), (S._staircase, gens[-1])):
+        assert [pairs[0][0] for pairs in stairs] == apery_by_shortest_paths(gens, g)
 
 
 @PROPERTY

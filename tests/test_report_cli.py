@@ -11,7 +11,8 @@ import os
 import shutil
 import subprocess
 import sys
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,6 +56,20 @@ def test_to_json_deterministic():
 
 Pair = namedtuple("Pair", "left right")
 
+
+class Level(IntEnum):
+    LOW = -1
+    HIGH = 2
+
+
+class Label(str):
+    pass
+
+
+class Ratio(Fraction):
+    pass
+
+
 special_floats = st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
 json_floats = st.one_of(special_floats, st.floats())
 json_scalars = st.one_of(
@@ -66,6 +81,10 @@ json_scalars = st.one_of(
     st.fractions(),
     st.builds(complex, json_floats, json_floats),
     st.text(max_size=6),
+    # subclasses of the types the writer dispatches on exactly
+    st.sampled_from(Level),
+    st.text(max_size=6).map(Label),
+    st.fractions().map(lambda q: Ratio(q.numerator, q.denominator)),
 )
 # string keys, and int keys whose string order is not their numeric order
 json_keys = st.one_of(st.text(max_size=3), st.integers(-12, 12))
@@ -76,6 +95,7 @@ json_reports = st.recursive(
         st.lists(inner, max_size=4).map(tuple),
         st.builds(Pair, inner, inner),
         st.dictionaries(json_keys, inner, max_size=4),
+        st.dictionaries(json_keys, inner, max_size=4).map(OrderedDict),
     ),
     max_leaves=24,
 )
@@ -90,6 +110,7 @@ json_reports = st.recursive(
         "n\u00e9\u2028\x00\x1f\"\\": ["\u00e9t\u00e9\n\t", "\ud83d\ude00", True, None, False],
         "empty": [(), [], {}, Pair([], {})],
         "floats": [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf],
+        "subclasses": [Level.HIGH, Label("\u00e9\n"), OrderedDict([(2, Ratio(1, 3)), ("a", Level.LOW)]), Ratio(-7, 2)],
     }
 )
 def test_to_json_is_json_dumps(report):
