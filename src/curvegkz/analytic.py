@@ -9,11 +9,15 @@ allows a consistent branch.
 
 numpy is imported inside the functions that use it, not by the module:
 the exact commands of the CLI import this module through the package but
-never call it, and a cold process should not pay for numpy.
+never call it, and a cold process should not pay for numpy.  Nothing here
+imports numpy's random module, which loads secrets, hashlib and OpenSSL:
+the sample points are drawn from a copy of its PCG64 stream in integer
+arithmetic.
 """
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
@@ -28,13 +32,19 @@ _TWO_PI = 2.0 * math.pi
 _SHIFT_MARGIN = 0.25
 # a batched ray quadrature integrates at most this many integrand values in
 # one block of rows, so a fine level of many parameters stays small in memory
-_BLOCK_VALUES = 1 << 16
+# (each block carries about 1 MB of complex temporaries); the values do not
+# depend on it, and the 72 wedge lists of the beta scan's seeds 0-1 took as
+# long at 2^16, 4% longer at 2^13 and 17% longer at 2^12
+_BLOCK_VALUES = 1 << 14
 # a shift plan may hold this many shifts (about 6 b1^2 on 0,1,3,4), seconds of work
 _PLAN_BUDGET = 10**6
 # bounds of the caches of sample points and root sets, and of ray levels (a
 # few hundred nodes each, up to 72,000 or 3.4 MB where h keeps halving)
 _POINT_CACHE_SIZE = 64
 _NODE_CACHE_SIZE = 32
+# the 128-bit multiplier of PCG64, and masks of 32, 64 and 128 bits
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 # a ray or loop quadrature stops when two successive refinements agree to
 # this, relative to max(1, |value|); a converged integral does not depend
 # on it, so no caller sets another
@@ -106,24 +116,84 @@ def _roots_and_components(A, x):
     return RootData(roots, angles, components, ray_angles, scale)
 
 
+def _pcg64_uniform(seed):
+    """The draws uniform(lo, hi) of numpy's Generator(PCG64(seed)), bit
+    for bit, for an integer seed >= 0: numpy's SeedSequence hashes the seed's
+    32-bit words into a pool of four and the pool into two 128-bit words,
+    the initial state and the increment of the LCG; each draw steps the LCG,
+    folds its state to 64 bits by XSL-RR and scales the top 53 of them."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(a, b):
+        value = (0xCA01F9DD * a - 0x4973F715 * b) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # SeedSequence.generate_state(4, uint64): eight words off the pool,
+    # read in little-endian pairs
+    const = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        out.append(value ^ value >> 16)
+    s0, s1, i0, i1 = (out[2 * j] | out[2 * j + 1] << 32 for j in range(4))
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+
+    def uniform(lo, hi):
+        nonlocal state
+        state = (state * _PCG_MULT + inc) & _MASK128
+        word = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        return lo + (hi - lo) * ((word >> 11) * 2.0**-53)
+
+    return uniform
+
+
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
 def sample_structured_point(A, seed):
     """Random coefficient point with dominant boundary coordinates and small
     middle coordinates, rejecting near-discriminant draws.  Points of this
     shape keep the k roots in distinct angular components.  The point is a
-    function of (A, seed), an integer, and is cached by it."""
-    import numpy as np
+    function of (A, seed), an integer >= 0, and is cached by it.
+
+    The draws are those of numpy's Generator(PCG64(seed)).uniform, bit for
+    bit (_pcg64_uniform), without loading numpy's random module."""
     if not hasattr(seed, "__index__"):
         raise TypeError(f"the seed must be an integer, got {seed!r}: points are cached by their seed")
-    rng = np.random.default_rng(seed)
+    uniform = _pcg64_uniform(seed)
     for _ in range(64):
         x = []
         for i in range(A.n):
             if i == 0 or i == A.n - 1:
-                mag = rng.uniform(0.8, 1.2)
+                mag = uniform(0.8, 1.2)
             else:
-                mag = rng.uniform(0.01, 0.05)
-            x.append(mag * cmath.exp(1j * rng.uniform(0.0, _TWO_PI)))
+                mag = uniform(0.01, 0.05)
+            x.append(mag * cmath.exp(1j * uniform(0.0, _TWO_PI)))
         x = tuple(x)
         try:
             rc = roots_and_components(A, x)
@@ -243,7 +313,8 @@ def euler_mellin(A, beta, x, theta):
 
     The rows of a level arrive in pieces, in the order they are sent there:
     their indices, in pair order, and, for rows that halved h after a
-    value, those values and the integrand rows kept from it.  A level takes
+    value, those values and, where the new level nests (below), the
+    integrand rows kept from it.  A level takes
     its pieces one at a time and cuts each into blocks of at most
     _BLOCK_VALUES integrand values.  Every decision of a block is read off
     its arrays with the operations a lone pair makes on Python numbers
@@ -251,15 +322,17 @@ def euler_mellin(A, beta, x, theta):
     reads the real parts of b2 and k b1 - b2 off the arrays of all pairs,
     the comparisons of in_convergence_domain.
 
-    A piece of kept rows evaluates only the odd nodes of its level when
-    _odd_nodes finds the level's even nodes equal to the kept level's nodes
-    bit for bit, in every table, and the kept rows fill the even ones.  Each
-    integrand value is computed elementwise from the same table entries by
-    the same operations (_integrand), so it is the same bit for bit wherever
-    it is computed, and the row that numpy sums is the one the pair builds
-    alone.  A row's overflow is read off its new nodes: the kept ones passed
-    it.  A piece of rows from (S - 1.5, h) or from a phase failure keeps no
-    integrand rows and evaluates every node.
+    Rows that halve h keep their integrand rows only when _odd_nodes finds
+    the even nodes of the new level equal to the nodes of theirs bit for
+    bit, in every table: that piece evaluates only the odd nodes, and the
+    kept rows fill the even ones.  Each integrand value is computed
+    elementwise from the same table entries by the same operations
+    (_integrand), so it is the same bit for bit wherever it is computed,
+    and the row that numpy sums is the one the pair builds alone.  A row's
+    overflow is read off its new nodes: the kept ones passed it.  A piece
+    of rows that halve h to a level that does not nest, from (S - 1.5, h)
+    or from a phase failure keeps no integrand rows and evaluates every
+    node.
 
     A failure raises where it is found: first a pair outside the wedge, in
     list order, then the first failure in level order.  A round visits its
@@ -300,13 +373,13 @@ def euler_mellin(A, beta, x, theta):
                 continue
             per_block = max(1, _BLOCK_VALUES // logz.size)
             for idx, prev, kept in pieces:
-                # kept rows evaluate only the odd nodes where the level nests,
-                # rows from (S - 1.5, h) or a phase failure every node
+                # kept rows come only to a level that nests and evaluate its
+                # odd nodes; every other row evaluates every node
                 odd = None if kept is None else _odd_nodes(A, x, theta, S, h)
                 for lo in range(0, len(idx), per_block):
                     rows = idx[lo:lo + per_block]
                     b1, b2 = b1s[rows][:, None], b2s[rows][:, None]
-                    if odd is None:
+                    if kept is None:
                         g, peak = _integrand(b1, b2, logf, logz, cosh_s)
                     else:
                         g = np.empty((len(rows), logz.size), dtype=complex)
@@ -343,7 +416,10 @@ def euler_mellin(A, beta, x, theta):
                     for i, v in zip(rows[done].tolist(), val[done].tolist()):
                         values[i] = v
                     if halve.any():
-                        keep = g if halve.all() else g[halve]
+                        # the rows keep their integrand only for a level that nests
+                        keep = None
+                        if _odd_nodes(A, x, theta, S, 0.5 * h) is not None:
+                            keep = g if halve.all() else g[halve]
                         todo.setdefault((S, 0.5 * h), []).append((rows[halve], val[halve], keep))
     return values if isinstance(beta, list) else values[0]
 

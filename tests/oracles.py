@@ -41,7 +41,9 @@ pairs, by one plan and one combination per entry, shared with no other.
 Whether two exact solutions are proportional is decided by the rank of
 their zero-filled coefficient rows.  The ray quadrature is here as one
 loop per parameter pair: nodes and log f built at every refinement level
-of every call, and one 1-D array per level.
+of every call, and one 1-D array per level.  The sample points are drawn
+here from numpy.random itself, the stream the library copies in integer
+arithmetic.
 
 The JSON text of a report, which the library writes in one pass, is here
 as ``json.dumps`` with sorted keys and 2-space indentation, run on a copy
@@ -956,6 +958,29 @@ def delta_conditions_by_reach(A, beta):
     cond1 = any(reach[g1][y] and (g2 - y) in Gk for y in range(g2 + 1))
     cond2 = any(reach[x][g2] and (g1 - x) in G0 for x in range(g1 + 1))
     return (cond1, cond2)
+
+
+def sample_structured_point_by_numpy(A, seed):
+    """analytic.sample_structured_point with its draws from
+    numpy.random.Generator(PCG64(seed)), named in full: default_rng may
+    take another bit generator in a later numpy."""
+    uniform = np.random.Generator(np.random.PCG64(seed)).uniform
+    for _ in range(64):
+        x = []
+        for i in range(A.n):
+            if i == 0 or i == A.n - 1:
+                mag = uniform(0.8, 1.2)
+            else:
+                mag = uniform(0.01, 0.05)
+            x.append(mag * cmath.exp(1j * uniform(0.0, 2.0 * np.pi)))
+        x = tuple(x)
+        try:
+            rc = analytic.roots_and_components(A, x)
+        except QuadratureError:
+            continue
+        if min(hi - lo for lo, hi in rc.components) > 0.05:
+            return x
+    raise QuadratureError("could not sample a well-separated point")
 
 
 def euler_mellin_untabled(A, beta, x, theta):

@@ -14,8 +14,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 import pytest
-from oracles import _shift_plan_per_order, euler_mellin_untabled, extension_shift_per_order
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    _shift_plan_per_order,
+    euler_mellin_untabled,
+    extension_shift_per_order,
+    sample_structured_point_by_numpy,
+)
 
 from curvegkz import analytic
 from curvegkz.analytic import (
@@ -132,6 +140,41 @@ def test_sampler_shape_and_determinism():
     assert 0.8 <= abs(x[0]) <= 1.2 and 0.8 <= abs(x[3]) <= 1.2
     assert 0.01 <= abs(x[1]) <= 0.05 and 0.01 <= abs(x[2]) <= 0.05
     assert x != sample_structured_point(A0134, 12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.one_of(st.integers(0, 2**130 - 1), st.integers(0, 2**63 - 1).map(np.int64), st.just(True)))
+@example(0)
+@example(2**32 - 1)
+@example(2**32)
+@example(2**64 + 7)
+@example(2**127)
+@example(10**30)
+@example(np.int64(2**63 - 1))
+@example(True)
+def test_sample_stream_is_numpy_pcg64(seed):
+    # the draws of the copied stream and of numpy.random, on each range of
+    # the sampler, from a seed of one to five 32-bit words
+    for lo, hi in [(0.8, 1.2), (0.01, 0.05), (0.0, 2.0 * math.pi)]:
+        ours = analytic._pcg64_uniform(seed)
+        numpys = np.random.Generator(np.random.PCG64(seed)).uniform
+        assert [ours(lo, hi).hex() for _ in range(64)] == [numpys(lo, hi).hex() for _ in range(64)]
+
+
+@pytest.mark.parametrize("exps", [[0, 2, 3], [0, 1, 3, 4], [0, 2, 5, 7], [0, 2, 3, 5, 7]], ids=str)
+def test_sampler_draws_the_points_of_numpy(exps):
+    A = CurveMatrix(exps)
+    for seed in range(51):
+        want = sample_structured_point_by_numpy(A, seed)
+        assert [_bits(v) for v in sample_structured_point(A, seed)] == [_bits(v) for v in want], seed
+
+
+def test_sampler_rejects_a_negative_seed():
+    for seed in (-1, np.int64(-1), -(2**70)):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_structured_point(A0134, seed)
+        with pytest.raises(ValueError):
+            np.random.Generator(np.random.PCG64(seed))
 
 
 def _beta_closed_form(b1, b2, x1, x2):
@@ -801,6 +844,27 @@ def test_refinement_nests_the_kept_rows_of_a_mixed_level(monkeypatch):
     sizes = _record_integrands(monkeypatch)
     assert [_bits(v) for v in euler_mellin(A01, pairs, x, theta)] == [_bits(v) for v in lone]
     assert sizes == [(3, 41), (2, 56), (1, 40), (2, 111), (1, 161), (2, 110), (1, 221), (2, 441), (1, 441), (1, 440)]
+
+
+def test_refinement_keeps_no_rows_for_a_level_that_does_not_nest(monkeypatch):
+    # on the first ray of the seed-0 point of 0,2,5,7, as on every ray of
+    # the beta scan, np.arange rounds the nodes of (4, 0.05) and (5.5, 0.1)
+    # away from those of h twice as large, while (4, 0.1), (4, 0.025) and
+    # (5.5, 0.05) nest.  (-1, -2) and (-5, -10) halve h at (4, 0.1) and
+    # (-0.5, -1) at (5.5, 0.2); rows that halve h to a level that does not
+    # nest keep no integrand rows, so a piece of kept rows reaches only a
+    # level with odd nodes to evaluate, and every value is the untabled
+    # loop's bit for bit
+    A = CurveMatrix([0, 2, 5, 7])
+    x = sample_structured_point(A, 0)
+    theta = roots_and_components(A, x).ray_angles[0]
+    assert all(analytic._odd_nodes(A, x, theta, S, h) is None for S, h in [(4.0, 0.05), (5.5, 0.1)])
+    assert all(analytic._odd_nodes(A, x, theta, S, h) is not None for S, h in [(4.0, 0.1), (4.0, 0.025), (5.5, 0.05)])
+    pairs = [(-1.0, -2.0), (-5.0, -10.0), (-0.5, -1.0)]
+    lone = [euler_mellin_untabled(A, pair, x, theta) for pair in pairs]
+    sizes = _record_integrands(monkeypatch)
+    assert [_bits(v) for v in euler_mellin(A, pairs, x, theta)] == [_bits(v) for v in lone]
+    assert sizes == [(3, 41), (1, 56), (2, 40), (1, 111), (2, 161), (1, 110), (1, 160)]
 
 
 def test_loop_calculus_sum_rule():

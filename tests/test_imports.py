@@ -87,6 +87,31 @@ def test_verify_loads_numpy():
     assert out.split() == ["0", "False", "True"]
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '-A', '0,2,3,5,7', '-b', '1/3,5/2'])\n",
+        "verify_report(CurveMatrix([0, 2, 5, 7]), (Fraction(64, 3), Fraction(116, 3)))\ncode = 0\n",
+        "verify_report(CurveMatrix([0, 2, 3]), (9, 25))\ncode = 0\n",
+    ],
+    ids=["verify-cli", "generic-report", "integral-report"],
+)
+def test_numeric_verify_leaves_numpy_random_unloaded(run):
+    # the sample point is drawn from a copy of numpy's PCG64 stream, so a
+    # numeric verify loads numpy but not numpy.random, whose import loads
+    # secrets, hashlib and OpenSSL
+    out = _run(
+        "import contextlib, io, sys\n"
+        "from fractions import Fraction\n"
+        "from curvegkz import CurveMatrix, cli\n"
+        "from curvegkz.report import verify_report\n"
+        f"{run}"
+        "print(code, *(name in sys.modules for name in ('numpy', 'numpy.random', 'secrets')))\n"
+    )
+    assert out.split() == ["0", "True", "False", "False"]
+
+
 def test_verify_without_a_numeric_check_leaves_numpy_unloaded():
     # (1/2, 3) is non-integral on the facet-0 line of level 3: verify skips
     # both numeric checks and samples no point, so numpy stays unloaded
