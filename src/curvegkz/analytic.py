@@ -5,7 +5,9 @@ residue matching against the finite solutions.
 All quadratures work on the dehomogenized curve polynomial
 f(z) = sum_i x_i z^(k_i) and evaluate powers through a continuously tracked
 logarithm, so non-integral parameters are supported wherever the contour
-allows a consistent branch.
+allows a consistent branch.  Ray and loop quadratures batch their
+parameters or circles into 2-D numpy passes of bounded size, each row
+computed as it would be alone, so a batch changes no value in any bit.
 
 numpy is imported inside the functions that use it, not by the module:
 the exact commands of the CLI import this module through the package but
@@ -206,12 +208,16 @@ def sample_structured_point(A, seed):
 
 
 def _tracked_log_f(A, x, logz):
-    """Continuous log of f along an ordered path given by exact logs of z.
+    """Continuous log of f along an ordered path given by exact logs of z,
+    or along each row of a 2-D array of them, a path of its own.
 
     Large |z| is handled by factoring out z^k, so no overflow occurs.  The
     branch is anchored at the first node's principal argument and unwrapped
-    along the path; returns None when adjacent nodes jump too much in phase
-    for the tracking to be trusted.
+    along the path.  A path fails with "zero" where f nearly vanishes at a
+    node, else with "phase" where adjacent nodes jump too much in phase for
+    the tracking to be trusted.  Returns log f and the failure or None: for
+    one path log f is None when it fails, for rows the failures are a list
+    and a failed row's log f is finite and meaningless.
     """
     import numpy as np
     logz = np.asarray(logz)
@@ -221,14 +227,19 @@ def _tracked_log_f(A, x, logz):
     for i, ki in enumerate(A.exponents):
         w += complex(x[i]) * np.exp((ki - shift) * logz)
     mag = np.abs(w)
-    if np.any(mag < 1e-290):
-        return None, "zero"
+    zero = np.any(mag < 1e-290, axis=-1)
+    if zero.any():
+        if logz.ndim == 1:
+            return None, "zero"
+        mag[zero] = 1.0
     raw = np.angle(w) + shift * logz.imag
     wrapped = np.mod(raw + math.pi, _TWO_PI) - math.pi
     phase = np.unwrap(wrapped)
-    if phase.size > 1 and np.max(np.abs(np.diff(phase))) > 0.5 * math.pi:
-        return None, "phase"
-    return shift * logz.real + np.log(mag) + 1j * phase, None
+    jump = np.max(np.abs(np.diff(phase)), axis=-1, initial=0.0) > 0.5 * math.pi
+    logf = shift * logz.real + np.log(mag) + 1j * phase
+    if logz.ndim == 1:
+        return (None, "phase") if jump else (logf, None)
+    return logf, ["zero" if z else "phase" if j else None for z, j in zip(zero.tolist(), jump.tolist())]
 
 
 def _state(pair, S, h):
@@ -611,59 +622,94 @@ def extension_shift(A, beta, x, theta, order="facet-0-first"):
     return results
 
 
-def _loop_integral(A, beta, x, center, radius, orientation=1):
-    """Loop integral of f^(b1) z^(-b2) dz/z on a circle, with the branch
-    tracked continuously from the starting node (angle 0 on the circle).
+def _loop_integral(A, beta, x, circles):
+    """Loop integrals of f^(b1) z^(-b2) dz/z on a list of circles (center,
+    radius, orientation), with the branch tracked continuously from each
+    circle's starting node (angle 0 on it).
 
     When the total phase does not return to its start the value depends on
     that convention; callers needing single-valuedness restrict the
     parameters accordingly.
+
+    Each circle takes m = 64, 128, ..., 2^18 nodes until two successive
+    values agree; a phase tracking failure forgets its values.  A pass
+    refines the open circles at the first one's node count, a row each, as
+    many as a block of fewer than _BLOCK_VALUES values holds: together
+    while several fit, one after another past that.  A row takes a lone
+    circle's operations elementwise and numpy sums it along its contiguous
+    nodes, so each value is its circle's alone, bit for bit.  The first
+    failing circle in list order raises what it raises alone (through the
+    origin, a curve root on it, no convergence at 2^18 nodes), and no later
+    circle is refined after it fails.
     """
     import numpy as np
     b1 = complex(beta[0])
     b2 = complex(beta[1])
-    m = 64
-    # the values of the last two node counts since the last phase failure
-    older = prev = None
-    while m <= 1 << 18:
+    values = [None] * len(circles)
+    # the node count of each open circle, in list order, the values of its
+    # last two node counts since its last phase failure, and the error of
+    # the first circle that failed
+    nodes = dict.fromkeys(range(len(circles)), 64)
+    older, prev = [None] * len(circles), [None] * len(circles)
+    error = None
+    while nodes:
+        m = next(iter(nodes.values()))
+        # a block of rows holds fewer than 2^14 complex values: numpy computes
+        # a temporary of that size in place, and x_i exp(...) in _tracked_log_f
+        # would multiply in the other operand order, which rounds differently
+        rows = [i for i, n in nodes.items() if n == m][:max(1, (_BLOCK_VALUES - 1) // m)]
         phi = _TWO_PI * np.arange(m) / m
-        e = np.exp(1j * orientation * phi)
+        turns = {o: np.exp(1j * o * phi) for o in {circles[i][2] for i in rows}}
+        center, radius, turn = (np.array(column, dtype=complex)[:, None] for column in zip(
+            *((c, r, 1j * o * r) for c, r, o in (circles[i] for i in rows))))
+        e = np.array([turns[circles[i][2]] for i in rows])
         z = center + radius * e
-        if np.any(np.abs(z) < 1e-300):
-            raise QuadratureError("loop passes through the origin")
-        logz = np.log(np.abs(z)) + 1j * np.unwrap(np.angle(z))
-        logf, why = _tracked_log_f(A, x, logz)
-        if logf is None:
-            if why == "zero":
-                raise QuadratureError("curve root on the loop")
-            older = prev = None
-            m *= 2
-            continue
-        dz_over_z = 1j * orientation * radius * e / z
-        g = np.exp(b1 * logf - b2 * logz) * dz_over_z
-        val = complex(_TWO_PI / m * np.sum(g))
-        if prev is not None and abs(val - prev) <= _TOL * max(1.0, abs(val)):
-            return val
-        older, prev = prev, val
-        m *= 2
-    last = " and ".join(f"{v:.6g}" for v in (older, prev) if v is not None) or "none"
-    raise QuadratureError(
-        f"loop quadrature failed to converge: center = {center:.6g}, radius = {radius:.6g}, "
-        f"nodes = {m // 2}, last values {last}"
-    )
+        mag = np.abs(z)
+        # a row through the origin fails; its nodes move off it
+        near = np.any(mag < 1e-300, axis=1)
+        z[near] = mag[near] = 1.0
+        logz = np.log(mag) + 1j * np.unwrap(np.angle(z))
+        logf, whys = _tracked_log_f(A, x, logz)
+        sums = np.sum(np.exp(b1 * logf - b2 * logz) * (turn * e / z), axis=1)
+        for r, i in enumerate(rows):
+            if near[r] or whys[r] == "zero":
+                error = "loop passes through the origin" if near[r] else "curve root on the loop"
+            else:
+                if whys[r] == "phase":
+                    older[i] = prev[i] = None
+                else:
+                    val = complex(_TWO_PI / m * sums[r])
+                    if prev[i] is not None and abs(val - prev[i]) <= _TOL * max(1.0, abs(val)):
+                        values[i] = val
+                        del nodes[i]
+                        continue
+                    older[i], prev[i] = prev[i], val
+                if m < 1 << 18:
+                    nodes[i] = 2 * m
+                    continue
+                last = " and ".join(f"{v:.6g}" for v in (older[i], prev[i]) if v is not None) or "none"
+                error = (f"loop quadrature failed to converge: center = {circles[i][0]:.6g}, "
+                         f"radius = {circles[i][1]:.6g}, nodes = {m}, last values {last}")
+            nodes = {j: n for j, n in nodes.items() if j < i}
+            break
+    if error is not None:
+        raise QuadratureError(error)
+    return values
 
 
 def residue_integral(A, beta, x, root_index):
     """Counterclockwise loop integral around one root of f (no 1/(2 pi i)
     normalization).  With integral b1 the branch closes up and the value is
     the honest contour integral; the difference of the two adjacent
-    component ray integrals equals this value."""
-    rc = roots_and_components(A, x)
-    rho = rc.roots[root_index]
-    dist = min(
-        [abs(rho)] + [abs(rho - r) for i, r in enumerate(rc.roots) if i != root_index]
-    )
-    return _loop_integral(A, beta, x, rho, 0.4 * dist)
+    component ray integrals equals this value.
+
+    ``root_index`` may be a list of root indices, "zero" and "infinity" (the
+    loops of residue_at_zero and residue_at_infinity): their values in one
+    call of _loop_integral.  A loop its parameters do not close up raises
+    first, in list order."""
+    loops = root_index if isinstance(root_index, list) else [root_index]
+    values = _loop_integral(A, beta, x, [_circle(A, beta, x, loop) for loop in loops])
+    return values if isinstance(root_index, list) else values[0]
 
 
 def _integral_level(A, facet, beta):
@@ -673,38 +719,46 @@ def _integral_level(A, facet, beta):
 
 def _quiet_radius(A, beta, x, scale, factors):
     """The first radius factor * scale around the origin whose circle has
-    the least peak of Re(b1 log f - b2 log z) over 64 nodes.  The trapezoid
-    rule on a circle loses about the digits by which the integrand's peak
-    exceeds the value (Bornemann 2011; Trefethen-Weideman 2014)."""
+    the least peak of Re(b1 log f - b2 log z) over 64 nodes, all candidates
+    in one pass.  The trapezoid rule on a circle loses about the digits by
+    which the integrand's peak exceeds the value (Bornemann 2011;
+    Trefethen-Weideman 2014)."""
     import numpy as np
     phi = _TWO_PI * np.arange(64) / 64
-    peaks = []
-    for factor in factors:
-        logz = math.log(factor * scale) + 1j * phi
-        logf, _ = _tracked_log_f(A, x, logz)
-        peaks.append(math.inf if logf is None else np.max((complex(beta[0]) * logf - complex(beta[1]) * logz).real))
+    logz = np.array([math.log(factor * scale) for factor in factors], dtype=complex)[:, None] + 1j * phi
+    logf, whys = _tracked_log_f(A, x, logz)
+    peaks = np.max((complex(beta[0]) * logf - complex(beta[1]) * logz).real, axis=1).tolist()
+    peaks = [math.inf if why else peak for why, peak in zip(whys, peaks)]
     return factors[peaks.index(min(peaks))] * scale
+
+
+def _circle(A, beta, x, loop):
+    """The circle (center, radius, orientation) of the loop about a root
+    index, "zero" or "infinity"; the last two need an integral facet level."""
+    if loop == "zero" and not _integral_level(A, FACET_0, beta):
+        raise QuadratureError("origin loop needs an integral second parameter")
+    if loop == "infinity" and not _integral_level(A, FACET_K, beta):
+        raise QuadratureError("infinity loop needs an integral facet-k pairing")
+    roots = roots_and_components(A, x).roots
+    if loop == "zero":
+        return 0.0, _quiet_radius(A, beta, x, min(map(abs, roots)), (0.5, 0.6, 0.7, 0.8, 0.9)), 1
+    if loop == "infinity":
+        return 0.0, _quiet_radius(A, beta, x, max(map(abs, roots)), (2.0, 1.6, 1.4, 1.2, 1.1)), -1
+    rho = roots[loop]
+    return rho, 0.4 * min([abs(rho)] + [abs(rho - r) for i, r in enumerate(roots) if i != loop]), 1
 
 
 def residue_at_zero(A, beta, x):
     """Counterclockwise loop around the origin inside all roots.  Requires
     integral b2 so that z^(-b2) closes up around the origin."""
-    if not _integral_level(A, FACET_0, beta):
-        raise QuadratureError("origin loop needs an integral second parameter")
-    rc = roots_and_components(A, x)
-    radius = _quiet_radius(A, beta, x, min(abs(r) for r in rc.roots), (0.5, 0.6, 0.7, 0.8, 0.9))
-    return _loop_integral(A, beta, x, 0.0, radius)
+    return _loop_integral(A, beta, x, [_circle(A, beta, x, "zero")])[0]
 
 
 def residue_at_infinity(A, beta, x):
     """Clockwise loop outside all roots.  Requires integral k b1 - b2 for
     single-valuedness; together with the other loops it satisfies the sum
     rule  origin + all roots + infinity = 0."""
-    if not _integral_level(A, FACET_K, beta):
-        raise QuadratureError("infinity loop needs an integral facet-k pairing")
-    rc = roots_and_components(A, x)
-    radius = _quiet_radius(A, beta, x, max(abs(r) for r in rc.roots), (2.0, 1.6, 1.4, 1.2, 1.1))
-    return _loop_integral(A, beta, x, 0.0, radius, orientation=-1)
+    return _loop_integral(A, beta, x, [_circle(A, beta, x, "infinity")])[0]
 
 
 def power_series_coefficient(A, b1, N, x):

@@ -245,13 +245,15 @@ def verify_report(A, beta, tol=1e-8, seed=0, order="d1-first"):
 
     if b1.denominator == 1 and b2.denominator == 1:
         x = analytic.sample_structured_point(A, seed)
-        total = analytic.residue_at_zero(A, (int(b1), int(b2)), x)
+        # the loops around the origin, every root and infinity in one pass
+        total, *roots, infinity = analytic.residue_integral(
+            A, (int(b1), int(b2)), x, ["zero", *range(A.k), "infinity"]
+        )
         scale = abs(total)
-        for i in range(A.k):
-            v = analytic.residue_integral(A, (int(b1), int(b2)), x, i)
+        for v in roots:
             total += v
             scale = max(scale, abs(v))
-        total += analytic.residue_at_infinity(A, (int(b1), int(b2)), x)
+        total += infinity
         rel = abs(total) / max(scale, 1.0)
         record("loop-sum-rule", "pass" if rel <= tol else "fail", rel_residual=rel)
     else:

@@ -55,6 +55,7 @@ import cmath
 import heapq
 import itertools
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -62,7 +63,7 @@ from math import lcm
 import numpy as np
 
 from curvegkz import analytic, toric
-from curvegkz.analytic import _tracked_log_f
+from curvegkz.analytic import _TWO_PI, _tracked_log_f
 from curvegkz.curve import FACET_0, FACET_K, facet_parts, facet_semigroup, in_convergence_domain
 from curvegkz.errors import LogObstructionError, PolarLineError, QuadratureError, SeriesDenominatorError
 from curvegkz.series import AnnihilationReport
@@ -1027,6 +1028,77 @@ def euler_mellin_untabled(A, beta, x, theta):
         h *= 0.5
         if h < 1e-4:
             raise QuadratureError("ray quadrature failed to converge")
+
+
+def loop_integral_lone(A, beta, x, center, radius, orientation=1):
+    """analytic._loop_integral for one circle, in a loop of its own: one
+    1-D array of nodes per node count, log f tracked on each."""
+    b1 = complex(beta[0])
+    b2 = complex(beta[1])
+    m = 64
+    # the values of the last two node counts since the last phase failure
+    older = prev = None
+    while m <= 1 << 18:
+        phi = _TWO_PI * np.arange(m) / m
+        e = np.exp(1j * orientation * phi)
+        z = center + radius * e
+        if np.any(np.abs(z) < 1e-300):
+            raise QuadratureError("loop passes through the origin")
+        logz = np.log(np.abs(z)) + 1j * np.unwrap(np.angle(z))
+        logf, why = analytic._tracked_log_f(A, x, logz)
+        if logf is None:
+            if why == "zero":
+                raise QuadratureError("curve root on the loop")
+            older = prev = None
+            m *= 2
+            continue
+        dz_over_z = 1j * orientation * radius * e / z
+        g = np.exp(b1 * logf - b2 * logz) * dz_over_z
+        val = complex(_TWO_PI / m * np.sum(g))
+        if prev is not None and abs(val - prev) <= analytic._TOL * max(1.0, abs(val)):
+            return val
+        older, prev = prev, val
+        m *= 2
+    last = " and ".join(f"{v:.6g}" for v in (older, prev) if v is not None) or "none"
+    raise QuadratureError(
+        f"loop quadrature failed to converge: center = {center:.6g}, radius = {radius:.6g}, "
+        f"nodes = {m // 2}, last values {last}"
+    )
+
+
+def quiet_radius_lone(A, beta, x, scale, factors):
+    """analytic._quiet_radius with one 64-node pass per candidate circle."""
+    phi = _TWO_PI * np.arange(64) / 64
+    peaks = []
+    for factor in factors:
+        logz = math.log(factor * scale) + 1j * phi
+        logf, _ = analytic._tracked_log_f(A, x, logz)
+        peaks.append(math.inf if logf is None else np.max((complex(beta[0]) * logf - complex(beta[1]) * logz).real))
+    return factors[peaks.index(min(peaks))] * scale
+
+
+def residue_loops_lone(A, beta, x, loops):
+    """analytic.residue_integral on a list of loops, one lone circle after
+    another: root indices, and "zero" and "infinity" as residue_at_zero and
+    residue_at_infinity pick their circles, each raising where it fails."""
+    rc = analytic.roots_and_components(A, x)
+    values = []
+    for loop in loops:
+        if loop == "zero":
+            if not analytic._integral_level(A, FACET_0, beta):
+                raise QuadratureError("origin loop needs an integral second parameter")
+            radius = quiet_radius_lone(A, beta, x, min(abs(r) for r in rc.roots), (0.5, 0.6, 0.7, 0.8, 0.9))
+            values.append(loop_integral_lone(A, beta, x, 0.0, radius))
+        elif loop == "infinity":
+            if not analytic._integral_level(A, FACET_K, beta):
+                raise QuadratureError("infinity loop needs an integral facet-k pairing")
+            radius = quiet_radius_lone(A, beta, x, max(abs(r) for r in rc.roots), (2.0, 1.6, 1.4, 1.2, 1.1))
+            values.append(loop_integral_lone(A, beta, x, 0.0, radius, orientation=-1))
+        else:
+            rho = rc.roots[loop]
+            dist = min([abs(rho)] + [abs(rho - r) for i, r in enumerate(rc.roots) if i != loop])
+            values.append(loop_integral_lone(A, beta, x, rho, 0.4 * dist))
+    return values
 
 
 def extension_shift_recursive(A, beta, x, theta, order="facet-0-first"):

@@ -12,6 +12,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import mpmath
 import numpy as np
@@ -22,6 +23,9 @@ from oracles import (
     _shift_plan_per_order,
     euler_mellin_untabled,
     extension_shift_per_order,
+    loop_integral_lone,
+    quiet_radius_lone,
+    residue_loops_lone,
     sample_structured_point_by_numpy,
 )
 
@@ -251,7 +255,7 @@ def test_ray_quadrature_errors_carry_the_state(monkeypatch):
     # negative tolerance doubles it to 2^18 nodes, and the error names the
     # circle, the last node count and its last two values
     with pytest.raises(QuadratureError) as err:
-        analytic._loop_integral(A01, (2, 1), (1.0, 1.0), 0.0, 0.5)
+        analytic._loop_integral(A01, (2, 1), (1.0, 1.0), [(0.0, 0.5, 1)])
     message = str(err.value)
     assert message.startswith("loop quadrature failed to converge: center = 0, radius = 0.5, nodes = 262144, ")
     last = [complex(v) for v in re.fullmatch(r".*, last values (\S+) and (\S+)", message).groups()]
@@ -901,9 +905,10 @@ def test_origin_and_infinity_loops_match_the_taylor_coefficient(exps, beta, monk
     # these points peaks about 10^7 times above the value, and the loops
     # doubled to 2^18 nodes and failed to converge or lost digits
     A = CurveMatrix(list(exps))
+    # rows times nodes of each pass
     nodes = []
     tracked = analytic._tracked_log_f
-    monkeypatch.setattr(analytic, "_tracked_log_f", lambda A, x, logz: nodes.append(len(logz)) or tracked(A, x, logz))
+    monkeypatch.setattr(analytic, "_tracked_log_f", lambda A, x, logz: nodes.append(logz.size) or tracked(A, x, logz))
     for seed in (0, 1):
         x = sample_structured_point(A, seed)
         exact = 2j * math.pi * power_series_coefficient(A, beta[0], beta[1], x)
@@ -911,8 +916,8 @@ def test_origin_and_infinity_loops_match_the_taylor_coefficient(exps, beta, monk
             nodes.clear()
             got = loop(A, beta, x)
             assert abs(got - sign * exact) <= 1e-10 * max(1.0, abs(exact)), (loop.__name__, seed)
-            # five 64-node candidate circles, then a few doublings
-            assert sum(nodes) <= 1 << 12, (loop.__name__, seed)
+            # five 64-node candidate circles in one pass, then a few doublings
+            assert nodes[0] == 5 * 64 and sum(nodes) <= 1 << 12, (loop.__name__, seed)
 
 
 def test_loop_guards():
@@ -923,38 +928,167 @@ def test_loop_guards():
         residue_at_infinity(A0134, (-2.1, -3.0), x)
 
 
-def _loop_reporting(monkeypatch, whys):
+def _loop_reporting(monkeypatch, whys, row=None):
     """Make analytic._tracked_log_f report the failure whys[i] on its call
-    i, or track as before where that is None or past the end; record the
-    node count of each call."""
-    nodes, whys = [], list(whys)
+    i, for every row or only the given one (a 1-D path is row 0), or track
+    as before where that is None or past the end; record the shape of each
+    call, its rows and nodes."""
+    shapes, whys = [], list(whys)
     tracked = analytic._tracked_log_f
 
     def reporting(A, x, logz):
-        nodes.append(len(logz))
+        shapes.append(logz.shape)
         why = whys.pop(0) if whys else None
-        return tracked(A, x, logz) if why is None else (None, why)
+        logf, found = tracked(A, x, logz)
+        if why is None:
+            return logf, found
+        if logz.ndim == 1:
+            return (None, why) if row in (None, 0) else (logf, found)
+        return logf, [why if row in (None, r) else f for r, f in enumerate(found)]
 
     monkeypatch.setattr(analytic, "_tracked_log_f", reporting)
-    return nodes
+    return shapes
 
 
 def test_loop_restarts_after_a_phase_failure(monkeypatch):
     # the origin loop of f = 1 + z at (2, 1) is 4 pi i, exact at 64 nodes,
     # so it stops at 128.  A phase failure at 128 forgets the value at 64:
     # the loop compares 512 with 256 nodes, not 256 with 64
-    loop = (A01, (2, 1), (1.0, 1.0), 0.0, 0.5)
-    nodes = _loop_reporting(monkeypatch, [])
-    want = analytic._loop_integral(*loop)
-    assert nodes == [64, 128]
-    nodes = _loop_reporting(monkeypatch, [None, "phase"])
-    got = analytic._loop_integral(*loop)
-    assert nodes == [64, 128, 256, 512]
+    loop = (A01, (2, 1), (1.0, 1.0), [(0.0, 0.5, 1)])
+    shapes = _loop_reporting(monkeypatch, [])
+    [want] = analytic._loop_integral(*loop)
+    assert shapes == [(1, 64), (1, 128)]
+    shapes = _loop_reporting(monkeypatch, [None, "phase"])
+    [got] = analytic._loop_integral(*loop)
+    assert shapes == [(1, 64), (1, 128), (1, 256), (1, 512)]
     assert abs(got - want) <= analytic._TOL * max(1.0, abs(want))
-    nodes = _loop_reporting(monkeypatch, ["phase", "zero"])
+    shapes = _loop_reporting(monkeypatch, ["phase", "zero"])
     with pytest.raises(QuadratureError, match="curve root on the loop"):
         analytic._loop_integral(*loop)
-    assert nodes == [64, 128]
+    assert shapes == [(1, 64), (1, 128)]
+
+
+def _outcome(run):
+    """The bits of each value run() returns, or the type and text of the
+    QuadratureError it raises."""
+    try:
+        return [_bits(v) for v in run()]
+    except QuadratureError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _loop_points(draw):
+    k = draw(st.integers(1, 7))
+    middle = draw(st.sets(st.integers(1, k - 1), max_size=3)) if k > 1 else set()
+    exps = [0, *sorted(middle), k]
+    b1 = draw(st.integers(-3, 12))
+    b2 = draw(st.integers(-3, max(k * b1, 0) + 3))
+    return exps, (b1, b2), draw(st.integers(0, 2**16)), draw(st.none() | st.integers(0, k + 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_loop_points().filter(lambda p: gcd(*p[0][1:]) == 1))
+@example(([0, 2, 5, 7], (8, 30), 0, 3))
+@example(([0, 1, 3, 4], (0, 21), 1, 0))
+@example(([0, 2, 5, 7], (10, -7), 0, 2))
+@example(([0, 1, 6], (9, 4), 1, None))
+def test_batched_loops_match_lone_loops(point):
+    # the k + 2 loops of the sum rule in one batched call give the values of
+    # the lone loops bit for bit, on the same quiet radii, or raise the error
+    # the first lone loop raises; so does a batch whose row `forced` fails
+    # its phase tracking at 64 nodes, against that circle failing alone.  At
+    # (9, 4) on 0,1,6 eight circles reach 2048 nodes together: one block of
+    # all eight, 2^14 values, would round a product of log f differently
+    exps, beta, seed, forced = point
+    A = CurveMatrix(exps)
+    x = sample_structured_point(A, seed)
+    loops = ["zero", *range(A.k), "infinity"]
+    rc = roots_and_components(A, x)
+    for scale, factors in [(min(abs(r) for r in rc.roots), (0.5, 0.6, 0.7, 0.8, 0.9)),
+                           (max(abs(r) for r in rc.roots), (2.0, 1.6, 1.4, 1.2, 1.1))]:
+        assert analytic._quiet_radius(A, beta, x, scale, factors).hex() == quiet_radius_lone(A, beta, x, scale, factors).hex()
+    assert _outcome(lambda: residue_integral(A, beta, x, loops)) == _outcome(lambda: residue_loops_lone(A, beta, x, loops))
+    if forced is None:
+        return
+    circles = [analytic._circle(A, beta, x, loop) for loop in loops]
+
+    def lone():
+        values = []
+        for i, circle in enumerate(circles):
+            with pytest.MonkeyPatch.context() as patch:
+                _loop_reporting(patch, ["phase"] if i == forced else [])
+                values.append(loop_integral_lone(A, beta, x, *circle))
+        return values
+
+    want = _outcome(lone)
+    with pytest.MonkeyPatch.context() as patch:
+        _loop_reporting(patch, ["phase"], row=forced)
+        assert _outcome(lambda: analytic._loop_integral(A, beta, x, circles)) == want
+
+
+def test_batched_loops_raise_the_first_failing_circle(monkeypatch):
+    # f = 1e-280 (1 + z): the circle |z| = 1 meets the root -1 at 64 nodes,
+    # where |f| ~ 1e-296, and a circle of radius 1e-300 about 1e-300 passes
+    # through the origin; with a negative tolerance the circle |z| = 0.5
+    # runs to 2^18 nodes.  A batch raises what the first failing circle
+    # raises alone, and stops as soon as no earlier circle is open
+    x, beta = (1e-280, 1e-280), (-1, 0)
+    slow, root, origin = (0.0, 0.5, 1), (0.0, 1.0, 1), (1e-300, 1e-300, 1)
+    monkeypatch.setattr(analytic, "_TOL", -1.0)
+    for circles in ([slow, root], [root, slow], [origin, slow, root], [slow, origin], [root, origin]):
+        want = _outcome(lambda: [loop_integral_lone(A01, beta, x, *c) for c in circles])
+        shapes = _loop_reporting(monkeypatch, [])
+        assert _outcome(lambda: analytic._loop_integral(A01, beta, x, circles)) == want
+        assert want[1].startswith({slow: "loop quadrature failed to converge: center = 0, radius = 0.5, nodes = 262144, "
+                                         "last values 3.1656e+264+6.28319e+280j and ",
+                                   root: "curve root on the loop", origin: "loop passes through the origin"}[circles[0]])
+        # a failing first circle ends the batch at 64 nodes
+        assert len(shapes) == (13 if circles[0] == slow else 1)
+    monkeypatch.undo()
+    # at (10, -7) on 0,2,5,7 the loop about the first root, 0 since f^10 is
+    # a polynomial, does not converge against its integrand's scale: the sum
+    # rule of verify raises what the lone loops raise
+    A = CurveMatrix([0, 2, 5, 7])
+    loops = ["zero", *range(7), "infinity"]
+    want = _outcome(lambda: residue_loops_lone(A, (10, -7), sample_structured_point(A, 0), loops))
+    assert want[1].startswith("loop quadrature failed to converge: center = 0.998534+0.0294725j, ")
+    with pytest.raises(QuadratureError) as err:
+        verify_report(A, (10, -7))
+    assert (type(err.value), str(err.value)) == want
+
+
+def test_sum_rule_loops_take_one_pass_per_node_count(monkeypatch):
+    # at (8, 30) on 0,2,5,7 the nine loops of the sum rule track log f 42
+    # times alone: five candidate circles each about the origin and
+    # infinity, then every node count of every circle.  The batch scores
+    # each set of candidates in one pass and every node count in one more
+    A = CurveMatrix([0, 2, 5, 7])
+    x = sample_structured_point(A, 0)
+    loops = ["zero", *range(7), "infinity"]
+    shapes = _loop_reporting(monkeypatch, [])
+    residue_loops_lone(A, (8, 30), x, loops)
+    assert len(shapes) == 42
+    shapes = _loop_reporting(monkeypatch, [])
+    residue_integral(A, (8, 30), x, loops)
+    assert shapes == [(5, 64), (5, 64), (9, 64), (9, 128), (7, 256), (5, 512), (2, 1024)]
+
+
+def test_loop_blocks_stay_small(monkeypatch):
+    # with a negative tolerance no loop converges and the three circles of
+    # f = x1 + x2 z run to 2^18 nodes; no pass holds more than 2^14 values,
+    # or one circle's nodes where those are more
+    x = sample_structured_point(A01, 0)
+    monkeypatch.setattr(analytic, "_TOL", -1.0)
+    loops = ["zero", 0, "infinity"]
+    want = _outcome(lambda: residue_loops_lone(A01, (2, 1), x, loops))
+    shapes = _loop_reporting(monkeypatch, [])
+    assert _outcome(lambda: residue_integral(A01, (2, 1), x, loops)) == want
+    assert "nodes = 262144" in want[1]
+    assert all(rows * m <= max(1 << 14, m) for rows, m in shapes)
+    # past 2^12 nodes a block holds one circle: the first one runs on and
+    # fails at 2^18, and the batch ends with it
+    assert [(rows, m) for rows, m in shapes if m >= 1 << 12] == [(3, 1 << 12), *((1, 1 << j) for j in range(13, 19))]
 
 
 def test_power_series_coefficient_vs_mpmath():
