@@ -63,10 +63,8 @@ _EXPORTS = {
         "delta_conditions",
         "facet_semigroup",
         "in_NA",
-        "in_convergence_domain",
         "is_rank_jumping",
         "is_resonant",
-        "polar_lines",
         "rank",
         "rank_jumping_parameters",
         "resonant_lines",
@@ -95,8 +93,7 @@ _EXPORTS = {
         "SolutionBasis",
         "TruncatedSeries",
         "annihilation_check",
-        "canonical_series",
-        "coincidence_at_intersection",
+        "coincidence_of_line_solutions",
         "default_step_bound",
         "parametric_derivative",
         "polar_line_solution",

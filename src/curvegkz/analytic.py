@@ -330,8 +330,7 @@ def euler_mellin(A, beta, x, theta):
     _BLOCK_VALUES integrand values.  Every decision of a block is read off
     its arrays with the operations a lone pair makes on Python numbers
     (np.hypot is the hypot of Python's complex abs), and the wedge guard
-    reads the real parts of b2 and k b1 - b2 off the arrays of all pairs,
-    the comparisons of in_convergence_domain.
+    reads the real parts of b2 and k b1 - b2 off the arrays of all pairs.
 
     Rows that halve h keep their integrand rows only when _odd_nodes finds
     the even nodes of the new level equal to the nodes of theirs bit for
@@ -358,8 +357,8 @@ def euler_mellin(A, beta, x, theta):
     x = tuple(x)
     pairs = beta if isinstance(beta, list) else [beta]
     b1s, b2s = np.array([(complex(b1), complex(b2)) for b1, b2 in pairs], dtype=complex).reshape(-1, 2).T
-    # in_convergence_domain of every pair at once: the real parts of the
-    # facet levels b2 and k b1 - b2, in the same complex operations
+    # the convergence wedge of every pair at once: the real parts of the
+    # facet levels b2 and k b1 - b2 are both negative
     inside = (b2s.real < 0) & ((A.k * b1s - b2s).real < 0)
     if not inside.all():
         raise QuadratureError(f"parameters {pairs[int(np.argmin(inside))]} outside the convergence wedge")

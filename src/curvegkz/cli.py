@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import figure, series
 from .curve import ORDER_NAMES, CurveMatrix
-from .errors import LogObstructionError, MatrixValidationError, QuadratureError
+from .errors import MatrixValidationError, QuadratureError
 from .report import (
     SCHEMA,
     analyze_report,
@@ -76,6 +76,12 @@ def _tolerance(tol):
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"{source} must be finite and at least 0, got {tol}")
     return tol
+
+
+def _reason(err):
+    """The message of an error, or its type name when it has none (a bare
+    MemoryError), so that a failure never prints an empty reason."""
+    return str(err) or type(err).__name__
 
 
 def _build_parser():
@@ -169,20 +175,19 @@ def _run(parser, args):
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command}")
     except MatrixValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_reason(err)}", file=sys.stderr)
         return 2
     except (
         QuadratureError,
-        LogObstructionError,
         ArithmeticError,
         AssertionError,
         RecursionError,
         MemoryError,
     ) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
+        print(f"numerical failure: {_reason(err)}", file=sys.stderr)
         return 3
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_reason(err)}", file=sys.stderr)
         return 2
 
     if args.output:

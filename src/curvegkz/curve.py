@@ -443,9 +443,9 @@ def is_resonant(A, beta):
 class ResonantLine:
     """A line of resonant parameters attached to one facet.
 
-    facet-0 lines are {b2 = N} parameterized by lam -> (lam, N); facet-k lines
-    are {k*b1 - b2 = N} parameterized by lam -> (lam, k*lam - N).  The line is
-    polar exactly when N lies in the semigroup of the opposite facet.
+    facet-0 lines are {b2 = N} and facet-k lines are {k*b1 - b2 = N}: the
+    level N is facet_level at every point of the line.  The line is polar
+    exactly when N lies in the semigroup of the opposite facet.
     """
 
     __slots__ = ("facet", "level", "polar", "k")
@@ -455,15 +455,6 @@ class ResonantLine:
         self.level = int(level)
         self.polar = bool(polar)
         self.k = k
-
-    def point(self, lam):
-        return (lam, facet_level(self.k, self.facet, (lam, Fraction(self.level))))
-
-    def level_of(self, beta):
-        return facet_level(self.k, self.facet, (Fraction(beta[0]), Fraction(beta[1])))
-
-    def contains(self, beta):
-        return self.level_of(beta) == self.level
 
     def __eq__(self, other):
         return (
@@ -487,20 +478,15 @@ def _polar_level_semigroup(A, facet):
 
 
 def resonant_lines(A, facet, window):
-    """All integer-level lines of one facet with level in [window[0], window[1]]."""
+    """All integer-level lines of one facet with level in [window[0], window[1]].
+
+    >>> A = CurveMatrix([0, 2, 3])
+    >>> [L.level for L in resonant_lines(A, FACET_0, (0, 5)) if L.polar]
+    [0, 2, 3, 4, 5]
+    """
     lo, hi = int(window[0]), int(window[1])
     S = _polar_level_semigroup(A, facet)
     return [ResonantLine(facet, N, N in S, A.k) for N in range(lo, hi + 1)]
-
-
-def polar_lines(A, facet, window):
-    """The polar lines of one facet with level inside the window.
-
-    >>> A = CurveMatrix([0, 2, 3])
-    >>> [L.level for L in polar_lines(A, FACET_0, (0, 5))]
-    [0, 2, 3, 4, 5]
-    """
-    return [L for L in resonant_lines(A, facet, window) if L.polar]
 
 
 def polar_lines_through(A, beta):
@@ -547,9 +533,3 @@ def delta_conditions(A, beta):
         raise AssertionError(f"delta conditions {(cond1, cond2)} disagree with in_NA at {beta}")
     return (cond1, cond2)
 
-
-def in_convergence_domain(A, beta):
-    """True when both facet pairings have negative real part, so that the
-    defining integral converges on every ray component."""
-    beta = (complex(beta[0]), complex(beta[1]))
-    return all(facet_level(A.k, facet, beta).real < 0 for facet in FACETS)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial, gcd
 from operator import add, ge, mul, sub
 
-from .curve import FACETS, facet_base, facet_level, facet_parts, is_rank_jumping
+from .curve import facet_base, facet_level, facet_parts, is_rank_jumping
 from .curve import _kernel_steps, polar_lines_through, rank
 from .errors import BasisCountError, LogObstructionError, SeriesDenominatorError
 from .toric import _common_numerators, fake_exponents, toric_ideal_groebner
@@ -70,9 +70,6 @@ class FiniteSeries:
         for o in self.terms:
             if -o[self.base] < start:
                 raise ValueError(f"offset {o} has fewer than {start} base parts, the start of its run")
-
-    def is_zero(self):
-        return not self.terms
 
     def _exponents(self, o, lam):
         """Exact exponent vector of the term at offset o, at the line point lam."""
@@ -314,15 +311,6 @@ def series_for_exponent(A, fe, bound=None, *, _walk=None):
     return TruncatedSeries(A, v, fe.pair, bound, terms)
 
 
-def canonical_series(A, beta, order="d1-first", bound=None):
-    """Canonical series at ``beta`` for every starting exponent of the order.
-
-    Propagates SeriesDenominatorError; use solution_basis_at_point for the
-    assembly that discards failing exponents.
-    """
-    return [series_for_exponent(A, fe, bound) for fe in fake_exponents(A, beta, order)]
-
-
 class AnnihilationReport:
     def __init__(self, ok, checked, skipped, failures):
         self.ok = ok
@@ -539,22 +527,13 @@ class CoincidenceResult:
         return f"CoincidenceResult({self.beta}, {self.verdict}, {self.point_type})"
 
 
-def coincidence_at_intersection(A, beta):
+def coincidence_of_line_solutions(beta, s0, sk):
     """Evaluate both finite solutions at a crossing of two polar lines and
     decide whether they are proportional or independent.
-    """
-    b1, b2 = Fraction(beta[0]), Fraction(beta[1])
-    levels = dict(polar_lines_through(A, (b1, b2)))
-    if len(levels) != 2:
-        raise AssertionError(f"{(b1, b2)} is not a crossing of polar lines: {levels}")
-    s0, sk = (polar_line_solution(A, facet, levels[facet]).stripped() for facet in FACETS)
-    return coincidence_of_line_solutions((b1, b2), s0, sk)
 
-
-def coincidence_of_line_solutions(beta, s0, sk):
-    """coincidence_at_intersection for line solutions already built: s0 and
-    sk are the stripped finite solutions of the facet-0 and the facet-k
-    polar line through the crossing ``beta``."""
+    s0 and sk are the stripped finite solutions of the facet-0 and the
+    facet-k polar line through the crossing ``beta``, as the ``lines`` of
+    solution_basis_at_point carry them."""
     A = s0.A
     b1, b2 = Fraction(beta[0]), Fraction(beta[1])
     m0 = s0.monomials(b1)

@@ -118,9 +118,6 @@ class GroebnerBasis:
         """Whether the binomial a - b lies in the ideal."""
         return self.normal_form_monomial(a) == self.normal_form_monomial(b)
 
-    def in_initial_ideal(self, mono):
-        return any(_divides(gl, mono) for gl in self.lead_monomials)
-
     def __repr__(self):
         return f"GroebnerBasis({self.A!r}, {self.order.name}, {len(self.generators)} gens)"
 

@@ -64,7 +64,7 @@ import numpy as np
 
 from curvegkz import analytic, toric
 from curvegkz.analytic import _TWO_PI, _tracked_log_f
-from curvegkz.curve import FACET_0, FACET_K, facet_parts, facet_semigroup, in_convergence_domain
+from curvegkz.curve import FACET_0, FACET_K, facet_parts, facet_semigroup
 from curvegkz.errors import LogObstructionError, PolarLineError, QuadratureError, SeriesDenominatorError
 from curvegkz.series import AnnihilationReport
 
@@ -987,10 +987,11 @@ def sample_structured_point_by_numpy(A, seed):
 def euler_mellin_untabled(A, beta, x, theta):
     """analytic.euler_mellin for one pair, in a loop of its own: the nodes
     and log f built at every refinement level, and one 1-D array a level."""
-    if not in_convergence_domain(A, beta):
-        raise QuadratureError(f"parameters {beta} outside the convergence wedge")
     b1 = complex(beta[0])
     b2 = complex(beta[1])
+    # the wedge: both facet levels, b2 and k b1 - b2, have negative real part
+    if not (b2.real < 0 and (A.k * b1 - b2).real < 0):
+        raise QuadratureError(f"parameters {beta} outside the convergence wedge")
     S = 4.0
     h = 0.2
     prev = None

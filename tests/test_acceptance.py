@@ -35,7 +35,7 @@ from curvegkz.curve import (
 from curvegkz.errors import SeriesDenominatorError
 from curvegkz.series import (
     annihilation_check,
-    coincidence_at_intersection,
+    coincidence_of_line_solutions,
     polar_line_solution,
     series_for_exponent,
 )
@@ -133,7 +133,9 @@ def test_criterion_05_coincidence_trichotomy_sweep():
                     continue
                 b1 = Fraction(N0 + Nk, A.k)
                 beta = (b1, Fraction(N0))
-                res = coincidence_at_intersection(A, beta)
+                s0 = polar_line_solution(A, FACET_0, N0).stripped()
+                sk = polar_line_solution(A, FACET_K, Nk).stripped()
+                res = coincidence_of_line_solutions(beta, s0, sk)
                 if b1.denominator != 1:
                     want = "independent"
                 elif is_rank_jumping(A, beta):

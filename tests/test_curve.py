@@ -18,6 +18,7 @@ import pytest
 from oracles import h1_support_by_search, in_NA_brute
 
 import curvegkz
+from curvegkz.analytic import euler_mellin, roots_and_components, sample_structured_point
 from curvegkz.cohomology import h1_support
 from curvegkz.curve import (
     FACET_0,
@@ -28,16 +29,15 @@ from curvegkz.curve import (
     ResonantLine,
     delta_conditions,
     facet_semigroup,
+    facet_level,
     in_NA,
-    in_convergence_domain,
     is_rank_jumping,
     is_resonant,
-    polar_lines,
     rank,
     rank_jumping_parameters,
     resonant_lines,
 )
-from curvegkz.errors import MatrixValidationError
+from curvegkz.errors import MatrixValidationError, QuadratureError
 
 A0134 = CurveMatrix([0, 1, 3, 4])
 A0145 = CurveMatrix([0, 1, 4, 5])
@@ -294,16 +294,15 @@ def test_is_resonant():
 
 
 def test_resonant_line_geometry():
+    # the facet-k line of level 3 is {4 b1 - b2 = 3}, the facet-0 one {b2 = 3}
     L = ResonantLine(FACET_K, 3, True, 4)
     lam = Fraction(2, 5)
-    p = L.point(lam)
-    assert p == (lam, 4 * lam - 3)
-    assert L.contains(p)
-    assert L.level_of((1, 1)) == 3 and L.contains((1, 1))
-    assert not L.contains((1, 2))
+    assert facet_level(L.k, L.facet, (lam, 4 * lam - 3)) == L.level
+    assert facet_level(L.k, L.facet, (1, 1)) == 3
+    assert facet_level(L.k, L.facet, (1, 2)) != L.level
     M = ResonantLine(FACET_0, 3, True, 4)
     assert M != L
-    assert M.point(lam) == (lam, Fraction(3))
+    assert facet_level(M.k, M.facet, (lam, Fraction(3))) == M.level
 
 
 def test_polar_levels_023():
@@ -312,7 +311,7 @@ def test_polar_levels_023():
     lines = resonant_lines(A023, FACET_0, (0, 5))
     assert [L.level for L in lines] == [0, 1, 2, 3, 4, 5]
     assert [L.polar for L in lines] == [True, False, True, True, True, True]
-    assert [L.level for L in polar_lines(A023, FACET_0, (0, 5))] == [0, 2, 3, 4, 5]
+    assert [L.level for L in lines if L.polar] == [0, 2, 3, 4, 5]
     # the other pairing direction uses <1,3> = N, so everything is polar
     assert [L.polar for L in resonant_lines(A023, FACET_K, (0, 4))] == [True] * 5
     # 0134 has both facet semigroups equal to N
@@ -336,7 +335,12 @@ def test_delta_conditions():
 
 
 def test_convergence_domain():
-    assert in_convergence_domain(A0134, (-1, -1))
-    assert not in_convergence_domain(A0134, (-1, 0))  # boundary is excluded
-    assert not in_convergence_domain(A0134, (0, -1))
-    assert in_convergence_domain(A0134, (-0.5 + 0.3j, -0.2 - 1j))
+    # euler_mellin integrates exactly where both facet levels have negative
+    # real part; the boundary is excluded
+    x = sample_structured_point(A0134, 0)
+    theta = roots_and_components(A0134, x).ray_angles[0]
+    for beta in ((-1, 0), (0, -1)):
+        with pytest.raises(QuadratureError, match="outside the convergence wedge"):
+            euler_mellin(A0134, beta, x, theta)
+    for beta in ((-1, -1), (-0.5 + 0.3j, -0.2 - 1j)):
+        assert math.isfinite(abs(euler_mellin(A0134, beta, x, theta)))

@@ -2,7 +2,9 @@
 behind when its last use goes hides a dependency that is no longer there;
 this scan finds it.  ``__init__.py`` re-exports through its export table,
 not through imports, so the table is checked against the public names the
-package promises."""
+package promises, and each public name against the rest of the package: a
+name that no other package code reads is a second way to reach what a
+command already reaches, unless it is kept on purpose."""
 
 import ast
 import os
@@ -23,16 +25,28 @@ PUBLIC = """
     MatrixValidationError NumericalSemigroup ORDER_NAMES PolarLineError PolarMatchResult
     QuadratureError ResonantLine RootData SeriesDenominatorError SolutionBasis
     SpecialLines StandardPair TermOrder TruncatedSeries analyze_report annihilation_check
-    b_matrix build_svg canonical_series cocycle_generator cohomology_report
-    coincidence_at_intersection default_step_bound delta_conditions
+    b_matrix build_svg cocycle_generator cohomology_report
+    coincidence_of_line_solutions default_step_bound delta_conditions
     euler_mellin extension_shift facet_semigroup fake_exponents graded_dims h1_support in_NA
-    in_convergence_domain in_ray_module is_rank_jumping is_resonant parametric_derivative
-    polar_line_match_check polar_line_solution polar_lines power_series_coefficient rank
+    in_ray_module is_rank_jumping is_resonant parametric_derivative
+    polar_line_match_check polar_line_solution power_series_coefficient rank
     rank_jumping_parameters residue_at_infinity residue_at_zero residue_integral
     resonant_lines roots_and_components sample_structured_point series_for_exponent
     solution_basis_at_point solve_report special_lines standard_pairs
     standard_pairs_of_monomial_ideal term_order to_json toric_ideal_groebner verify_report
 """.split()
+
+# public names that no other code of the package reads, each kept for the
+# reason given; every other public name feeds a command
+UNUSED_KEPT = {
+    "residue_at_zero": "perfbench/tracer.py times it by name in its analytic.loops layer",
+    "residue_at_infinity": "perfbench/tracer.py times it by name in its analytic.loops layer",
+    "polar_line_match_check": "input of the polar-line check of verify (ROADMAP direction 6)",
+    "power_series_coefficient": "input of the closed-form loop values (ROADMAP directions 3 and 5)",
+    "special_lines": "the paper's arrangement of special lines, checked by the acceptance battery",
+    "delta_conditions": "the paper's two step-two conditions, checked in test_curve and test_properties",
+    "parametric_derivative": "the paper's parametric derivatives, checked in test_series and test_properties",
+}
 
 
 def _parse(name):
@@ -74,3 +88,43 @@ def test_all_is_the_export_table():
         assert obj is getattr(module, name), name
         assert getattr(obj, "__module__", module.__name__) == module.__name__, name
     assert set(curvegkz.__all__) <= set(dir(curvegkz))
+
+
+def _definitions(tree):
+    """The top-level function and class definitions of a module, by name."""
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def _referenced(node, skip=None):
+    """The names a tree reads, as a bare name or an attribute, outside the
+    subtree ``skip``."""
+    if node is skip:
+        return set()
+    names = set()
+    if isinstance(node, ast.Name):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        names |= _referenced(child, skip)
+    return names
+
+
+def test_every_public_name_feeds_the_package():
+    # a public name that no other code of the package reads is reached only
+    # by its tests: it either feeds a command or is kept on purpose above
+    trees = {name[:-3]: _parse(name) for name in CHECKED if name != "__init__.py"}
+    read = {module: _referenced(tree) for module, tree in trees.items()}
+    unused = []
+    for home, names in curvegkz._EXPORTS.items():
+        definitions = _definitions(trees[home])
+        for name in names:
+            if any(name in read[module] for module in trees if module != home):
+                continue
+            if name not in _referenced(trees[home], definitions.get(name)):
+                unused.append(name)
+    assert sorted(unused) == sorted(UNUSED_KEPT)

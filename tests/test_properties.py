@@ -454,7 +454,7 @@ def test_residual_loop_matches_step_table(A, data):
     if kind == "line":
         facet = data.draw(st.sampled_from((FACET_0, FACET_K)))
         sol = polar_line_solution(A, facet, data.draw(st.integers(1, 3 * A.k))).stripped()
-        if sol.is_zero():
+        if not sol.terms:
             return
     else:
         beta = (data.draw(exponent_entries), data.draw(exponent_entries))
@@ -494,7 +494,7 @@ def test_finite_annihilation_check_matches_polyq(A, data):
     facet = data.draw(st.sampled_from((FACET_0, FACET_K)))
     N = data.draw(st.integers(0, 3 * A.k))
     sol = polar_line_solution(A, facet, N)
-    if sol.is_zero():
+    if not sol.terms:
         return
     if data.draw(st.booleans()):
         sol = sol.stripped()
@@ -529,7 +529,7 @@ def test_parametric_derivative_matches_polyq(A, data):
     # inside every run, where the first derivative exists, is drawn often
     facet = data.draw(st.sampled_from((FACET_0, FACET_K)))
     sol = polar_line_solution(A, facet, data.draw(st.integers(0, 3 * A.k)))
-    if sol.is_zero():
+    if not sol.terms:
         return
     if data.draw(st.booleans()):
         sol = sol.stripped()
@@ -596,7 +596,7 @@ def test_polar_line_solution_matches_path_sum(A):
         for N in range(-2, 3 * A.k + 1):
             sol = polar_line_solution(A, facet, N)
             assert expand_factored(sol) == polar_line_solution_by_paths(A, facet, N), (A, facet, N)
-            if not sol.is_zero():
+            if sol.terms:
                 assert annihilation_check(A, sol).ok, (A, facet, N)
 
 

@@ -25,7 +25,7 @@ from oracles import to_json_by_dumps
 import curvegkz
 from curvegkz import cli, report, series
 from curvegkz.curve import CurveMatrix
-from curvegkz.errors import LogObstructionError, QuadratureError
+from curvegkz.errors import QuadratureError
 from curvegkz.figure import build_svg
 from curvegkz.report import (
     SCHEMA,
@@ -488,15 +488,20 @@ def test_cli_huge_shift_plan_is_exit_3(capsys):
     )
 
 
-def test_cli_log_obstruction_is_exit_3(monkeypatch, capsys):
-    # LogObstructionError subclasses ValueError; it must still map to the
-    # numerical-failure code, not invalid input
+@pytest.mark.parametrize(
+    "error, code, line",
+    [(MemoryError, 3, "numerical failure: MemoryError\n"), (ValueError, 2, "error: ValueError\n")],
+)
+def test_cli_failure_without_message_names_its_type(error, code, line, monkeypatch, capsys):
+    # a bare MemoryError() has an empty message; the reason is its type name
     def boom(*args, **kwargs):
-        raise LogObstructionError((0, 0, 0, 0), 0, 1)
+        raise error()
 
-    monkeypatch.setattr(cli, "solve_report", boom)
-    assert cli.main(["solve", "-A", "0,1,3,4", "-b", "1,2"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "analyze_report", boom)
+    assert cli.main(["analyze", "-A", "0,1,3,4"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
@@ -540,13 +545,9 @@ def test_cli_figure_formats(capsys):
 
 
 def test_cli_module_and_console_entry():
-    proc = subprocess.run(
-        [sys.executable, "-m", "curvegkz.cli", "analyze", "-A", "0,1,3,4"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0
+    # the module half runs the checkout's src, as every other CLI child does
+    proc = _run_cli(["analyze", "-A", "0,1,3,4"], False)
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == "analyze"
     exe = shutil.which("curvegkz")
     assert exe is not None

@@ -31,8 +31,7 @@ from curvegkz.series import (
     _part_multisets,
     _proportional,
     annihilation_check,
-    canonical_series,
-    coincidence_at_intersection,
+    coincidence_of_line_solutions,
     default_step_bound,
     parametric_derivative,
     polar_line_solution,
@@ -271,7 +270,7 @@ def test_finite_solution_annihilation_identity():
         for facet in (FACET_0, FACET_K):
             for N in range(0, 8):
                 sol = polar_line_solution(A, facet, N)
-                if sol.is_zero():
+                if not sol.terms:
                     continue
                 rep = annihilation_check(A, sol)
                 assert rep.ok, (A, facet, N, rep.failures)
@@ -304,7 +303,8 @@ def test_series_denominator_error():
         series_for_exponent(A0134, fe)
     assert info.value.coordinate == 3
     with pytest.raises(SeriesDenominatorError):
-        canonical_series(A0134, (Fraction(1), Fraction(2)))
+        for fe in fake_exponents(A0134, (Fraction(1), Fraction(2)), "d1-first"):
+            series_for_exponent(A0134, fe)
 
 
 def test_default_step_bound():
@@ -313,7 +313,8 @@ def test_default_step_bound():
 
 
 def test_canonical_series_annihilated_generic():
-    series = canonical_series(A0134, (Fraction(1, 3), Fraction(1, 5)), bound=10)
+    beta = (Fraction(1, 3), Fraction(1, 5))
+    series = [series_for_exponent(A0134, fe, 10) for fe in fake_exponents(A0134, beta, "d1-first")]
     assert len(series) == 4
     total_checked = 0
     for ts in series:
@@ -329,7 +330,8 @@ def test_annihilation_failures_match_fractions_when_every_coefficient_changes():
     # check lists them in the order and with the values of the
     # one-Fraction-per-factor sums
     for name in ORDER_NAMES:
-        for ts in canonical_series(A0134, (Fraction(1, 3), Fraction(1, 5)), name, bound=8):
+        for fe in fake_exponents(A0134, (Fraction(1, 3), Fraction(1, 5)), name):
+            ts = series_for_exponent(A0134, fe, 8)
             terms = {u: c * (i + 2) for i, (u, c) in enumerate(ts.terms.items()) if i % 3 != 1}
             ts = TruncatedSeries(A0134, ts.v, ts.pair, ts.bound, terms)
             rep = annihilation_check(A0134, ts, name)
@@ -360,24 +362,24 @@ def test_parametric_derivative_rejects_bad_orders(q):
         parametric_derivative(sol, 2, q)
 
 
+def _coincidence(A, beta):
+    """The coincidence of the two line solutions at a crossing, read off the
+    lines of its solution basis as verify_report reads them."""
+    line = {facet: fs for facet, _, fs in solution_basis_at_point(A, beta).lines}
+    assert sorted(line) == [FACET_0, FACET_K], beta
+    return coincidence_of_line_solutions(beta, line[FACET_0], line[FACET_K])
+
+
 def test_coincidence_verdicts_frozen():
-    res = coincidence_at_intersection(A0134, (Fraction(1), Fraction(2)))
+    res = _coincidence(A0134, (Fraction(1), Fraction(2)))
     assert (res.verdict, res.point_type) == ("independent", "rank-jumping")
     assert (res.level_0, res.level_k) == (2, 2)
-    res = coincidence_at_intersection(A0134, (Fraction(2), Fraction(2)))
+    res = _coincidence(A0134, (Fraction(2), Fraction(2)))
     assert (res.verdict, res.point_type) == ("proportional", "interior")
-    res = coincidence_at_intersection(A0134, (Fraction(1, 2), Fraction(1)))
+    res = _coincidence(A0134, (Fraction(1, 2), Fraction(1)))
     assert (res.verdict, res.point_type) == ("independent", "non-integral")
-    res = coincidence_at_intersection(A023, (Fraction(1), Fraction(2)))
+    res = _coincidence(A023, (Fraction(1), Fraction(2)))
     assert (res.verdict, res.point_type) == ("proportional", "interior")
-
-
-def test_coincidence_rejects_non_crossings():
-    with pytest.raises(AssertionError):
-        coincidence_at_intersection(A0134, (Fraction(1), Fraction(1, 2)))
-    with pytest.raises(AssertionError):
-        # level 1 is not polar for facet-0 on 023
-        coincidence_at_intersection(A023, (Fraction(2, 3), Fraction(1)))
 
 
 def test_solution_basis_at_rank_jump():
