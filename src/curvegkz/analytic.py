@@ -32,8 +32,9 @@ _TWO_PI = 2.0 * math.pi
 # a shift continuation lowers the parameters until both facet levels lie
 # this far inside the convergence wedge
 _SHIFT_MARGIN = 0.25
-# a batched ray quadrature integrates at most this many integrand values in
-# one block of rows, so a fine level of many parameters stays small in memory
+# a batched ray or loop quadrature integrates at most this many integrand
+# values in one block of rows (a row of more nodes is a block of its own),
+# so a fine level of many parameters stays small in memory
 # (each block carries about 1 MB of complex temporaries); the values do not
 # depend on it, and the 72 wedge lists of the beta scan's seeds 0-1 took as
 # long at 2^16, 4% longer at 2^13 and 17% longer at 2^12
@@ -225,7 +226,10 @@ def _tracked_log_f(A, x, logz):
     shift = np.where(big, A.k, 0)
     w = np.zeros(logz.shape, dtype=complex)
     for i, ki in enumerate(A.exponents):
-        w += complex(x[i]) * np.exp((ki - shift) * logz)
+        # x_i first at every size: on a temporary of 2^14 values or more numpy
+        # runs x_i * exp(...) in place with the operands swapped, rounding otherwise
+        term = np.exp((ki - shift) * logz)
+        w += np.multiply(complex(x[i]), term, out=term)
     mag = np.abs(w)
     zero = np.any(mag < 1e-290, axis=-1)
     if zero.any():
@@ -265,12 +269,13 @@ def _odd_nodes(A, x, theta, S, h):
     """log f, log z and cosh s at the odd nodes of the level (S, h), the
     nodes it adds to the level (S, 2h), as read-only arrays, cached like
     _ray_nodes.  None unless its even nodes repeat that level bit for bit
-    in every table: np.arange rounds the node positions of the two levels
-    apart at some S and h, and the phase tracking may unwrap differently."""
+    in every table, node count included: np.arange rounds the node
+    positions of the two levels apart at some S and h, and the phase
+    tracking may unwrap differently."""
     import numpy as np
     s, logz, (logf, _), cosh_s = _ray_nodes(A, x, theta, S, h)
     coarse_s, coarse_logz, (coarse_logf, _), coarse_cosh_s = _ray_nodes(A, x, theta, S, 2.0 * h)
-    if logf is None or coarse_logf is None or s.size != 2 * coarse_s.size - 1:
+    if logf is None or coarse_logf is None:
         return None
     fine, coarse = (s, logz, logf, cosh_s), (coarse_s, coarse_logz, coarse_logf, coarse_cosh_s)
     if any(f[::2].tobytes() != c.tobytes() for f, c in zip(fine, coarse)):
@@ -506,13 +511,7 @@ def _shift_plan(A, beta, x, order, shared=None, top=None):
                 facet = FACET_K if level_k > -_SHIFT_MARGIN else FACET_0
             p2 = b2 - w
             den = p2 if facet == FACET_0 else k * p1 - p2
-            # |den| < 1e-12 (scale + |p2|) implies |den| < 2.1e-12 scale, as
-            # |p2| = |den| on facet 0 and |p2| <= scale + |den| on facet k;
-            # Re den is the facet's level above, bit for bit, and
-            # |Re den| <= |den|, so the two complex abs are needed only
-            # where |Re den| <= 4e-12 scale
-            re_den = level_0 if facet == FACET_0 else level_k
-            if abs(re_den) <= 4e-12 * scale and abs(den) < 1e-12 * (scale + abs(p2)):
+            if abs(den) < 1e-12 * (scale + abs(p2)):
                 raise PolarLineError(f"{facet} denominator vanishes at shift {(m, w)}")
             level[w] = (facet, p1 / den)
             for ki in children[facet]:
@@ -633,10 +632,10 @@ def _loop_integral(A, beta, x, circles):
     Each circle takes m = 64, 128, ..., 2^18 nodes until two successive
     values agree; a phase tracking failure forgets its values.  A pass
     refines the open circles at the first one's node count, a row each, as
-    many as a block of fewer than _BLOCK_VALUES values holds: together
-    while several fit, one after another past that.  A row takes a lone
-    circle's operations elementwise and numpy sums it along its contiguous
-    nodes, so each value is its circle's alone, bit for bit.  The first
+    many as a block of _BLOCK_VALUES values holds: together while several
+    fit, one after another past that.  A row takes a lone circle's
+    operations elementwise and numpy sums it along its contiguous nodes, so
+    each value is its circle's alone, bit for bit.  The first
     failing circle in list order raises what it raises alone (through the
     origin, a curve root on it, no convergence at 2^18 nodes), and no later
     circle is refined after it fails.
@@ -653,10 +652,7 @@ def _loop_integral(A, beta, x, circles):
     error = None
     while nodes:
         m = next(iter(nodes.values()))
-        # a block of rows holds fewer than 2^14 complex values: numpy computes
-        # a temporary of that size in place, and x_i exp(...) in _tracked_log_f
-        # would multiply in the other operand order, which rounds differently
-        rows = [i for i, n in nodes.items() if n == m][:max(1, (_BLOCK_VALUES - 1) // m)]
+        rows = [i for i, n in nodes.items() if n == m][:max(1, _BLOCK_VALUES // m)]
         phi = _TWO_PI * np.arange(m) / m
         turns = {o: np.exp(1j * o * phi) for o in {circles[i][2] for i in rows}}
         center, radius, turn = (np.array(column, dtype=complex)[:, None] for column in zip(

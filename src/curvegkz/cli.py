@@ -174,9 +174,6 @@ def _run(parser, args):
                 payload = svg
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command}")
-    except MatrixValidationError as err:
-        print(f"error: {_reason(err)}", file=sys.stderr)
-        return 2
     except (
         QuadratureError,
         ArithmeticError,

@@ -164,7 +164,8 @@ def toric_ideal_groebner(A, order):
     (k_l - k_j, k_i - k_l, k_j - k_i) / g with g the gcd of its entries;
     its positive part has degree (k_l - k_i) / g <= k.  So no lead has
     degree above (n - 2) k, and passing _degree_cap raises, also under
-    python -O.
+    python -O.  So does a generator x^a - x^b with |a| != |b|: each is
+    homogeneous, as the first row of A is all ones.
 
     >>> from curvegkz.curve import CurveMatrix
     >>> toric_ideal_groebner(CurveMatrix([0, 2, 3]), "d1-first").generators
@@ -206,6 +207,11 @@ def _toric_ideal_groebner(A, order):
             if any(min(a, b) for a, b in zip(f[0], g[0]))
         )
         if all(s is None or gb.reduces_to_zero(*s) for s in spairs):
+            # annihilation_check reads one term per side of a residual off
+            # |a| = |b|, so the cached basis is checked once, here
+            for a, b in gb.generators:
+                if sum(a) != sum(b):
+                    raise AssertionError(f"generator {(a, b)} is not homogeneous")
             return gb
 
 

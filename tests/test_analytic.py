@@ -871,6 +871,23 @@ def test_refinement_keeps_no_rows_for_a_level_that_does_not_nest(monkeypatch):
     assert sizes == [(3, 41), (1, 56), (2, 40), (1, 111), (2, 161), (1, 110), (1, 160)]
 
 
+def test_levels_of_2_14_nodes_or_more_nest():
+    # at S = 4 the level h = 0.000390625 has 20,481 nodes and its even nodes
+    # repeat s, log z and cosh s of h twice as large on every ray of the
+    # seed-3 point of 0,1,3,4.  log f repeats them as well: _tracked_log_f
+    # multiplies by x_i first at every size, also where numpy would run the
+    # product in place on a temporary of 2^14 values or more, operands swapped
+    x = sample_structured_point(A0134, 3)
+    rays = roots_and_components(A0134, x).ray_angles
+    assert all(analytic._odd_nodes(A0134, x, theta, 4.0, 0.000390625) is not None for theta in rays)
+    # a row of the coarser level, 10,241 nodes, gives the same bits alone
+    # and twice stacked into one block
+    _, logz, (logf, _), _ = analytic._ray_nodes(A0134, x, rays[0], 4.0, 0.00078125)
+    stacked, whys = analytic._tracked_log_f(A0134, x, np.tile(logz, (2, 1)))
+    assert stacked.size > 1 << 14 and whys == [None, None]
+    assert all(row.tobytes() == logf.tobytes() for row in stacked)
+
+
 def test_loop_calculus_sum_rule():
     x = sample_structured_point(A0134, 3)
     rc = roots_and_components(A0134, x)
@@ -1086,9 +1103,12 @@ def test_loop_blocks_stay_small(monkeypatch):
     assert _outcome(lambda: residue_integral(A01, (2, 1), x, loops)) == want
     assert "nodes = 262144" in want[1]
     assert all(rows * m <= max(1 << 14, m) for rows, m in shapes)
-    # past 2^12 nodes a block holds one circle: the first one runs on and
-    # fails at 2^18, and the batch ends with it
-    assert [(rows, m) for rows, m in shapes if m >= 1 << 12] == [(3, 1 << 12), *((1, 1 << j) for j in range(13, 19))]
+    # from 2^12 nodes on a pass holds 16384 // m circles: all three at 2^12,
+    # the first two at 2^13, then one; the first runs on and fails at 2^18,
+    # and the batch ends with it
+    assert [(rows, m) for rows, m in shapes if m >= 1 << 12] == [
+        (3, 1 << 12), (2, 1 << 13), *((1, 1 << j) for j in range(14, 19))
+    ]
 
 
 def test_power_series_coefficient_vs_mpmath():

@@ -431,21 +431,33 @@ def test_solution_basis_merges_coincident_lines():
         assert (fs.terms, fs.start) == (built.terms, built.start)
 
 
-def test_basis_count_error_carries_the_assembled_basis():
-    # on the facet-k line of level 14 the line solution joins the three top
-    # series although the point is not a rank jump
+def test_basis_count_error_carries_the_assembled_basis(monkeypatch):
+    # with the rank patched one short, the basis at (0, 2) on 0,1,3,4 has
+    # one solution too many: three top series and the line solution of
+    # level 2, which stands in for the top series that hit a zero denominator
+    rank = curvegkz.series.rank
+    monkeypatch.setattr(curvegkz.series, "rank", lambda A, beta: rank(A, beta) - 1)
     with pytest.raises(BasisCountError) as info:
-        solution_basis_at_point(A023, (Fraction(4), Fraction(-2)))
+        solution_basis_at_point(A0134, (Fraction(0), Fraction(2)))
     err = info.value
     assert isinstance(err, ArithmeticError)
     assert str(err) == (
-        "assembled 4 solutions but the rank at (Fraction(4, 1), Fraction(-2, 1)) is 3"
+        "assembled 4 solutions but the rank at (Fraction(0, 1), Fraction(2, 1)) is 3"
     )
     basis = err.basis
-    assert (len(basis), basis.expected_rank, basis.discarded) == (4, 3, [])
+    assert (len(basis), basis.expected_rank, len(basis.discarded)) == (4, 3, 1)
+    assert isinstance(basis.discarded[0][1], SeriesDenominatorError)
     assert [e.kind for e in basis] == ["series", "series", "series", "finite"]
-    assert [(facet, N) for facet, N, _ in basis.lines] == [(FACET_K, 14)]
+    assert [(facet, N) for facet, N, _ in basis.lines] == [(FACET_0, 2)]
     assert basis.entries[-1].source is basis.lines[0][2]
+
+
+@pytest.mark.xfail(raises=BasisCountError, strict=True, reason="polar-line basis count, ROADMAP direction 1")
+def test_polar_point_basis_count_023():
+    # on the facet-k line of level 14 the line solution joins the three top
+    # series although the point is not a rank jump, so 4 solutions are
+    # assembled where the rank is 3
+    assert len(solution_basis_at_point(A023, (Fraction(4), Fraction(-2)))) == 3
 
 
 def test_solution_basis_023():
