@@ -746,14 +746,14 @@ def _circle(A, beta, x, loop):
 def residue_at_zero(A, beta, x):
     """Counterclockwise loop around the origin inside all roots.  Requires
     integral b2 so that z^(-b2) closes up around the origin."""
-    return _loop_integral(A, beta, x, [_circle(A, beta, x, "zero")])[0]
+    return residue_integral(A, beta, x, "zero")
 
 
 def residue_at_infinity(A, beta, x):
     """Clockwise loop outside all roots.  Requires integral k b1 - b2 for
     single-valuedness; together with the other loops it satisfies the sum
     rule  origin + all roots + infinity = 0."""
-    return _loop_integral(A, beta, x, [_circle(A, beta, x, "infinity")])[0]
+    return residue_integral(A, beta, x, "infinity")
 
 
 def power_series_coefficient(A, b1, N, x):

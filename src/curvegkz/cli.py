@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input or
 an --output that cannot be written, 3 numerical or internal failure.  The
-default tolerance for numerical checks can be set through the CURVEGKZ_TOL
-environment variable; it and --tol must be finite and at least 0.
+tolerance of the numerical checks is --tol, 1e-8 by default, and must be
+finite and at least 0.  Stdout and the exit code depend on the arguments
+alone: no environment variable is read.
 """
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -60,24 +60,6 @@ def _step_ball(A, bound):
     return sum(2**i * math.comb(d, i) * math.comb(bound, i) for i in range(d + 1))
 
 
-def _tolerance(tol):
-    """The --tol value, else CURVEGKZ_TOL, else 1e-8; it must be a finite
-    number >= 0, where 0 demands exact agreement of the numerical values."""
-    source = "--tol"
-    if tol is None:
-        raw = os.environ.get("CURVEGKZ_TOL")
-        if raw is None:
-            return 1e-8
-        source = "CURVEGKZ_TOL"
-        try:
-            tol = float(raw)
-        except ValueError:
-            raise ValueError(f"CURVEGKZ_TOL must be a number, got {raw!r}") from None
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{source} must be finite and at least 0, got {tol}")
-    return tol
-
-
 def _reason(err):
     """The message of an error, or its type name when it has none (a bare
     MemoryError), so that a failure never prints an empty reason."""
@@ -109,7 +91,7 @@ def _build_parser():
     common(sp)
     sp.add_argument("-b", "--beta", required=True)
     sp.add_argument("--order", choices=list(ORDER_NAMES), default="d1-first")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("cohomology", help="graded local cohomology support and generators")
@@ -161,8 +143,10 @@ def _run(parser, args):
             if args.seed < 0:
                 raise ValueError(f"--seed must be at least 0, got {args.seed}")
             beta = _parse_beta(args.beta)
-            tol = _tolerance(args.tol)
-            report = verify_report(A, beta, tol=tol, seed=args.seed, order=args.order)
+            # a tolerance of 0 demands exact agreement of the numerical values
+            if not (math.isfinite(args.tol) and args.tol >= 0.0):
+                raise ValueError(f"--tol must be finite and at least 0, got {args.tol}")
+            report = verify_report(A, beta, tol=args.tol, seed=args.seed, order=args.order)
             payload = to_json(report)
         elif args.command == "cohomology":
             payload = to_json(cohomology_report(A))

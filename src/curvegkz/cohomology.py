@@ -56,7 +56,12 @@ def h1_support(A):
     h1 is one exactly on both ray modules outside NA, the rank jumps of
     ``_rank_jumps``; each one is checked against ``graded_dims``.
     """
-    return sorted(alpha for alpha in _rank_jumps(A) if graded_dims(A, alpha)[1] == 1)
+    support = []
+    for alpha in _rank_jumps(A):
+        if graded_dims(A, alpha)[1] != 1:
+            raise AssertionError(f"staircase degree {alpha} has no first local cohomology")
+        support.append(alpha)
+    return sorted(support)
 
 
 def _max_parts_decomposition(S, N):

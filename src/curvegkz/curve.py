@@ -418,7 +418,12 @@ def _rank_jumps(A):
 def rank_jumping_parameters(A):
     """All exceptional parameters, sorted: those of ``_rank_jumps``, each
     checked against ``is_rank_jumping``."""
-    return sorted(beta for beta in _rank_jumps(A) if is_rank_jumping(A, beta))
+    jumps = []
+    for beta in _rank_jumps(A):
+        if not is_rank_jumping(A, beta):
+            raise AssertionError(f"staircase degree {beta} is not rank-jumping")
+        jumps.append(beta)
+    return sorted(jumps)
 
 
 def rank(A, beta):

@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 from oracles import h1_support_by_search, in_ray_module_by_shift
 
+from curvegkz import cohomology, curve
 from curvegkz.cohomology import (
     CocycleData,
     cocycle_generator,
@@ -104,6 +105,17 @@ def test_h1_support_gapped_matrix():
     assert (1, 4) not in got
     for alpha in got:
         assert graded_dims(A025, alpha)[1] == 1
+
+
+def test_staircase_degree_that_is_no_jump_raises(monkeypatch):
+    # the staircase yields only rank jumps; one that is not is a defect to
+    # report, under python -O too, never a degree to drop
+    for module in (curve, cohomology):
+        monkeypatch.setattr(module, "_rank_jumps", lambda A: iter([(1, 2), (0, 0)]))
+    with pytest.raises(AssertionError, match=r"staircase degree \(0, 0\)"):
+        rank_jumping_parameters(A0134)
+    with pytest.raises(AssertionError, match=r"staircase degree \(0, 0\)"):
+        h1_support(A0134)
 
 
 def test_cocycle_generator_frozen_0134():

@@ -214,8 +214,8 @@ def test_wrappers_installed_after_import_are_what_callers_reach():
 # every module outside the package that a package module imports, at
 # module level or inside a function
 IMPORTED = (
-    "argparse bisect cmath collections fractions functools importlib itertools json math numpy operator os "
-    "sys traceback"
+    "argparse bisect cmath collections fractions functools importlib itertools json math numpy operator sys "
+    "traceback"
 ).split()
 
 

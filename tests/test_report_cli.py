@@ -297,15 +297,6 @@ def test_cli_bad_tol_is_exit_2(tol, capsys):
     assert "--tol must be finite and at least 0" in captured.err
 
 
-@pytest.mark.parametrize("raw", ["abc", "-1", "nan"])
-def test_cli_bad_env_tolerance_is_exit_2(raw, monkeypatch, capsys):
-    monkeypatch.setenv("CURVEGKZ_TOL", raw)
-    assert cli.main(["verify", "-A", "0,1,3,4", "-b", "1/2,1/3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "CURVEGKZ_TOL must be" in captured.err
-
-
 @pytest.mark.parametrize(
     "command,window",
     [("analyze", -1), ("analyze", 10001), ("analyze", 100000000),
@@ -421,8 +412,8 @@ def test_verify_builds_each_solution_once(monkeypatch):
     assert sorted(built["polar_line_solution"]) == [(A0134, "facet-0", 2), (A0134, "facet-k", 2)]
 
 
-def _python(args, optimize):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)))
+def _python(args, optimize, **env):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvegkz.__file__)), **env)
     flags = ["-O"] if optimize else []
     return subprocess.run(
         [sys.executable, *flags, *args],
@@ -433,8 +424,8 @@ def _python(args, optimize):
     )
 
 
-def _run_cli(argv, optimize):
-    return _python(["-m", "curvegkz.cli", *argv], optimize)
+def _run_cli(argv, optimize, **env):
+    return _python(["-m", "curvegkz.cli", *argv], optimize, **env)
 
 
 # the CLI with series.rank one short, so a basis of the right size counts
@@ -539,10 +530,18 @@ def test_cli_internal_error_is_exit_3(optimize):
     assert proc.stderr.startswith("internal error: TypeError: synthetic defect\n")
 
 
-def test_cli_env_tolerance(monkeypatch, capsys):
-    monkeypatch.setenv("CURVEGKZ_TOL", "0")
-    assert cli.main(["verify", "-A", "0,1,3,4", "--beta=-1,-2"]) == 1
-    capsys.readouterr()
+def test_cli_stdout_ignores_the_environment(monkeypatch):
+    # stdout and the exit code depend on argv alone: neither the hash seed
+    # nor a tolerance variable that once replaced the --tol default moves them
+    monkeypatch.delenv("CURVEGKZ_TOL", raising=False)
+    for argv in (["verify", "-A", "0,1,3,4", "--beta=-1,-2"], ["analyze", "-A", "0,1,3,4"]):
+        outcomes = set()
+        for hash_seed in ("0", "1"):
+            for tol in ({}, {"CURVEGKZ_TOL": "0"}):
+                proc = _run_cli(argv, False, PYTHONHASHSEED=hash_seed, **tol)
+                outcomes.add((proc.returncode, proc.stdout))
+        assert len(outcomes) == 1, argv
+        assert outcomes.pop()[0] == 0, argv
 
 
 def test_cli_figure_formats(capsys):
