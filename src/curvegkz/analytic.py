@@ -252,16 +252,17 @@ def _state(pair, S, h):
 
 @lru_cache(maxsize=_NODE_CACHE_SIZE)
 def _ray_nodes(A, x, theta, S, h):
-    """A level of the ray arg z = theta, cached by (A, x, theta, S, h): s = -S,
-    -S + h, ..., S, sinh s + i theta, its _tracked_log_f and cosh s, read-only."""
+    """A level of the ray arg z = theta, cached by (A, x, theta, S, h): at
+    s = -S, -S + h, ..., S, the tables the integrand reads, sinh s + i theta,
+    its _tracked_log_f and cosh s, read-only."""
     import numpy as np
     s = np.arange(-S, S + 0.5 * h, h)
     logz = np.sinh(s) + 1j * theta
     logf, why = _tracked_log_f(A, x, logz)
     cosh_s = np.cosh(s)
-    for table in [s, logz, cosh_s] + ([] if logf is None else [logf]):
+    for table in [logz, cosh_s] + ([] if logf is None else [logf]):
         table.flags.writeable = False
-    return s, logz, (logf, why), cosh_s
+    return logz, (logf, why), cosh_s
 
 
 @lru_cache(maxsize=_NODE_CACHE_SIZE)
@@ -269,15 +270,15 @@ def _odd_nodes(A, x, theta, S, h):
     """log f, log z and cosh s at the odd nodes of the level (S, h), the
     nodes it adds to the level (S, 2h), as read-only arrays, cached like
     _ray_nodes.  None unless its even nodes repeat that level bit for bit
-    in every table, node count included: np.arange rounds the node
-    positions of the two levels apart at some S and h, and the phase
-    tracking may unwrap differently."""
+    in every table the integrand reads, node count included: np.arange
+    rounds the node positions of the two levels apart at some S and h, and
+    the phase tracking may unwrap differently."""
     import numpy as np
-    s, logz, (logf, _), cosh_s = _ray_nodes(A, x, theta, S, h)
-    coarse_s, coarse_logz, (coarse_logf, _), coarse_cosh_s = _ray_nodes(A, x, theta, S, 2.0 * h)
+    logz, (logf, _), cosh_s = _ray_nodes(A, x, theta, S, h)
+    coarse_logz, (coarse_logf, _), coarse_cosh_s = _ray_nodes(A, x, theta, S, 2.0 * h)
     if logf is None or coarse_logf is None:
         return None
-    fine, coarse = (s, logz, logf, cosh_s), (coarse_s, coarse_logz, coarse_logf, coarse_cosh_s)
+    fine, coarse = (logz, logf, cosh_s), (coarse_logz, coarse_logf, coarse_cosh_s)
     if any(f[::2].tobytes() != c.tobytes() for f, c in zip(fine, coarse)):
         return None
     odd = tuple(np.ascontiguousarray(table[1::2]) for table in (logf, logz, cosh_s))
@@ -339,15 +340,15 @@ def euler_mellin(A, beta, x, theta):
 
     Rows that halve h keep their integrand rows only when _odd_nodes finds
     the even nodes of the new level equal to the nodes of theirs bit for
-    bit, in every table: that piece evaluates only the odd nodes, and the
-    kept rows fill the even ones.  Each integrand value is computed
-    elementwise from the same table entries by the same operations
-    (_integrand), so it is the same bit for bit wherever it is computed,
-    and the row that numpy sums is the one the pair builds alone.  A row's
-    overflow is read off its new nodes: the kept ones passed it.  A piece
-    of rows that halve h to a level that does not nest, from (S - 1.5, h)
-    or from a phase failure keeps no integrand rows and evaluates every
-    node.
+    bit, in every table the integrand reads: that piece evaluates only the
+    odd nodes, and the kept rows fill the even ones.  Each integrand value
+    is computed elementwise from the same table entries by the same
+    operations (_integrand), so it is the same bit for bit wherever it is
+    computed, and the row that numpy sums is the one the pair builds
+    alone.  A row's overflow is read off its new nodes: the kept ones
+    passed it.  A piece of rows that halve h to a level that does not nest,
+    from (S - 1.5, h) or from a phase failure keeps no integrand rows and
+    evaluates every node.
 
     A failure raises where it is found: first a pair outside the wedge, in
     list order, then the first failure in level order.  A round visits its
@@ -375,7 +376,7 @@ def euler_mellin(A, beta, x, theta):
     while todo:
         levels, todo = todo, {}
         for (S, h), pieces in levels.items():
-            _, logz, (logf, why), cosh_s = _ray_nodes(A, x, theta, S, h)
+            logz, (logf, why), cosh_s = _ray_nodes(A, x, theta, S, h)
             if logf is None:
                 if why == "zero":
                     raise QuadratureError(

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import figure, series
 from .curve import ORDER_NAMES, CurveMatrix
-from .errors import MatrixValidationError, QuadratureError
+from .errors import QuadratureError
 from .report import (
     SCHEMA,
     analyze_report,
@@ -35,7 +35,7 @@ def _parse_matrix(text):
     try:
         values = [int(t) for t in text.replace(" ", "").split(",") if t != ""]
     except ValueError as err:
-        raise MatrixValidationError("parse", f"matrix entries must be integers: {err}")
+        raise ValueError(f"matrix entries must be integers: {err}") from None
     return CurveMatrix(values)
 
 

@@ -49,7 +49,6 @@ _SCALARS = {
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
-_STR = {str}
 
 
 def _text(obj, nl):
@@ -79,41 +78,21 @@ def _text(obj, nl):
         if not obj:
             return "{}"
         inner = nl + "  "
-        # json.dumps sorts the keys as the strings it writes
-        if not _STR.issuperset(map(type, obj)):
-            obj = {str(k): v for k, v in obj.items()}
         items = [f"{encode_basestring_ascii(k)}: {_text(v, inner)}" for k, v in sorted(obj.items())]
         return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
-    return _other_text(obj, nl)
-
-
-def _other_text(obj, nl):
-    """The text of a value whose exact type _text does not dispatch on:
-    complex values and subclasses of the types it writes (numpy.float64, a
-    namedtuple, an IntEnum), as json.dumps writes them.  Anything else is a
-    TypeError, as there."""
-    if isinstance(obj, Fraction):
-        return encode_basestring_ascii(str(obj))
-    if isinstance(obj, complex):
+    if t is complex:
         return _text([obj.real, obj.imag], nl)
-    if isinstance(obj, dict):
-        return _text({str(k): v for k, v in obj.items()}, nl)
-    if isinstance(obj, (list, tuple)):
-        return _text(list(obj), nl)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float(obj)
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def to_json(report):
-    """The report as JSON: keys as str(k), sorted; Fractions as "p/q"
-    strings; complex values as [re, im]; floats as repr, with NaN and
-    Infinity; 2-space indentation and a trailing newline.  The text is that
-    of json.dumps(..., sort_keys=True, indent=2), written in one pass."""
+    """The report as JSON: str keys, sorted; Fractions as "p/q" strings;
+    complex values as [re, im]; floats as repr, with NaN and Infinity;
+    2-space indentation and a trailing newline.  The text is that of
+    json.dumps(..., sort_keys=True, indent=2), written in one pass.  A
+    report holds only str, int, float, bool, None, Fraction, complex, list,
+    tuple and str-keyed dict values, each of exactly that type; any other
+    value, a subclass or a numpy scalar included, is a TypeError."""
     return _text(report, "\n") + "\n"
 
 

@@ -1239,7 +1239,7 @@ def _encode(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
+        return {k: _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_encode(v) for v in obj]
     return obj

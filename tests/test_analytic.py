@@ -736,7 +736,7 @@ def _tails(pair, x, theta, S, steps):
 
     tails = []
     for h in steps:
-        _, logz, (logf, _), cosh_s = analytic._ray_nodes(A01, x, theta, S, h)
+        logz, (logf, _), cosh_s = analytic._ray_nodes(A01, x, theta, S, h)
         g = analytic._integrand(np.array([[pair[0]]]), np.array([[pair[1]]]), logf, logz, cosh_s)[0][0]
         tails.append(max(abs(complex(g[0])), abs(complex(g[-1]))) > 1e-16 * np.max(np.abs(g)))
     return tails
@@ -789,7 +789,7 @@ def test_refinement_keeps_the_level_order_of_failures(monkeypatch):
     odd_overflow, tail, fine = (-4200.0, -3969.0), (-0.5, -1e-3), (-1.3, -0.7)
     peaks = []
     for h in (0.2, 0.1):
-        _, logz, (logf, _), _ = analytic._ray_nodes(A01, x, 0.0, 4.0, h)
+        logz, (logf, _), _ = analytic._ray_nodes(A01, x, 0.0, 4.0, h)
         peaks.append(max((odd_overflow[0] * logf - odd_overflow[1] * logz).real))
     assert peaks[0] <= 690.0 < peaks[1]
     sizes = _record_integrands(monkeypatch)
@@ -882,7 +882,7 @@ def test_levels_of_2_14_nodes_or_more_nest():
     assert all(analytic._odd_nodes(A0134, x, theta, 4.0, 0.000390625) is not None for theta in rays)
     # a row of the coarser level, 10,241 nodes, gives the same bits alone
     # and twice stacked into one block
-    _, logz, (logf, _), _ = analytic._ray_nodes(A0134, x, rays[0], 4.0, 0.00078125)
+    logz, (logf, _), _ = analytic._ray_nodes(A0134, x, rays[0], 4.0, 0.00078125)
     stacked, whys = analytic._tracked_log_f(A0134, x, np.tile(logz, (2, 1)))
     assert stacked.size > 1 << 14 and whys == [None, None]
     assert all(row.tobytes() == logf.tobytes() for row in stacked)

@@ -6,9 +6,11 @@ and in ``oracles.py``) before being inlined, so each value is covered by
 two independent routes.
 """
 
+import ast
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -58,6 +60,25 @@ def test_matrix_validation_rejects(exps, reason):
     with pytest.raises(MatrixValidationError) as info:
         CurveMatrix(exps)
     assert info.value.reason == reason
+
+
+def test_matrix_validation_reasons_are_documented():
+    # every MatrixValidationError the package raises passes, as its reason,
+    # one of the codes the class documents
+    documented = set(re.findall(r'``"([a-z-]+)"``', MatrixValidationError.__doc__))
+    assert documented == {"too-short", "first-not-zero", "non-monotone", "gcd"}
+    package = os.path.dirname(curvegkz.__file__)
+    reasons = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            for node in ast.walk(tree):
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) == "MatrixValidationError":
+                    reason = node.args[0] if node.args else None
+                    reasons.append((name, node.lineno, reason.value if isinstance(reason, ast.Constant) else None))
+    assert reasons and all(reason in documented for _, _, reason in reasons), reasons
 
 
 def test_matrix_validation_type():

@@ -4,7 +4,9 @@ this scan finds it.  ``__init__.py`` re-exports through its export table,
 not through imports, so the table is checked against the public names the
 package promises, and each public name against the rest of the package: a
 name that no other package code reads is a second way to reach what a
-command already reaches, unless it is kept on purpose."""
+command already reaches, unless it is kept on purpose.  A private
+module-level name must be read by package code too: one that nothing reads
+is code left behind when its last use went."""
 
 import ast
 import os
@@ -101,13 +103,13 @@ def _definitions(tree):
 
 def _referenced(node, skip=None):
     """The names a tree reads, as a bare name or an attribute, outside the
-    subtree ``skip``."""
+    subtree ``skip``; a name that is only bound is not read."""
     if node is skip:
         return set()
     names = set()
-    if isinstance(node, ast.Name):
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         names.add(node.id)
-    elif isinstance(node, ast.Attribute):
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
         names.add(node.attr)
     for child in ast.iter_child_nodes(node):
         names |= _referenced(child, skip)
@@ -128,3 +130,34 @@ def test_every_public_name_feeds_the_package():
             if name not in _referenced(trees[home], definitions.get(name)):
                 unused.append(name)
     assert sorted(unused) == sorted(UNUSED_KEPT)
+
+
+def _private_definitions(tree):
+    """Each top-level function, class or assigned name of a module that
+    starts with one underscore, with the statement that defines it."""
+    found = list(_definitions(tree).items())
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (leaf.id, node)
+                for target in targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Store)
+            ]
+    return [(name, node) for name, node in found if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_read():
+    # a private function, class or constant that no package code reads
+    # outside its own definition is dead: its last caller went
+    trees = {name: _parse(name) for name in CHECKED}
+    read = {home: _referenced(tree) for home, tree in trees.items()}
+    unread = []
+    for home, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            if any(name in read[other] for other in trees if other != home):
+                continue
+            if name not in _referenced(tree, node):
+                unread.append(f"{home}:{node.lineno} {name}")
+    assert unread == []
