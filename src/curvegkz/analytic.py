@@ -177,12 +177,13 @@ def _pcg64_uniform(seed):
     return uniform
 
 
-@lru_cache(maxsize=_POINT_CACHE_SIZE)
+@lru_cache(maxsize=_POINT_CACHE_SIZE, typed=True)
 def sample_structured_point(A, seed):
     """Random coefficient point with dominant boundary coordinates and small
     middle coordinates, rejecting near-discriminant draws.  Points of this
     shape keep the k roots in distinct angular components.  The point is a
-    function of (A, seed), an integer >= 0, and is cached by it.
+    function of (A, seed), an integer >= 0, and is cached by it and the
+    seed's type, so a float seed is refused whatever the cache holds.
 
     The draws are those of numpy's Generator(PCG64(seed)).uniform, bit for
     bit (_pcg64_uniform), without loading numpy's random module."""
@@ -551,10 +552,11 @@ def extension_shift(A, beta, x, theta, order="facet-0-first"):
     (_shift_plan); the earlier entry combines the shared levels, the later
     one's shifts included, and the later entry combines only its levels
     below m*, from the values of level m*.  An entry that shares levels
-    stops at the first level whose values are not all finite and is
-    continued alone, which raises the error it raises alone or returns its
-    lone value.  That continuation repeats its plan, which the list counted
-    whole, and integrates only wedge shifts the batch already integrated.
+    returns its value when it is finite, for then it is its lone value: no
+    shift that only the other entry plans feeds it.  Otherwise it is
+    continued alone, which raises the error it raises alone.  That
+    continuation repeats its plan, which the list counted whole, and
+    integrates only wedge shifts the batch already integrated.
 
     Raises PolarLineError when a needed denominator sits on a polar line,
     and QuadratureError when a plan holds more than _PLAN_BUDGET shifts,
@@ -588,12 +590,11 @@ def extension_shift(A, beta, x, theta, order="facet-0-first"):
             wedge.update(((b1 - m, b2 - w), None) for w, plan in level.items() if plan is None)
     wedge_values = dict(zip(wedge, euler_mellin(A, list(wedge), x, theta)))
     results = []
-    # by entry that a later one joined: the values of its level m*, absent
-    # or None where it stopped at a level m >= m*
+    # by entry that a later one joined: the values of its level m*
     tails = {}
     for j, (pair, pair_order, (b1, b2), (steps, levels), top) in enumerate(zip(beta, order, pairs, plans, tops)):
-        below, m = ({}, len(levels)) if top is None else (tails.get(first[pairs[j]]), top)
-        while below is not None and m > 0:
+        below, m = ({}, len(levels)) if top is None else (tails[first[pairs[j]]], top)
+        while m > 0:
             m -= 1
             values = {}
             for w, plan in levels[m].items():
@@ -607,17 +608,15 @@ def extension_shift(A, beta, x, theta, order="facet-0-first"):
                     values[w] = prefactor * total
             # every shift of a plan feeds (0, 0), and a value that is not
             # finite stays so through the weighted sums above it
-            if not all(map(cmath.isfinite, values.values())):
-                if top is None and j not in shares:
-                    raise QuadratureError(
-                        f"shift continuation over {len(levels)} levels overflowed at {pair}: "
-                        f"the values of level {m} are not finite"
-                    )
-                values = None
+            if top is None and j not in shares and not all(map(cmath.isfinite, values.values())):
+                raise QuadratureError(
+                    f"shift continuation over {len(levels)} levels overflowed at {pair}: "
+                    f"the values of level {m} are not finite"
+                )
             if shares.get(j) == m:
                 tails[j] = values
             below = values
-        results.append(extension_shift(A, pair, x, theta, pair_order) if below is None else below[0])
+        results.append(below[0] if cmath.isfinite(below[0]) else extension_shift(A, pair, x, theta, pair_order))
     return results
 
 

@@ -106,10 +106,9 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _run(parser, args)
+        return _run(args)
     except Exception as err:
         # a failure no handler of _run names is a defect or a broken
         # install (a submodule is first imported here), not a failed check;
@@ -121,7 +120,7 @@ def main(argv=None):
         return 3
 
 
-def _run(parser, args):
+def _run(args):
     try:
         A = _parse_matrix(args.matrix)
         if args.command in ("analyze", "figure"):
@@ -150,14 +149,12 @@ def _run(parser, args):
             payload = to_json(report)
         elif args.command == "cohomology":
             payload = to_json(cohomology_report(A))
-        elif args.command == "figure":
+        else:
             svg = figure.build_svg(A, window=args.window)
             if args.format == "json":
                 payload = to_json({"schema": SCHEMA, "command": "figure", "svg": svg})
             else:
                 payload = svg
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command}")
     except (
         QuadratureError,
         ArithmeticError,

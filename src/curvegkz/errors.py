@@ -20,8 +20,8 @@ class SeriesDenominatorError(ArithmeticError):
     vanished; callers discard the offending starting exponent.
     """
 
-    def __init__(self, u, coordinate, message=None):
-        super().__init__(message or f"zero denominator at coordinate {coordinate} for step {u}")
+    def __init__(self, u, coordinate):
+        super().__init__(f"zero denominator at coordinate {coordinate} for step {u}")
         self.u = u
         self.coordinate = coordinate
 

@@ -43,12 +43,6 @@ class TermOrder:
     def greater(self, a, b):
         return self.key(a) > self.key(b)
 
-    def __eq__(self, other):
-        return isinstance(other, TermOrder) and self.cheap == other.cheap
-
-    def __hash__(self):
-        return hash(self.cheap)
-
     def __repr__(self):
         return f"TermOrder({self.name})"
 
@@ -134,8 +128,9 @@ def _degree_cap(A):
 
 
 def toric_ideal_groebner(A, order):
-    """Reduced Groebner basis of the toric ideal of the curve, read off the
-    kernel vectors of A one degree at a time.
+    """Reduced Groebner basis of the toric ideal of the curve for the order
+    named ``order`` (ORDER_NAMES; another value is a ValueError), read off
+    the kernel vectors of A one degree at a time.
 
     The first row of A is all ones, so a binomial x^u+ - x^u- of I_A of
     degree d is a kernel vector u with |u|_1 = 2d (Sturmfels, Groebner Bases
@@ -171,13 +166,12 @@ def toric_ideal_groebner(A, order):
     >>> toric_ideal_groebner(CurveMatrix([0, 2, 3]), "d1-first").generators
     (((0, 3, 0), (1, 0, 2)),)
     """
-    if isinstance(order, str):
-        order = term_order(order, A.n)
     return _toric_ideal_groebner(A, order)
 
 
 @lru_cache(maxsize=GB_CACHE_SIZE)
-def _toric_ideal_groebner(A, order):
+def _toric_ideal_groebner(A, name):
+    order = term_order(name, A.n)
     start, cap = A.k - A.n + 3, _degree_cap(A)
     # by TermOrder, u+ > u- (one degree) exactly when cheap(u) < 0 in tuples
     cheap, zero = itemgetter(*order.cheap), (0,) * A.n
@@ -288,20 +282,19 @@ def standard_pairs_of_monomial_ideal(lead_monomials, n):
 
 
 def standard_pairs(A, order):
-    """Standard pairs of the initial ideal; the top-dimensional ones (both end
-    variables free) always number k for the adapted orders.
+    """Standard pairs of the initial ideal of the order named ``order``
+    (ORDER_NAMES; another value is a ValueError); the top-dimensional ones
+    (both end variables free) always number k.
 
-    The pairs are computed once per (A, order), like the Groebner basis,
-    and kept in a cache of GB_CACHE_SIZE entries; each call gets a list of
-    its own."""
-    if isinstance(order, str):
-        order = term_order(order, A.n)
+    The pairs are computed once per (A, order name), like the Groebner
+    basis, and kept in a cache of GB_CACHE_SIZE entries; each call gets a
+    list of its own."""
     return list(_standard_pairs(A, order))
 
 
 @lru_cache(maxsize=GB_CACHE_SIZE)
-def _standard_pairs(A, order):
-    gb = toric_ideal_groebner(A, order)
+def _standard_pairs(A, name):
+    gb = toric_ideal_groebner(A, name)
     pairs = standard_pairs_of_monomial_ideal(gb.lead_monomials, A.n)
     kinds = {p.kind(A.n) for p in pairs}
     if "other" in kinds:
@@ -340,7 +333,8 @@ def _common_numerators(v):
 
 
 def fake_exponents(A, beta, order):
-    """All starting exponents at a rational ``beta`` for the given order.
+    """All starting exponents at a rational ``beta`` for the order named
+    ``order``.
 
     Top pairs always contribute; an end pair, free on the column of one
     facet, contributes only when ``beta`` has the pair's level on that
@@ -386,29 +380,26 @@ class SpecialLines:
 def special_lines(A, orders):
     """Lines of parameters where some end pair contributes an exponent.
 
-    Each order is classified by its cheapest variable: first-variable-cheapest
-    orders see facet-0 levels, last-variable-cheapest orders see facet-k
-    levels.  Per facet the order with the fewest lines wins (first wins ties),
-    and the union of the two winning line sets is returned together with all
+    Each name of ORDER_NAMES in ``orders`` (another is a ValueError) is
+    classified by its cheapest variable: first-variable-cheapest orders see
+    facet-0 levels, last-variable-cheapest orders see facet-k levels.  Per
+    facet the order with the fewest lines wins (first wins ties), and the
+    union of the two winning line sets is returned together with all
     pairwise intersection points across facets.
     """
     per_facet = {facet: [] for facet in FACETS}
     facet_of_base = {facet_base(A, facet): facet for facet in FACETS}
-    for order in orders:
-        if isinstance(order, str):
-            order = term_order(order, A.n)
-        facet = facet_of_base.get(order.cheap[0])
-        if facet is None:
-            raise ValueError(f"order {order.name} is adapted to neither end variable")
+    for name in orders:
+        facet = facet_of_base[term_order(name, A.n).cheap[0]]
         levels = set()
-        for pair in standard_pairs(A, order):
+        for pair in standard_pairs(A, name):
             if pair.is_top:
                 continue
             # the end pairs must be free exactly on the facet's own column
             if pair.sigma != {facet_base(A, facet)}:
-                raise AssertionError(f"wrong end pair {pair} for {order.name}")
+                raise AssertionError(f"wrong end pair {pair} for {name}")
             levels.add(facet_level(A.k, facet, A.degree(pair.r)))
-        per_facet[facet].append((order, sorted(levels)))
+        per_facet[facet].append((name, sorted(levels)))
     lines = {facet: [] for facet in FACETS}
     chosen = {}
     for facet in FACETS:
@@ -416,7 +407,7 @@ def special_lines(A, orders):
         if not candidates:
             continue
         best = min(candidates, key=lambda c: len(c[1]))
-        chosen[facet] = best[0].name
+        chosen[facet] = best[0]
         polar_levels = _polar_level_semigroup(A, facet)
         lines[facet] = [ResonantLine(facet, N, N in polar_levels, A.k) for N in best[1]]
     # b2 = N0 and k*b1 - b2 = Nk cross at b1 = (N0 + Nk)/k

@@ -11,6 +11,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -28,6 +29,7 @@ from curvegkz.toric import (
     GB_CACHE_SIZE,
     ORDER_NAMES,
     StandardPair,
+    TermOrder,
     _divides,
     fake_exponents,
     special_lines,
@@ -304,10 +306,10 @@ def test_standard_pairs_frozen_0134():
 
 
 def test_standard_pairs_give_each_caller_its_own_list():
-    # the pairs are computed once per (A, order), by name or by TermOrder,
-    # and every call gets a list of its own that equals a fresh listing, so
-    # a caller that changes its list changes no later result; the pairs in
-    # it are shared and cannot be changed
+    # the pairs are computed once per (A, order name), and every call gets
+    # a list of its own that equals a fresh listing, so a caller that
+    # changes its list changes no later result; the pairs in it are shared
+    # and cannot be changed
     for name in ORDER_NAMES:
         leads = toric_ideal_groebner(A0134, name).lead_monomials
         fresh = sorted(standard_pairs_of_monomial_ideal(leads, 4), key=lambda p: (-len(p.sigma), p.r))
@@ -316,9 +318,8 @@ def test_standard_pairs_give_each_caller_its_own_list():
         first.reverse()
         first.append(StandardPair((9, 9, 9, 9), {0, 3}))
         misses = toric._standard_pairs.cache_info().misses
-        for order in (name, term_order(name, 4)):
-            again = standard_pairs(A0134, order)
-            assert again == fresh and again is not first
+        again = standard_pairs(A0134, name)
+        assert again == fresh and again is not first
         assert toric._standard_pairs.cache_info().misses == misses
         with pytest.raises(AttributeError):
             first[0].r = (9, 9, 9, 9)
@@ -405,7 +406,28 @@ def test_special_lines_three_orders_minimal():
 
 
 def test_special_lines_rejects_middle_cheap_order():
-    bad = term_order("dn-first", 4)
-    bad = type(bad)(4, (1, 0, 2, 3), "middle")
-    with pytest.raises(ValueError):
+    # an order object is refused like any name outside ORDER_NAMES
+    bad = TermOrder(4, (1, 0, 2, 3), "middle")
+    with pytest.raises(ValueError, match=re.escape(str(ORDER_NAMES))):
         special_lines(A0134, [bad])
+
+
+def test_toric_takes_only_the_order_names():
+    # an order that is not one of the three names is bad input, a TermOrder
+    # object included: about half of the 24 permutation orders of 0,1,3,4
+    # have pairs of no adapted shape.  A refused call caches nothing, so
+    # each name's basis then carries that name
+    toric._toric_ideal_groebner.cache_clear()
+    toric._standard_pairs.cache_clear()
+    beta = (Fraction(1), Fraction(2))
+    for order in ["lex", *(TermOrder(4, cheap) for cheap in itertools.permutations(range(4)))]:
+        for call in (
+            lambda: toric_ideal_groebner(A0134, order),
+            lambda: standard_pairs(A0134, order),
+            lambda: fake_exponents(A0134, beta, order),
+            lambda: special_lines(A0134, [order]),
+        ):
+            with pytest.raises(ValueError, match=re.escape(str(ORDER_NAMES))):
+                call()
+    for name in ORDER_NAMES:
+        assert toric_ideal_groebner(A0134, name).order.name == name

@@ -17,6 +17,8 @@ floating point on one machine, as do the digests of
 import hashlib
 from fractions import Fraction
 
+import pytest
+
 from curvegkz import CurveMatrix
 from curvegkz.report import to_json, verify_report
 
@@ -71,6 +73,7 @@ CALLS = [
 DIGEST = "38c9fc4aeab2b04759452667bcadca5bc9e3d39cb3c4ad3bd0d45e8bf62ebde7"
 
 
+@pytest.mark.avx512_bits
 def test_verify_reports_keep_their_bits():
     digest = hashlib.sha256()
     for exps, b1, b2 in CALLS:
